@@ -2,7 +2,8 @@
 
 Subpackages:
 
-* ``algebra``    -- Pauli-string Hamiltonians, states, dense / matrix-free action
+* ``algebra``    -- Pauli-string Hamiltonians, states, and one compiled
+  operator kernel behind both the dense and the matrix-free action
 * ``chains``     -- builders for the exchange and amplification chains, stars
 * ``maps``       -- CNOT-ladder basis maps, symbolic conjugation, mirror map
 * ``evolution``  -- propagators, transfer fidelities, scans, phase probes

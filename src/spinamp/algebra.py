@@ -7,22 +7,24 @@ means sites 1 and 2 are up and corresponds to basis index 3.
 
 A Hamiltonian is a weighted sum of Pauli strings with real coefficients,
 kept in a canonical form (duplicate strings merged, zero weights dropped).
-It can be realized as a dense matrix for small chains or applied
-matrix-free to a state vector for larger ones; the two code paths are
-independent and cross-checked in the test suite.
+Each spec is compiled once into flip-mask groups (see
+:func:`_compile_groups`), and both the dense realization and the
+matrix-free action read those groups, so the two paths share one rule for
+the matrix elements.  The test suite checks that rule against an
+independent Kronecker-product realization.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
     "DENSE_CAP",
-    "PAULI_MATRICES",
     "SpinChainError",
     "SizeError",
     "DimensionMismatchError",
@@ -37,13 +39,6 @@ __all__ = [
 
 #: Largest chain for which dense 2^N x 2^N matrices are built (32 MB at N=12).
 DENSE_CAP = 12
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 _LETTERS = frozenset("XYZ")
 
@@ -147,6 +142,11 @@ class HamiltonianSpec:
 
     def term_map(self) -> dict:
         return {t.letters: t.coefficient for t in self.terms}
+
+    @cached_property
+    def flip_groups(self) -> tuple:
+        """The compiled terms, built on first use; see :func:`_compile_groups`."""
+        return _compile_groups(self)
 
     def __add__(self, other: "HamiltonianSpec") -> "HamiltonianSpec":
         if other.n_sites != self.n_sites:
@@ -304,10 +304,44 @@ class StateVector:
         return float(np.sum(np.abs(self.amplitudes[mask == 1]) ** 2))
 
 
-def realize_dense(spec: HamiltonianSpec, cap: int = DENSE_CAP) -> np.ndarray:
-    """Build the 2^N x 2^N matrix of ``spec`` by explicit Kronecker products.
+def _sites(mask: int) -> list:
+    """Sites whose bit is set in ``mask``, in increasing order."""
+    return [s for s in range(1, mask.bit_length() + 1) if (mask >> (s - 1)) & 1]
 
-    Raises SizeError above ``cap``; use :func:`apply_spec` matrix-free there.
+
+def _compile_groups(spec: HamiltonianSpec) -> tuple:
+    """Merge the terms of ``spec`` by the bits they flip.
+
+    A term with masks (x, y, z) and coefficient c maps basis state b to
+    b ^ (x|y) with weight c * i**popcount(y) * (-1)**popcount(b & (y|z)).
+    Terms sharing the flip mask x|y (X_n and Z_{n-1} X_n Z_{n+1}; XX and
+    YY) form one group whose weights add.  A group's weights depend only
+    on the bits of its signed sites, so they are kept as an array with 2
+    on those sites' axes and 1 elsewhere, which broadcasts against the
+    state reshaped to (2,)*N (site s on axis N - s).  They are float64
+    unless a term carries an odd number of Y letters.
+
+    Returns (flip_mask, flip_axes, weights) triples sorted by flip mask.
+    """
+    n = spec.n_sites
+    # (-1)**b_s for each site s, shaped to vary along that site's axis only
+    signs = [1.0 - 2.0 * b for b in reversed(np.indices((2,) * n, sparse=True))]
+    weights: dict = {}
+    for term in spec.terms:
+        x, y, z = term.masks()
+        w = term.coefficient * (1, 1j, -1, -1j)[y.bit_count() % 4]
+        for site in _sites(y | z):
+            w = w * signs[site - 1]
+        weights[x | y] = weights.get(x | y, 0.0) + w
+    return tuple((flip, tuple(n - s for s in _sites(flip)), np.asarray(w))
+                 for flip, w in sorted(weights.items()))
+
+
+def realize_dense(spec: HamiltonianSpec, cap: int = DENSE_CAP) -> np.ndarray:
+    """The 2^N x 2^N matrix of ``spec``, scattered from its flip groups.
+
+    float64 when every group is real, complex otherwise.  Raises SizeError
+    above ``cap``; use :func:`apply_spec` matrix-free there.
     """
     n = spec.n_sites
     if n > cap:
@@ -315,44 +349,31 @@ def realize_dense(spec: HamiltonianSpec, cap: int = DENSE_CAP) -> np.ndarray:
             f"dense realization refused at N={n} > cap {cap}; "
             "use the matrix-free action instead"
         )
+    groups = spec.flip_groups
+    dtype = np.result_type(float, *(w.dtype for _, _, w in groups))
     dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for term in spec.terms:
-        letters = term.letter_map
-        # site 1 occupies the least significant index block
-        mat = np.array([[term.coefficient]], dtype=complex)
-        for site in range(n, 0, -1):
-            mat = np.kron(mat, PAULI_MATRICES[letters.get(site, "I")])
-        out += mat
+    idx = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=dtype)
+    for flip, _, weights in groups:
+        out[idx ^ flip, idx] = np.broadcast_to(weights, (2,) * n).reshape(dim)
     return out
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    """(-1)**popcount for an array of nonnegative ints."""
-    return np.where(np.bitwise_count(values) & 1, -1.0, 1.0)
 
 
 def apply_spec(spec: HamiltonianSpec, psi: StateVector) -> StateVector:
     """Matrix-free H|psi>; result is generally unnormalized.
 
-    Each term acts by a bit-mask permutation (X, Y flips) and a sign /
-    phase pattern (Z, Y), so cost is O(terms * 2^N) with no matrix built.
+    Each flip group multiplies the state by its weights and reverses the
+    flipped axes, so cost is O(groups * 2^N) with no matrix built.
     """
     if spec.n_sites != psi.n_sites:
         raise DimensionMismatchError(
             f"operator on {spec.n_sites} sites applied to state on {psi.n_sites}"
         )
-    dim = psi.amplitudes.size
-    idx = np.arange(dim)
-    out = np.zeros(dim, dtype=complex)
-    for term in spec.terms:
-        x_mask, y_mask, z_mask = term.masks()
-        flip = x_mask | y_mask
-        n_y = int(y_mask).bit_count()
-        phase = term.coefficient * (1j ** n_y)
-        signs = _parity(idx & (z_mask | y_mask))
-        out[idx ^ flip] += phase * signs * psi.amplitudes
-    return StateVector(psi.n_sites, out)
+    amps = psi.amplitudes.reshape((2,) * psi.n_sites)
+    out = np.zeros_like(amps)
+    for _, axes, weights in spec.flip_groups:
+        out += np.flip(weights * amps, axes)
+    return StateVector(psi.n_sites, out.reshape(-1))
 
 
 def expectation(spec: HamiltonianSpec, psi: StateVector, imag_tol: float = 1e-10) -> float:

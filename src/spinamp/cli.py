@@ -39,7 +39,7 @@ from .evolution import (
     transfer_fidelity,
 )
 from .io import format_number, header_lines, parse_time, render_csv, write_text_atomic
-from .maps import conjugate_hamiltonian, gamma_matrix
+from .maps import conjugate_hamiltonian, gamma_inverse_indices
 from .noise import NoiseConfig, TransferTask, noise_sweep
 
 EXIT_OK = 0
@@ -48,10 +48,6 @@ EXIT_USAGE = 2
 
 
 class UsageError(Exception):
-    pass
-
-
-class NumericFailure(Exception):
     pass
 
 
@@ -80,7 +76,17 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _json_doc(config: dict, payload: dict) -> str:
     doc = {"spinamp_version": __version__, "config": config, "result": payload}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _time(text: Optional[str], n_sites: int) -> float:
+    """The --time value, or the perfect-transfer time when it is omitted."""
+    if not text:
+        return pst_time(n_sites)
+    try:
+        return parse_time(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # -- subcommands ----------------------------------------------------------
@@ -110,9 +116,9 @@ def cmd_verify_equivalence(args) -> int:
                 extra = set(conjugated.term_map().items()) ^ set(h_cluster.term_map().items())
                 failures.append(f"N={n}: symbolic mismatch on terms {sorted(extra)}")
                 continue
-            gamma = gamma_matrix(n)
+            g = gamma_inverse_indices(n)
             dense_dev = float(np.max(np.abs(
-                gamma @ realize_dense(h_ex) @ gamma.T - realize_dense(h_cluster)
+                realize_dense(h_ex)[np.ix_(g, g)] - realize_dense(h_cluster)
             )))
             worst = max(worst, dense_dev)
             if dense_dev >= args.tol:
@@ -131,8 +137,8 @@ def cmd_amplify(args) -> int:
     if args.n is None:
         raise UsageError("--n is required (flag or config)")
     profile = _profile(args.profile, args.n)
+    t = _time(args.time, args.n)
     prop = Propagator(cluster_chain(profile))
-    t = parse_time(args.time) if args.time else pst_time(args.n)
     alpha = 1.0 / math.sqrt(2.0) if args.alpha is None else args.alpha
     beta = math.sqrt(max(0.0, 1.0 - alpha * alpha)) if args.beta is None else args.beta
     result = amplification_check(prop, alpha, beta, t)
@@ -153,8 +159,8 @@ def cmd_transfer(args) -> int:
     if not args.source or not args.target:
         raise UsageError("--source and --target are required")
     profile = _profile(args.profile, args.n)
+    t = _time(args.time, args.n)
     prop = Propagator(_hamiltonian(args.family, profile))
-    t = parse_time(args.time) if args.time else pst_time(args.n)
     source = BitConfig.from_string(args.source)
     target = BitConfig.from_string(args.target)
     if source.n_sites != args.n or target.n_sites != args.n:
@@ -177,10 +183,9 @@ def cmd_scan(args) -> int:
     target = BitConfig.from_string(args.target)
     if source.n_sites != args.n or target.n_sites != args.n:
         raise UsageError("source/target configs must have N bits")
-    t_star, f_star = max_fidelity_scan(prop, source, target,
-                                       t_max=args.t_max, grid_step=args.grid_step)
-    ts = np.arange(0.0, args.t_max + 0.5 * args.grid_step, args.grid_step)
-    rows = [(t, transfer_fidelity(prop, source, target, t)) for t in ts]
+    t_star, f_star, ts, fidelities = max_fidelity_scan(
+        prop, source, target, t_max=args.t_max, grid_step=args.grid_step)
+    rows = zip(ts, fidelities)
     config = {"n": args.n, "profile": args.profile, "family": args.family,
               "source": str(source), "target": str(target),
               "t_max": args.t_max, "grid_step": args.grid_step}
@@ -213,8 +218,10 @@ def cmd_ca_compare(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
+    if args.n > DENSE_CAP:
+        raise UsageError(f"N={args.n} exceeds the dense cap {DENSE_CAP}")
     profile = _profile(args.profile, args.n)
-    t = parse_time(args.time) if args.time else pst_time(args.n)
+    t = _time(args.time, args.n)
     tasks = [
         TransferTask("cluster", Propagator(cluster_chain(profile)),
                      BitConfig.single(args.n, 2), args.n, t),
@@ -252,7 +259,7 @@ def cmd_star_demo(args) -> int:
             comm = max(comm, float(np.max(np.abs(
                 dense[i] @ dense[j] - dense[j] @ dense[i]
             ))))
-    t = parse_time(args.time) if args.time else pst_time(args.length)
+    t = _time(args.time, args.length)
     star_prop = Propagator(star_hamiltonian(layout))
     u_star = star_prop.unitary(t)
     product = np.eye(u_star.shape[0], dtype=complex)
@@ -280,8 +287,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file supplying argument defaults")
     sub.add_argument("--out", help="output path (stdout if omitted)")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="reserved; computations are vectorized in-process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +397,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SpinChainError, NumericFailure, ValueError) as exc:
+    except (SpinChainError, ValueError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

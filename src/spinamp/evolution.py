@@ -35,7 +35,6 @@ __all__ = [
     "pst_time",
     "transfer_fidelity",
     "max_fidelity_scan",
-    "maximize_over_time",
     "AmplificationResult",
     "amplification_check",
     "PhaseReport",
@@ -87,6 +86,8 @@ class Propagator:
             raise SpinChainError(
                 f"state on {psi.n_sites} sites, propagator on {self.spec.n_sites}"
             )
+        if not math.isfinite(t):
+            raise ValueError(f"evolution time must be finite, got {t!r}")
         if self.method == "dense":
             coeffs = self._eigvecs.conj().T @ psi.amplitudes
             coeffs *= np.exp(-1j * self._eigvals * t)
@@ -213,35 +214,26 @@ def _golden_max(f: Callable[[float], float], a: float, b: float,
     return float(t_star), float(f(t_star))
 
 
-def maximize_over_time(f: Callable[[float], float], t_max: float,
-                       grid_step: float, refine_tol: float = 1e-8,
-                       grid_values: Optional[np.ndarray] = None) -> tuple:
-    """Grid scan of f on [0, t_max] plus golden-section refinement.
-
-    Returns (t_star, f_star).  ``grid_values``, when given, supplies
-    precomputed f values on the implied grid (vectorized callers).
-    """
-    if t_max <= 0.0 or grid_step <= 0.0:
-        raise ValueError("t_max and grid_step must be positive")
-    ts = np.arange(0.0, t_max + 0.5 * grid_step, grid_step)
-    vals = grid_values if grid_values is not None else np.array([f(t) for t in ts])
-    best = int(np.argmax(vals))
-    lo = ts[max(best - 1, 0)]
-    hi = ts[min(best + 1, len(ts) - 1)]
-    return _golden_max(f, lo, hi, refine_tol)
-
-
 def max_fidelity_scan(prop: Propagator, source: BitConfig, target: BitConfig,
                       t_max: float = 200.0, grid_step: float = 0.1,
                       refine_tol: float = 1e-8) -> tuple:
-    """Maximize |<target|U(t)|source>|^2 over t in [0, t_max]."""
+    """Maximize |<target|U(t)|source>|^2 over t in [0, t_max].
+
+    Scans the grid 0, grid_step, ... up to t_max, then refines around the
+    best grid point by golden-section search.  Returns (t_star, f_star,
+    ts, fidelities), the last two being the grid scan itself.
+    """
+    if t_max <= 0.0 or grid_step <= 0.0:
+        raise ValueError("t_max and grid_step must be positive")
     amp = _transfer_amplitude_fn(prop, source, target)
-    f = lambda t: float(abs(amp([t])[0]) ** 2)
-    grid_values = None
-    if prop.method == "dense":
-        ts = np.arange(0.0, t_max + 0.5 * grid_step, grid_step)
-        grid_values = np.abs(amp(ts)) ** 2
-    return maximize_over_time(f, t_max, grid_step, refine_tol, grid_values)
+    ts = np.arange(0.0, t_max + 0.5 * grid_step, grid_step)
+    fidelities = np.abs(amp(ts)) ** 2
+    best = int(np.argmax(fidelities))
+    lo = ts[max(best - 1, 0)]
+    hi = ts[min(best + 1, len(ts) - 1)]
+    t_star, f_star = _golden_max(lambda t: float(abs(amp([t])[0]) ** 2),
+                                 lo, hi, refine_tol)
+    return t_star, f_star, ts, fidelities
 
 
 @dataclass(frozen=True)

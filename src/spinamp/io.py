@@ -38,20 +38,25 @@ def format_number(x) -> str:
 
 
 def parse_time(text: str) -> float:
-    """Parse a time argument; accepts plain floats and pi tokens.
+    """Parse a finite time argument; accepts plain floats and pi tokens.
 
     "pi", "pi/2", "3pi/4" and "2*pi" all work, avoiding decimal drift in
-    configs that mean exact fractions of pi.
+    configs that mean exact fractions of pi.  "nan", "inf" and values that
+    overflow (like "1e999") raise ValueError.
     """
     m = _PI_RE.match(text)
     if m:
         num = float(m.group("num")) if m.group("num") else 1.0
         den = float(m.group("den")) if m.group("den") else 1.0
-        return num * math.pi / den
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse time value {text!r}") from None
+        value = num * math.pi / den
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"cannot parse time value {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"time value {text!r} is not finite")
+    return value
 
 
 def header_lines(config: Mapping, version: str) -> list:

@@ -26,10 +26,9 @@ __all__ = [
     "tilde_config",
     "gamma_forward",
     "gamma_inverse",
+    "gamma_inverse_indices",
     "conjugate_hamiltonian",
     "mirror_map",
-    "cnot_matrix",
-    "gamma_matrix",
 ]
 
 
@@ -76,6 +75,16 @@ def gamma_inverse(b: BitConfig) -> BitConfig:
     """Adjacent differences: output bit i = b_i xor b_{i+1} (b_{N+1} = 0)."""
     padded = b.bits + (0,)
     return BitConfig(b.n_sites, tuple(x ^ y for x, y in zip(padded, padded[1:])))
+
+
+def gamma_inverse_indices(n_sites: int) -> np.ndarray:
+    """``gamma_inverse`` applied to every basis index 0..2^N-1 at once.
+
+    The ladder maps basis state b to gamma_forward(b), so a matrix H in
+    the original basis becomes ``H[np.ix_(g, g)]`` after conjugation.
+    """
+    idx = np.arange(1 << n_sites)
+    return idx ^ (idx >> 1)
 
 
 def mirror_map(b: BitConfig) -> BitConfig:
@@ -128,22 +137,3 @@ def conjugate_hamiltonian(spec: HamiltonianSpec) -> HamiltonianSpec:
         spec.n_sites,
         tuple(_conjugate_term(t, spec.n_sites) for t in spec.terms),
     )
-
-
-def cnot_matrix(n_sites: int, control: int, target: int) -> np.ndarray:
-    """Dense CNOT on the full 2^N space (oracle for the symbolic rewrite)."""
-    dim = 1 << n_sites
-    idx = np.arange(dim)
-    flipped = np.where((idx >> (control - 1)) & 1, idx ^ (1 << (target - 1)), idx)
-    mat = np.zeros((dim, dim))
-    mat[flipped, idx] = 1.0
-    return mat
-
-
-def gamma_matrix(n_sites: int) -> np.ndarray:
-    """The full ladder C_2^1 C_3^2 ... C_N^{N-1} as a dense permutation."""
-    dim = 1 << n_sites
-    mat = np.eye(dim)
-    for n in range(n_sites, 1, -1):
-        mat = cnot_matrix(n_sites, n, n - 1) @ mat
-    return mat

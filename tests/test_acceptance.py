@@ -28,8 +28,10 @@ from spinamp.evolution import (
     pst_time,
     transfer_fidelity,
 )
-from spinamp.maps import conjugate_hamiltonian, gamma_matrix, mirror_map
+from spinamp.maps import conjugate_hamiltonian, mirror_map
 from spinamp.noise import NoiseConfig, TransferTask, noise_sweep
+
+from oracles import gamma_matrix
 
 
 def _report(number, label, ok, detail=""):

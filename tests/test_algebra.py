@@ -16,6 +16,8 @@ from spinamp.algebra import (
 )
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 
+from oracles import kron_dense
+
 
 def test_realize_single_site_z():
     spec = HamiltonianSpec(1, (PauliTerm(1.0, {1: "Z"}),))
@@ -137,6 +139,50 @@ def test_canonicalization_idempotent(terms):
     spec = HamiltonianSpec(5, tuple(terms))
     again = HamiltonianSpec(5, spec.terms)
     assert spec.terms == again.terms
+
+
+def _specs(letters):
+    """Random specs on 1..6 sites whose Pauli letters come from ``letters``."""
+    return st.integers(1, 6).flatmap(lambda n: st.lists(st.builds(
+        PauliTerm,
+        st.floats(-5, 5).filter(lambda c: abs(c) > 1e-6),
+        st.dictionaries(st.integers(1, n), st.sampled_from(letters), max_size=n),
+    ), max_size=10).map(lambda terms: HamiltonianSpec(n, tuple(terms))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_specs("XYZ"), _specs("Z")), st.integers(0, 2 ** 32 - 1))
+def test_kernel_matches_kronecker_oracle(spec, seed):
+    oracle = kron_dense(spec)
+    dense = realize_dense(spec)
+    assert np.max(np.abs(dense - oracle)) < 1e-12
+    has_odd_y = any(sum(p == "Y" for _, p in t.letters) % 2 for t in spec.terms)
+    assert dense.dtype == (complex if has_odd_y else np.float64)
+    psi = StateVector.random(spec.n_sites, np.random.default_rng(seed))
+    out = apply_spec(spec, psi).amplitudes
+    assert np.max(np.abs(out - oracle @ psi.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chain_matrices_are_real(n):
+    rng = np.random.default_rng(300 + n)
+    prof = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)), tuple(rng.normal(size=n)))
+    for spec in (exchange_chain(prof), cluster_chain(prof)):
+        dense = realize_dense(spec)
+        assert dense.dtype == np.float64
+        assert np.max(np.abs(dense - kron_dense(spec))) < 1e-12
+
+
+def test_flip_groups_merge_terms_with_one_flip_mask():
+    spec = cluster_chain(CouplingProfile.engineered(5))
+    groups = spec.flip_groups
+    assert spec.flip_groups is groups    # compiled once per spec
+    # X_n and Z_{n-1} X_n Z_{n+1} share one group per flipped site
+    assert [flip for flip, _, _ in groups] == [0b00010, 0b00100, 0b01000, 0b10000]
+    flip, axes, weights = groups[1]
+    assert axes == (2,)              # site 3 is axis N - 3 of the (2,)*N state
+    assert weights.shape == (1, 2, 1, 2, 1)   # signed sites 2 and 4
+    assert weights.dtype == np.float64
 
 
 def test_expectation_examples():

@@ -111,6 +111,30 @@ def test_noise_sweep_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_amplify_rejects_nan_time(capsys):
+    # the Krylov loop once skipped a NaN time and scored the initial state
+    assert main(["amplify", "--n", "14", "--time", "nan"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_transfer_rejects_infinite_time(capsys):
+    # an infinite time once reached the JSON output as the token NaN
+    assert main(["transfer", "--n", "4", "--source", "1000", "--target", "0001",
+                 "--time", "inf"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_json_output_never_carries_nan(capsys):
+    # a NaN result is a numeric failure, not the invalid JSON token NaN
+    assert main(["amplify", "--n", "4", "--alpha", "nan"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_noise_sweep_respects_cap(capsys):
+    assert main(["noise-sweep", "--n", "13", "--trials", "2"]) == 2
+    assert "dense cap" in capsys.readouterr().err
+
+
 def test_star_demo(tmp_path):
     out = tmp_path / "star.json"
     assert main(["star-demo", "--spikes", "3", "--length", "3",

@@ -110,23 +110,44 @@ def test_cluster_chain_moves_single_excitations():
 
 
 def test_uniform_scan_small_chains():
-    t2, f2 = max_fidelity_scan(_exchange_prop(2, "uniform"),
-                               BitConfig.single(2, 1), BitConfig.single(2, 2),
-                               t_max=10.0, grid_step=0.01)
+    t2, f2, _, _ = max_fidelity_scan(_exchange_prop(2, "uniform"),
+                                     BitConfig.single(2, 1), BitConfig.single(2, 2),
+                                     t_max=10.0, grid_step=0.01)
     assert f2 > 1.0 - 1e-8
     assert abs(t2 - math.pi / 2) < 1e-6
-    t3, f3 = max_fidelity_scan(_exchange_prop(3, "uniform"),
-                               BitConfig.single(3, 1), BitConfig.single(3, 3),
-                               t_max=10.0, grid_step=0.01)
+    t3, f3, _, _ = max_fidelity_scan(_exchange_prop(3, "uniform"),
+                                     BitConfig.single(3, 1), BitConfig.single(3, 3),
+                                     t_max=10.0, grid_step=0.01)
     assert f3 > 1.0 - 1e-8
     assert abs(t3 - math.pi / math.sqrt(2.0)) < 1e-6
 
 
 def test_uniform_six_site_transfer_stays_imperfect():
-    _, best = max_fidelity_scan(_exchange_prop(6, "uniform"),
-                                BitConfig.single(6, 1), BitConfig.single(6, 6),
-                                t_max=200.0, grid_step=0.1)
+    _, best, _, _ = max_fidelity_scan(_exchange_prop(6, "uniform"),
+                                      BitConfig.single(6, 1), BitConfig.single(6, 6),
+                                      t_max=200.0, grid_step=0.1)
     assert best < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_evolve_rejects_non_finite_time(method, t):
+    prop = _cluster_prop(4, method=method)
+    with pytest.raises(ValueError):
+        prop.evolve(StateVector.basis_state(BitConfig.single(4, 1)), t)
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_scan_grid_matches_transfer_fidelity(method):
+    prop = Propagator(exchange_chain(CouplingProfile.uniform(5)), method=method)
+    source, target = BitConfig.single(5, 1), BitConfig.single(5, 5)
+    t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
+                                                 t_max=5.0, grid_step=0.25)
+    assert len(ts) == len(fids) == 21
+    assert np.allclose(ts, 0.25 * np.arange(21), rtol=0.0, atol=1e-12)
+    for t, fid in zip(ts, fids):
+        assert abs(fid - transfer_fidelity(prop, source, target, t)) < 1e-12
+    assert f_star >= fids.max() - 1e-12
 
 
 def test_scan_argument_validation():

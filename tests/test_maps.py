@@ -7,14 +7,15 @@ from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm, realize_dense
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 from spinamp.maps import (
     TildeIndexSet,
-    cnot_matrix,
     conjugate_hamiltonian,
     gamma_forward,
     gamma_inverse,
-    gamma_matrix,
+    gamma_inverse_indices,
     mirror_map,
     tilde_config,
 )
+
+from oracles import cnot_matrix, gamma_matrix, kron_dense
 
 
 def test_tilde_config_examples():
@@ -145,6 +146,19 @@ def test_symbolic_conjugation_matches_dense_oracle(n):
         symbolic = realize_dense(conjugate_hamiltonian(spec))
         dense = gm @ realize_dense(spec) @ gm.T
         assert np.max(np.abs(symbolic - dense)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_index_conjugation_matches_dense_ladder(n, seed):
+    g = gamma_inverse_indices(n)
+    assert [int(i) for i in g] == [
+        gamma_inverse(BitConfig.from_index(n, i)).index for i in range(1 << n)
+    ]
+    spec = _random_pauli_spec(n, np.random.default_rng(seed))
+    gm = gamma_matrix(n)
+    by_index = realize_dense(spec)[np.ix_(g, g)]
+    assert np.max(np.abs(by_index - gm @ kron_dense(spec) @ gm.T)) < 1e-12
 
 
 def test_cnot_matrix_is_its_own_inverse():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinamp import noise
 from spinamp.algebra import BitConfig, StateVector
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 from spinamp.evolution import Propagator, pst_time, transfer_fidelity
@@ -11,10 +12,11 @@ from spinamp.noise import (
     RunRecord,
     TransferTask,
     dephasing_ensemble,
-    dephasing_trial,
     noise_sweep,
     trial_rngs,
 )
+
+from oracles import dephasing_trial
 
 N = 6
 T = pst_time(N)
@@ -89,11 +91,36 @@ def test_batch_matches_single_trials(props):
     assert np.max(np.abs(batch - singles)) < 1e-12
 
 
+def test_trial_blocks_match_single_trials(props, monkeypatch):
+    # 23 trials in blocks of 5 leave a short last block
+    monkeypatch.setattr(noise, "TRIAL_BLOCK", 5)
+    cluster, _ = props
+    cfg = NoiseConfig(p=0.3, trials=23, seed=4)
+    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, cfg)
+    singles = np.array([
+        dephasing_trial(cluster, BitConfig.single(N, 2), N, T, cfg, rng)
+        for rng in trial_rngs(cfg.seed, cfg.trials)
+    ])
+    assert np.max(np.abs(batch - singles)) < 1e-12
+
+
 def test_sweep_is_deterministic(props):
     cfg = NoiseConfig(p=0.0, trials=300, seed=123)
     first = noise_sweep(_tasks(props), [0.0, 0.08], cfg)
     second = noise_sweep(_tasks(props), [0.0, 0.08], cfg)
     assert first == second
+
+
+def test_sweep_reuses_draws_without_changing_records(props):
+    # one set of draws feeds every (p, task); each record must equal the
+    # ensemble drawn afresh for that p alone
+    cfg = NoiseConfig(p=0.0, trials=200, seed=31)
+    records = noise_sweep(_tasks(props), [0.05, 0.3], cfg)
+    for record in records:
+        task = next(t for t in _tasks(props) if t.label == record.hamiltonian)
+        fids = dephasing_ensemble(task.prop, task.source, task.measure_site, T,
+                                  NoiseConfig(p=record.p, trials=200, seed=31))
+        assert record.mean_fidelity == float(np.mean(fids))
 
 
 def test_sweep_rejects_bad_inputs(props):
