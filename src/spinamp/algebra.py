@@ -40,6 +40,9 @@ __all__ = [
 #: Largest chain for which dense 2^N x 2^N matrices are built (32 MB at N=12).
 DENSE_CAP = 12
 
+#: Largest imaginary part :func:`expectation` lets pass as rounding.
+IMAG_TOL = 1e-10
+
 _LETTERS = frozenset("XYZ")
 
 
@@ -337,16 +340,16 @@ def _compile_groups(spec: HamiltonianSpec) -> tuple:
                  for flip, w in sorted(weights.items()))
 
 
-def realize_dense(spec: HamiltonianSpec, cap: int = DENSE_CAP) -> np.ndarray:
+def realize_dense(spec: HamiltonianSpec) -> np.ndarray:
     """The 2^N x 2^N matrix of ``spec``, scattered from its flip groups.
 
     float64 when every group is real, complex otherwise.  Raises SizeError
-    above ``cap``; use :func:`apply_spec` matrix-free there.
+    above ``DENSE_CAP``; use :func:`apply_spec` matrix-free there.
     """
     n = spec.n_sites
-    if n > cap:
+    if n > DENSE_CAP:
         raise SizeError(
-            f"dense realization refused at N={n} > cap {cap}; "
+            f"dense realization refused: N={n} exceeds the dense cap {DENSE_CAP}; "
             "use the matrix-free action instead"
         )
     groups = spec.flip_groups
@@ -376,10 +379,10 @@ def apply_spec(spec: HamiltonianSpec, psi: StateVector) -> StateVector:
     return StateVector(psi.n_sites, out.reshape(-1))
 
 
-def expectation(spec: HamiltonianSpec, psi: StateVector, imag_tol: float = 1e-10) -> float:
+def expectation(spec: HamiltonianSpec, psi: StateVector) -> float:
     """<psi|H|psi> as a real number; trips an assertion if it is not."""
     value = psi.overlap(apply_spec(spec, psi))
-    if abs(value.imag) >= imag_tol:
+    if abs(value.imag) >= IMAG_TOL:
         raise SpinChainError(
             f"expectation value has imaginary part {value.imag:.3e}"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .algebra import BitConfig
 from .chains import CouplingProfile, cluster_chain
@@ -83,26 +83,19 @@ class CAComparisonRow:
     ca_capped: bool = False
 
 
-def ca_vs_hamiltonian_report(n_sites: int,
-                             profile: Optional[CouplingProfile] = None,
-                             step_cap: Optional[int] = None,
-                             t: Optional[float] = None) -> List[CAComparisonRow]:
+def ca_vs_hamiltonian_report(n_sites: int) -> List[CAComparisonRow]:
     """Exhaustive comparison of continuous evolution, mirror map and CA.
 
-    For every classical config b: evolve under the amplification chain for
-    the transfer time and take the most likely output config; compare with
-    mirror_map(b); and search the canonical CA trajectory (even start,
-    stopping on a revisit or at the cap) for the mirror output.
+    For every classical config b: evolve under the engineered amplification
+    chain for the transfer time and take the most likely output config;
+    compare with mirror_map(b); and search the canonical CA trajectory
+    (even start, stopping on a revisit or after 4N half-steps) for the
+    mirror output.
     """
-    if profile is None:
-        profile = CouplingProfile.engineered(n_sites)
-    if step_cap is None:
-        step_cap = 4 * n_sites
-    if t is None:
-        t = pst_time(n_sites)
-    prop = Propagator(cluster_chain(profile))
-    unitary = prop.unitary(t)
-    probs = abs(unitary) ** 2
+    t = pst_time(n_sites)
+    step_cap = 4 * n_sites
+    prop = Propagator(cluster_chain(CouplingProfile.engineered(n_sites)))
+    probs = abs(prop.unitary(t)) ** 2
     rows = []
     for bits in itertools.product((0, 1), repeat=n_sites):
         b = BitConfig(n_sites, bits)

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -19,6 +20,7 @@ from . import __version__
 from .algebra import (
     DENSE_CAP,
     BitConfig,
+    SizeError,
     SpinChainError,
     realize_dense,
 )
@@ -81,12 +83,24 @@ def _json_doc(config: dict, payload: dict) -> str:
 
 def _time(text: Optional[str], n_sites: int) -> float:
     """The --time value, or the perfect-transfer time when it is omitted."""
-    if not text:
-        return pst_time(n_sites)
+    return parse_time(text) if text else pst_time(n_sites)
+
+
+@contextmanager
+def _inputs():
+    """A ValueError raised while building a command's inputs is a usage error."""
     try:
-        return parse_time(text)
+        yield
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def finite(text: str) -> float:
+    """argparse type for a float flag: finite values only."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 # -- subcommands ----------------------------------------------------------
@@ -97,6 +111,8 @@ def cmd_verify_equivalence(args) -> int:
         raise UsageError(f"N up to {args.n_max} exceeds the dense cap {DENSE_CAP}")
     if args.n_min < 2 or args.n_min > args.n_max:
         raise UsageError("need 2 <= n-min <= n-max")
+    if args.profiles < 1:
+        raise UsageError("need at least one profile per chain length")
     rng = np.random.default_rng(args.seed)
     failures = []
     lines = []
@@ -136,12 +152,14 @@ def cmd_verify_equivalence(args) -> int:
 def cmd_amplify(args) -> int:
     if args.n is None:
         raise UsageError("--n is required (flag or config)")
-    profile = _profile(args.profile, args.n)
-    t = _time(args.time, args.n)
-    prop = Propagator(cluster_chain(profile))
-    alpha = 1.0 / math.sqrt(2.0) if args.alpha is None else args.alpha
-    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha)) if args.beta is None else args.beta
-    result = amplification_check(prop, alpha, beta, t)
+    with _inputs():
+        profile = _profile(args.profile, args.n)
+        t = _time(args.time, args.n)
+        alpha = 1.0 / math.sqrt(2.0) if args.alpha is None else args.alpha
+        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha)) if args.beta is None else args.beta
+        if not abs(alpha * alpha + beta * beta - 1.0) <= 1e-9:
+            raise UsageError(f"need alpha^2 + beta^2 = 1, got alpha={alpha}, beta={beta}")
+    result = amplification_check(Propagator(cluster_chain(profile)), alpha, beta, t)
     config = {"n": args.n, "profile": args.profile, "t": t,
               "alpha": alpha, "beta": beta, "seed": args.seed}
     _emit(_json_doc(config, {
@@ -158,14 +176,14 @@ def cmd_transfer(args) -> int:
         raise UsageError("--n is required (flag or config)")
     if not args.source or not args.target:
         raise UsageError("--source and --target are required")
-    profile = _profile(args.profile, args.n)
-    t = _time(args.time, args.n)
-    prop = Propagator(_hamiltonian(args.family, profile))
-    source = BitConfig.from_string(args.source)
-    target = BitConfig.from_string(args.target)
+    with _inputs():
+        profile = _profile(args.profile, args.n)
+        t = _time(args.time, args.n)
+        source = BitConfig.from_string(args.source)
+        target = BitConfig.from_string(args.target)
     if source.n_sites != args.n or target.n_sites != args.n:
         raise UsageError("source/target configs must have N bits")
-    fid = transfer_fidelity(prop, source, target, t)
+    fid = transfer_fidelity(Propagator(_hamiltonian(args.family, profile)), source, target, t)
     config = {"n": args.n, "profile": args.profile, "family": args.family,
               "source": str(source), "target": str(target), "t": t}
     _emit(_json_doc(config, {"fidelity": fid}), args.out)
@@ -177,14 +195,17 @@ def cmd_scan(args) -> int:
         raise UsageError("--n is required (flag or config)")
     if not args.source or not args.target:
         raise UsageError("--source and --target are required")
-    profile = _profile(args.profile, args.n)
-    prop = Propagator(_hamiltonian(args.family, profile))
-    source = BitConfig.from_string(args.source)
-    target = BitConfig.from_string(args.target)
+    with _inputs():
+        profile = _profile(args.profile, args.n)
+        source = BitConfig.from_string(args.source)
+        target = BitConfig.from_string(args.target)
     if source.n_sites != args.n or target.n_sites != args.n:
         raise UsageError("source/target configs must have N bits")
+    if args.t_max <= 0.0 or args.grid_step <= 0.0:
+        raise UsageError("--t-max and --grid-step must be positive")
     t_star, f_star, ts, fidelities = max_fidelity_scan(
-        prop, source, target, t_max=args.t_max, grid_step=args.grid_step)
+        Propagator(_hamiltonian(args.family, profile)), source, target,
+        t_max=args.t_max, grid_step=args.grid_step)
     rows = zip(ts, fidelities)
     config = {"n": args.n, "profile": args.profile, "family": args.family,
               "source": str(source), "target": str(target),
@@ -199,8 +220,6 @@ def cmd_scan(args) -> int:
 def cmd_ca_compare(args) -> int:
     if args.n is None:
         raise UsageError("--n is required (flag or config)")
-    if args.n > DENSE_CAP:
-        raise UsageError(f"N={args.n} exceeds the dense cap {DENSE_CAP}")
     rows = ca_vs_hamiltonian_report(args.n)
     config = {"n": args.n, "profile": "engineered"}
     table = [
@@ -218,19 +237,18 @@ def cmd_ca_compare(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    if args.n > DENSE_CAP:
-        raise UsageError(f"N={args.n} exceeds the dense cap {DENSE_CAP}")
-    profile = _profile(args.profile, args.n)
-    t = _time(args.time, args.n)
+    with _inputs():
+        profile = _profile(args.profile, args.n)
+        t = _time(args.time, args.n)
+        cfgs = [NoiseConfig(float(p), args.steps, args.trials, args.seed)
+                for p in args.p.split(",")]
     tasks = [
         TransferTask("cluster", Propagator(cluster_chain(profile)),
                      BitConfig.single(args.n, 2), args.n, t),
         TransferTask("exchange", Propagator(exchange_chain(profile)),
                      BitConfig.single(args.n, 1), args.n, t),
     ]
-    p_grid = [float(p) for p in args.p.split(",")]
-    cfg = NoiseConfig(p=0.0, steps=args.steps, trials=args.trials, seed=args.seed)
-    records = noise_sweep(tasks, p_grid, cfg)
+    records = noise_sweep(tasks, [c.p for c in cfgs], cfgs[0])
     config = {"n": args.n, "profile": args.profile, "t": t, "steps": args.steps,
               "trials": args.trials, "seed": args.seed, "p_grid": args.p,
               "error_placement": records[0].error_placement}
@@ -245,12 +263,10 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_star_demo(args) -> int:
-    layout = StarLayout(args.spikes, args.length,
-                        _profile(args.profile, args.length))
-    if layout.total_sites > DENSE_CAP:
-        raise UsageError(
-            f"star with {layout.total_sites} sites exceeds the dense cap {DENSE_CAP}"
-        )
+    with _inputs():
+        layout = StarLayout(args.spikes, args.length,
+                            _profile(args.profile, args.length))
+        t = _time(args.time, args.length)
     spikes = spike_hamiltonians(layout)
     dense = [realize_dense(s) for s in spikes]
     comm = 0.0
@@ -259,7 +275,6 @@ def cmd_star_demo(args) -> int:
             comm = max(comm, float(np.max(np.abs(
                 dense[i] @ dense[j] - dense[j] @ dense[i]
             ))))
-    t = _time(args.time, args.length)
     star_prop = Propagator(star_hamiltonian(layout))
     u_star = star_prop.unitary(t)
     product = np.eye(u_star.shape[0], dtype=complex)
@@ -283,13 +298,15 @@ def cmd_star_demo(args) -> int:
 # -- argument plumbing ----------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, func, defaults: dict) -> None:
     sub.add_argument("--config", help="JSON file supplying argument defaults")
     sub.add_argument("--out", help="output path (stdout if omitted)")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    sub.set_defaults(func=func, **defaults)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(**defaults) -> argparse.ArgumentParser:
+    """The parser; ``defaults`` (a --config file's) beat each subcommand's own."""
     parser = argparse.ArgumentParser(
         prog="spinamp",
         description="Spin-chain amplification dynamics and differential tests",
@@ -303,20 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--profiles", type=int, default=5,
                    help="random profiles per chain length")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=finite, default=1e-12)
     p.add_argument("--corrupt", action="store_true",
                    help="negative control: perturb one side and expect failure")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_equivalence)
+    _add_common(p, cmd_verify_equivalence, defaults)
 
     p = subs.add_parser("amplify", help="score the amplification conversion")
     p.add_argument("--n", type=int)
     p.add_argument("--profile", default="engineered")
     p.add_argument("--time", help="evolution time; accepts pi tokens like pi/2")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_amplify)
+    p.add_argument("--alpha", type=finite)
+    p.add_argument("--beta", type=finite)
+    _add_common(p, cmd_amplify, defaults)
 
     p = subs.add_parser("transfer", help="basis-state transfer probability")
     p.add_argument("--n", type=int)
@@ -325,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", help="bit string, site 1 first")
     p.add_argument("--target")
     p.add_argument("--time")
-    _add_common(p)
-    p.set_defaults(func=cmd_transfer)
+    _add_common(p, cmd_transfer, defaults)
 
     p = subs.add_parser("scan", help="fidelity scan over a time window")
     p.add_argument("--n", type=int)
@@ -334,16 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="cluster", choices=("cluster", "exchange"))
     p.add_argument("--source")
     p.add_argument("--target")
-    p.add_argument("--t-max", type=float, default=200.0)
-    p.add_argument("--grid-step", type=float, default=0.1)
-    _add_common(p)
-    p.set_defaults(func=cmd_scan)
+    p.add_argument("--t-max", type=finite, default=200.0)
+    p.add_argument("--grid-step", type=finite, default=0.1)
+    _add_common(p, cmd_scan, defaults)
 
     p = subs.add_parser("ca-compare",
                         help="exhaustive CA vs continuous evolution table")
     p.add_argument("--n", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_ca_compare)
+    _add_common(p, cmd_ca_compare, defaults)
 
     p = subs.add_parser("noise-sweep", help="Monte Carlo dephasing comparison")
     p.add_argument("--n", type=int, default=6)
@@ -353,24 +365,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--time")
-    _add_common(p)
-    p.set_defaults(func=cmd_noise_sweep)
+    _add_common(p, cmd_noise_sweep, defaults)
 
     p = subs.add_parser("star-demo", help="star-geometry factorization checks")
     p.add_argument("--spikes", type=int, default=3)
     p.add_argument("--length", type=int, default=3)
     p.add_argument("--profile", default="engineered")
     p.add_argument("--time")
-    _add_common(p)
-    p.set_defaults(func=cmd_star_demo)
+    _add_common(p, cmd_star_demo, defaults)
 
     return parser
 
 
 def _parse_with_config(argv) -> argparse.Namespace:
     """Parse argv; --config JSON supplies defaults, explicit flags win."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if not getattr(args, "config", None):
         return args
     with open(args.config) as handle:
@@ -380,21 +389,20 @@ def _parse_with_config(argv) -> argparse.Namespace:
     defaults = {}
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("func", "command") or not hasattr(args, attr):
             raise UsageError(f"config key {key!r} unknown for this subcommand")
-        defaults[attr] = value
-    reparser = build_parser()
-    reparser.set_defaults(**defaults)
-    for action in reparser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(**{k: v for k, v in defaults.items()})
-    return reparser.parse_args(argv)
+        # anything but text, booleans and null goes through the flag's own
+        # type check as its text, as if typed on the command line
+        keep = value is None or isinstance(value, (str, bool))
+        defaults[attr] = value if keep else str(value)
+    return build_parser(**defaults).parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_with_config(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SpinChainError, ValueError) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+REFINE_TOL = 1e-8       # width at which a scan's golden-section refinement stops
+KRYLOV_TOL = 1e-10      # largest local error one Krylov substep may leave
+KRYLOV_DIM = 30         # Lanczos basis size of one Krylov substep
+MODULUS_FLOOR = 0.5     # phase-probe elements below this carry no usable phase
 
 
 class ConvergenceError(SpinChainError):
@@ -51,31 +55,22 @@ class ConvergenceError(SpinChainError):
 class Propagator:
     """Reusable e^{-iHt} applier for a fixed Hamiltonian.
 
-    method: "dense" (eigendecomposition, N <= dense cap), "krylov"
-    (matrix-free Lanczos), or "auto" (dense when it fits).
+    The one place that knows which backend evolves a spec and what each
+    backend can answer.  method: "dense" (eigendecomposition, N <= dense
+    cap), "krylov" (matrix-free Lanczos), or "auto" (dense when it fits).
     Immutable after construction; safe to share between threads.
     """
 
-    def __init__(self, spec: HamiltonianSpec, method: str = "auto",
-                 dense_cap: int = DENSE_CAP, krylov_tol: float = 1e-10,
-                 krylov_dim: int = 30):
+    def __init__(self, spec: HamiltonianSpec, method: str = "auto"):
         if method == "auto":
-            method = "dense" if spec.n_sites <= dense_cap else "krylov"
+            method = "dense" if spec.n_sites <= DENSE_CAP else "krylov"
         if method not in ("dense", "krylov"):
             raise ValueError(f"unknown method {method!r}")
-        if method == "dense" and spec.n_sites > dense_cap:
-            raise SizeError(
-                f"dense propagator refused at N={spec.n_sites} > cap {dense_cap}"
-            )
         self.spec = spec
         self.method = method
-        self.krylov_tol = krylov_tol
-        self.krylov_dim = krylov_dim
-        self._eigvals: Optional[np.ndarray] = None
-        self._eigvecs: Optional[np.ndarray] = None
         if method == "dense":
-            w, v = np.linalg.eigh(realize_dense(spec, cap=dense_cap))
-            self._eigvals, self._eigvecs = w, v
+            # realize_dense raises SizeError above the dense cap
+            self._eigvals, self._eigvecs = np.linalg.eigh(realize_dense(spec))
 
     @property
     def n_sites(self) -> int:
@@ -94,10 +89,29 @@ class Propagator:
             return StateVector(psi.n_sites, self._eigvecs @ coeffs)
         return StateVector(psi.n_sites, self._krylov_evolve(psi.amplitudes, t))
 
+    def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
+        """<target|U(t)|source> for each t in ``ts``.
+
+        Dense: a spectral sum over the eigenpairs, O(2^N) per time.
+        Krylov: one evolution from t = 0 per time.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if {source.n_sites, target.n_sites} != {self.n_sites}:
+            raise SpinChainError("configs and propagator differ in site count")
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("evolution times must be finite")
+        if self.method == "dense":
+            v = self._eigvecs
+            weights = v[target.index] * v[source.index].conj()
+            return np.exp(-1j * np.multiply.outer(ts, self._eigvals)) @ weights
+        psi = StateVector.basis_state(source)
+        return np.array([self.evolve(psi, t).amplitude(target) for t in ts])
+
     def unitary(self, t: float) -> np.ndarray:
-        """Full e^{-iHt} matrix (dense method only)."""
+        """Full e^{-iHt} matrix; only the dense backend holds one."""
         if self.method != "dense":
-            raise SizeError("unitary() needs the dense method")
+            raise SizeError(f"unitary() needs the dense backend: N={self.n_sites}, "
+                            f"dense cap {DENSE_CAP}, method {self.method!r}")
         phases = np.exp(-1j * self._eigvals * t)
         return (self._eigvecs * phases) @ self._eigvecs.conj().T
 
@@ -115,7 +129,7 @@ class Propagator:
         while remaining > 0.0:
             dt = min(dt, remaining)
             step, err = self._lanczos_step(v, direction * dt)
-            if err > self.krylov_tol:
+            if err > KRYLOV_TOL:
                 if dt <= min_dt:
                     raise ConvergenceError(
                         f"Krylov step stalled at dt={dt:.3e} with local error {err:.3e}"
@@ -124,14 +138,14 @@ class Propagator:
                 continue
             v = step
             remaining -= dt
-            if err < 0.01 * self.krylov_tol:
+            if err < 0.01 * KRYLOV_TOL:
                 dt *= 2.0
         return v
 
     def _lanczos_step(self, v: np.ndarray, dt: float) -> tuple:
         """One exp(-iH dt) v via a Lanczos basis; returns (result, error est)."""
         norm_v = np.linalg.norm(v)
-        m = self.krylov_dim
+        m = KRYLOV_DIM
         basis = np.empty((m, v.size), dtype=complex)
         alpha = np.empty(m)
         beta = np.empty(m)
@@ -174,25 +188,7 @@ def pst_time(n_sites: int) -> float:
 def transfer_fidelity(prop: Propagator, source: BitConfig, target: BitConfig,
                       t: float) -> float:
     """|<target| U(t) |source>|^2 between basis configurations."""
-    evolved = prop.evolve(StateVector.basis_state(source), t)
-    return float(abs(evolved.amplitude(target)) ** 2)
-
-
-def _transfer_amplitude_fn(prop: Propagator, source: BitConfig,
-                           target: BitConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized t -> <target|U(t)|source>, using spectral data when dense."""
-    if prop.method == "dense":
-        v = prop._eigvecs
-        weights = v[target.index, :] * v[source.index, :].conj()
-        eigvals = prop._eigvals
-        return lambda ts: np.exp(-1j * np.multiply.outer(np.asarray(ts), eigvals)) @ weights
-
-    def slow(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        psi = StateVector.basis_state(source)
-        return np.array([prop.evolve(psi, t).amplitude(target) for t in ts])
-
-    return slow
+    return float(abs(prop.amplitudes(source, target, t)[0]) ** 2)
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float,
@@ -215,24 +211,26 @@ def _golden_max(f: Callable[[float], float], a: float, b: float,
 
 
 def max_fidelity_scan(prop: Propagator, source: BitConfig, target: BitConfig,
-                      t_max: float = 200.0, grid_step: float = 0.1,
-                      refine_tol: float = 1e-8) -> tuple:
+                      t_max: float = 200.0, grid_step: float = 0.1) -> tuple:
     """Maximize |<target|U(t)|source>|^2 over t in [0, t_max].
 
     Scans the grid 0, grid_step, ... up to t_max, then refines around the
-    best grid point by golden-section search.  Returns (t_star, f_star,
-    ts, fidelities), the last two being the grid scan itself.
+    best grid point by golden-section search, keeping that grid point when
+    the refinement does no better.  Returns (t_star, f_star, ts,
+    fidelities), the last two being the grid scan itself.
     """
-    if t_max <= 0.0 or grid_step <= 0.0:
-        raise ValueError("t_max and grid_step must be positive")
-    amp = _transfer_amplitude_fn(prop, source, target)
+    if not (0.0 < t_max < math.inf and 0.0 < grid_step < math.inf):
+        raise ValueError("t_max and grid_step must be positive and finite")
     ts = np.arange(0.0, t_max + 0.5 * grid_step, grid_step)
-    fidelities = np.abs(amp(ts)) ** 2
+    fidelities = np.abs(prop.amplitudes(source, target, ts)) ** 2
     best = int(np.argmax(fidelities))
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, len(ts) - 1)]
-    t_star, f_star = _golden_max(lambda t: float(abs(amp([t])[0]) ** 2),
-                                 lo, hi, refine_tol)
+    t_star, f_star = _golden_max(
+        lambda t: float(abs(prop.amplitudes(source, target, t)[0]) ** 2),
+        lo, hi, REFINE_TOL)
+    if f_star < fidelities[best]:
+        t_star, f_star = float(ts[best]), float(fidelities[best])
     return t_star, f_star, ts, fidelities
 
 
@@ -298,8 +296,8 @@ def _mirror_for_family(family: str, config: BitConfig) -> BitConfig:
     raise ValueError(f"unknown family {family!r}")
 
 
-def phase_separability_probe(prop: Propagator, t: float, family: str,
-                             modulus_floor: float = 0.5) -> PhaseReport:
+def phase_separability_probe(prop: Propagator, t: float,
+                             family: str) -> PhaseReport:
     """Compare two-excitation transfer phases with sums of single ones.
 
     Physical excitations are lone 1s on the chain (sites 2..N for the
@@ -315,15 +313,10 @@ def phase_separability_probe(prop: Propagator, t: float, family: str,
     else:
         raise ValueError(f"unknown family {family!r}")
     sites = list(sites)
-    unitary = prop.unitary(t) if prop.method == "dense" else None
 
     def transfer_phase(config: BitConfig):
-        target = _mirror_for_family(family, config)
-        if unitary is not None:
-            element = unitary[target.index, config.index]
-        else:
-            element = prop.evolve(StateVector.basis_state(config), t).amplitude(target)
-        if abs(element) < modulus_floor:
+        element = prop.amplitudes(config, _mirror_for_family(family, config), t)[0]
+        if abs(element) < MODULUS_FLOOR:
             return None
         return float(np.angle(element))
 

@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 _PI_RE = re.compile(
-    r"^\s*(?P<num>\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+(?:\.\d+)?))?\s*$",
+    r"^\s*(?P<sign>[+-])?\s*(?P<num>\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+(?:\.\d+)?))?\s*$",
     re.IGNORECASE,
 )
 
@@ -40,15 +40,17 @@ def format_number(x) -> str:
 def parse_time(text: str) -> float:
     """Parse a finite time argument; accepts plain floats and pi tokens.
 
-    "pi", "pi/2", "3pi/4" and "2*pi" all work, avoiding decimal drift in
-    configs that mean exact fractions of pi.  "nan", "inf" and values that
-    overflow (like "1e999") raise ValueError.
+    "pi", "pi/2", "-3pi/4" and "2*pi" all work, avoiding decimal drift in
+    configs that mean exact fractions of pi.  "nan", "inf", "pi/0" and
+    values that overflow (like "1e999") raise ValueError.
     """
     m = _PI_RE.match(text)
     if m:
         num = float(m.group("num")) if m.group("num") else 1.0
         den = float(m.group("den")) if m.group("den") else 1.0
-        value = num * math.pi / den
+        if den == 0.0:
+            raise ValueError(f"time value {text!r} divides by zero")
+        value = (-num if m.group("sign") == "-" else num) * math.pi / den
     else:
         try:
             value = float(text)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from spinamp.cli import main
+from spinamp.cli import _json_doc, main
 from spinamp.io import format_number, parse_time, render_csv, write_text_atomic
 
 
@@ -14,8 +14,11 @@ def test_parse_time_tokens():
     assert parse_time("3pi/4") == 3 * math.pi / 4
     assert parse_time("2*pi") == 2 * math.pi
     assert parse_time("1.25") == 1.25
-    with pytest.raises(ValueError):
-        parse_time("two pies")
+    assert parse_time("-pi/2") == -math.pi / 2
+    assert parse_time("+3pi/4") == 3 * math.pi / 4
+    for bad in ("two pies", "pi/0", "--pi"):
+        with pytest.raises(ValueError):
+            parse_time(bad)
 
 
 def test_format_number():
@@ -124,10 +127,55 @@ def test_transfer_rejects_infinite_time(capsys):
     assert capsys.readouterr().out == ""
 
 
+def _exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_json_output_never_carries_nan(capsys):
-    # a NaN result is a numeric failure, not the invalid JSON token NaN
-    assert main(["amplify", "--n", "4", "--alpha", "nan"]) == 1
+    # a NaN input is refused before evaluation, never written as the token NaN
+    assert _exit_code(["amplify", "--n", "4", "--alpha", "nan"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_json_doc_refuses_nan():
+    with pytest.raises(ValueError):
+        _json_doc({"n": 4}, {"fidelity": math.nan})
+
+
+_SCAN = ["scan", "--n", "4", "--source", "1000", "--target", "0001"]
+_SWEEP = ["noise-sweep", "--n", "4", "--trials", "2"]
+
+
+_BAD_INPUT = [
+    (["amplify", "--n", "4", "--time", "pi/0"], "divides by zero"),
+    (_SCAN + ["--t-max", "nan"], "finite"),
+    (_SCAN + ["--grid-step", "inf"], "finite"),
+    (_SCAN + ["--grid-step", "0"], "positive"),
+    (["amplify", "--n", "4", "--alpha", "inf"], "finite"),
+    (["amplify", "--n", "4", "--alpha", "2"], "alpha^2 + beta^2"),
+    (["amplify", "--n", "1"], "at least 2 sites"),
+    (_SWEEP + ["--p", "0.1,nan"], "flip probability"),
+    (_SWEEP + ["--p", "2"], "flip probability"),
+    (_SWEEP + ["--p", ","], "float"),
+    (_SWEEP + ["--steps", "0"], "steps"),
+    (["star-demo", "--spikes", "0"], "spike"),
+    (["transfer", "--n", "3", "--source", "102", "--target", "001"], "0 or 1"),
+    (["verify-equivalence", "--profiles", "0"], "profile"),
+    (["ca-compare", "--n", "13"], "dense cap"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", _BAD_INPUT,
+                         ids=[" ".join(argv) for argv, _ in _BAD_INPUT])
+def test_bad_input_is_a_usage_error(argv, reason, capsys):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
 
 
 def test_noise_sweep_respects_cap(capsys):
@@ -144,8 +192,9 @@ def test_star_demo(tmp_path):
     assert doc["result"]["all_ones_probability"] > 1.0 - 1e-8
 
 
-def test_star_demo_respects_cap():
+def test_star_demo_respects_cap(capsys):
     assert main(["star-demo", "--spikes", "5", "--length", "4"]) == 2
+    assert "dense cap" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -157,5 +206,22 @@ def test_config_file_supplies_defaults(tmp_path):
     assert doc["config"]["n"] == 6
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"unknown-key": 1}))
-    assert main(["amplify", "--config", str(bad)]) == 2
+    for key in ("unknown-key", "func"):
+        bad.write_text(json.dumps({key: 1}))
+        assert main(["amplify", "--config", str(bad)]) == 2
+
+
+def test_command_line_beats_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6}))
+    assert main(["amplify", "--config", str(cfg), "--n", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["n"] == 5
+
+
+@pytest.mark.parametrize("doc", ['{"n": 4, "alpha": NaN}', '{"n": [4]}',
+                                 '{"n": 4, "time": {"t": 1}}'])
+def test_config_values_pass_the_flag_type_check(doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    assert _exit_code(["amplify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""

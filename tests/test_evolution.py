@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinamp.algebra import BitConfig, SizeError, StateVector, expectation
 from spinamp.chains import CouplingProfile, cluster_chain, conserved_wall_operator, exchange_chain
@@ -141,13 +143,16 @@ def test_evolve_rejects_non_finite_time(method, t):
 def test_scan_grid_matches_transfer_fidelity(method):
     prop = Propagator(exchange_chain(CouplingProfile.uniform(5)), method=method)
     source, target = BitConfig.single(5, 1), BitConfig.single(5, 5)
-    t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
-                                                 t_max=5.0, grid_step=0.25)
-    assert len(ts) == len(fids) == 21
-    assert np.allclose(ts, 0.25 * np.arange(21), rtol=0.0, atol=1e-12)
-    for t, fid in zip(ts, fids):
-        assert abs(fid - transfer_fidelity(prop, source, target, t)) < 1e-12
-    assert f_star >= fids.max() - 1e-12
+    # at t_max=3.0 the best grid point is the last one, where the
+    # golden-section midpoint once fell 2.2e-9 below the grid maximum
+    for t_max, points in ((5.0, 21), (3.0, 13)):
+        t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
+                                                     t_max=t_max, grid_step=0.25)
+        assert len(ts) == len(fids) == points
+        assert np.allclose(ts, 0.25 * np.arange(points), rtol=0.0, atol=1e-12)
+        for t, fid in zip(ts, fids):
+            assert abs(fid - transfer_fidelity(prop, source, target, t)) < 1e-12
+        assert f_star >= fids.max() - 1e-12
 
 
 def test_scan_argument_validation():
@@ -205,6 +210,20 @@ def test_phase_probe_exchange_shows_crossing_phase():
         assert abs(dev) > 1e-3
 
 
+@pytest.mark.parametrize("family", ["cluster", "exchange"])
+def test_phase_probe_krylov_matches_dense(family):
+    chain = cluster_chain if family == "cluster" else exchange_chain
+    spec = chain(CouplingProfile.engineered(6))
+    dense = phase_separability_probe(Propagator(spec, "dense"), pst_time(6), family)
+    krylov = phase_separability_probe(Propagator(spec, "krylov"), pst_time(6), family)
+    assert krylov.excluded == dense.excluded
+    for field in ("phi1", "phi2", "deviation"):
+        a, b = getattr(dense, field), getattr(krylov, field)
+        assert a.keys() == b.keys()
+        for key in a:
+            assert abs(math.remainder(a[key] - b[key], 2.0 * math.pi)) < 1e-9
+
+
 def test_phase_probe_two_sites_trivial():
     report = phase_separability_probe(_cluster_prop(2), pst_time(2), "cluster")
     assert report.deviation == {}
@@ -220,6 +239,24 @@ def test_krylov_matches_dense():
         gap = np.linalg.norm(dense.evolve(psi, t).amplitudes
                              - krylov.evolve(psi, t).amplitudes)
         assert gap < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.sampled_from([cluster_chain, exchange_chain]),
+    st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+    st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1),
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))))
+def test_amplitudes_krylov_matches_dense(case):
+    chain, couplings, fields, i, j, ts = case
+    n = len(fields)
+    spec = chain(CouplingProfile(n, tuple(couplings), tuple(fields)))
+    source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
+    dense = Propagator(spec, "dense").amplitudes(source, target, ts)
+    krylov = Propagator(spec, "krylov").amplitudes(source, target, ts)
+    assert dense.shape == krylov.shape == (len(ts),)
+    assert np.max(np.abs(dense - krylov)) < 1e-9
 
 
 def test_krylov_handles_long_chain():
