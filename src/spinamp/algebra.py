@@ -11,7 +11,10 @@ Each spec is compiled once into flip-mask groups (see
 :func:`_compile_groups`), and both the dense realization and the
 matrix-free action read those groups, so the two paths share one rule for
 the matrix elements.  The test suite checks that rule against an
-independent Kronecker-product realization.
+independent Kronecker-product realization.  The same groups give the
+connected blocks of H in the computational basis and H on each block
+(:func:`sector_blocks`), which dense evolution diagonalizes one block at
+a time.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ __all__ = [
     "HamiltonianSpec",
     "StateVector",
     "BitConfig",
+    "require_dense",
+    "sector_blocks",
     "realize_dense",
     "apply_spec",
     "expectation",
@@ -340,25 +345,97 @@ def _compile_groups(spec: HamiltonianSpec) -> tuple:
                  for flip, w in sorted(weights.items()))
 
 
+def require_dense(n_sites: int) -> None:
+    """Raise SizeError when a chain of ``n_sites`` is above ``DENSE_CAP``."""
+    if n_sites > DENSE_CAP:
+        raise SizeError(
+            f"dense realization refused: N={n_sites} exceeds the dense cap {DENSE_CAP}; "
+            "use the matrix-free action instead"
+        )
+
+
+def _entries(spec: HamiltonianSpec) -> tuple:
+    """(src, dst, values): every nonzero <dst|H|src>, scattered from the flip groups.
+
+    values are float64 when every group is real, complex otherwise.
+    """
+    n = spec.n_sites
+    dim = 1 << n
+    src, dst, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for flip, _, weights in spec.flip_groups:
+        w = np.broadcast_to(weights, (2,) * n).reshape(dim)
+        nonzero = w.nonzero()[0]
+        src.append(nonzero)
+        dst.append(nonzero ^ flip)
+        values.append(w[nonzero])
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(values)
+
+
+def sector_blocks(spec: HamiltonianSpec) -> tuple:
+    """The connected blocks of H in the computational basis, and H on each.
+
+    Basis states b and b ^ flip are linked wherever a flip group's weight
+    at b is nonzero; each state's label falls to the smallest index it is
+    linked to, with pointer jumping, until no label changes.  Both chains
+    split into conserved sectors this way (wall count for the cluster
+    chain, excitation number for the exchange chain) without a 2^N x 2^N
+    pattern.  Raises SizeError above ``DENSE_CAP``.
+
+    Returns (blocks, where, matrices).  ``blocks`` holds one (k, s) index
+    array per block size s, ascending in s; each row is one block, its
+    indices ascending, and rows are ordered by their smallest index.
+    ``where`` is (3, 2^N): for each basis index, which array of
+    ``blocks`` holds it, the row there and the position in that row.
+    ``matrices[c][r]`` is H on row r of ``blocks[c]``, scattered from the
+    flip groups; float64 when every group is real, complex otherwise.
+    """
+    n = spec.n_sites
+    require_dense(n)
+    src, dst, values = _entries(spec)
+    linked = src != dst
+    idx = np.arange(1 << n)
+    labels = idx
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, src[linked], labels[dst[linked]])
+        new = new[new]
+        if (new == labels).all():
+            break
+        labels = new
+    # every block shares its smallest index as label; sort by block size,
+    # then by label, keeping each block's indices ascending
+    size_of = np.bincount(labels)[labels]
+    members = np.argsort(size_of * idx.size + labels, kind="stable")
+    blocks, lo = [], 0
+    where = np.empty((3, idx.size), dtype=np.intp)
+    for c, s in enumerate(sorted(set(size_of.tolist()))):
+        group = members[lo:lo + int((size_of == s).sum())].reshape(-1, s)
+        lo += group.size
+        blocks.append(group)
+        where[0, group] = c
+        where[1, group] = np.arange(len(group))[:, None]
+        where[2, group] = np.arange(s)
+    size_class = where[0, src]
+    matrices = []
+    for c, group in enumerate(blocks):
+        mats = np.zeros(group.shape + group.shape[1:], dtype=values.dtype)
+        mine = size_class == c
+        col, row = src[mine], dst[mine]
+        mats[where[1, col], where[2, row], where[2, col]] = values[mine]
+        matrices.append(mats)
+    return tuple(blocks), where, matrices
+
+
 def realize_dense(spec: HamiltonianSpec) -> np.ndarray:
     """The 2^N x 2^N matrix of ``spec``, scattered from its flip groups.
 
     float64 when every group is real, complex otherwise.  Raises SizeError
     above ``DENSE_CAP``; use :func:`apply_spec` matrix-free there.
     """
-    n = spec.n_sites
-    if n > DENSE_CAP:
-        raise SizeError(
-            f"dense realization refused: N={n} exceeds the dense cap {DENSE_CAP}; "
-            "use the matrix-free action instead"
-        )
-    groups = spec.flip_groups
-    dtype = np.result_type(float, *(w.dtype for _, _, w in groups))
-    dim = 1 << n
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=dtype)
-    for flip, _, weights in groups:
-        out[idx ^ flip, idx] = np.broadcast_to(weights, (2,) * n).reshape(dim)
+    require_dense(spec.n_sites)
+    src, dst, values = _entries(spec)
+    out = np.zeros((spec.dim, spec.dim), dtype=values.dtype)
+    out[dst, src] = values
     return out
 
 

@@ -23,6 +23,7 @@ from .algebra import (
     SizeError,
     SpinChainError,
     realize_dense,
+    require_dense,
 )
 from .automaton import ca_vs_hamiltonian_report
 from .chains import (
@@ -256,9 +257,12 @@ def cmd_noise_sweep(args) -> int:
         (r.hamiltonian, r.p, r.mean_fidelity, r.standard_error, r.trials, r.seed)
         for r in records
     ]
+    comments = header_lines(config, __version__)
+    block_dims = {r.hamiltonian: r.block_dim for r in records}
+    comments.append(f"# block_dims: {json.dumps(block_dims)}")
     _emit(render_csv(
         ("hamiltonian", "p", "mean_fidelity", "std_error", "trials", "seed"),
-        rows, header_lines(config, __version__)), args.out)
+        rows, comments), args.out)
     return EXIT_OK
 
 
@@ -267,6 +271,7 @@ def cmd_star_demo(args) -> int:
         layout = StarLayout(args.spikes, args.length,
                             _profile(args.profile, args.length))
         t = _time(args.time, args.length)
+    require_dense(layout.total_sites)
     spikes = spike_hamiltonians(layout)
     dense = [realize_dense(s) for s in spikes]
     comm = 0.0

@@ -11,8 +11,16 @@ deterministically from (seed, trial index), and each trial draws exactly
 flips fire.  Identical (seed, config, inputs) therefore give bit-identical
 records run to run.  The draws depend only on (seed, trials, steps, N),
 so a sweep draws them once and reuses them for every p and every
-Hamiltonian (common random numbers).  The test suite replays single
-trials one by one as an oracle for the batched evolution.
+Hamiltonian (common random numbers).
+
+A Z flip is diagonal in the computational basis, so a trial never leaves
+the block of H that holds its source (see :class:`Propagator`): trials
+evolve as (block_dim, TRIAL_BLOCK) arrays under the block's segment
+unitary, 28 states for the cluster chain and 8 for the exchange chain at
+N = 8, against 256 for the whole space.  A sweep asks every task for its
+block before it draws, so a chain the dense backend cannot hold is
+refused before any work.  The test suite replays single trials one by
+one over the whole 2^N space as an oracle for the batched evolution.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ __all__ = [
 #: Where in each segment the possible phase flip is applied.
 ERROR_PLACEMENT = "evolve-then-flip"
 
-#: Trials :func:`dephasing_ensemble` evolves together, as (2^N, TRIAL_BLOCK) arrays.
+#: Trials :func:`dephasing_ensemble` evolves together, as (block_dim, TRIAL_BLOCK) arrays.
 TRIAL_BLOCK = 256
 
 
@@ -70,6 +78,7 @@ class RunRecord:
     hamiltonian: str
     source_site: int
     target_site: int
+    block_dim: int          # size of the block of H the trials evolved in
     error_placement: str = ERROR_PLACEMENT
 
     def __post_init__(self):
@@ -110,28 +119,27 @@ def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
 def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
                        total_time: float, cfg: NoiseConfig,
                        draws: Optional[tuple] = None) -> np.ndarray:
-    """All trial fidelities, batched over trials.
+    """All trial fidelities, batched over trials, evolved in the source's block.
 
     ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
-    chain length; it is drawn here when omitted.
+    chain length; it is drawn here when omitted, after the block unitary
+    (and so after a SizeError on the Krylov backend).
     """
     if total_time <= 0.0:
         raise ValueError("total_time must be positive")
-    n = prop.n_sites
-    dim = 1 << n
-    uniforms, sites = trial_draws(cfg, n) if draws is None else draws
+    indices, u_seg = prop.block_unitary(source, total_time / cfg.steps)
+    uniforms, sites = trial_draws(cfg, prop.n_sites) if draws is None else draws
     flips = uniforms < cfg.p
 
-    u_seg = prop.unitary(total_time / cfg.steps)
-    idx = np.arange(dim)
     # column s - 1: the sign a flip on site s gives each basis state
-    site_signs = np.where((idx[:, None] >> np.arange(n)) & 1, -1.0, 1.0)
-    site_mask = ((idx >> (measure_site - 1)) & 1).astype(bool)
+    site_signs = np.where((indices[:, None] >> np.arange(prop.n_sites)) & 1, -1.0, 1.0)
+    site_mask = ((indices >> (measure_site - 1)) & 1).astype(bool)
+    start = np.searchsorted(indices, source.index)
     fids = np.empty(cfg.trials)
     for lo in range(0, cfg.trials, TRIAL_BLOCK):
         block = slice(lo, lo + TRIAL_BLOCK)
-        states = np.zeros((dim, fids[block].size), dtype=complex)
-        states[source.index, :] = 1.0
+        states = np.zeros((indices.size, fids[block].size), dtype=complex)
+        states[start, :] = 1.0
         for step in range(cfg.steps):
             states = u_seg @ states
             hit = np.flatnonzero(flips[block, step])
@@ -149,11 +157,14 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     n_sites = {task.prop.n_sites for task in tasks}
     if len(n_sites) != 1:
         raise ValueError("all tasks must share one chain length for common streams")
+    # the block each task evolves in; a chain the dense backend cannot
+    # hold raises SizeError here, before any draw
+    block_dims = [task.prop.block_unitary(task.source, 0.0)[0].size for task in tasks]
     draws = trial_draws(cfg, n_sites.pop())
     records = []
     for p in p_grid:
         p_cfg = NoiseConfig(p=p, steps=cfg.steps, trials=cfg.trials, seed=cfg.seed)
-        for task in tasks:
+        for task, block_dim in zip(tasks, block_dims):
             fids = dephasing_ensemble(
                 task.prop, task.source, task.measure_site, task.total_time, p_cfg, draws
             )
@@ -162,5 +173,6 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
             records.append(RunRecord(
                 p=float(p), mean_fidelity=mean, standard_error=stderr, trials=cfg.trials,
                 seed=cfg.seed, hamiltonian=task.label, target_site=task.measure_site,
-                source_site=next(i for i, b in enumerate(task.source.bits, 1) if b)))
+                source_site=next(i for i, b in enumerate(task.source.bits, 1) if b),
+                block_dim=block_dim))
     return records

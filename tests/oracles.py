@@ -6,7 +6,8 @@ Each one computes by the textbook route, with no code shared with
 * ``kron_dense``      -- a Hamiltonian as a sum of Kronecker products;
 * ``cnot_matrix`` / ``gamma_matrix`` -- the CNOT ladder as products of
   dense 2^N x 2^N permutation matrices;
-* ``dephasing_trial`` -- one noisy transfer, evolved step by step.
+* ``dephasing_trial`` -- one noisy transfer, evolved step by step over
+  the whole 2^N space.
 """
 
 import numpy as np
@@ -57,20 +58,21 @@ def dephasing_trial(prop, source, measure_site, total_time, cfg, rng) -> float:
     """One noisy transfer with its own generator; P(measure_site is up).
 
     Draws ``steps`` uniforms, then ``steps`` sites, as the batched
-    ensemble does; evolves segment by segment and flips the sign of every
-    amplitude whose drawn site is up when the uniform falls below p.
+    ensemble does; evolves segment by segment over the whole 2^N space,
+    with e^{-iHt} from a full eigendecomposition of :func:`kron_dense`,
+    and flips the sign of every amplitude whose drawn site is up when the
+    uniform falls below p.
     """
     n = prop.n_sites
     uniforms = rng.random(cfg.steps)
     sites = rng.integers(1, n + 1, size=cfg.steps)
-    dt = total_time / cfg.steps
-    psi = StateVector.basis_state(source)
+    vals, vecs = np.linalg.eigh(kron_dense(prop.spec))
+    u_seg = (vecs * np.exp(-1j * vals * total_time / cfg.steps)) @ vecs.conj().T
+    idx = np.arange(1 << n)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[source.index] = 1.0
     for step in range(cfg.steps):
-        psi = prop.evolve(psi, dt)
+        psi = u_seg @ psi
         if uniforms[step] < cfg.p:
-            amps = psi.amplitudes.copy()
-            bit = 1 << (int(sites[step]) - 1)
-            idx = np.arange(amps.size)
-            amps[(idx & bit) != 0] *= -1.0
-            psi = StateVector(n, amps)
-    return min(1.0, psi.site_up_probability(measure_site))
+            psi[((idx >> (int(sites[step]) - 1)) & 1).astype(bool)] *= -1.0
+    return min(1.0, StateVector(n, psi).site_up_probability(measure_site))

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from spinamp import chains, cli, noise
 from spinamp.cli import _json_doc, main
 from spinamp.io import format_number, parse_time, render_csv, write_text_atomic
 
@@ -112,6 +113,8 @@ def test_noise_sweep_reruns_byte_identical(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # the trials evolve in the source's block: C(6, 2) wall states, 6 single excitations
+    assert '# block_dims: {"cluster": 15, "exchange": 6}' in a.read_text().splitlines()
 
 
 def test_amplify_rejects_nan_time(capsys):
@@ -178,9 +181,27 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys):
     assert reason in captured.err
 
 
-def test_noise_sweep_respects_cap(capsys):
-    assert main(["noise-sweep", "--n", "13", "--trials", "2"]) == 2
-    assert "dense cap" in capsys.readouterr().err
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is recorded; returns the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_noise_sweep_respects_cap(monkeypatch, capsys):
+    # refused before a single per-trial generator is spawned
+    calls = _count_calls(monkeypatch, noise, "trial_rngs")
+    assert main(["noise-sweep", "--n", "13", "--trials", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dense cap" in captured.err
+    assert calls == []
 
 
 def test_star_demo(tmp_path):
@@ -192,9 +213,16 @@ def test_star_demo(tmp_path):
     assert doc["result"]["all_ones_probability"] > 1.0 - 1e-8
 
 
-def test_star_demo_respects_cap(capsys):
-    assert main(["star-demo", "--spikes", "5", "--length", "4"]) == 2
-    assert "dense cap" in capsys.readouterr().err
+def test_star_demo_respects_cap(monkeypatch, capsys):
+    # refused before a single spike Hamiltonian is built
+    calls = [_count_calls(monkeypatch, module, "spike_hamiltonians")
+             for module in (cli, chains)]
+    for spikes, length in ((5, 4), (20000, 3)):
+        assert main(["star-demo", "--spikes", str(spikes), "--length", str(length)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dense cap" in captured.err
+    assert calls == [[], []]
 
 
 def test_config_file_supplies_defaults(tmp_path):

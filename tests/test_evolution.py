@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinamp.algebra import BitConfig, SizeError, StateVector, expectation
+from spinamp.algebra import (
+    BitConfig,
+    HamiltonianSpec,
+    PauliTerm,
+    SizeError,
+    StateVector,
+    expectation,
+    sector_blocks,
+)
 from spinamp.chains import CouplingProfile, cluster_chain, conserved_wall_operator, exchange_chain
 from spinamp.evolution import (
     Propagator,
@@ -15,7 +23,9 @@ from spinamp.evolution import (
     pst_time,
     transfer_fidelity,
 )
-from spinamp.maps import mirror_map
+from spinamp.maps import gamma_forward, gamma_inverse_indices, mirror_map
+
+from oracles import kron_dense
 
 
 def _cluster_prop(n, profile="engineered", **kw):
@@ -273,3 +283,109 @@ def test_dense_refused_above_cap():
         Propagator(spec, "dense")
     with pytest.raises(SizeError):
         Propagator(spec).unitary(1.0)
+
+
+def test_krylov_matches_dense_at_long_times():
+    # the Lanczos step does not reorthogonalize; uniform couplings give a
+    # generic spectrum, so five walls / excitations (a 252-state block)
+    # never fit in one Krylov basis and t = 500 takes hundreds of substeps
+    n, t = 10, 500.0
+    profile = CouplingProfile.uniform(n)
+    excitations = BitConfig.from_string("1011001010")
+    walls = gamma_forward(excitations)
+    cases = ((cluster_chain(profile), walls, mirror_map(walls)),
+             (exchange_chain(profile), excitations, excitations.reversed_sites()))
+    for spec, source, target in cases:
+        dense = Propagator(spec, "dense").amplitudes(source, target, t)
+        krylov = Propagator(spec, "krylov").amplitudes(source, target, t)
+        assert abs(dense[0]) > 1e-3
+        assert abs(dense[0] - krylov[0]) < 1e-9
+
+
+@st.composite
+def _block_specs(draw):
+    """Random chains with fields, a complex chain, or a diagonal-only spec."""
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["cluster", "exchange", "complex", "diagonal"]))
+    if kind == "diagonal":
+        strings = draw(st.lists(st.tuples(st.floats(0.1, 2.0), st.sets(st.integers(1, n), min_size=1)),
+                                min_size=1, max_size=6))
+        return HamiltonianSpec(n, tuple(PauliTerm(c, {s: "Z" for s in sites})
+                                        for c, sites in strings))
+    couplings = draw(st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1))
+    fields = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    profile = CouplingProfile(n, tuple(couplings), tuple(fields))
+    if kind == "cluster":
+        return cluster_chain(profile)
+    spec = exchange_chain(profile)
+    if kind == "complex":
+        # X_i Y_{i+1} - Y_i X_{i+1}: one Y per string, so H is complex; it
+        # hops an excitation like XX + YY and keeps the blocks
+        strengths = draw(st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1))
+        spec = spec + HamiltonianSpec(n, tuple(
+            PauliTerm(sign * d, {i: a, i + 1: b})
+            for i, d in enumerate(strengths, 1)
+            for sign, a, b in ((1.0, "X", "Y"), (-1.0, "Y", "X"))))
+    return spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_specs(), st.data())
+def test_block_backend_matches_full_space(spec, data):
+    n = spec.n_sites
+    i = data.draw(st.integers(0, 2 ** n - 1))
+    j = data.draw(st.integers(0, 2 ** n - 1))
+    ts = data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3))
+    psi = StateVector.random(n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32))))
+    source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
+    prop = Propagator(spec, "dense")
+    vals, vecs = np.linalg.eigh(kron_dense(spec))
+    amps = prop.amplitudes(source, target, ts)
+    for t, amp in zip(ts, amps):
+        u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+        assert np.max(np.abs(prop.unitary(t) - u)) < 1e-12
+        assert np.max(np.abs(prop.evolve(psi, t).amplitudes - u @ psi.amplitudes)) < 1e-12
+        assert abs(amp - u[j, i]) < 1e-12
+        indices, block_u = prop.block_unitary(source, t)
+        assert i in indices
+        assert np.max(np.abs(block_u - u[np.ix_(indices, indices)])) < 1e-12
+
+
+def _sector_labels(family, n):
+    """Wall count (cluster) or excitation number (exchange) of every basis index."""
+    if family == "cluster":
+        return np.diag(kron_dense(conserved_wall_operator(n))).real
+    return np.array([bin(i).count("1") for i in range(1 << n)])
+
+
+@pytest.mark.parametrize("family", ["cluster", "exchange"])
+def test_amplitudes_between_blocks_are_exactly_zero(family):
+    n = 5
+    chain = cluster_chain if family == "cluster" else exchange_chain
+    prop = Propagator(chain(CouplingProfile.uniform(n)), "dense")
+    labels = _sector_labels(family, n)
+    pairs = [(i, j) for i in range(1 << n) for j in range(1 << n) if labels[i] != labels[j]]
+    assert pairs
+    for i, j in pairs:
+        amps = prop.amplitudes(BitConfig.from_index(n, i), BitConfig.from_index(n, j),
+                               [0.7, 3.1, -40.0])
+        assert np.all(amps == 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_blocks_are_the_conserved_sectors(n):
+    rng = np.random.default_rng(n)
+    profile = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)),
+                              tuple(rng.uniform(-1.0, 1.0, n)))
+    blocks = {family: [row for rows in sector_blocks(chain(profile))[0] for row in rows]
+              for family, chain in (("cluster", cluster_chain), ("exchange", exchange_chain))}
+    for family, rows in blocks.items():
+        labels = _sector_labels(family, n)
+        # one block per level set of the conserved quantity, and no more
+        assert len(rows) == n + 1
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(1 << n))
+        assert all(len(set(labels[row])) == 1 for row in rows)
+    # the CNOT ladder maps each cluster block onto an exchange block
+    g = gamma_inverse_indices(n)
+    assert ({frozenset(g[row].tolist()) for row in blocks["cluster"]}
+            == {frozenset(row.tolist()) for row in blocks["exchange"]})

@@ -44,7 +44,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(p=0.1, trials=0)
     with pytest.raises(ValueError):
-        RunRecord(0.1, 1.5, 0.0, 10, 0, "cluster", 2, 6)
+        RunRecord(0.1, 1.5, 0.0, 10, 0, "cluster", 2, 6, 5)
 
 
 def test_noiseless_trials_reach_unit_fidelity(props):
