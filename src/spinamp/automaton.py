@@ -5,18 +5,24 @@ pre-step configuration: an interior site flips iff its two neighbours
 differ, the last site flips iff its left neighbour is 1, and site 1
 never flips.  Half-steps alternate parity; starting on the even sites
 grows 10...0 to all-ones in N-1 half-steps.
+
+On a basis index (site i at bit i-1) a half-step is one integer
+expression, ``x ^ (((x << 1) ^ (x >> 1)) & parity_mask)``, so the
+comparison report runs the automaton on the array of all 2^N indices at
+once and reads continuous evolution one block of the propagator at a
+time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List
+
+import numpy as np
 
 from .algebra import BitConfig
 from .chains import CouplingProfile, cluster_chain
 from .evolution import Propagator, pst_time
-from .maps import mirror_map
+from .maps import _suffix_xor, gamma_inverse_indices
 
 __all__ = [
     "CARun",
@@ -41,21 +47,16 @@ class CARun:
 
 
 def ca_half_step(b: BitConfig, parity: str) -> BitConfig:
+    return BitConfig.from_index(b.n_sites, _half_step(b.index, b.n_sites, parity))
+
+
+def _half_step(x, n_sites: int, parity: str):
+    """One half-step on a basis index or index array; site 1 is never in the mask."""
     if parity not in _PARITIES:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    n = b.n_sites
-    want = 0 if parity == "even" else 1
-    bits = list(b.bits)
-    for site in range(2, n + 1):
-        if site % 2 != want:
-            continue
-        if site < n:
-            if b.bits[site - 2] != b.bits[site]:
-                bits[site - 1] ^= 1
-        else:
-            if b.bits[site - 2] == 1:
-                bits[site - 1] ^= 1
-    return BitConfig(n, tuple(bits))
+    first = 2 if parity == "even" else 3
+    mask = sum(1 << (site - 1) for site in range(first, n_sites + 1, 2))
+    return x ^ (((x << 1) ^ (x >> 1)) & mask)
 
 
 def ca_run(b: BitConfig, k_half_steps: int, start_parity: str = "even") -> CARun:
@@ -80,52 +81,49 @@ class CAComparisonRow:
     agree: bool
     ca_hit_step: int             # half-step at which the CA first shows the
                                  # mirror output; -1 if never (within the cap)
-    ca_capped: bool = False
 
 
-def ca_vs_hamiltonian_report(n_sites: int) -> List[CAComparisonRow]:
+def ca_vs_hamiltonian_report(n_sites: int) -> list[CAComparisonRow]:
     """Exhaustive comparison of continuous evolution, mirror map and CA.
 
     For every classical config b: evolve under the engineered amplification
     chain for the transfer time and take the most likely output config;
     compare with mirror_map(b); and search the canonical CA trajectory
     (even start, stopping on a revisit or after 4N half-steps) for the
-    mirror output.
+    mirror output.  Rows run over the configs with site 1 varying slowest.
     """
     t = pst_time(n_sites)
-    step_cap = 4 * n_sites
     prop = Propagator(cluster_chain(CouplingProfile.engineered(n_sites)))
-    probs = abs(prop.unitary(t)) ** 2
-    rows = []
-    for bits in itertools.product((0, 1), repeat=n_sites):
-        b = BitConfig(n_sites, bits)
-        col = probs[:, b.index]
-        best = int(col.argmax())
-        continuous = BitConfig.from_index(n_sites, best)
-        mirror = mirror_map(b)
-        hit = -1
-        capped = False
-        seen = set()
-        config = b
-        parity_cycle = itertools.cycle(_PARITIES)
-        for step in range(step_cap + 1):
-            if config == mirror:
-                hit = step
-                break
-            if config in seen:
-                break
-            seen.add(config)
-            if step == step_cap:
-                capped = True
-                break
-            config = ca_half_step(config, next(parity_cycle))
-        rows.append(CAComparisonRow(
-            input=b,
-            continuous_output=continuous,
-            continuous_prob=float(col[best]),
-            mirror_output=mirror,
-            agree=continuous == mirror,
-            ca_hit_step=hit,
-            ca_capped=capped,
-        ))
-    return rows
+    dim = 1 << n_sites
+    output = np.full(dim, -1)
+    prob = np.empty(dim)
+    for x in range(dim):
+        if output[x] < 0:
+            indices, u = prop.block_unitary(BitConfig.from_index(n_sites, x), t)
+            probs = abs(u) ** 2
+            output[indices] = indices[probs.argmax(axis=0)]
+            prob[indices] = probs.max(axis=0)
+    configs = np.arange(dim)
+    # site reversal of each index: also the configs with site 1 varying slowest
+    reverse = configs.reshape((2,) * n_sites).T.ravel()
+    mirror = _suffix_xor(reverse[gamma_inverse_indices(n_sites)], n_sites)
+    trajectory = [configs]
+    for step in range(4 * n_sites):
+        trajectory.append(_half_step(trajectory[-1], n_sites, _PARITIES[step % 2]))
+    trajectory = np.array(trajectory)
+    hits = trajectory == mirror
+    revisits = np.array([(trajectory[:k] == row).any(axis=0)
+                         for k, row in enumerate(trajectory)])
+    first = (hits | revisits).argmax(axis=0)    # the search stops at either
+    hit_step = np.where(hits[first, configs], first, -1)
+    return [
+        CAComparisonRow(
+            input=BitConfig.from_index(n_sites, x),
+            continuous_output=BitConfig.from_index(n_sites, int(output[x])),
+            continuous_prob=float(prob[x]),
+            mirror_output=BitConfig.from_index(n_sites, int(mirror[x])),
+            agree=bool(output[x] == mirror[x]),
+            ca_hit_step=int(hit_step[x]),
+        )
+        for x in reverse.tolist()
+    ]

@@ -217,10 +217,7 @@ def spike_hamiltonians(layout: StarLayout) -> list:
 
 def star_hamiltonian(layout: StarLayout) -> HamiltonianSpec:
     """Union of the spike Hamiltonians; only Z touches the shared center."""
-    total = HamiltonianSpec(layout.total_sites)
-    for spec in spike_hamiltonians(layout):
-        total = total + spec
-    return total
+    return sum(spike_hamiltonians(layout), HamiltonianSpec(layout.total_sites))
 
 
 def conserved_wall_operator(n_sites: int) -> HamiltonianSpec:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
-    DENSE_CAP,
     BitConfig,
+    HamiltonianSpec,
     SizeError,
     SpinChainError,
     realize_dense,
@@ -32,7 +32,6 @@ from .chains import (
     cluster_chain,
     exchange_chain,
     spike_hamiltonians,
-    star_hamiltonian,
 )
 from .evolution import (
     Propagator,
@@ -108,8 +107,7 @@ def finite(text: str) -> float:
 
 
 def cmd_verify_equivalence(args) -> int:
-    if args.n_max > DENSE_CAP:
-        raise UsageError(f"N up to {args.n_max} exceeds the dense cap {DENSE_CAP}")
+    require_dense(args.n_max)
     if args.n_min < 2 or args.n_min > args.n_max:
         raise UsageError("need 2 <= n-min <= n-max")
     if args.profiles < 1:
@@ -280,7 +278,7 @@ def cmd_star_demo(args) -> int:
             comm = max(comm, float(np.max(np.abs(
                 dense[i] @ dense[j] - dense[j] @ dense[i]
             ))))
-    star_prop = Propagator(star_hamiltonian(layout))
+    star_prop = Propagator(sum(spikes, HamiltonianSpec(layout.total_sites)))
     u_star = star_prop.unitary(t)
     product = np.eye(u_star.shape[0], dtype=complex)
     for s in spikes:

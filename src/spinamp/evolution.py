@@ -257,8 +257,8 @@ def max_fidelity_scan(prop: Propagator, source: BitConfig, target: BitConfig,
     """Maximize |<target|U(t)|source>|^2 over t in [0, t_max].
 
     Scans the grid 0, grid_step, ... up to t_max, then refines around the
-    best grid point by golden-section search, keeping that grid point when
-    the refinement does no better.  Returns (t_star, f_star, ts,
+    best grid point by golden-section search, keeping that grid point unless
+    the refinement does strictly better.  Returns (t_star, f_star, ts,
     fidelities), the last two being the grid scan itself.
     """
     if not (0.0 < t_max < math.inf and 0.0 < grid_step < math.inf):
@@ -271,7 +271,7 @@ def max_fidelity_scan(prop: Propagator, source: BitConfig, target: BitConfig,
     t_star, f_star = _golden_max(
         lambda t: float(abs(prop.amplitudes(source, target, t)[0]) ** 2),
         lo, hi, REFINE_TOL)
-    if f_star < fidelities[best]:
+    if f_star <= fidelities[best]:
         t_star, f_star = float(ts[best]), float(fidelities[best])
     return t_star, f_star, ts, fidelities
 

@@ -63,18 +63,12 @@ def tilde_config(indices: TildeIndexSet) -> BitConfig:
 
 def gamma_forward(b: BitConfig) -> BitConfig:
     """Suffix-XOR: output bit i = XOR of input bits i..N."""
-    out = []
-    acc = 0
-    for bit in reversed(b.bits):
-        acc ^= bit
-        out.append(acc)
-    return BitConfig(b.n_sites, tuple(reversed(out)))
+    return BitConfig.from_index(b.n_sites, _suffix_xor(b.index, b.n_sites))
 
 
 def gamma_inverse(b: BitConfig) -> BitConfig:
     """Adjacent differences: output bit i = b_i xor b_{i+1} (b_{N+1} = 0)."""
-    padded = b.bits + (0,)
-    return BitConfig(b.n_sites, tuple(x ^ y for x, y in zip(padded, padded[1:])))
+    return BitConfig.from_index(b.n_sites, b.index ^ (b.index >> 1))
 
 
 def gamma_inverse_indices(n_sites: int) -> np.ndarray:
@@ -90,6 +84,15 @@ def gamma_inverse_indices(n_sites: int) -> np.ndarray:
 def mirror_map(b: BitConfig) -> BitConfig:
     """Site reversal conjugated through the CNOT ladder; an involution."""
     return gamma_forward(gamma_inverse(b).reversed_sites())
+
+
+def _suffix_xor(x, n_sites: int):
+    """Suffix-XOR of a basis index or index array, by doubling shifts."""
+    shift = 1
+    while shift < n_sites:
+        x = x ^ (x >> shift)
+        shift *= 2
+    return x
 
 
 def _conjugate_term(term: PauliTerm, n_sites: int) -> PauliTerm:

@@ -7,12 +7,21 @@ Each one computes by the textbook route, with no code shared with
 * ``cnot_matrix`` / ``gamma_matrix`` -- the CNOT ladder as products of
   dense 2^N x 2^N permutation matrices;
 * ``dephasing_trial`` -- one noisy transfer, evolved step by step over
-  the whole 2^N space.
+  the whole 2^N space;
+* ``gamma_forward_bits`` / ``gamma_inverse_bits`` / ``mirror_bits`` --
+  the ladder maps and the mirror map, bit by bit on ``BitConfig`` tuples;
+* ``ca_half_step_bits`` -- one CA half-step, site by site;
+* ``ca_report_rows`` -- the CA comparison table, one config at a time,
+  reading the full 2^N x 2^N unitary.
 """
+
+import itertools
 
 import numpy as np
 
-from spinamp.algebra import HamiltonianSpec, StateVector
+from spinamp.algebra import BitConfig, HamiltonianSpec, StateVector
+from spinamp.chains import CouplingProfile, cluster_chain
+from spinamp.evolution import Propagator, pst_time
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -76,3 +85,75 @@ def dephasing_trial(prop, source, measure_site, total_time, cfg, rng) -> float:
         if uniforms[step] < cfg.p:
             psi[((idx >> (int(sites[step]) - 1)) & 1).astype(bool)] *= -1.0
     return min(1.0, StateVector(n, psi).site_up_probability(measure_site))
+
+
+def gamma_forward_bits(b: BitConfig) -> BitConfig:
+    """Suffix-XOR: output bit i = XOR of input bits i..N."""
+    out = []
+    acc = 0
+    for bit in reversed(b.bits):
+        acc ^= bit
+        out.append(acc)
+    return BitConfig(b.n_sites, tuple(reversed(out)))
+
+
+def gamma_inverse_bits(b: BitConfig) -> BitConfig:
+    """Adjacent differences: output bit i = b_i xor b_{i+1} (b_{N+1} = 0)."""
+    padded = b.bits + (0,)
+    return BitConfig(b.n_sites, tuple(x ^ y for x, y in zip(padded, padded[1:])))
+
+
+def mirror_bits(b: BitConfig) -> BitConfig:
+    """Site reversal conjugated through the ladder, bit by bit."""
+    return gamma_forward_bits(gamma_inverse_bits(b).reversed_sites())
+
+
+def ca_half_step_bits(b: BitConfig, parity: str) -> BitConfig:
+    """One CA half-step, site by site, reading the pre-step configuration."""
+    n = b.n_sites
+    want = 0 if parity == "even" else 1
+    bits = list(b.bits)
+    for site in range(2, n + 1):
+        if site % 2 != want:
+            continue
+        if site < n:
+            if b.bits[site - 2] != b.bits[site]:
+                bits[site - 1] ^= 1
+        else:
+            if b.bits[site - 2] == 1:
+                bits[site - 1] ^= 1
+    return BitConfig(n, tuple(bits))
+
+
+def ca_report_rows(n_sites: int) -> list:
+    """The comparison table as (input, continuous_output, continuous_prob,
+    mirror_output, agree, ca_hit_step) tuples, site 1 varying slowest.
+
+    Continuous outputs are column argmaxes of |U|^2 for the full unitary;
+    the CA runs config by config from an even start, stopping on the
+    mirror output, on a revisit or after 4N half-steps.
+    """
+    step_cap = 4 * n_sites
+    prop = Propagator(cluster_chain(CouplingProfile.engineered(n_sites)))
+    probs = abs(prop.unitary(pst_time(n_sites))) ** 2
+    rows = []
+    for bits in itertools.product((0, 1), repeat=n_sites):
+        b = BitConfig(n_sites, bits)
+        col = probs[:, b.index]
+        best = int(col.argmax())
+        continuous = BitConfig.from_index(n_sites, best)
+        mirror = mirror_bits(b)
+        hit = -1
+        seen = set()
+        config = b
+        parity_cycle = itertools.cycle(("even", "odd"))
+        for step in range(step_cap + 1):
+            if config == mirror:
+                hit = step
+                break
+            if config in seen or step == step_cap:
+                break
+            seen.add(config)
+            config = ca_half_step_bits(config, next(parity_cycle))
+        rows.append((b, continuous, float(col[best]), mirror, continuous == mirror, hit))
+    return rows

@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinamp.algebra import BitConfig
-from spinamp.automaton import ca_half_step, ca_run, ca_vs_hamiltonian_report
+from spinamp.automaton import _half_step, ca_half_step, ca_run, ca_vs_hamiltonian_report
+from spinamp.evolution import Propagator
+
+from oracles import ca_half_step_bits, ca_report_rows
 
 
 def _walls(b):
@@ -27,6 +31,16 @@ def test_site_one_never_flips():
         b = BitConfig.from_index(6, i)
         for parity in ("even", "odd"):
             assert ca_half_step(b, parity).bits[0] == b.bits[0]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("parity", ("even", "odd"))
+def test_half_step_matches_per_bit_oracle(n, parity):
+    expected = [ca_half_step_bits(BitConfig.from_index(n, i), parity).index
+                for i in range(1 << n)]
+    assert [ca_half_step(BitConfig.from_index(n, i), parity).index
+            for i in range(1 << n)] == expected
+    assert _half_step(np.arange(1 << n), n, parity).tolist() == expected
 
 
 def test_canonical_amplification_run():
@@ -85,3 +99,25 @@ def test_comparison_report_records_misses_without_failing():
     # not every mirror image appears in the CA trajectory; that is
     # recorded per row rather than asserted
     assert any(r.ca_hit_step == -1 for r in rows)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_report_matches_per_config_oracle(n):
+    # the oracle takes each continuous output as the column argmax of
+    # |U|^2 for the full unitary, and runs the CA one config at a time
+    rows = ca_vs_hamiltonian_report(n)
+    expected = ca_report_rows(n)
+    assert len(rows) == len(expected) == 1 << n
+    for row, (b, continuous, prob, mirror, agree, hit) in zip(rows, expected):
+        assert (row.input, row.continuous_output, row.mirror_output) == (b, continuous, mirror)
+        assert abs(row.continuous_prob - prob) <= 1e-12
+        assert (row.agree, row.ca_hit_step) == (agree, hit)
+
+
+def test_report_never_assembles_the_full_unitary(monkeypatch):
+    def refuse(self, t):
+        raise AssertionError("unitary() called")
+
+    monkeypatch.setattr(Propagator, "unitary", refuse)
+    rows = ca_vs_hamiltonian_report(9)
+    assert len(rows) == 512 and all(r.agree for r in rows)

@@ -53,8 +53,9 @@ def test_verify_equivalence_negative_control(capsys):
     assert "mismatch" in capsys.readouterr().out
 
 
-def test_verify_equivalence_above_cap():
+def test_verify_equivalence_above_cap(capsys):
     assert main(["verify-equivalence", "--n-max", "13"]) == 2
+    assert "dense cap" in capsys.readouterr().err
 
 
 def test_amplify_json(tmp_path):
@@ -94,6 +95,16 @@ def test_scan_csv(tmp_path):
     assert header == "t,fidelity"
     star = [l for l in lines if l.startswith("# t_star")][0]
     assert abs(float(star.split(":")[1]) - math.pi / 2) < 1e-5
+
+
+def test_scan_of_unreachable_target_reports_t_zero(capsys):
+    # source and target lie in different blocks: the fidelity is 0 on the
+    # whole grid, so no time beats the first grid point
+    assert main(["scan", "--n", "7", "--source", "1010000", "--target", "0001010",
+                 "--t-max", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "# t_star: 0" in lines
+    assert "# fidelity_star: 0" in lines
 
 
 def test_ca_compare_csv(tmp_path):
@@ -211,6 +222,15 @@ def test_star_demo(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["result"]["max_pairwise_commutator"] < 1e-12
     assert doc["result"]["all_ones_probability"] > 1.0 - 1e-8
+
+
+def test_star_demo_builds_spikes_once(monkeypatch, capsys):
+    calls = [_count_calls(monkeypatch, module, "spike_hamiltonians")
+             for module in (cli, chains)]
+    for run, spikes in enumerate((2, 3), start=1):
+        assert main(["star-demo", "--spikes", str(spikes), "--length", "3"]) == 0
+        assert sum(len(c) for c in calls) == run
+    capsys.readouterr()
 
 
 def test_star_demo_respects_cap(monkeypatch, capsys):

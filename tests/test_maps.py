@@ -15,7 +15,14 @@ from spinamp.maps import (
     tilde_config,
 )
 
-from oracles import cnot_matrix, gamma_matrix, kron_dense
+from oracles import (
+    cnot_matrix,
+    gamma_forward_bits,
+    gamma_inverse_bits,
+    gamma_matrix,
+    kron_dense,
+    mirror_bits,
+)
 
 
 def test_tilde_config_examples():
@@ -46,6 +53,15 @@ def test_gamma_inverse_examples():
 def test_gamma_is_a_bijection(n):
     images = {gamma_forward(BitConfig.from_index(n, i)).index for i in range(1 << n)}
     assert images == set(range(1 << n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ladder_maps_match_per_bit_oracles(n):
+    for i in range(1 << n):
+        b = BitConfig.from_index(n, i)
+        assert gamma_forward(b) == gamma_forward_bits(b)
+        assert gamma_inverse(b) == gamma_inverse_bits(b)
+        assert mirror_map(b) == mirror_bits(b)
 
 
 def test_gamma_round_trip_n10():
