@@ -3,7 +3,8 @@
 Subpackages:
 
 * ``algebra``    -- Pauli-string Hamiltonians, states, and one compiled
-  operator kernel behind both the dense and the matrix-free action
+  operator kernel behind the matrix-free action, H's blocks and the
+  entry-wise checks
 * ``chains``     -- builders for the exchange and amplification chains, stars
 * ``maps``       -- CNOT-ladder basis maps, symbolic conjugation, mirror map
 * ``evolution``  -- propagators, transfer fidelities, scans, phase probes
@@ -21,7 +22,6 @@ from .algebra import (
     StateVector,
     apply_spec,
     expectation,
-    realize_dense,
 )
 from .chains import CouplingProfile, StarLayout, cluster_chain, exchange_chain, star_hamiltonian
 from .evolution import Propagator, amplification_check, pst_time, transfer_fidelity
@@ -35,7 +35,6 @@ __all__ = [
     "StateVector",
     "apply_spec",
     "expectation",
-    "realize_dense",
     "CouplingProfile",
     "StarLayout",
     "cluster_chain",

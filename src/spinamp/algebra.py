@@ -8,13 +8,13 @@ means sites 1 and 2 are up and corresponds to basis index 3.
 A Hamiltonian is a weighted sum of Pauli strings with real coefficients,
 kept in a canonical form (duplicate strings merged, zero weights dropped).
 Each spec is compiled once into flip-mask groups (see
-:func:`_compile_groups`), and both the dense realization and the
-matrix-free action read those groups, so the two paths share one rule for
-the matrix elements.  The test suite checks that rule against an
-independent Kronecker-product realization.  The same groups give the
+:func:`_compile_groups`), and every query reads those groups, so all of
+them share one rule for the matrix elements: the matrix-free action, the
 connected blocks of H in the computational basis and H on each block
-(:func:`sector_blocks`), which dense evolution diagonalizes one block at
-a time.
+(:func:`sector_blocks`, which dense evolution diagonalizes one block at a
+time), and the entry-wise checks of a commutator and of a basis
+permutation.  No query builds a 2^N x 2^N matrix.  The test suite checks
+the rule against an independent Kronecker-product realization.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ __all__ = [
     "BitConfig",
     "require_dense",
     "sector_blocks",
-    "realize_dense",
+    "max_commutator",
+    "max_permuted_deviation",
     "apply_spec",
     "expectation",
 ]
 
-#: Largest chain for which dense 2^N x 2^N matrices are built (32 MB at N=12).
+#: Largest chain whose 2^N basis indices are split into blocks of H.
 DENSE_CAP = 12
 
 #: Largest imaginary part :func:`expectation` lets pass as rounding.
@@ -162,12 +163,6 @@ class HamiltonianSpec:
                 f"cannot add specs on {self.n_sites} and {other.n_sites} sites"
             )
         return HamiltonianSpec(self.n_sites, self.terms + other.terms)
-
-    def scaled(self, factor: float) -> "HamiltonianSpec":
-        return HamiltonianSpec(
-            self.n_sites,
-            tuple(PauliTerm(factor * t.coefficient, t.letters) for t in self.terms),
-        )
 
     # JSON schema: {"n_sites": N, "terms": [{"coeff": c, "letters": {"1": "X"}}]}
     def to_json(self) -> str:
@@ -293,9 +288,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.n_sites, self.amplitudes / self.norm)
-
     def overlap(self, other: "StateVector") -> complex:
         """<self|other>."""
         if other.n_sites != self.n_sites:
@@ -337,21 +329,18 @@ def _compile_groups(spec: HamiltonianSpec) -> tuple:
     weights: dict = {}
     for term in spec.terms:
         x, y, z = term.masks()
-        w = term.coefficient * (1, 1j, -1, -1j)[y.bit_count() % 4]
+        w = np.full((1,) * n, term.coefficient * (1, 1j, -1, -1j)[y.bit_count() % 4])
         for site in _sites(y | z):
             w = w * signs[site - 1]
         weights[x | y] = weights.get(x | y, 0.0) + w
-    return tuple((flip, tuple(n - s for s in _sites(flip)), np.asarray(w))
+    return tuple((flip, tuple(n - s for s in _sites(flip)), w)
                  for flip, w in sorted(weights.items()))
 
 
 def require_dense(n_sites: int) -> None:
     """Raise SizeError when a chain of ``n_sites`` is above ``DENSE_CAP``."""
     if n_sites > DENSE_CAP:
-        raise SizeError(
-            f"dense realization refused: N={n_sites} exceeds the dense cap {DENSE_CAP}; "
-            "use the matrix-free action instead"
-        )
+        raise SizeError(f"N={n_sites} exceeds the dense cap {DENSE_CAP}")
 
 
 def _entries(spec: HamiltonianSpec) -> tuple:
@@ -426,17 +415,32 @@ def sector_blocks(spec: HamiltonianSpec) -> tuple:
     return tuple(blocks), where, matrices
 
 
-def realize_dense(spec: HamiltonianSpec) -> np.ndarray:
-    """The 2^N x 2^N matrix of ``spec``, scattered from its flip groups.
+def max_commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> float:
+    """Largest |entry| of [A, B], from the two specs' flip groups.
 
-    float64 when every group is real, complex otherwise.  Raises SizeError
-    above ``DENSE_CAP``; use :func:`apply_spec` matrix-free there.
-    """
-    require_dense(spec.n_sites)
-    src, dst, values = _entries(spec)
-    out = np.zeros((spec.dim, spec.dim), dtype=values.dtype)
-    out[dst, src] = values
-    return out
+    Group f of A after group g of B sends b to b ^ f ^ g with weight
+    w_f(b ^ g) * w_g(b): f's weights flipped along g's axes, times g's.
+    Terms with one combined flip f ^ g add up on the (2,)*N grid."""
+    total: dict = {}
+    for f, f_axes, wf in a.flip_groups:
+        for g, g_axes, wg in b.flip_groups:
+            term = np.flip(wf, g_axes) * wg - np.flip(wg, f_axes) * wf
+            total[f ^ g] = total.get(f ^ g, 0.0) + term
+    return max((float(np.max(np.abs(t))) for t in total.values()), default=0.0)
+
+
+def max_permuted_deviation(a: HamiltonianSpec, b: HamiltonianSpec, perm) -> float:
+    """max |A[perm][:, perm] - B| from the two specs' nonzero entries.  Entry
+    <d|A|s> lands at (inv[d], inv[s]), inv the inverse permutation; where
+    both specs have an entry it holds a - b, as the dense difference does."""
+    inv = np.argsort(perm)
+    src_a, dst_a, values_a = _entries(a)
+    src_b, dst_b, values_b = _entries(b)
+    keys = np.concatenate([inv[dst_a] * a.dim + inv[src_a], dst_b * b.dim + src_b])
+    unique, position = np.unique(keys, return_inverse=True)
+    diff = np.zeros(unique.size, dtype=np.result_type(values_a, values_b))
+    np.add.at(diff, position, np.concatenate([values_a, -values_b]))
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def apply_spec(spec: HamiltonianSpec, psi: StateVector) -> StateVector:

@@ -95,14 +95,12 @@ def ca_vs_hamiltonian_report(n_sites: int) -> list[CAComparisonRow]:
     t = pst_time(n_sites)
     prop = Propagator(cluster_chain(CouplingProfile.engineered(n_sites)))
     dim = 1 << n_sites
-    output = np.full(dim, -1)
+    output = np.empty(dim, dtype=np.intp)
     prob = np.empty(dim)
-    for x in range(dim):
-        if output[x] < 0:
-            indices, u = prop.block_unitary(BitConfig.from_index(n_sites, x), t)
-            probs = abs(u) ** 2
-            output[indices] = indices[probs.argmax(axis=0)]
-            prob[indices] = probs.max(axis=0)
+    for indices, u in prop.block_unitaries(t):
+        probs = abs(u) ** 2
+        output[indices] = indices[probs.argmax(axis=0)]
+        prob[indices] = probs.max(axis=0)
     configs = np.arange(dim)
     # site reversal of each index: also the configs with site 1 varying slowest
     reverse = configs.reshape((2,) * n_sites).T.ravel()

@@ -167,8 +167,7 @@ def cluster_chain(profile: CouplingProfile) -> HamiltonianSpec:
     """
     n = profile.n_sites
     _require_chain(n)
-    terms = _cluster_terms(profile)
-    spec = HamiltonianSpec(n, tuple(terms))
+    spec = HamiltonianSpec(n, tuple(_cluster_terms(profile)))
     if profile.fields is not None:
         spec = spec + cluster_field_terms(n, profile.fields)
     return spec
@@ -182,37 +181,24 @@ def cluster_field_terms(n_sites: int, fields: Sequence[float]) -> HamiltonianSpe
     """
     if len(fields) != n_sites:
         raise ValueError(f"need {n_sites} field values, got {len(fields)}")
-    terms = []
-    for i, b in enumerate(fields, start=1):
-        if b == 0.0:
-            continue
-        if i < n_sites:
-            terms.append(PauliTerm(b, {i: "Z", i + 1: "Z"}))
-        else:
-            terms.append(PauliTerm(b, {i: "Z"}))
+    terms = [PauliTerm(b, {i: "Z", i + 1: "Z"} if i < n_sites else {i: "Z"})
+             for i, b in enumerate(fields, start=1) if b != 0.0]
     return HamiltonianSpec(n_sites, tuple(terms))
 
 
 def field_difference(fields: Sequence[float]) -> tuple:
     """Alternative local-field profile B'_n = B_{n-1} - B_n (B_0 = 0)."""
-    out = []
-    prev = 0.0
-    for b in fields:
-        out.append(prev - float(b))
-        prev = float(b)
-    return tuple(out)
+    fields = [float(b) for b in fields]
+    return tuple(prev - b for prev, b in zip([0.0] + fields, fields))
 
 
 def spike_hamiltonians(layout: StarLayout) -> list:
     """One cluster-chain spec per spike, each on the full star site set."""
-    specs = []
-    for k in range(1, layout.spikes + 1):
-        relabel = lambda s, k=k: layout.global_site(k, s)
-        terms = _cluster_terms(layout.profile, relabel)
-        if layout.profile.fields is not None:
-            raise ValueError("fields on star spikes are not supported")
-        specs.append(HamiltonianSpec(layout.total_sites, tuple(terms)))
-    return specs
+    if layout.profile.fields is not None:
+        raise ValueError("fields on star spikes are not supported")
+    return [HamiltonianSpec(layout.total_sites, tuple(_cluster_terms(
+                layout.profile, lambda s, k=k: layout.global_site(k, s))))
+            for k in range(1, layout.spikes + 1)]
 
 
 def star_hamiltonian(layout: StarLayout) -> HamiltonianSpec:

@@ -22,7 +22,8 @@ from .algebra import (
     HamiltonianSpec,
     SizeError,
     SpinChainError,
-    realize_dense,
+    max_commutator,
+    max_permuted_deviation,
     require_dense,
 )
 from .automaton import ca_vs_hamiltonian_report
@@ -70,10 +71,13 @@ def _hamiltonian(family: str, profile: CouplingProfile):
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        write_text_atomic(out, text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        write_text_atomic(out, text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _json_doc(config: dict, payload: dict) -> str:
@@ -131,10 +135,7 @@ def cmd_verify_equivalence(args) -> int:
                 extra = set(conjugated.term_map().items()) ^ set(h_cluster.term_map().items())
                 failures.append(f"N={n}: symbolic mismatch on terms {sorted(extra)}")
                 continue
-            g = gamma_inverse_indices(n)
-            dense_dev = float(np.max(np.abs(
-                realize_dense(h_ex)[np.ix_(g, g)] - realize_dense(h_cluster)
-            )))
+            dense_dev = max_permuted_deviation(h_ex, h_cluster, gamma_inverse_indices(n))
             worst = max(worst, dense_dev)
             if dense_dev >= args.tol:
                 failures.append(f"N={n}: dense deviation {dense_dev:.3e} >= {args.tol}")
@@ -170,18 +171,25 @@ def cmd_amplify(args) -> int:
     return EXIT_OK
 
 
-def cmd_transfer(args) -> int:
+def _endpoints(args) -> tuple:
+    """The profile and the --source and --target configs of transfer and scan."""
     if args.n is None:
         raise UsageError("--n is required (flag or config)")
     if not args.source or not args.target:
         raise UsageError("--source and --target are required")
     with _inputs():
         profile = _profile(args.profile, args.n)
-        t = _time(args.time, args.n)
         source = BitConfig.from_string(args.source)
         target = BitConfig.from_string(args.target)
     if source.n_sites != args.n or target.n_sites != args.n:
         raise UsageError("source/target configs must have N bits")
+    return profile, source, target
+
+
+def cmd_transfer(args) -> int:
+    profile, source, target = _endpoints(args)
+    with _inputs():
+        t = _time(args.time, args.n)
     fid = transfer_fidelity(Propagator(_hamiltonian(args.family, profile)), source, target, t)
     config = {"n": args.n, "profile": args.profile, "family": args.family,
               "source": str(source), "target": str(target), "t": t}
@@ -190,16 +198,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.n is None:
-        raise UsageError("--n is required (flag or config)")
-    if not args.source or not args.target:
-        raise UsageError("--source and --target are required")
-    with _inputs():
-        profile = _profile(args.profile, args.n)
-        source = BitConfig.from_string(args.source)
-        target = BitConfig.from_string(args.target)
-    if source.n_sites != args.n or target.n_sites != args.n:
-        raise UsageError("source/target configs must have N bits")
+    profile, source, target = _endpoints(args)
     if args.t_max <= 0.0 or args.grid_step <= 0.0:
         raise UsageError("--t-max and --grid-step must be positive")
     t_star, f_star, ts, fidelities = max_fidelity_scan(
@@ -264,6 +263,26 @@ def cmd_noise_sweep(args) -> int:
     return EXIT_OK
 
 
+def _product_deviation(star_prop: Propagator, spikes, t: float) -> float:
+    """max |U_star - U_spike_k ... U_spike_1|, star block by star block: spikes
+    flip disjoint sites, so every spike block lies inside one star block."""
+    star_blocks = list(star_prop.block_unitaries(t))
+    where = np.empty((2, star_prop.spec.dim), dtype=np.intp)    # star block, position
+    for k, (indices, _) in enumerate(star_blocks):
+        where[0, indices] = k
+        where[1, indices] = np.arange(indices.size)
+    products = [np.eye(indices.size, dtype=complex) for indices, _ in star_blocks]
+    for spike in spikes:
+        for indices, u in Propagator(spike).block_unitaries(t):
+            block = where[0, indices]
+            if (block != block[0]).any():
+                raise SpinChainError("a spike block spans two star blocks")
+            rows = where[1, indices]
+            product = products[block[0]]
+            product[rows] = u @ product[rows]
+    return max(float(np.max(np.abs(u - p))) for (_, u), p in zip(star_blocks, products))
+
+
 def cmd_star_demo(args) -> int:
     with _inputs():
         layout = StarLayout(args.spikes, args.length,
@@ -271,19 +290,10 @@ def cmd_star_demo(args) -> int:
         t = _time(args.time, args.length)
     require_dense(layout.total_sites)
     spikes = spike_hamiltonians(layout)
-    dense = [realize_dense(s) for s in spikes]
-    comm = 0.0
-    for i in range(len(dense)):
-        for j in range(i + 1, len(dense)):
-            comm = max(comm, float(np.max(np.abs(
-                dense[i] @ dense[j] - dense[j] @ dense[i]
-            ))))
+    comm = max((max_commutator(a, b) for i, a in enumerate(spikes) for b in spikes[i + 1:]),
+               default=0.0)
     star_prop = Propagator(sum(spikes, HamiltonianSpec(layout.total_sites)))
-    u_star = star_prop.unitary(t)
-    product = np.eye(u_star.shape[0], dtype=complex)
-    for s in spikes:
-        product = Propagator(s).unitary(t) @ product
-    product_dev = float(np.max(np.abs(u_star - product)))
+    product_dev = _product_deviation(star_prop, spikes, t)
     source = BitConfig.single(layout.total_sites, 1)
     target = BitConfig(layout.total_sites, (1,) * layout.total_sites)
     fid = transfer_fidelity(star_prop, source, target, t)
@@ -318,7 +328,7 @@ def build_parser(**defaults) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("verify-equivalence",
-                        help="check the CNOT-ladder identity symbolically and densely")
+                        help="check the CNOT-ladder identity symbolically and entry by entry")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--profiles", type=int, default=5,
@@ -385,8 +395,11 @@ def _parse_with_config(argv) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as handle:
-        doc = json.load(handle)
+    try:
+        with open(args.config) as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read --config {args.config}: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError("--config must contain a JSON object")
     defaults = {}

@@ -136,14 +136,13 @@ class Propagator:
         (c, k), _, vals, vecs = self._block_of(config)
         return self._blocks[c][k], (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
-    def unitary(self, t: float) -> np.ndarray:
-        """Full e^{-iHt} matrix, assembled from the blocks; dense backend only."""
-        self._require_dense("unitary()")
-        out = np.zeros((self.spec.dim, self.spec.dim), dtype=complex)
+    def block_unitaries(self, t: float):
+        """Yield (indices, u) for every block, as :meth:`block_unitary` gives
+        them, blocks of one size evolved together; dense backend only."""
+        self._require_dense("block_unitaries()")
         for blocks, (vals, vecs) in zip(self._blocks, self._eigen):
             u = (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-            out[blocks[:, :, None], blocks[:, None, :]] = u
-        return out
+            yield from zip(blocks, u)
 
     def _block_of(self, config: BitConfig) -> tuple:
         """((size class, block row), position, eigenvalues, eigenvectors)

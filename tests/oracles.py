@@ -4,6 +4,7 @@ Each one computes by the textbook route, with no code shared with
 ``spinamp``'s kernels:
 
 * ``kron_dense``      -- a Hamiltonian as a sum of Kronecker products;
+* ``kron_unitary``    -- e^{-iHt} from a full eigendecomposition of it;
 * ``cnot_matrix`` / ``gamma_matrix`` -- the CNOT ladder as products of
   dense 2^N x 2^N permutation matrices;
 * ``dephasing_trial`` -- one noisy transfer, evolved step by step over
@@ -12,7 +13,7 @@ Each one computes by the textbook route, with no code shared with
   the ladder maps and the mirror map, bit by bit on ``BitConfig`` tuples;
 * ``ca_half_step_bits`` -- one CA half-step, site by site;
 * ``ca_report_rows`` -- the CA comparison table, one config at a time,
-  reading the full 2^N x 2^N unitary.
+  reading the full 2^N x 2^N unitary of ``kron_unitary``.
 """
 
 import itertools
@@ -21,7 +22,7 @@ import numpy as np
 
 from spinamp.algebra import BitConfig, HamiltonianSpec, StateVector
 from spinamp.chains import CouplingProfile, cluster_chain
-from spinamp.evolution import Propagator, pst_time
+from spinamp.evolution import pst_time
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -43,6 +44,12 @@ def kron_dense(spec: HamiltonianSpec) -> np.ndarray:
             mat = np.kron(mat, PAULI_MATRICES[letters.get(site, "I")])
         out += mat
     return out
+
+
+def kron_unitary(spec: HamiltonianSpec, t: float) -> np.ndarray:
+    """e^{-iHt} over the whole 2^N space, from ``eigh`` of :func:`kron_dense`."""
+    vals, vecs = np.linalg.eigh(kron_dense(spec))
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
 def cnot_matrix(n_sites: int, control: int, target: int) -> np.ndarray:
@@ -68,15 +75,13 @@ def dephasing_trial(prop, source, measure_site, total_time, cfg, rng) -> float:
 
     Draws ``steps`` uniforms, then ``steps`` sites, as the batched
     ensemble does; evolves segment by segment over the whole 2^N space,
-    with e^{-iHt} from a full eigendecomposition of :func:`kron_dense`,
-    and flips the sign of every amplitude whose drawn site is up when the
-    uniform falls below p.
+    with e^{-iHt} from :func:`kron_unitary`, and flips the sign of every
+    amplitude whose drawn site is up when the uniform falls below p.
     """
     n = prop.n_sites
     uniforms = rng.random(cfg.steps)
     sites = rng.integers(1, n + 1, size=cfg.steps)
-    vals, vecs = np.linalg.eigh(kron_dense(prop.spec))
-    u_seg = (vecs * np.exp(-1j * vals * total_time / cfg.steps)) @ vecs.conj().T
+    u_seg = kron_unitary(prop.spec, total_time / cfg.steps)
     idx = np.arange(1 << n)
     psi = np.zeros(1 << n, dtype=complex)
     psi[source.index] = 1.0
@@ -129,13 +134,14 @@ def ca_report_rows(n_sites: int) -> list:
     """The comparison table as (input, continuous_output, continuous_prob,
     mirror_output, agree, ca_hit_step) tuples, site 1 varying slowest.
 
-    Continuous outputs are column argmaxes of |U|^2 for the full unitary;
-    the CA runs config by config from an even start, stopping on the
-    mirror output, on a revisit or after 4N half-steps.
+    Continuous outputs are column argmaxes of |U|^2 for the full unitary
+    of :func:`kron_unitary`; the CA runs config by config from an even
+    start, stopping on the mirror output, on a revisit or after 4N
+    half-steps.
     """
     step_cap = 4 * n_sites
-    prop = Propagator(cluster_chain(CouplingProfile.engineered(n_sites)))
-    probs = abs(prop.unitary(pst_time(n_sites))) ** 2
+    spec = cluster_chain(CouplingProfile.engineered(n_sites))
+    probs = abs(kron_unitary(spec, pst_time(n_sites))) ** 2
     rows = []
     for bits in itertools.product((0, 1), repeat=n_sites):
         b = BitConfig(n_sites, bits)

@@ -12,16 +12,28 @@ from spinamp.algebra import (
     StateVector,
     apply_spec,
     expectation,
-    realize_dense,
+    max_commutator,
+    max_permuted_deviation,
+    sector_blocks,
 )
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
+from spinamp.maps import conjugate_hamiltonian, gamma_inverse_indices
 
 from oracles import kron_dense
 
 
+def _from_blocks(spec):
+    """The 2^N x 2^N matrix assembled from :func:`sector_blocks`' block matrices."""
+    blocks, _, matrices = sector_blocks(spec)
+    out = np.zeros((spec.dim, spec.dim), dtype=matrices[0].dtype)
+    for rows, mats in zip(blocks, matrices):
+        out[rows[:, :, None], rows[:, None, :]] = mats
+    return out
+
+
 def test_realize_single_site_z():
     spec = HamiltonianSpec(1, (PauliTerm(1.0, {1: "Z"}),))
-    assert np.array_equal(realize_dense(spec), np.diag([1.0 + 0j, -1.0]))
+    assert np.array_equal(_from_blocks(spec), np.diag([1.0, -1.0]))
 
 
 def test_realize_two_site_hopping():
@@ -30,7 +42,7 @@ def test_realize_two_site_hopping():
                                PauliTerm(0.5, {1: "Y", 2: "Y"})))
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 2] = expected[2, 1] = 1.0
-    assert np.max(np.abs(realize_dense(spec) - expected)) == 0.0
+    assert np.max(np.abs(_from_blocks(spec) - expected)) == 0.0
 
 
 def test_duplicate_terms_merge():
@@ -46,7 +58,7 @@ def test_zero_sum_terms_drop():
 def test_dense_cap_enforced():
     spec = HamiltonianSpec(13, (PauliTerm(1.0, {1: "Z"}),))
     with pytest.raises(SizeError):
-        realize_dense(spec)
+        sector_blocks(spec)
 
 
 def test_term_validation():
@@ -100,7 +112,7 @@ def _random_spec(n, rng, n_terms=6):
 def test_matrix_free_matches_dense(n):
     rng = np.random.default_rng(100 + n)
     spec = _random_spec(n, rng)
-    dense = realize_dense(spec)
+    dense = kron_dense(spec)
     for _ in range(100):
         psi = StateVector.random(n, rng)
         out = apply_spec(spec, psi)
@@ -110,8 +122,8 @@ def test_matrix_free_matches_dense(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_realized_specs_are_hermitian(n):
     rng = np.random.default_rng(200 + n)
-    mat = realize_dense(_random_spec(n, rng))
-    assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
+    for mats in sector_blocks(_random_spec(n, rng))[2]:
+        assert np.max(np.abs(mats - mats.conj().swapaxes(1, 2))) < 1e-12
 
 
 def test_apply_is_linear():
@@ -154,7 +166,7 @@ def _specs(letters):
 @given(st.one_of(_specs("XYZ"), _specs("Z")), st.integers(0, 2 ** 32 - 1))
 def test_kernel_matches_kronecker_oracle(spec, seed):
     oracle = kron_dense(spec)
-    dense = realize_dense(spec)
+    dense = _from_blocks(spec)
     assert np.max(np.abs(dense - oracle)) < 1e-12
     has_odd_y = any(sum(p == "Y" for _, p in t.letters) % 2 for t in spec.terms)
     assert dense.dtype == (complex if has_odd_y else np.float64)
@@ -168,9 +180,8 @@ def test_chain_matrices_are_real(n):
     rng = np.random.default_rng(300 + n)
     prof = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)), tuple(rng.normal(size=n)))
     for spec in (exchange_chain(prof), cluster_chain(prof)):
-        dense = realize_dense(spec)
-        assert dense.dtype == np.float64
-        assert np.max(np.abs(dense - kron_dense(spec))) < 1e-12
+        assert all(mats.dtype == np.float64 for mats in sector_blocks(spec)[2])
+        assert np.max(np.abs(_from_blocks(spec) - kron_dense(spec))) < 1e-12
 
 
 def test_flip_groups_merge_terms_with_one_flip_mask():
@@ -223,3 +234,62 @@ def test_state_vector_probabilities():
     ])
     assert abs(psi.site_up_probability(1) - 0.36) < 1e-12
     assert abs(psi.site_up_probability(2) - 0.64) < 1e-12
+
+
+def _spec_pairs():
+    """Two random specs on one chain of 1..6 sites, Y letters included; an
+    X-only string makes a group with no signed site."""
+    def specs(n):
+        return st.lists(st.builds(
+            PauliTerm,
+            st.floats(-5, 5).filter(lambda c: abs(c) > 1e-6),
+            st.dictionaries(st.integers(1, n), st.sampled_from("XYZ"), max_size=n),
+        ), max_size=6).map(lambda terms: HamiltonianSpec(n, tuple(terms)))
+    return st.integers(1, 6).flatmap(lambda n: st.tuples(specs(n), specs(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spec_pairs())
+def test_commutator_matches_kronecker_oracle(pair):
+    a, b = pair
+    ka, kb = kron_dense(a), kron_dense(b)
+    expected = float(np.max(np.abs(ka @ kb - kb @ ka)))
+    assert abs(max_commutator(a, b) - expected) < 1e-12 * max(1.0, expected)
+
+
+def test_commutator_of_groups_without_signed_sites():
+    # X_1 and X_2 carry one weight each, kept with a length-1 axis per site
+    x1, z1, x2 = (HamiltonianSpec(2, (PauliTerm(1.0, {site: p}),))
+                  for site, p in ((1, "X"), (1, "Z"), (2, "X")))
+    assert x1.flip_groups[0][2].shape == (1, 1)
+    assert max_commutator(x1, z1) == 2.0
+    assert max_commutator(x1, x2) == 0.0
+    assert max_commutator(x1, HamiltonianSpec(2)) == 0.0
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.01])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_permuted_deviation_equals_dense_oracle_bitwise(n, factor):
+    # the conjugated chains of verify-equivalence, with and without the
+    # perturbed couplings of its negative control
+    rng = np.random.default_rng(900 + n)
+    couplings = rng.uniform(0.2, 2.0, n - 1)
+    fields = tuple(rng.uniform(-1.0, 1.0, n))
+    h_ex = exchange_chain(CouplingProfile(n, tuple(couplings), fields))
+    h_cluster = cluster_chain(CouplingProfile(n, tuple(factor * couplings), fields))
+    g = gamma_inverse_indices(n)
+    dense = float(np.max(np.abs(kron_dense(h_ex)[np.ix_(g, g)] - kron_dense(h_cluster))))
+    assert max_permuted_deviation(h_ex, h_cluster, g) == dense
+    assert (dense == 0.0) == (factor == 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permuted_deviation_of_random_specs(n):
+    rng = np.random.default_rng(950 + n)
+    g = gamma_inverse_indices(n)
+    perm = rng.permutation(1 << n)
+    for _ in range(5):
+        a, b = _random_spec(n, rng), _random_spec(n, rng)
+        assert max_permuted_deviation(a, conjugate_hamiltonian(a), g) < 1e-12
+        dense = np.max(np.abs(kron_dense(a)[np.ix_(perm, perm)] - kron_dense(b)))
+        assert abs(max_permuted_deviation(a, b, perm) - dense) < 1e-12

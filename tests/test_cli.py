@@ -1,12 +1,19 @@
 import json
 import math
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from spinamp import chains, cli, noise
+from spinamp.algebra import HamiltonianSpec, PauliTerm, SpinChainError
+from spinamp.chains import CouplingProfile, StarLayout, spike_hamiltonians
+from spinamp.evolution import Propagator
 from spinamp.cli import _json_doc, main
 from spinamp.io import format_number, parse_time, render_csv, write_text_atomic
+
+from oracles import kron_dense, kron_unitary
 
 
 def test_parse_time_tokens():
@@ -55,7 +62,9 @@ def test_verify_equivalence_negative_control(capsys):
 
 def test_verify_equivalence_above_cap(capsys):
     assert main(["verify-equivalence", "--n-max", "13"]) == 2
-    assert "dense cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dense cap" in err
+    assert "matrix-free" not in err     # the command has no matrix-free mode
 
 
 def test_amplify_json(tmp_path):
@@ -180,12 +189,16 @@ _BAD_INPUT = [
     (["transfer", "--n", "3", "--source", "102", "--target", "001"], "0 or 1"),
     (["verify-equivalence", "--profiles", "0"], "profile"),
     (["ca-compare", "--n", "13"], "dense cap"),
+    (["amplify", "--n", "4", "--config", "missing.json"], "No such file"),
+    (["amplify", "--n", "4", "--config", "malformed.json"], "Expecting property name"),
 ]
 
 
 @pytest.mark.parametrize("argv, reason", _BAD_INPUT,
                          ids=[" ".join(argv) for argv, _ in _BAD_INPUT])
-def test_bad_input_is_a_usage_error(argv, reason, capsys):
+def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "malformed.json").write_text("{bad")
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -222,6 +235,69 @@ def test_star_demo(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["result"]["max_pairwise_commutator"] < 1e-12
     assert doc["result"]["all_ones_probability"] > 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("spikes, length", [(3, 3), (2, 4)])
+def test_star_demo_matches_kronecker_oracle(spikes, length, capsys):
+    assert main(["star-demo", "--spikes", str(spikes), "--length", str(length)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    layout = StarLayout(spikes, length, CouplingProfile.engineered(length))
+    specs = spike_hamiltonians(layout)
+    dense = [kron_dense(s) for s in specs]
+    comm = max(float(np.max(np.abs(a @ b - b @ a)))
+               for i, a in enumerate(dense) for b in dense[i + 1:])
+    u_star = kron_unitary(sum(specs[1:], specs[0]), math.pi / 2)
+    product = np.eye(len(u_star), dtype=complex)
+    for spec in specs:
+        product = kron_unitary(spec, math.pi / 2) @ product
+    assert result["total_sites"] == layout.total_sites
+    assert abs(result["max_pairwise_commutator"] - comm) < 1e-12
+    assert abs(result["propagator_product_deviation"]
+               - float(np.max(np.abs(u_star - product)))) < 1e-12
+    # from site 1 alone up to all ones
+    assert abs(result["all_ones_probability"] - abs(u_star[-1, 1]) ** 2) < 1e-12
+
+
+def test_product_deviation_refuses_a_spike_across_star_blocks():
+    # a diagonal "star" has one block per basis state; X_1 links two of them
+    z, x = (HamiltonianSpec(2, (PauliTerm(1.0, {1: p}),)) for p in "ZX")
+    with pytest.raises(SpinChainError, match="spans two star blocks"):
+        cli._product_deviation(Propagator(z), [x], 1.0)
+
+
+_NO_FULL_MATRIX = [
+    (["star-demo", "--spikes", "2", "--length", "5"], 9),
+    (["verify-equivalence", "--n-min", "10", "--n-max", "10"], 10),
+    (["ca-compare", "--n", "10"], 10),
+]
+
+
+@pytest.mark.parametrize("argv, n_sites", _NO_FULL_MATRIX,
+                         ids=[" ".join(argv) for argv, _ in _NO_FULL_MATRIX])
+def test_peak_memory_stays_below_one_full_matrix(argv, n_sites, capsys):
+    # every array is per block or per entry: the traced peak stays below
+    # one 2^N x 2^N float64 matrix
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 8 << (2 * n_sites)
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "no" / "x.json", tmp_path / "taken"):
+        assert main(["amplify", "--n", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+    # no temp file left next to either target
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(tmp_path / "taken") == []
 
 
 def test_star_demo_builds_spikes_once(monkeypatch, capsys):

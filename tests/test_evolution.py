@@ -25,7 +25,7 @@ from spinamp.evolution import (
 )
 from spinamp.maps import gamma_forward, gamma_inverse_indices, mirror_map
 
-from oracles import kron_dense
+from oracles import kron_dense, kron_unitary
 
 
 def _cluster_prop(n, profile="engineered", **kw):
@@ -195,12 +195,11 @@ def test_amplification_engineered_vs_uniform():
 
 def test_mirror_theorem_exhaustive():
     for n in range(2, 8):
-        prop = _cluster_prop(n)
-        unitary = prop.unitary(pst_time(n))
-        for i in range(1 << n):
-            b = BitConfig.from_index(n, i)
-            m = mirror_map(b)
-            assert abs(unitary[m.index, b.index]) > 1.0 - 1e-8
+        mirror = {b: mirror_map(BitConfig.from_index(n, b)).index for b in range(1 << n)}
+        for indices, u in _cluster_prop(n).block_unitaries(pst_time(n)):
+            position = {int(x): k for k, x in enumerate(indices)}
+            for k, b in enumerate(indices.tolist()):
+                assert abs(u[position[mirror[b]], k]) > 1.0 - 1e-8
 
 
 def test_phase_probe_cluster_has_no_conditional_phase():
@@ -282,7 +281,7 @@ def test_dense_refused_above_cap():
     with pytest.raises(SizeError):
         Propagator(spec, "dense")
     with pytest.raises(SizeError):
-        Propagator(spec).unitary(1.0)
+        next(Propagator(spec).block_unitaries(1.0))
 
 
 def test_krylov_matches_dense_at_long_times():
@@ -339,11 +338,15 @@ def test_block_backend_matches_full_space(spec, data):
     psi = StateVector.random(n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32))))
     source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
     prop = Propagator(spec, "dense")
-    vals, vecs = np.linalg.eigh(kron_dense(spec))
     amps = prop.amplitudes(source, target, ts)
     for t, amp in zip(ts, amps):
-        u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-        assert np.max(np.abs(prop.unitary(t) - u)) < 1e-12
+        u = kron_unitary(spec, t)
+        # the blocks tile U: each matches the oracle, which is 0 between them
+        between = u.copy()
+        for indices, block_u in prop.block_unitaries(t):
+            assert np.max(np.abs(block_u - u[np.ix_(indices, indices)])) < 1e-12
+            between[np.ix_(indices, indices)] = 0.0
+        assert np.max(np.abs(between)) < 1e-12
         assert np.max(np.abs(prop.evolve(psi, t).amplitudes - u @ psi.amplitudes)) < 1e-12
         assert abs(amp - u[j, i]) < 1e-12
         indices, block_u = prop.block_unitary(source, t)

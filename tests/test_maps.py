@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm, realize_dense
+from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 from spinamp.maps import (
     TildeIndexSet,
@@ -159,8 +159,8 @@ def test_symbolic_conjugation_matches_dense_oracle(n):
     gm = gamma_matrix(n)
     for _ in range(5):
         spec = _random_pauli_spec(n, rng)
-        symbolic = realize_dense(conjugate_hamiltonian(spec))
-        dense = gm @ realize_dense(spec) @ gm.T
+        symbolic = kron_dense(conjugate_hamiltonian(spec))
+        dense = gm @ kron_dense(spec) @ gm.T
         assert np.max(np.abs(symbolic - dense)) < 1e-12
 
 
@@ -173,7 +173,7 @@ def test_index_conjugation_matches_dense_ladder(n, seed):
     ]
     spec = _random_pauli_spec(n, np.random.default_rng(seed))
     gm = gamma_matrix(n)
-    by_index = realize_dense(spec)[np.ix_(g, g)]
+    by_index = kron_dense(spec)[np.ix_(g, g)]
     assert np.max(np.abs(by_index - gm @ kron_dense(spec) @ gm.T)) < 1e-12
 
 
