@@ -10,10 +10,10 @@ kept in a canonical form (duplicate strings merged, zero weights dropped).
 Each spec is compiled once into flip-mask groups (see
 :func:`_compile_groups`), and every query reads those groups, so all of
 them share one rule for the matrix elements: the matrix-free action, the
-connected blocks of H in the computational basis and H on each block
-(:func:`sector_blocks`, which dense evolution diagonalizes one block at a
-time), and the entry-wise checks of a commutator and of a basis
-permutation.  No query builds a 2^N x 2^N matrix.  The test suite checks
+connected blocks of H in the computational basis that hold given states,
+with H's entries on them (:func:`sector_blocks`, which evolution works on
+one block at a time), and the entry-wise checks of a commutator and of a
+basis permutation.  No query builds a 2^N x 2^N matrix.  The test suite checks
 the rule against an independent Kronecker-product realization.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -267,18 +267,6 @@ class StateVector:
         return cls(config.n_sites, amps)
 
     @classmethod
-    def superposition(cls, parts: Iterable) -> "StateVector":
-        """Weighted sum of basis configs: iterable of (amplitude, BitConfig)."""
-        parts = list(parts)
-        n = parts[0][1].n_sites
-        amps = np.zeros(1 << n, dtype=complex)
-        for a, cfg in parts:
-            if cfg.n_sites != n:
-                raise DimensionMismatchError("mixed chain lengths in superposition")
-            amps[cfg.index] += a
-        return cls(n, amps)
-
-    @classmethod
     def random(cls, n_sites: int, rng: np.random.Generator) -> "StateVector":
         amps = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
         amps /= np.linalg.norm(amps)
@@ -343,47 +331,63 @@ def require_dense(n_sites: int) -> None:
         raise SizeError(f"N={n_sites} exceeds the dense cap {DENSE_CAP}")
 
 
-def _entries(spec: HamiltonianSpec) -> tuple:
-    """(src, dst, values): every nonzero <dst|H|src>, scattered from the flip groups.
-
-    values are float64 when every group is real, complex otherwise.
-    """
+def _entries(spec: HamiltonianSpec, states: np.ndarray) -> tuple:
+    """(src, dst, values): every nonzero <dst|H|src> with src in ``states``,
+    each group's weights read at the bits of its signed sites."""
     n = spec.n_sites
-    dim = 1 << n
     src, dst, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for flip, _, weights in spec.flip_groups:
-        w = np.broadcast_to(weights, (2,) * n).reshape(dim)
+        # axis a of the weights holds site n - a, at bit n - 1 - a
+        at = tuple((states >> (n - 1 - a)) & 1 if size == 2 else 0
+                   for a, size in enumerate(weights.shape))
+        w = np.broadcast_to(weights[at], states.shape)
         nonzero = w.nonzero()[0]
-        src.append(nonzero)
-        dst.append(nonzero ^ flip)
+        src.append(states[nonzero])
+        dst.append(states[nonzero] ^ flip)
         values.append(w[nonzero])
     return np.concatenate(src), np.concatenate(dst), np.concatenate(values)
 
 
-def sector_blocks(spec: HamiltonianSpec) -> tuple:
-    """The connected blocks of H in the computational basis, and H on each.
+def _sorted_unique(indices: np.ndarray) -> np.ndarray:
+    indices = np.sort(indices)
+    return indices[np.diff(indices, prepend=-1) != 0]
 
-    Basis states b and b ^ flip are linked wherever a flip group's weight
-    at b is nonzero; each state's label falls to the smallest index it is
-    linked to, with pointer jumping, until no label changes.  Both chains
-    split into conserved sectors this way (wall count for the cluster
-    chain, excitation number for the exchange chain) without a 2^N x 2^N
-    pattern.  Raises SizeError above ``DENSE_CAP``.
 
-    Returns (blocks, where, matrices).  ``blocks`` holds one (k, s) index
+def sector_blocks(spec: HamiltonianSpec, seeds=None) -> tuple:
+    """The connected blocks of H in the computational basis that hold ``seeds``.
+
+    A breadth-first search from the seeds follows every flip group whose
+    weight at a frontier state is nonzero; each found state's label then
+    falls to the smallest position it is linked to, with pointer jumping.
+    Both chains split into conserved sectors this way (wall count, and
+    excitation number), so a search costs the seeds' blocks, not 2^N.
+    Omitting ``seeds`` means every basis index: SizeError above ``DENSE_CAP``.
+
+    Returns (blocks, where, entries).  ``blocks`` holds one (k, s) index
     array per block size s, ascending in s; each row is one block, its
-    indices ascending, and rows are ordered by their smallest index.
-    ``where`` is (3, 2^N): for each basis index, which array of
-    ``blocks`` holds it, the row there and the position in that row.
-    ``matrices[c][r]`` is H on row r of ``blocks[c]``, scattered from the
-    flip groups; float64 when every group is real, complex otherwise.
+    indices ascending, rows ordered by their smallest index.  ``where`` is
+    (4, m) over the m found states: their basis indices, ascending, then
+    the array of ``blocks``, row and position holding each.  ``entries``
+    is (src, dst, values), every nonzero <dst|H|src>, src and dst as
+    positions in ``where[0]``; values are float64 unless a group is complex.
     """
     n = spec.n_sites
-    require_dense(n)
-    src, dst, values = _entries(spec)
+    if seeds is None:
+        require_dense(n)
+        seeds = np.arange(1 << n)
+    states = frontier = _sorted_unique(np.asarray(seeds, dtype=np.intp))
+    src, dst, values = [], [], []
+    while frontier.size:
+        for found, part in zip((src, dst, values), _entries(spec, frontier)):
+            found.append(part)
+        reached = _sorted_unique(dst[-1])
+        known = np.searchsorted(states, reached).clip(max=states.size - 1)
+        frontier = reached[states[known] != reached]
+        states = np.sort(np.concatenate([states, frontier]))
+    src = np.searchsorted(states, np.concatenate(src))
+    dst = np.searchsorted(states, np.concatenate(dst))
     linked = src != dst
-    idx = np.arange(1 << n)
-    labels = idx
+    labels = np.arange(states.size)
     while True:
         new = labels.copy()
         np.minimum.at(new, src[linked], labels[dst[linked]])
@@ -391,28 +395,21 @@ def sector_blocks(spec: HamiltonianSpec) -> tuple:
         if (new == labels).all():
             break
         labels = new
-    # every block shares its smallest index as label; sort by block size,
-    # then by label, keeping each block's indices ascending
+    # every block shares its smallest position as label; sort by block
+    # size, then by label, keeping each block's indices ascending
     size_of = np.bincount(labels)[labels]
-    members = np.argsort(size_of * idx.size + labels, kind="stable")
+    members = np.argsort(size_of * states.size + labels, kind="stable")
     blocks, lo = [], 0
-    where = np.empty((3, idx.size), dtype=np.intp)
+    where = np.empty((4, states.size), dtype=np.intp)
+    where[0] = states
     for c, s in enumerate(sorted(set(size_of.tolist()))):
         group = members[lo:lo + int((size_of == s).sum())].reshape(-1, s)
         lo += group.size
-        blocks.append(group)
-        where[0, group] = c
-        where[1, group] = np.arange(len(group))[:, None]
-        where[2, group] = np.arange(s)
-    size_class = where[0, src]
-    matrices = []
-    for c, group in enumerate(blocks):
-        mats = np.zeros(group.shape + group.shape[1:], dtype=values.dtype)
-        mine = size_class == c
-        col, row = src[mine], dst[mine]
-        mats[where[1, col], where[2, row], where[2, col]] = values[mine]
-        matrices.append(mats)
-    return tuple(blocks), where, matrices
+        blocks.append(states[group])
+        where[1, group] = c
+        where[2, group] = np.arange(len(group))[:, None]
+        where[3, group] = np.arange(s)
+    return tuple(blocks), where, (src, dst, np.concatenate(values))
 
 
 def max_commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> float:
@@ -434,8 +431,8 @@ def max_permuted_deviation(a: HamiltonianSpec, b: HamiltonianSpec, perm) -> floa
     <d|A|s> lands at (inv[d], inv[s]), inv the inverse permutation; where
     both specs have an entry it holds a - b, as the dense difference does."""
     inv = np.argsort(perm)
-    src_a, dst_a, values_a = _entries(a)
-    src_b, dst_b, values_b = _entries(b)
+    src_a, dst_a, values_a = _entries(a, np.arange(a.dim))
+    src_b, dst_b, values_b = _entries(b, np.arange(b.dim))
     keys = np.concatenate([inv[dst_a] * a.dim + inv[src_a], dst_b * b.dim + src_b])
     unique, position = np.unique(keys, return_inverse=True)
     diff = np.zeros(unique.size, dtype=np.result_type(values_a, values_b))

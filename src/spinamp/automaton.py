@@ -99,8 +99,8 @@ def ca_vs_hamiltonian_report(n_sites: int) -> list[CAComparisonRow]:
     prob = np.empty(dim)
     for indices, u in prop.block_unitaries(t):
         probs = abs(u) ** 2
-        output[indices] = indices[probs.argmax(axis=0)]
-        prob[indices] = probs.max(axis=0)
+        output[indices] = np.take_along_axis(indices, probs.argmax(axis=1), axis=1)
+        prob[indices] = probs.max(axis=1)
     configs = np.arange(dim)
     # site reversal of each index: also the configs with site 1 varying slowest
     reverse = configs.reshape((2,) * n_sites).T.ravel()

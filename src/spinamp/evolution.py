@@ -1,14 +1,12 @@
 """Time evolution, transfer fidelities and fidelity scans.
 
-Evolution is Schrodinger, U(t) = exp(-i H t) with hbar = 1.  Two routes
-are provided: a block-diagonal dense eigendecomposition (chains up to the
-dense cap) and a matrix-free Lanczos/Krylov propagator with adaptive
-substeps for longer chains.  The dense route splits H into its connected
-blocks in the computational basis -- the conserved sectors of both
-chains -- and diagonalizes each block on its own, so its cost follows the
-largest block rather than 2^N.  The tests check both routes against a
-full-space eigendecomposition of the Kronecker-product matrix and
-against each other.
+Evolution is Schrodinger, U(t) = exp(-i H t) with hbar = 1.  Both chains
+conserve a sector (wall count, excitation number), so a basis state never
+leaves its connected block of H.  :class:`Propagator` works on the blocks
+a query touches, at every chain length: a spectral sum over a block's
+eigenpairs or, above ``EIGH_CAP`` states, adaptive Lanczos steps on the
+block's entries.  The tests check both routes against a full-space
+eigendecomposition of the Kronecker-product matrix and each other.
 
 With the engineered couplings J_n = sqrt(n*(N-n)) and the chain
 normalizations used here, perfect transfer happens at t = pi/2.
@@ -28,8 +26,7 @@ from .algebra import (
     HamiltonianSpec,
     SizeError,
     SpinChainError,
-    StateVector,
-    apply_spec,
+    require_dense,
     sector_blocks,
 )
 from .maps import mirror_map
@@ -52,171 +49,179 @@ KRYLOV_TOL = 1e-10      # largest local error one Krylov substep may leave
 KRYLOV_DIM = 30         # Lanczos basis size of one Krylov substep
 MODULUS_FLOOR = 0.5     # phase-probe elements below this carry no usable phase
 
+#: Largest block whose amplitudes come from its eigendecomposition; a larger
+#: one runs Lanczos.  924 is the largest block of either chain at N <= 12.
+#: On one AMD EPYC core, eigh takes 44 ms at 924 states and 109 ms at 1287,
+#: where a Lanczos transfer to t = pi/2 takes 20 ms; a scan reuses the eigh.
+EIGH_CAP = 924
+
 
 class ConvergenceError(SpinChainError):
     """Krylov propagation failed to reach the requested local error."""
 
 
+def _times(ts) -> np.ndarray:
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("evolution times must be finite")
+    return ts
+
+
 class Propagator:
-    """Reusable e^{-iHt} applier for a fixed Hamiltonian.
+    """e^{-iHt} of a fixed Hamiltonian, answered one block of H at a time.
 
-    The one place that knows which backend evolves a spec and what each
-    backend can answer.  method: "dense" (N <= dense cap), "krylov"
-    (matrix-free Lanczos), or "auto" (dense when it fits).
-
-    The dense backend diagonalizes each connected block of H (see
-    :func:`~spinamp.algebra.sector_blocks`) on its own, blocks of one size
-    in one batched ``eigh``; a spec with a single block is just the
-    one-block case.  Every query answers per block: an amplitude between
-    two blocks is exactly 0.  Immutable after construction; safe to share
-    between threads.
+    A query finds the blocks of H it touches on first use and caches them
+    (:func:`~spinamp.algebra.sector_blocks`); above the dense cap it searches
+    from its basis states, so its cost follows their size, not 2^N.  An
+    amplitude between two blocks is exactly 0.  :meth:`amplitudes` sums
+    over the eigenpairs of a block of at most ``EIGH_CAP`` states, or of
+    any block already diagonalized, and runs Lanczos on a larger one.  The
+    unitary queries diagonalize any block, blocks of one size in one
+    batched ``eigh``.  The caches fill lazily: not safe to share between
+    threads.
     """
 
-    def __init__(self, spec: HamiltonianSpec, method: str = "auto"):
-        if method == "auto":
-            method = "dense" if spec.n_sites <= DENSE_CAP else "krylov"
-        if method not in ("dense", "krylov"):
-            raise ValueError(f"unknown method {method!r}")
+    def __init__(self, spec: HamiltonianSpec):
         self.spec = spec
-        self.method = method
-        if method == "dense":
-            # sector_blocks raises SizeError above the dense cap
-            self._blocks, self._where, matrices = sector_blocks(spec)
-            self._eigen = [np.linalg.eigh(m) for m in matrices]
+        self._searches = []     # [blocks, where, entries, {size class: eigenpairs}]
 
     @property
     def n_sites(self) -> int:
         return self.spec.n_sites
 
-    def evolve(self, psi: StateVector, t: float) -> StateVector:
-        if psi.n_sites != self.spec.n_sites:
-            raise SpinChainError(
-                f"state on {psi.n_sites} sites, propagator on {self.spec.n_sites}"
-            )
-        if not math.isfinite(t):
-            raise ValueError(f"evolution time must be finite, got {t!r}")
-        if self.method == "krylov":
-            return StateVector(psi.n_sites, self._krylov_evolve(psi.amplitudes, t))
-        out = np.empty_like(psi.amplitudes)
-        for blocks, (vals, vecs) in zip(self._blocks, self._eigen):
-            coeffs = psi.amplitudes[blocks][:, None, :] @ vecs.conj()
-            coeffs *= np.exp(-1j * vals * t)[:, None, :]
-            out[blocks] = (coeffs @ vecs.swapaxes(1, 2))[:, 0]
-        return StateVector(psi.n_sites, out)
-
     def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
-        """<target|U(t)|source> for each t in ``ts``.
-
-        Dense: a spectral sum over the eigenpairs of the source's block,
-        O(block) per time, and exactly 0 when the target lies in another
-        block.  Krylov: one evolution from t = 0 per time.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        """<target|U(t)|source> for each t in ``ts``: 0 when the target lies
+        in another block, else a spectral sum over the source's block,
+        O(block) per time, or one Lanczos evolution from t = 0 per time."""
         if {source.n_sites, target.n_sites} != {self.n_sites}:
             raise SpinChainError("configs and propagator differ in site count")
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("evolution times must be finite")
-        if self.method == "krylov":
-            psi = StateVector.basis_state(source)
-            return np.array([self.evolve(psi, t).amplitude(target) for t in ts])
-        block, i, vals, vecs = self._block_of(source)
-        if self._block_of(target)[0] != block:
+        ts = _times(ts)
+        found, c, r, i = self._locate(source.index)
+        block = found[0][c][r]
+        j = int(np.searchsorted(block, target.index))
+        if j == block.size or block[j] != target.index:
             return np.zeros(ts.shape, dtype=complex)
-        j = self._where[2, target.index]
-        weights = vecs[j] * vecs[i].conj()
-        return np.exp(-1j * np.multiply.outer(ts, vals)) @ weights
+        if c in found[3] or block.size <= EIGH_CAP:
+            vals, vecs = self._eigen(found, c)
+            weights = vecs[r, j] * vecs[r, i].conj()
+            return np.exp(-1j * np.multiply.outer(ts, vals[r])) @ weights
+        where, (src, dst, values) = found[1], found[2]
+        mine = (where[1, src] == c) & (where[2, src] == r)
+        col, row, values = where[3, src[mine]], where[3, dst[mine]], values[mine]
+
+        def matvec(v: np.ndarray) -> np.ndarray:
+            terms = values * v[col]
+            return (np.bincount(row, terms.real, block.size)
+                    + 1j * np.bincount(row, terms.imag, block.size))
+
+        start = np.zeros(block.size, dtype=complex)
+        start[i] = 1.0
+        return np.array([_krylov_evolve(matvec, start, t)[j] for t in ts])
 
     def block_unitary(self, config: BitConfig, t: float) -> tuple:
-        """(indices, u): the block holding ``config`` and e^{-iHt} on it.
-
-        ``indices`` are the block's basis indices, ascending; ``u`` is the
-        block's unitary in that order.  Only the dense backend holds blocks.
-        """
-        self._require_dense("block_unitary()")
-        (c, k), _, vals, vecs = self._block_of(config)
-        return self._blocks[c][k], (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+        """(indices, u): the basis indices of the block holding ``config``,
+        ascending, and e^{-iHt} on the block in that order."""
+        _times(t)
+        found, c, r, _ = self._locate(config.index)
+        vals, vecs = self._eigen(found, c)
+        return found[0][c][r], (vecs[r] * np.exp(-1j * vals[r] * t)) @ vecs[r].conj().T
 
     def block_unitaries(self, t: float):
-        """Yield (indices, u) for every block, as :meth:`block_unitary` gives
-        them, blocks of one size evolved together; dense backend only."""
-        self._require_dense("block_unitaries()")
-        for blocks, (vals, vecs) in zip(self._blocks, self._eigen):
-            u = (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-            yield from zip(blocks, u)
+        """Yield (indices, u) for the blocks of each size in turn: ``indices``
+        is (k, s), one block of s basis indices per row as
+        :meth:`block_unitary` gives them, and ``u`` is (k, s, s), their
+        unitaries.  Raises SizeError above the dense cap."""
+        _times(t)
+        require_dense(self.n_sites)
+        found = self._locate(0)[0]      # within the cap, the one search is the whole space
+        for c, blocks in enumerate(found[0]):
+            vals, vecs = self._eigen(found, c)
+            yield blocks, (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
-    def _block_of(self, config: BitConfig) -> tuple:
-        """((size class, block row), position, eigenvalues, eigenvectors)
-        of the block holding ``config``."""
-        c, k, position = self._where[:, config.index]
-        vals, vecs = self._eigen[c]
-        return (c, k), position, vals[k], vecs[k]
+    def _locate(self, index: int) -> tuple:
+        """(search, size class, row, position) of a basis index.  On a miss,
+        a chain within the dense cap splits its whole space in one pass,
+        cheaper there than a search level by level; a longer chain searches
+        from the index."""
+        for found in self._searches:
+            states = found[1][0]
+            k = np.searchsorted(states, index)
+            if k < states.size and states[k] == index:
+                return (found, *found[1][1:, k])
+        seeds = None if self.n_sites <= DENSE_CAP else [index]
+        self._searches.append([*sector_blocks(self.spec, seeds), {}])
+        return self._locate(index)
 
-    def _require_dense(self, query: str) -> None:
-        if self.method != "dense":
-            raise SizeError(f"{query} needs the dense backend: N={self.n_sites}, "
-                            f"dense cap {DENSE_CAP}, method {self.method!r}")
+    @staticmethod
+    def _eigen(found: list, c: int) -> tuple:
+        """Eigenpairs of H on a search's blocks of size class ``c``, from
+        one batched ``eigh`` on first use."""
+        blocks, where, (src, dst, values), eigen = found
+        if c not in eigen:
+            mine = where[1, src] == c
+            col, row = src[mine], dst[mine]
+            mats = np.zeros(blocks[c].shape + blocks[c].shape[1:], dtype=values.dtype)
+            mats[where[2, col], where[3, row], where[3, col]] = values[mine]
+            eigen[c] = np.linalg.eigh(mats)
+        return eigen[c]
 
-    # -- Krylov route -----------------------------------------------------
 
-    def _krylov_evolve(self, amps: np.ndarray, t: float) -> np.ndarray:
-        remaining = float(t)
-        if remaining == 0.0:
-            return amps.copy()
-        direction = math.copysign(1.0, remaining)
-        remaining = abs(remaining)
-        dt = remaining
-        v = amps.copy()
-        min_dt = remaining * 1e-12
-        while remaining > 0.0:
-            dt = min(dt, remaining)
-            step, err = self._lanczos_step(v, direction * dt)
-            if err > KRYLOV_TOL:
-                if dt <= min_dt:
-                    raise ConvergenceError(
-                        f"Krylov step stalled at dt={dt:.3e} with local error {err:.3e}"
-                    )
-                dt *= 0.5
-                continue
-            v = step
-            remaining -= dt
-            if err < 0.01 * KRYLOV_TOL:
-                dt *= 2.0
-        return v
+# -- Krylov route -----------------------------------------------------------
 
-    def _lanczos_step(self, v: np.ndarray, dt: float) -> tuple:
-        """One exp(-iH dt) v via a Lanczos basis; returns (result, error est)."""
-        norm_v = np.linalg.norm(v)
-        m = KRYLOV_DIM
-        basis = np.empty((m, v.size), dtype=complex)
-        alpha = np.empty(m)
-        beta = np.empty(m)
-        basis[0] = v / norm_v
-        w = self._matvec(basis[0])
-        alpha[0] = np.real(np.vdot(basis[0], w))
-        w -= alpha[0] * basis[0]
-        k = 1
-        breakdown = False
-        while k < m:
-            beta[k] = np.linalg.norm(w)
-            if beta[k] < 1e-14:
-                breakdown = True
-                break
-            basis[k] = w / beta[k]
-            w = self._matvec(basis[k])
-            alpha[k] = np.real(np.vdot(basis[k], w))
-            w -= alpha[k] * basis[k] + beta[k] * basis[k - 1]
-            k += 1
-        tri = np.diag(alpha[:k]) + np.diag(beta[1:k], 1) + np.diag(beta[1:k], -1)
-        tw, tv = np.linalg.eigh(tri)
-        small = tv @ (np.exp(-1j * tw * dt) * tv[0].conj())
-        result = norm_v * (basis[:k].T @ small)
-        # residual-style estimate: weight leaking out of the Krylov space
-        err = 0.0 if breakdown else float(np.linalg.norm(w) * abs(small[-1]))
-        return result, err
 
-    def _matvec(self, amps: np.ndarray) -> np.ndarray:
-        state = StateVector(self.spec.n_sites, amps)
-        return apply_spec(self.spec, state).amplitudes
+def _krylov_evolve(matvec: Callable, amps: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) amps in adaptive Lanczos substeps, H given by ``matvec``."""
+    remaining = float(t)
+    direction = math.copysign(1.0, remaining)
+    remaining = abs(remaining)
+    dt = remaining
+    v = amps.copy()
+    min_dt = remaining * 1e-12
+    while remaining > 0.0:
+        dt = min(dt, remaining)
+        step, err = _lanczos_step(matvec, v, direction * dt)
+        if err > KRYLOV_TOL:
+            if dt <= min_dt:
+                raise ConvergenceError(
+                    f"Krylov step stalled at dt={dt:.3e} with local error {err:.3e}"
+                )
+            dt *= 0.5
+            continue
+        v = step
+        remaining -= dt
+        if err < 0.01 * KRYLOV_TOL:
+            dt *= 2.0
+    return v
+
+
+def _lanczos_step(matvec: Callable, v: np.ndarray, dt: float) -> tuple:
+    """One exp(-iH dt) v via a Lanczos basis; returns (result, error est)."""
+    norm_v = np.linalg.norm(v)
+    m = KRYLOV_DIM
+    basis = np.empty((m, v.size), dtype=complex)
+    alpha = np.empty(m)
+    beta = np.empty(m)
+    basis[0] = v / norm_v
+    w = matvec(basis[0])
+    alpha[0] = np.real(np.vdot(basis[0], w))
+    w -= alpha[0] * basis[0]
+    k = 1
+    while k < m:
+        beta[k] = np.linalg.norm(w)
+        if beta[k] < 1e-14:     # breakdown: the Krylov space is invariant
+            break
+        basis[k] = w / beta[k]
+        w = matvec(basis[k])
+        alpha[k] = np.real(np.vdot(basis[k], w))
+        w -= alpha[k] * basis[k] + beta[k] * basis[k - 1]
+        k += 1
+    tri = np.diag(alpha[:k]) + np.diag(beta[1:k], 1) + np.diag(beta[1:k], -1)
+    tw, tv = np.linalg.eigh(tri)
+    small = tv @ (np.exp(-1j * tw * dt) * tv[0].conj())
+    result = norm_v * (basis[:k].T @ small)
+    # residual-style estimate: weight leaking out of the Krylov space
+    err = 0.0 if k < m else float(np.linalg.norm(w) * abs(small[-1]))
+    return result, err
 
 
 def pst_time(n_sites: int) -> float:
@@ -299,10 +304,12 @@ def amplification_check(prop: Propagator, alpha: complex, beta: complex,
     zeros = BitConfig.zeros(n)
     start = BitConfig.single(n, 1)
     ones = BitConfig(n, (1,) * n)
-    psi = StateVector.superposition([(alpha, zeros), (beta, start)])
-    out = prop.evolve(psi, t)
-    a0 = out.amplitude(zeros)
-    a1 = out.amplitude(ones)
+
+    def amp(source: BitConfig, target: BitConfig) -> complex:
+        return complex(prop.amplitudes(source, target, t)[0])
+
+    a0 = alpha * amp(zeros, zeros) + beta * amp(start, zeros)
+    a1 = alpha * amp(zeros, ones) + beta * amp(start, ones)
     fidelity = (abs(alpha) * abs(a0) + abs(beta) * abs(a1)) ** 2
     fid0 = abs(a0 / alpha) ** 2 if alpha != 0 else 1.0
     fid1 = abs(a1 / beta) ** 2 if beta != 0 else 1.0
@@ -329,12 +336,8 @@ class PhaseReport:
         return max((abs(d) for d in self.deviation.values()), default=0.0)
 
 
-def _mirror_for_family(family: str, config: BitConfig) -> BitConfig:
-    if family == "cluster":
-        return mirror_map(config)
-    if family == "exchange":
-        return config.reversed_sites()
-    raise ValueError(f"unknown family {family!r}")
+#: family -> (first physical site, the configuration a transfer reaches)
+_FAMILIES = {"cluster": (2, mirror_map), "exchange": (1, BitConfig.reversed_sites)}
 
 
 def phase_separability_probe(prop: Propagator, t: float,
@@ -346,17 +349,14 @@ def phase_separability_probe(prop: Propagator, t: float,
     the exchange chain).  A vanishing deviation means excitations move
     through each other with no conditional phase.
     """
-    n = prop.n_sites
-    if family == "cluster":
-        sites = range(2, n + 1)
-    elif family == "exchange":
-        sites = range(1, n + 1)
-    else:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    sites = list(sites)
+    first, mirror = _FAMILIES[family]
+    n = prop.n_sites
+    sites = list(range(first, n + 1))
 
     def transfer_phase(config: BitConfig):
-        element = prop.amplitudes(config, _mirror_for_family(family, config), t)[0]
+        element = prop.amplitudes(config, mirror(config), t)[0]
         if abs(element) < MODULUS_FLOOR:
             return None
         return float(np.angle(element))

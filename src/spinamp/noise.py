@@ -17,10 +17,9 @@ A Z flip is diagonal in the computational basis, so a trial never leaves
 the block of H that holds its source (see :class:`Propagator`): trials
 evolve as (block_dim, TRIAL_BLOCK) arrays under the block's segment
 unitary, 28 states for the cluster chain and 8 for the exchange chain at
-N = 8, against 256 for the whole space.  A sweep asks every task for its
-block before it draws, so a chain the dense backend cannot hold is
-refused before any work.  The test suite replays single trials one by
-one over the whole 2^N space as an oracle for the batched evolution.
+N = 8, against 256 for the whole space.  A sweep refuses a chain above
+the dense cap before it draws.  The test suite replays single trials one
+by one over the whole 2^N space as an oracle for the batched evolution.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import BitConfig
+from .algebra import BitConfig, require_dense
 from .evolution import Propagator
 
 __all__ = [
@@ -122,8 +121,7 @@ def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
     """All trial fidelities, batched over trials, evolved in the source's block.
 
     ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
-    chain length; it is drawn here when omitted, after the block unitary
-    (and so after a SizeError on the Krylov backend).
+    chain length; it is drawn here when omitted.
     """
     if total_time <= 0.0:
         raise ValueError("total_time must be positive")
@@ -157,10 +155,10 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     n_sites = {task.prop.n_sites for task in tasks}
     if len(n_sites) != 1:
         raise ValueError("all tasks must share one chain length for common streams")
-    # the block each task evolves in; a chain the dense backend cannot
-    # hold raises SizeError here, before any draw
+    n = n_sites.pop()
+    require_dense(n)
     block_dims = [task.prop.block_unitary(task.source, 0.0)[0].size for task in tasks]
-    draws = trial_draws(cfg, n_sites.pop())
+    draws = trial_draws(cfg, n)
     records = []
     for p in p_grid:
         p_cfg = NoiseConfig(p=p, steps=cfg.steps, trials=cfg.trials, seed=cfg.seed)

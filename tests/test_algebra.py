@@ -23,11 +23,12 @@ from oracles import kron_dense
 
 
 def _from_blocks(spec):
-    """The 2^N x 2^N matrix assembled from :func:`sector_blocks`' block matrices."""
-    blocks, _, matrices = sector_blocks(spec)
-    out = np.zeros((spec.dim, spec.dim), dtype=matrices[0].dtype)
-    for rows, mats in zip(blocks, matrices):
-        out[rows[:, :, None], rows[:, None, :]] = mats
+    """The 2^N x 2^N matrix assembled from :func:`sector_blocks`' entries,
+    each of which links two positions of one block."""
+    _, where, (src, dst, values) = sector_blocks(spec)
+    assert np.array_equal(where[1:3, src], where[1:3, dst])
+    out = np.zeros((spec.dim, spec.dim), dtype=values.dtype)
+    out[where[0, dst], where[0, src]] = values
     return out
 
 
@@ -122,8 +123,8 @@ def test_matrix_free_matches_dense(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_realized_specs_are_hermitian(n):
     rng = np.random.default_rng(200 + n)
-    for mats in sector_blocks(_random_spec(n, rng))[2]:
-        assert np.max(np.abs(mats - mats.conj().swapaxes(1, 2))) < 1e-12
+    dense = _from_blocks(_random_spec(n, rng))
+    assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
 
 
 def test_apply_is_linear():
@@ -180,7 +181,7 @@ def test_chain_matrices_are_real(n):
     rng = np.random.default_rng(300 + n)
     prof = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)), tuple(rng.normal(size=n)))
     for spec in (exchange_chain(prof), cluster_chain(prof)):
-        assert all(mats.dtype == np.float64 for mats in sector_blocks(spec)[2])
+        assert sector_blocks(spec)[2][2].dtype == np.float64
         assert np.max(np.abs(_from_blocks(spec) - kron_dense(spec))) < 1e-12
 
 
@@ -205,10 +206,7 @@ def test_expectation_examples():
     assert abs(expectation(h4, vac)) < 1e-12
 
     hx2 = exchange_chain(CouplingProfile.uniform(2))
-    plus = StateVector.superposition([
-        (2 ** -0.5, BitConfig.from_string("01")),
-        (2 ** -0.5, BitConfig.from_string("10")),
-    ])
+    plus = StateVector(2, [0.0, 2 ** -0.5, 2 ** -0.5, 0.0])     # (|10> + |01>) / sqrt 2
     assert abs(expectation(hx2, plus) - 1.0) < 1e-12
 
 
@@ -228,10 +226,7 @@ def test_bit_config_round_trips():
 
 
 def test_state_vector_probabilities():
-    psi = StateVector.superposition([
-        (0.6, BitConfig.from_string("10")),
-        (0.8, BitConfig.from_string("01")),
-    ])
+    psi = StateVector(2, [0.0, 0.6, 0.8, 0.0])      # 0.6 |10> + 0.8 |01>
     assert abs(psi.site_up_probability(1) - 0.36) < 1e-12
     assert abs(psi.site_up_probability(2) - 0.64) < 1e-12
 

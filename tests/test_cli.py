@@ -265,6 +265,16 @@ def test_product_deviation_refuses_a_spike_across_star_blocks():
         cli._product_deviation(Propagator(z), [x], 1.0)
 
 
+def _traced_peak(argv) -> int:
+    """Peak traced allocation of one successful run of ``argv``."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 _NO_FULL_MATRIX = [
     (["star-demo", "--spikes", "2", "--length", "5"], 9),
     (["verify-equivalence", "--n-min", "10", "--n-max", "10"], 10),
@@ -277,14 +287,25 @@ _NO_FULL_MATRIX = [
 def test_peak_memory_stays_below_one_full_matrix(argv, n_sites, capsys):
     # every array is per block or per entry: the traced peak stays below
     # one 2^N x 2^N float64 matrix
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(argv)
     capsys.readouterr()
     assert peak < 8 << (2 * n_sites)
+
+
+_NO_FULL_STATE = [
+    ["amplify", "--n", "18"],
+    ["transfer", "--n", "18", "--source", "01" + "0" * 16, "--target", "0" * 17 + "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _NO_FULL_STATE, ids=[" ".join(argv) for argv in _NO_FULL_STATE])
+def test_peak_memory_stays_below_one_state_vector(argv, capsys):
+    # amplify reads four amplitudes on two small blocks, and a cluster
+    # transfer from single(2) to its mirror stays in a C(18, 2)-state block:
+    # the traced peak stays below one 2^N complex vector
+    peak = _traced_peak(argv)
+    assert json.loads(capsys.readouterr().out)["result"]["fidelity"] > 1.0 - 1e-8
+    assert peak < 16 << 18
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spinamp.algebra import (
     expectation,
     sector_blocks,
 )
+from spinamp import evolution
 from spinamp.chains import CouplingProfile, cluster_chain, conserved_wall_operator, exchange_chain
 from spinamp.evolution import (
     Propagator,
@@ -28,28 +30,44 @@ from spinamp.maps import gamma_forward, gamma_inverse_indices, mirror_map
 from oracles import kron_dense, kron_unitary
 
 
-def _cluster_prop(n, profile="engineered", **kw):
-    prof = getattr(CouplingProfile, profile)(n)
-    return Propagator(cluster_chain(prof), **kw)
+def _cluster_prop(n, profile="engineered"):
+    return Propagator(cluster_chain(getattr(CouplingProfile, profile)(n)))
 
 
-def _exchange_prop(n, profile="engineered", **kw):
-    prof = getattr(CouplingProfile, profile)(n)
-    return Propagator(exchange_chain(prof), **kw)
+def _exchange_prop(n, profile="engineered"):
+    return Propagator(exchange_chain(getattr(CouplingProfile, profile)(n)))
+
+
+def _evolve(prop, psi, t):
+    """U(t) psi, block by block from :meth:`Propagator.block_unitaries`."""
+    out = np.empty_like(psi.amplitudes)
+    for indices, u in prop.block_unitaries(t):
+        out[indices] = (u @ psi.amplitudes[indices][:, :, None])[:, :, 0]
+    return StateVector(psi.n_sites, out)
+
+
+@contextmanager
+def _backend(method):
+    """Amplitudes as usual for "dense"; for "krylov", Lanczos on every block
+    a propagator first meets inside the context."""
+    with pytest.MonkeyPatch.context() as patch:
+        if method == "krylov":
+            patch.setattr(evolution, "EIGH_CAP", 0)
+        yield
 
 
 def test_zero_time_is_identity():
     rng = np.random.default_rng(0)
     prop = _cluster_prop(5)
     psi = StateVector.random(5, rng)
-    assert np.linalg.norm(prop.evolve(psi, 0.0).amplitudes - psi.amplitudes) < 1e-12
+    assert np.linalg.norm(_evolve(prop, psi, 0.0).amplitudes - psi.amplitudes) < 1e-12
 
 
 def test_all_zeros_is_stationary():
     prop = _cluster_prop(4)
     vac = StateVector.basis_state(BitConfig.zeros(4))
     for t in (0.1, 1.0, math.pi / 2, 17.3):
-        out = prop.evolve(vac, t)
+        out = _evolve(prop, vac, t)
         assert np.linalg.norm(out.amplitudes - vac.amplitudes) < 1e-12
 
 
@@ -57,19 +75,26 @@ def test_unitarity_and_inverse():
     rng = np.random.default_rng(1)
     for prop in (_cluster_prop(6), _exchange_prop(6)):
         psi = StateVector.random(6, rng)
-        out = prop.evolve(psi, 1.7)
+        out = _evolve(prop, psi, 1.7)
         assert abs(out.norm - 1.0) < 1e-10
-        back = prop.evolve(out, -1.7)
+        back = _evolve(prop, out, -1.7)
         assert np.linalg.norm(back.amplitudes - psi.amplitudes) < 1e-10
+        for (_, u), (_, u_back) in zip(prop.block_unitaries(1.7), prop.block_unitaries(-1.7)):
+            eye = np.eye(u.shape[1])
+            assert np.max(np.abs(u @ u.conj().swapaxes(1, 2) - eye)) < 1e-10
+            assert np.max(np.abs(u_back @ u - eye)) < 1e-10
 
 
 def test_composition():
     rng = np.random.default_rng(2)
     prop = _cluster_prop(6)
     psi = StateVector.random(6, rng)
-    two_step = prop.evolve(prop.evolve(psi, 0.6), 1.1)
-    one_step = prop.evolve(psi, 1.7)
+    two_step = _evolve(prop, _evolve(prop, psi, 0.6), 1.1)
+    one_step = _evolve(prop, psi, 1.7)
     assert np.linalg.norm(two_step.amplitudes - one_step.amplitudes) < 1e-9
+    source = BitConfig.from_string("011010")
+    u = {t: prop.block_unitary(source, t)[1] for t in (0.6, 1.1, 1.7)}
+    assert np.max(np.abs(u[1.1] @ u[0.6] - u[1.7])) < 1e-9
 
 
 def test_energy_and_wall_conservation():
@@ -80,7 +105,7 @@ def test_energy_and_wall_conservation():
     e0 = expectation(prop.spec, psi)
     w0 = expectation(walls, psi)
     for t in np.linspace(0.5, 10.0, 8):
-        out = prop.evolve(psi, float(t))
+        out = _evolve(prop, psi, float(t))
         assert abs(expectation(prop.spec, out) - e0) < 1e-9
         assert abs(expectation(walls, out) - w0) < 1e-10
 
@@ -144,25 +169,32 @@ def test_uniform_six_site_transfer_stays_imperfect():
 @pytest.mark.parametrize("method", ["dense", "krylov"])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_evolve_rejects_non_finite_time(method, t):
-    prop = _cluster_prop(4, method=method)
+    prop = _cluster_prop(4)
+    source = BitConfig.single(4, 1)
+    with _backend(method):
+        with pytest.raises(ValueError):
+            prop.amplitudes(source, source, [0.5, t])
     with pytest.raises(ValueError):
-        prop.evolve(StateVector.basis_state(BitConfig.single(4, 1)), t)
+        prop.block_unitary(source, t)
+    with pytest.raises(ValueError):
+        next(prop.block_unitaries(t))
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])
 def test_scan_grid_matches_transfer_fidelity(method):
-    prop = Propagator(exchange_chain(CouplingProfile.uniform(5)), method=method)
+    prop = Propagator(exchange_chain(CouplingProfile.uniform(5)))
     source, target = BitConfig.single(5, 1), BitConfig.single(5, 5)
     # at t_max=3.0 the best grid point is the last one, where the
     # golden-section midpoint once fell 2.2e-9 below the grid maximum
-    for t_max, points in ((5.0, 21), (3.0, 13)):
-        t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
-                                                     t_max=t_max, grid_step=0.25)
-        assert len(ts) == len(fids) == points
-        assert np.allclose(ts, 0.25 * np.arange(points), rtol=0.0, atol=1e-12)
-        for t, fid in zip(ts, fids):
-            assert abs(fid - transfer_fidelity(prop, source, target, t)) < 1e-12
-        assert f_star >= fids.max() - 1e-12
+    with _backend(method):
+        for t_max, points in ((5.0, 21), (3.0, 13)):
+            t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
+                                                         t_max=t_max, grid_step=0.25)
+            assert len(ts) == len(fids) == points
+            assert np.allclose(ts, 0.25 * np.arange(points), rtol=0.0, atol=1e-12)
+            for t, fid in zip(ts, fids):
+                assert abs(fid - transfer_fidelity(prop, source, target, t)) < 1e-12
+            assert f_star >= fids.max() - 1e-12
 
 
 def test_scan_argument_validation():
@@ -196,10 +228,11 @@ def test_amplification_engineered_vs_uniform():
 def test_mirror_theorem_exhaustive():
     for n in range(2, 8):
         mirror = {b: mirror_map(BitConfig.from_index(n, b)).index for b in range(1 << n)}
-        for indices, u in _cluster_prop(n).block_unitaries(pst_time(n)):
-            position = {int(x): k for k, x in enumerate(indices)}
-            for k, b in enumerate(indices.tolist()):
-                assert abs(u[position[mirror[b]], k]) > 1.0 - 1e-8
+        for rows, us in _cluster_prop(n).block_unitaries(pst_time(n)):
+            for indices, u in zip(rows, us):
+                position = {int(x): k for k, x in enumerate(indices)}
+                for k, b in enumerate(indices.tolist()):
+                    assert abs(u[position[mirror[b]], k]) > 1.0 - 1e-8
 
 
 def test_phase_probe_cluster_has_no_conditional_phase():
@@ -223,8 +256,9 @@ def test_phase_probe_exchange_shows_crossing_phase():
 def test_phase_probe_krylov_matches_dense(family):
     chain = cluster_chain if family == "cluster" else exchange_chain
     spec = chain(CouplingProfile.engineered(6))
-    dense = phase_separability_probe(Propagator(spec, "dense"), pst_time(6), family)
-    krylov = phase_separability_probe(Propagator(spec, "krylov"), pst_time(6), family)
+    dense = phase_separability_probe(Propagator(spec), pst_time(6), family)
+    with _backend("krylov"):
+        krylov = phase_separability_probe(Propagator(spec), pst_time(6), family)
     assert krylov.excluded == dense.excluded
     for field in ("phi1", "phi2", "deviation"):
         a, b = getattr(dense, field), getattr(krylov, field)
@@ -239,15 +273,17 @@ def test_phase_probe_two_sites_trivial():
 
 
 def test_krylov_matches_dense():
-    rng = np.random.default_rng(4)
+    # Lanczos starts from a basis state: every one, to itself and its mirror
     spec = cluster_chain(CouplingProfile.engineered(7))
-    dense = Propagator(spec, "dense")
-    krylov = Propagator(spec, "krylov")
-    psi = StateVector.random(7, rng)
-    for t in (0.4, math.pi / 2, 3.9, -1.3):
-        gap = np.linalg.norm(dense.evolve(psi, t).amplitudes
-                             - krylov.evolve(psi, t).amplitudes)
-        assert gap < 1e-8
+    dense = Propagator(spec)
+    with _backend("krylov"):
+        krylov = Propagator(spec)
+        ts = (0.4, math.pi / 2, 3.9, -1.3)
+        for b in range(1 << 7):
+            source = BitConfig.from_index(7, b)
+            for target in (source, mirror_map(source)):
+                gap = dense.amplitudes(source, target, ts) - krylov.amplitudes(source, target, ts)
+                assert np.max(np.abs(gap)) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,24 +298,26 @@ def test_amplitudes_krylov_matches_dense(case):
     n = len(fields)
     spec = chain(CouplingProfile(n, tuple(couplings), tuple(fields)))
     source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
-    dense = Propagator(spec, "dense").amplitudes(source, target, ts)
-    krylov = Propagator(spec, "krylov").amplitudes(source, target, ts)
+    dense = Propagator(spec).amplitudes(source, target, ts)
+    with _backend("krylov"):
+        krylov = Propagator(spec).amplitudes(source, target, ts)
     assert dense.shape == krylov.shape == (len(ts),)
     assert np.max(np.abs(dense - krylov)) < 1e-9
 
 
 def test_krylov_handles_long_chain():
     spec = cluster_chain(CouplingProfile.engineered(14))
-    prop = Propagator(spec)
-    assert prop.method == "krylov"
-    out = prop.evolve(StateVector.basis_state(BitConfig.single(14, 1)), pst_time(14))
-    assert abs(abs(out.amplitude(BitConfig(14, (1,) * 14))) - 1.0) < 1e-8
+    source, ones = BitConfig.single(14, 1), BitConfig(14, (1,) * 14)
+    for method in ("dense", "krylov"):
+        with _backend(method):
+            amp = Propagator(spec).amplitudes(source, ones, pst_time(14))[0]
+        assert abs(abs(amp) - 1.0) < 1e-8
 
 
 def test_dense_refused_above_cap():
     spec = cluster_chain(CouplingProfile.engineered(13))
     with pytest.raises(SizeError):
-        Propagator(spec, "dense")
+        sector_blocks(spec)
     with pytest.raises(SizeError):
         next(Propagator(spec).block_unitaries(1.0))
 
@@ -295,8 +333,9 @@ def test_krylov_matches_dense_at_long_times():
     cases = ((cluster_chain(profile), walls, mirror_map(walls)),
              (exchange_chain(profile), excitations, excitations.reversed_sites()))
     for spec, source, target in cases:
-        dense = Propagator(spec, "dense").amplitudes(source, target, t)
-        krylov = Propagator(spec, "krylov").amplitudes(source, target, t)
+        dense = Propagator(spec).amplitudes(source, target, t)
+        with _backend("krylov"):
+            krylov = Propagator(spec).amplitudes(source, target, t)
         assert abs(dense[0]) > 1e-3
         assert abs(dense[0] - krylov[0]) < 1e-9
 
@@ -337,21 +376,25 @@ def test_block_backend_matches_full_space(spec, data):
     ts = data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3))
     psi = StateVector.random(n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32))))
     source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
-    prop = Propagator(spec, "dense")
+    prop = Propagator(spec)
     amps = prop.amplitudes(source, target, ts)
     for t, amp in zip(ts, amps):
         u = kron_unitary(spec, t)
         # the blocks tile U: each matches the oracle, which is 0 between them
         between = u.copy()
-        for indices, block_u in prop.block_unitaries(t):
-            assert np.max(np.abs(block_u - u[np.ix_(indices, indices)])) < 1e-12
-            between[np.ix_(indices, indices)] = 0.0
+        for rows, block_us in prop.block_unitaries(t):
+            for indices, block_u in zip(rows, block_us):
+                assert np.max(np.abs(block_u - u[np.ix_(indices, indices)])) < 1e-12
+                between[np.ix_(indices, indices)] = 0.0
         assert np.max(np.abs(between)) < 1e-12
-        assert np.max(np.abs(prop.evolve(psi, t).amplitudes - u @ psi.amplitudes)) < 1e-12
+        assert np.max(np.abs(_evolve(prop, psi, t).amplitudes - u @ psi.amplitudes)) < 1e-12
         assert abs(amp - u[j, i]) < 1e-12
         indices, block_u = prop.block_unitary(source, t)
         assert i in indices
         assert np.max(np.abs(block_u - u[np.ix_(indices, indices)])) < 1e-12
+    # Lanczos on the same blocks, complex and diagonal-only ones included
+    with _backend("krylov"):
+        assert np.max(np.abs(Propagator(spec).amplitudes(source, target, ts) - amps)) < 1e-9
 
 
 def _sector_labels(family, n):
@@ -365,7 +408,7 @@ def _sector_labels(family, n):
 def test_amplitudes_between_blocks_are_exactly_zero(family):
     n = 5
     chain = cluster_chain if family == "cluster" else exchange_chain
-    prop = Propagator(chain(CouplingProfile.uniform(n)), "dense")
+    prop = Propagator(chain(CouplingProfile.uniform(n)))
     labels = _sector_labels(family, n)
     pairs = [(i, j) for i in range(1 << n) for j in range(1 << n) if labels[i] != labels[j]]
     assert pairs
@@ -392,3 +435,51 @@ def test_blocks_are_the_conserved_sectors(n):
     g = gamma_inverse_indices(n)
     assert ({frozenset(g[row].tolist()) for row in blocks["cluster"]}
             == {frozenset(row.tolist()) for row in blocks["exchange"]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_specs(), st.data())
+def test_search_from_one_seed_finds_its_whole_space_block(spec, data):
+    n = spec.n_sites
+    seed = data.draw(st.integers(0, 2 ** n - 1))
+    blocks, where, (src, dst, values) = sector_blocks(spec)
+    found, found_where, (found_src, found_dst, found_values) = sector_blocks(spec, [seed])
+    c, r = where[1:3, seed]
+    assert [b.shape[0] for b in found] == [1]
+    assert np.array_equal(found[0][0], blocks[c][r])
+    assert np.array_equal(found_where[0], blocks[c][r])
+
+    def entries(states, s, d, v, keep):
+        # the entries as (dst, src, value) basis-index triples, sorted
+        order = np.lexsort((states[s][keep], states[d][keep]))
+        return states[d][keep][order], states[s][keep][order], v[keep][order]
+
+    mine = (where[1, src] == c) & (where[2, src] == r)
+    expected = entries(where[0], src, dst, values, mine)
+    got = entries(found_where[0], found_src, found_dst, found_values, slice(None))
+    for a, b in zip(expected, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_large_block_is_answered_by_lanczos(monkeypatch):
+    # five excitations on 13 sites: a C(13, 5) = 1287-state block, above EIGH_CAP
+    spec = exchange_chain(CouplingProfile.engineered(13))
+    source = BitConfig.from_string("1101010010000")
+    target = source.reversed_sites()
+    steps = []
+    lanczos_step = evolution._lanczos_step
+    monkeypatch.setattr(evolution, "_lanczos_step",
+                        lambda *args: steps.append(args) or lanczos_step(*args))
+    ts = [0.3, pst_time(13), 2.9]
+    amps = Propagator(spec).amplitudes(source, target, ts)
+    assert steps
+    (rows,), where, (src, dst, values) = sector_blocks(spec, [source.index])
+    (block,) = rows
+    assert block.size == 1287 > evolution.EIGH_CAP
+    h = np.zeros((block.size, block.size))
+    h[where[3, dst], where[3, src]] = values
+    vals, vecs = np.linalg.eigh(h)
+    i, j = np.searchsorted(block, [source.index, target.index])
+    expected = np.exp(-1j * np.multiply.outer(ts, vals)) @ (vecs[j] * vecs[i])
+    assert abs(expected[1]) > 0.99      # the mirror transfer at pi/2
+    assert np.max(np.abs(amps - expected)) < 1e-9
