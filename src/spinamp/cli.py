@@ -25,7 +25,6 @@ from .algebra import (
     max_commutator,
     max_permuted_deviation,
     require_dense,
-    sector_blocks,
 )
 from .automaton import ca_vs_hamiltonian_report
 from .chains import (
@@ -141,8 +140,13 @@ def cmd_verify_equivalence(args) -> int:
             if dense_dev >= args.tol:
                 failures.append(f"N={n}: dense deviation {dense_dev:.3e} >= {args.tol}")
         lines.append(f"N={n}: max dense deviation {format_number(worst)}")
-    _emit("".join(line + "\n" for line in lines + failures), args.out)
-    return EXIT_NUMERIC if failures else EXIT_OK
+    report = "\n".join(lines) + "\n"
+    if failures:
+        report += "\n".join(failures) + "\n"
+        _emit(report, args.out)
+        return EXIT_NUMERIC
+    _emit(report, args.out)
+    return EXIT_OK
 
 
 def cmd_amplify(args) -> int:
@@ -225,7 +229,9 @@ def cmd_ca_compare(args) -> int:
         ("input", "continuous_output", "continuous_prob",
          "mirror_output", "agree", "ca_hit_step"),
         table, header_lines(config, __version__)), args.out)
-    return EXIT_OK if all(r.agree for r in rows) else EXIT_NUMERIC
+    if not all(r.agree for r in rows):
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def cmd_noise_sweep(args) -> int:
@@ -262,23 +268,23 @@ def _product_deviation(star_prop: Propagator, spikes, t: float) -> float:
     at a time: spikes flip disjoint sites, so every spike block lies inside
     one star block.  A class's product is built after its unitary, from the
     spikes' block unitaries, about 2^16 product entries per batch."""
-    where = sector_blocks(star_prop.spec)[1]      # where[:, b]: b, class, row, position
-    spike_blocks = []
-    for spike in spikes:
-        for indices, u in Propagator(spike).block_unitaries(t):
-            _, c, r, p = where[:, indices]
-            if (c != c[:, :1]).any() or (r != r[:, :1]).any():
-                raise SpinChainError("a spike block spans two star blocks")
-            spike_blocks.append((c[:, 0], r[:, :1], p, u))
+    spike_blocks = [b for spike in spikes for b in Propagator(spike).block_unitaries(t)]
+    row, pos = np.full((2, star_prop.spec.dim), -1)     # star block in the class, position
     deviation = 0.0
-    for cls, (_, u) in enumerate(star_prop.block_unitaries(t)):
+    for indices, u in star_prop.block_unitaries(t):
+        row[indices] = np.arange(indices.shape[0])[:, None]
+        pos[indices] = np.arange(indices.shape[1])
         product = np.broadcast_to(np.eye(u.shape[1], dtype=complex), u.shape).copy()
-        for c, r, p, v in spike_blocks:
-            mine = np.flatnonzero(c == cls)
+        for spike_indices, v in spike_blocks:
+            r, p = row[spike_indices], pos[spike_indices]
+            mine = np.flatnonzero((r >= 0).any(axis=1))
+            if (r[mine] != r[mine, :1]).any():
+                raise SpinChainError("a spike block spans two star blocks")
             step = max(1, (1 << 16) // (p.shape[1] * u.shape[1]))
             for lo in range(0, mine.size, step):
                 k = mine[lo:lo + step]
-                product[r[k], p[k]] = v[k] @ product[r[k], p[k]]
+                product[r[k, :1], p[k]] = v[k] @ product[r[k, :1], p[k]]
+        row[indices] = -1
         u -= product
         deviation = max(deviation, float(np.max(np.abs(u))))
         del u, product              # free each class before the next is evolved

@@ -75,10 +75,11 @@ class Propagator:
     from its basis states, so its cost follows their size, not 2^N.  An
     amplitude between two blocks is exactly 0.  :meth:`amplitudes` sums
     over the eigenpairs of a block of at most ``EIGH_CAP`` states, or of
-    any block already diagonalized, and runs Lanczos on a larger one.  The
-    unitary queries diagonalize any block, blocks of one size in one
-    batched ``eigh``.  The caches fill lazily: not safe to share between
-    threads.
+    any block a unitary query has diagonalized, and runs Lanczos on a
+    larger one: there the route, and the last digits, depend on the
+    queries before.  The unitary queries diagonalize any block of at most
+    2^DENSE_CAP states, blocks of one size in one batched ``eigh``.  The
+    caches fill lazily: not safe to share between threads.
     """
 
     def __init__(self, spec: HamiltonianSpec):
@@ -120,7 +121,8 @@ class Propagator:
 
     def block_unitary(self, config: BitConfig, t: float) -> tuple:
         """(indices, u): the basis indices of the block holding ``config``,
-        ascending, and e^{-iHt} on the block in that order."""
+        ascending, and e^{-iHt} on the block in that order.  Raises
+        SizeError for a block of more than 2^DENSE_CAP states."""
         _times(t)
         found, c, r, _ = self._locate(config.index)
         vals, vecs = self._eigen(found, c)
@@ -158,6 +160,9 @@ class Propagator:
         one batched ``eigh`` on first use."""
         blocks, where, (src, dst, values), eigen = found
         if c not in eigen:
+            if blocks[c].shape[1] > 1 << DENSE_CAP:
+                raise SizeError(f"a block of {blocks[c].shape[1]} states exceeds "
+                                f"the {1 << DENSE_CAP} of the dense cap")
             mine = where[1, src] == c
             col, row = src[mine], dst[mine]
             mats = np.zeros(blocks[c].shape + blocks[c].shape[1:], dtype=values.dtype)
@@ -222,6 +227,12 @@ def _lanczos_step(matvec: Callable, v: np.ndarray, dt: float) -> tuple:
     # residual-style estimate: weight leaking out of the Krylov space
     err = 0.0 if k < m else float(np.linalg.norm(w) * abs(small[-1]))
     return result, err
+
+
+def _wrap(angle: float) -> float:
+    """``angle`` wrapped to (-pi, pi]; ``math.remainder`` may return -pi."""
+    wrapped = math.remainder(angle, 2.0 * math.pi)
+    return wrapped + 2.0 * math.pi if wrapped <= -math.pi else wrapped
 
 
 def pst_time(n_sites: int) -> float:
@@ -314,9 +325,7 @@ def amplification_check(prop: Propagator, alpha: complex, beta: complex,
     fid0 = abs(a0 / alpha) ** 2 if alpha != 0 else 1.0
     fid1 = abs(a1 / beta) ** 2 if beta != 0 else 1.0
     if alpha != 0 and beta != 0 and a0 != 0 and a1 != 0:
-        phase = math.remainder(
-            np.angle(a1 / beta) - np.angle(a0 / alpha), 2.0 * math.pi
-        )
+        phase = _wrap(np.angle(a1 / beta) - np.angle(a0 / alpha))
     else:
         phase = 0.0
     return AmplificationResult(float(fidelity), float(fid0), float(fid1), float(phase))
@@ -381,7 +390,5 @@ def phase_separability_probe(prop: Propagator, t: float,
                 excluded.append(pair)
                 continue
             phi2[pair] = ph
-            deviation[pair] = math.remainder(
-                ph - phi1[s1] - phi1[s2], 2.0 * math.pi
-            )
+            deviation[pair] = _wrap(ph - phi1[s1] - phi1[s2])
     return PhaseReport(family, phi1, phi2, deviation, tuple(excluded))

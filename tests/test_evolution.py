@@ -48,12 +48,22 @@ def _evolve(prop, psi, t):
 
 @contextmanager
 def _backend(method):
-    """Amplitudes as usual for "dense"; for "krylov", Lanczos on every block
-    a propagator first meets inside the context."""
+    """Yield the list of Lanczos steps taken inside.  "krylov" runs Lanczos
+    on every block that no unitary query has diagonalized; "dense" fails on
+    any Lanczos step, so its amplitudes come from each block's eigh."""
+    steps = []
+    lanczos_step = evolution._lanczos_step
+
+    def step(*args):
+        assert method == "krylov", "a Lanczos step on the eigh route"
+        steps.append(args)
+        return lanczos_step(*args)
+
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_lanczos_step", step)
         if method == "krylov":
             patch.setattr(evolution, "EIGH_CAP", 0)
-        yield
+        yield steps
 
 
 def test_zero_time_is_identity():
@@ -171,9 +181,8 @@ def test_uniform_six_site_transfer_stays_imperfect():
 def test_evolve_rejects_non_finite_time(method, t):
     prop = _cluster_prop(4)
     source = BitConfig.single(4, 1)
-    with _backend(method):
-        with pytest.raises(ValueError):
-            prop.amplitudes(source, source, [0.5, t])
+    with pytest.raises(ValueError), _backend(method):
+        prop.amplitudes(source, source, [0.5, t])
     with pytest.raises(ValueError):
         prop.block_unitary(source, t)
     with pytest.raises(ValueError):
@@ -209,6 +218,12 @@ def test_amplification_trivial_branches():
     assert amplification_check(prop, 1.0, 0.0, 3.7).fidelity > 1.0 - 1e-12
     with pytest.raises(ValueError):
         amplification_check(prop, 1.0, 1.0, 0.5)
+
+
+def test_amplification_phase_stays_in_range():
+    # a1 / beta lies on the negative real axis with a -0.0 imaginary part,
+    # where math.remainder alone returns -pi, outside (-pi, pi]
+    assert amplification_check(_cluster_prop(3), 0.3, 0.9539392014169457, 1.1).phase == math.pi
 
 
 def test_amplification_engineered_vs_uniform():
@@ -256,7 +271,8 @@ def test_phase_probe_exchange_shows_crossing_phase():
 def test_phase_probe_krylov_matches_dense(family):
     chain = cluster_chain if family == "cluster" else exchange_chain
     spec = chain(CouplingProfile.engineered(6))
-    dense = phase_separability_probe(Propagator(spec), pst_time(6), family)
+    with _backend("dense"):
+        dense = phase_separability_probe(Propagator(spec), pst_time(6), family)
     with _backend("krylov"):
         krylov = phase_separability_probe(Propagator(spec), pst_time(6), family)
     assert krylov.excluded == dense.excluded
@@ -275,15 +291,17 @@ def test_phase_probe_two_sites_trivial():
 def test_krylov_matches_dense():
     # Lanczos starts from a basis state: every one, to itself and its mirror
     spec = cluster_chain(CouplingProfile.engineered(7))
-    dense = Propagator(spec)
-    with _backend("krylov"):
+    ts = (0.4, math.pi / 2, 3.9, -1.3)
+    sources = [BitConfig.from_index(7, b) for b in range(1 << 7)]
+    pairs = [(source, target) for source in sources for target in (source, mirror_map(source))]
+    with _backend("dense"):
+        dense = Propagator(spec)
+        expected = [dense.amplitudes(source, target, ts) for source, target in pairs]
+    with _backend("krylov") as steps:
         krylov = Propagator(spec)
-        ts = (0.4, math.pi / 2, 3.9, -1.3)
-        for b in range(1 << 7):
-            source = BitConfig.from_index(7, b)
-            for target in (source, mirror_map(source)):
-                gap = dense.amplitudes(source, target, ts) - krylov.amplitudes(source, target, ts)
-                assert np.max(np.abs(gap)) < 1e-8
+        for (source, target), amps in zip(pairs, expected):
+            assert np.max(np.abs(krylov.amplitudes(source, target, ts) - amps)) < 1e-8
+    assert steps
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,7 +316,8 @@ def test_amplitudes_krylov_matches_dense(case):
     n = len(fields)
     spec = chain(CouplingProfile(n, tuple(couplings), tuple(fields)))
     source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
-    dense = Propagator(spec).amplitudes(source, target, ts)
+    with _backend("dense"):
+        dense = Propagator(spec).amplitudes(source, target, ts)
     with _backend("krylov"):
         krylov = Propagator(spec).amplitudes(source, target, ts)
     assert dense.shape == krylov.shape == (len(ts),)
@@ -333,9 +352,11 @@ def test_krylov_matches_dense_at_long_times():
     cases = ((cluster_chain(profile), walls, mirror_map(walls)),
              (exchange_chain(profile), excitations, excitations.reversed_sites()))
     for spec, source, target in cases:
-        dense = Propagator(spec).amplitudes(source, target, t)
-        with _backend("krylov"):
+        with _backend("dense"):
+            dense = Propagator(spec).amplitudes(source, target, t)
+        with _backend("krylov") as steps:
             krylov = Propagator(spec).amplitudes(source, target, t)
+        assert steps
         assert abs(dense[0]) > 1e-3
         assert abs(dense[0] - krylov[0]) < 1e-9
 
@@ -377,7 +398,8 @@ def test_block_backend_matches_full_space(spec, data):
     psi = StateVector.random(n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32))))
     source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
     prop = Propagator(spec)
-    amps = prop.amplitudes(source, target, ts)
+    with _backend("dense"):
+        amps = prop.amplitudes(source, target, ts)
     for t, amp in zip(ts, amps):
         u = kron_unitary(spec, t)
         # the blocks tile U: each matches the oracle, which is 0 between them
@@ -483,3 +505,39 @@ def test_large_block_is_answered_by_lanczos(monkeypatch):
     expected = np.exp(-1j * np.multiply.outer(ts, vals)) @ (vecs[j] * vecs[i])
     assert abs(expected[1]) > 0.99      # the mirror transfer at pi/2
     assert np.max(np.abs(amps - expected)) < 1e-9
+
+
+def test_diagonalized_block_answers_by_its_eigenpairs():
+    # the route depends on the queries before: a block above EIGH_CAP runs
+    # Lanczos until a unitary query diagonalizes it, then its eigenpairs
+    # answer (star-demo's fidelity on a 2048-state star block does this)
+    spec = exchange_chain(CouplingProfile.uniform(8))
+    source = BitConfig.from_string("11010000")
+    target = source.reversed_sites()
+    ts = [0.7, 2.9]
+    with _backend("dense"):
+        expected = Propagator(spec).amplitudes(source, target, ts)
+    with _backend("krylov") as steps:
+        prop = Propagator(spec)
+        lanczos = prop.amplitudes(source, target, ts)
+        assert steps
+        indices, u = prop.block_unitary(source, ts[1])
+        steps.clear()
+        eigh = prop.amplitudes(source, target, ts)
+        assert not steps
+    assert np.max(np.abs(lanczos - expected)) < 1e-9
+    assert np.max(np.abs(eigh - expected)) < 1e-14
+    i, j = np.searchsorted(indices, [source.index, target.index])
+    assert abs(u[j, i] - eigh[1]) < 1e-12
+
+
+def test_unitary_refused_on_a_block_above_the_dense_cap():
+    # seven excitations on 15 sites: C(15, 7) = 6435 states > 2^DENSE_CAP
+    spec = exchange_chain(CouplingProfile.engineered(15))
+    source = BitConfig.from_string("110101010010100")
+    prop = Propagator(spec)
+    with pytest.raises(SizeError):
+        prop.block_unitary(source, 1.0)
+    # Lanczos still answers its amplitudes: the mirror transfer at pi/2
+    amp = prop.amplitudes(source, source.reversed_sites(), pst_time(15))[0]
+    assert abs(abs(amp) - 1.0) < 1e-8
