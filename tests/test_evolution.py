@@ -220,10 +220,14 @@ def test_amplification_trivial_branches():
         amplification_check(prop, 1.0, 1.0, 0.5)
 
 
-def test_amplification_phase_stays_in_range():
-    # a1 / beta lies on the negative real axis with a -0.0 imaginary part,
-    # where math.remainder alone returns -pi, outside (-pi, pi]
-    assert amplification_check(_cluster_prop(3), 0.3, 0.9539392014169457, 1.1).phase == math.pi
+@pytest.mark.parametrize("alpha, beta, t", [
+    (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), math.pi / 2),
+    (0.3, 0.9539392014169457, 1.1),
+])
+def test_amplification_phase_stays_in_range(alpha, beta, t):
+    # the two amplitudes' ratio lies on the negative real axis, where
+    # math.remainder alone may return -pi, outside (-pi, pi]
+    assert amplification_check(_cluster_prop(3), alpha, beta, t).phase == math.pi
 
 
 def test_amplification_engineered_vs_uniform():
