@@ -4,9 +4,9 @@ Evolution is Schrodinger, U(t) = exp(-i H t) with hbar = 1.  Both chains
 conserve a sector (wall count, excitation number), so a basis state never
 leaves its connected block of H.  :class:`Propagator` works on the blocks
 a query touches, at every chain length: a spectral sum over a block's
-eigenpairs or, above ``EIGH_CAP`` states, adaptive Lanczos steps on the
-block's entries.  The tests check both routes against a full-space
-eigendecomposition of the Kronecker-product matrix and each other.
+eigenpairs or, above ``EIGH_CAP`` states (``SEARCH_EIGH_CAP`` above the
+dense cap), adaptive Lanczos steps on the block's entries.  The tests check
+both routes against a full-space eigendecomposition and each other.
 
 With the engineered couplings J_n = sqrt(n*(N-n)) and the chain
 normalizations used here, perfect transfer happens at t = pi/2.
@@ -54,6 +54,10 @@ MODULUS_FLOOR = 0.5     # phase-probe elements below this carry no usable phase
 #: On one AMD EPYC core, eigh takes 44 ms at 924 states and 109 ms at 1287,
 #: where a Lanczos transfer to t = pi/2 takes 20 ms; a scan reuses the eigh.
 EIGH_CAP = 924
+#: The cap above the dense cap: there an eigh's O(s^2) memory (13.6 MB more
+#: peak RSS for a 715-state N = 13 transfer) would make a command's peak
+#: follow its input's sector, where Lanczos needs O(s).
+SEARCH_EIGH_CAP = 256
 
 
 class ConvergenceError(SpinChainError):
@@ -74,12 +78,13 @@ class Propagator:
     (:func:`~spinamp.algebra.sector_blocks`); above the dense cap it searches
     from its basis states, so its cost follows their size, not 2^N.  An
     amplitude between two blocks is exactly 0.  :meth:`amplitudes` sums
-    over the eigenpairs of a block of at most ``EIGH_CAP`` states, or of
-    any block a unitary query has diagonalized, and runs Lanczos on a
-    larger one: there the route, and the last digits, depend on the
-    queries before.  The unitary queries diagonalize any block of at most
-    2^DENSE_CAP states, blocks of one size in one batched ``eigh``.  The
-    caches fill lazily: not safe to share between threads.
+    over the eigenpairs of a block of at most ``EIGH_CAP`` states (above
+    the dense cap, ``SEARCH_EIGH_CAP``), or of any block a unitary query
+    has diagonalized, and runs Lanczos on a larger one: there the route,
+    and the last digits, depend on the queries before.  The unitary
+    queries diagonalize any block of at most 2^DENSE_CAP states, blocks of
+    one size in one batched ``eigh``.  The caches fill lazily: not safe to
+    share between threads.
     """
 
     def __init__(self, spec: HamiltonianSpec):
@@ -102,7 +107,8 @@ class Propagator:
         j = int(np.searchsorted(block, target.index))
         if j == block.size or block[j] != target.index:
             return np.zeros(ts.shape, dtype=complex)
-        if c in found[3] or block.size <= EIGH_CAP:
+        cap = EIGH_CAP if self.n_sites <= DENSE_CAP else min(EIGH_CAP, SEARCH_EIGH_CAP)
+        if c in found[3] or block.size <= cap:
             vals, vecs = self._eigen(found, c)
             weights = vecs[r, j] * vecs[r, i].conj()
             return np.exp(-1j * np.multiply.outer(ts, vals[r])) @ weights

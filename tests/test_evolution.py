@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -509,6 +510,36 @@ def test_large_block_is_answered_by_lanczos(monkeypatch):
     expected = np.exp(-1j * np.multiply.outer(ts, vals)) @ (vecs[j] * vecs[i])
     assert abs(expected[1]) > 0.99      # the mirror transfer at pi/2
     assert np.max(np.abs(amps - expected)) < 1e-9
+
+
+def test_searched_block_above_its_cap_runs_lanczos_in_linear_memory(monkeypatch):
+    # four walls on 13 sites: a C(13, 4) = 715-state block, within EIGH_CAP
+    # but above SEARCH_EIGH_CAP, so no dense block is built for a transfer
+    spec = cluster_chain(CouplingProfile.engineered(13))
+    source = BitConfig.from_string("0001101111100")
+    target = mirror_map(source)
+    steps = []
+    lanczos_step = evolution._lanczos_step
+    monkeypatch.setattr(evolution, "_lanczos_step",
+                        lambda *args: steps.append(args) or lanczos_step(*args))
+    tracemalloc.start()
+    try:
+        amp = Propagator(spec).amplitudes(source, target, pst_time(13))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps
+    (rows,), where, (src, dst, values) = sector_blocks(spec, [source.index])
+    (block,) = rows
+    assert evolution.SEARCH_EIGH_CAP < block.size == 715 <= evolution.EIGH_CAP
+    assert peak < 8 * block.size ** 2
+    h = np.zeros((block.size, block.size))
+    h[where[3, dst], where[3, src]] = values
+    vals, vecs = np.linalg.eigh(h)
+    i, j = np.searchsorted(block, [source.index, target.index])
+    expected = np.exp(-1j * vals * pst_time(13)) @ (vecs[j] * vecs[i])
+    assert abs(expected) > 0.99
+    assert abs(amp - expected) < 1e-9
 
 
 def test_diagonalized_block_answers_by_its_eigenpairs():
