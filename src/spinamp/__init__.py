@@ -2,9 +2,8 @@
 
 Subpackages:
 
-* ``algebra``    -- Pauli-string Hamiltonians, states, and one compiled
-  operator kernel behind the matrix-free action, H's blocks and the
-  entry-wise checks
+* ``algebra``    -- Pauli-string Hamiltonians, basis configurations, and
+  one compiled operator kernel behind H's blocks and the entry-wise checks
 * ``chains``     -- builders for the exchange and amplification chains, stars
 * ``maps``       -- CNOT-ladder basis maps, symbolic conjugation, mirror map
 * ``evolution``  -- propagators, transfer fidelities, scans, phase probes
@@ -19,9 +18,6 @@ from .algebra import (
     BitConfig,
     HamiltonianSpec,
     PauliTerm,
-    StateVector,
-    apply_spec,
-    expectation,
 )
 from .chains import CouplingProfile, StarLayout, cluster_chain, exchange_chain, star_hamiltonian
 from .evolution import Propagator, amplification_check, pst_time, transfer_fidelity
@@ -32,9 +28,6 @@ __all__ = [
     "BitConfig",
     "HamiltonianSpec",
     "PauliTerm",
-    "StateVector",
-    "apply_spec",
-    "expectation",
     "CouplingProfile",
     "StarLayout",
     "cluster_chain",

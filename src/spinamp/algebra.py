@@ -9,18 +9,19 @@ A Hamiltonian is a weighted sum of Pauli strings with real coefficients,
 kept in a canonical form (duplicate strings merged, zero weights dropped).
 Each spec is compiled once into flip-mask groups (see
 :func:`_compile_groups`), and every query reads those groups, so all of
-them share one rule for the matrix elements: the matrix-free action, the
-connected blocks of H in the computational basis that hold given states,
-with H's entries on them (:func:`sector_blocks`, which evolution works on
-one block at a time), and the entry-wise checks of a commutator and of a
-basis permutation.  No query builds a 2^N x 2^N matrix.  The test suite checks
-the rule against an independent Kronecker-product realization.
+them share one rule for the matrix elements: the connected blocks of H in
+the computational basis that hold given states, with H's entries on them
+(:func:`sector_blocks`, which evolution works on one block at a time), and
+the entry-wise checks of a commutator and of a basis permutation.  No
+query builds a 2^N x 2^N matrix or holds a vector of 2^N amplitudes.  The
+test suite checks the rule against an independent Kronecker-product
+realization.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -28,26 +29,24 @@ import numpy as np
 
 __all__ = [
     "DENSE_CAP",
+    "MAX_SITES",
     "SpinChainError",
     "SizeError",
     "DimensionMismatchError",
     "PauliTerm",
     "HamiltonianSpec",
-    "StateVector",
     "BitConfig",
     "require_dense",
     "sector_blocks",
     "max_commutator",
     "max_permuted_deviation",
-    "apply_spec",
-    "expectation",
 ]
 
 #: Largest chain whose 2^N basis indices are split into blocks of H.
 DENSE_CAP = 12
 
-#: Largest imaginary part :func:`expectation` lets pass as rounding.
-IMAG_TOL = 1e-10
+#: Longest chain: basis indices are ``intp``, one bit per site.
+MAX_SITES = np.iinfo(np.intp).bits - 1
 
 _LETTERS = frozenset("XYZ")
 
@@ -130,6 +129,8 @@ class HamiltonianSpec:
         n = int(self.n_sites)
         if n < 1:
             raise SizeError(f"n_sites must be >= 1, got {n}")
+        if n > MAX_SITES:
+            raise SizeError(f"N={n} exceeds the {MAX_SITES} sites a basis index can hold")
         merged: dict = {}
         for term in self.terms:
             if not isinstance(term, PauliTerm):
@@ -241,57 +242,6 @@ class BitConfig:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass
-class StateVector:
-    """Complex amplitudes over the 2^N computational basis.
-
-    Not automatically normalized: operator application returns raw
-    (unnormalized) results.  Evolution code checks norms explicitly.
-    """
-
-    n_sites: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n_sites,):
-            raise DimensionMismatchError(
-                f"expected {1 << self.n_sites} amplitudes, got shape {amps.shape}"
-            )
-        self.amplitudes = amps
-
-    @classmethod
-    def basis_state(cls, config: BitConfig) -> "StateVector":
-        amps = np.zeros(1 << config.n_sites, dtype=complex)
-        amps[config.index] = 1.0
-        return cls(config.n_sites, amps)
-
-    @classmethod
-    def random(cls, n_sites: int, rng: np.random.Generator) -> "StateVector":
-        amps = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
-        amps /= np.linalg.norm(amps)
-        return cls(n_sites, amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if other.n_sites != self.n_sites:
-            raise DimensionMismatchError("overlap of states on different chains")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def amplitude(self, config: BitConfig) -> complex:
-        return complex(self.amplitudes[config.index])
-
-    def site_up_probability(self, site: int) -> float:
-        """Probability that the given site is measured in state 1."""
-        idx = np.arange(self.amplitudes.size)
-        mask = (idx >> (site - 1)) & 1
-        return float(np.sum(np.abs(self.amplitudes[mask == 1]) ** 2))
-
-
 def _sites(mask: int) -> list:
     """Sites whose bit is set in ``mask``, in increasing order."""
     return [s for s in range(1, mask.bit_length() + 1) if (mask >> (s - 1)) & 1]
@@ -305,8 +255,8 @@ def _compile_groups(spec: HamiltonianSpec) -> tuple:
     Terms sharing the flip mask x|y (X_n and Z_{n-1} X_n Z_{n+1}; XX and
     YY) form one group whose weights add.  A group's weights depend only
     on the bits of its signed sites, so they are kept as an array with 2
-    on those sites' axes and 1 elsewhere, which broadcasts against the
-    state reshaped to (2,)*N (site s on axis N - s).  They are float64
+    on those sites' axes and 1 elsewhere, which broadcasts on the (2,)*N
+    grid of basis bits (site s on axis N - s).  They are float64
     unless a term carries an odd number of Y letters.
 
     Returns (flip_mask, flip_axes, weights) triples sorted by flip mask.
@@ -438,30 +388,3 @@ def max_permuted_deviation(a: HamiltonianSpec, b: HamiltonianSpec, perm) -> floa
     diff = np.zeros(unique.size, dtype=np.result_type(values_a, values_b))
     np.add.at(diff, position, np.concatenate([values_a, -values_b]))
     return float(np.max(np.abs(diff), initial=0.0))
-
-
-def apply_spec(spec: HamiltonianSpec, psi: StateVector) -> StateVector:
-    """Matrix-free H|psi>; result is generally unnormalized.
-
-    Each flip group multiplies the state by its weights and reverses the
-    flipped axes, so cost is O(groups * 2^N) with no matrix built.
-    """
-    if spec.n_sites != psi.n_sites:
-        raise DimensionMismatchError(
-            f"operator on {spec.n_sites} sites applied to state on {psi.n_sites}"
-        )
-    amps = psi.amplitudes.reshape((2,) * psi.n_sites)
-    out = np.zeros_like(amps)
-    for _, axes, weights in spec.flip_groups:
-        out += np.flip(weights * amps, axes)
-    return StateVector(psi.n_sites, out.reshape(-1))
-
-
-def expectation(spec: HamiltonianSpec, psi: StateVector) -> float:
-    """<psi|H|psi> as a real number; trips an assertion if it is not."""
-    value = psi.overlap(apply_spec(spec, psi))
-    if abs(value.imag) >= IMAG_TOL:
-        raise SpinChainError(
-            f"expectation value has imaginary part {value.imag:.3e}"
-        )
-    return value.real

@@ -98,7 +98,8 @@ class Propagator:
     def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
         """<target|U(t)|source> for each t in ``ts``: 0 when the target lies
         in another block, else a spectral sum over the source's block,
-        O(block) per time, or one Lanczos evolution from t = 0 per time."""
+        O(block) per time, or one Lanczos evolution through the times in
+        ascending order, each from the one before."""
         if {source.n_sites, target.n_sites} != {self.n_sites}:
             raise SpinChainError("configs and propagator differ in site count")
         ts = _times(ts)
@@ -121,9 +122,15 @@ class Propagator:
             return (np.bincount(row, terms.real, block.size)
                     + 1j * np.bincount(row, terms.imag, block.size))
 
-        start = np.zeros(block.size, dtype=complex)
-        start[i] = 1.0
-        return np.array([_krylov_evolve(matvec, start, t)[j] for t in ts])
+        state = np.zeros(block.size, dtype=complex)
+        state[i] = 1.0
+        out = np.empty(ts.shape, dtype=complex)
+        now = 0.0
+        for k in np.argsort(ts, kind="stable"):
+            state = _krylov_evolve(matvec, state, ts[k] - now)
+            now = ts[k]
+            out[k] = state[j]
+        return out
 
     def block_unitary(self, config: BitConfig, t: float) -> tuple:
         """(indices, u): the basis indices of the block holding ``config``,

@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from spinamp.algebra import BitConfig, HamiltonianSpec, StateVector
+from spinamp.algebra import BitConfig, HamiltonianSpec
 from spinamp.chains import CouplingProfile, cluster_chain
 from spinamp.evolution import pst_time
 
@@ -89,7 +89,8 @@ def dephasing_trial(prop, source, measure_site, total_time, cfg, rng) -> float:
         psi = u_seg @ psi
         if uniforms[step] < cfg.p:
             psi[((idx >> (int(sites[step]) - 1)) & 1).astype(bool)] *= -1.0
-    return min(1.0, StateVector(n, psi).site_up_probability(measure_site))
+    up = ((idx >> (measure_site - 1)) & 1).astype(bool)
+    return min(1.0, float(np.sum(np.abs(psi[up]) ** 2)))
 
 
 def gamma_forward_bits(b: BitConfig) -> BitConfig:

@@ -43,6 +43,19 @@ def test_atomic_write(tmp_path):
     assert [p for p in os.listdir(tmp_path)] == ["data.csv"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_open_would(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        write_text_atomic(str(tmp_path / "data.csv"), "hello\n")
+        with open(tmp_path / "plain.csv", "w") as handle:
+            handle.write("hello\n")
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"data.csv": 0o666 & ~umask, "plain.csv": 0o666 & ~umask}
+
+
 def test_render_csv_uses_lf_and_comments():
     text = render_csv(("a", "b"), [(1, 0.5)], ["# note"])
     assert text == "# note\na,b\n1,0.5\n"
@@ -181,6 +194,12 @@ _BAD_INPUT = [
     (["amplify", "--n", "4", "--alpha", "inf"], "finite"),
     (["amplify", "--n", "4", "--alpha", "2"], "alpha^2 + beta^2"),
     (["amplify", "--n", "1"], "at least 2 sites"),
+    (["amplify", "--n", "64"], "63 sites"),
+    (["amplify", "--n", "70"], "63 sites"),
+    (["transfer", "--n", "64", "--source", "01" + "0" * 62, "--target", "0" * 63 + "1"],
+     "63 sites"),
+    (["scan", "--n", "64", "--source", "1" + "0" * 63, "--target", "0" * 63 + "1"],
+     "63 sites"),
     (_SWEEP + ["--p", "0.1,nan"], "flip probability"),
     (_SWEEP + ["--p", "2"], "flip probability"),
     (_SWEEP + ["--p", ","], "float"),
@@ -203,6 +222,20 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert reason in captured.err
+
+
+def test_chain_length_stops_at_the_index_width(capsys):
+    # a basis index is an intp, one bit per site: 63 sites still run, and
+    # 64 are refused with one error line, not a traceback
+    assert main(["amplify", "--n", "63"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["fidelity"] > 1.0 - 1e-8
+    assert main(["transfer", "--n", "63", "--source", "01" + "0" * 61,
+                 "--target", "0" * 62 + "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["fidelity"] > 1.0 - 1e-8
+    assert main(["amplify", "--n", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def _count_calls(monkeypatch, module, name):

@@ -1,0 +1,22 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import spinamp
+
+_MODULES = ["spinamp"] + [f"spinamp.{m.name}" for m in pkgutil.iter_modules(spinamp.__path__)]
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_exported_name_resolves(name):
+    # deleting a function once left its name in __all__; the CLI module
+    # exports nothing
+    module = importlib.import_module(name)
+    assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []
+
+
+def test_star_import():
+    namespace = {}
+    exec("from spinamp import *", namespace)
+    assert set(spinamp.__all__) <= namespace.keys()
