@@ -10,9 +10,9 @@ kept in a canonical form (duplicate strings merged, zero weights dropped).
 Each spec is compiled once into flip-mask groups (see
 :func:`_compile_groups`), and every query reads those groups, so all of
 them share one rule for the matrix elements: the connected blocks of H in
-the computational basis that hold given states, with H's entries on them
-(:func:`sector_blocks`, which evolution works on one block at a time), and
-the entry-wise checks of a commutator and of a basis permutation.  No
+the computational basis, with H's entries on them (:func:`sector_blocks`,
+which evolution diagonalizes one block size at a time), and the
+entry-wise checks of a commutator and of a basis permutation.  No
 query builds a 2^N x 2^N matrix or holds a vector of 2^N amplitudes.  The
 test suite checks the rule against an independent Kronecker-product
 realization.
@@ -298,46 +298,27 @@ def _entries(spec: HamiltonianSpec, states: np.ndarray) -> tuple:
     return np.concatenate(src), np.concatenate(dst), np.concatenate(values)
 
 
-def _sorted_unique(indices: np.ndarray) -> np.ndarray:
-    indices = np.sort(indices)
-    return indices[np.diff(indices, prepend=-1) != 0]
+def sector_blocks(spec: HamiltonianSpec) -> tuple:
+    """The connected blocks of H in the computational basis.
 
-
-def sector_blocks(spec: HamiltonianSpec, seeds=None) -> tuple:
-    """The connected blocks of H in the computational basis that hold ``seeds``.
-
-    A breadth-first search from the seeds follows every flip group whose
-    weight at a frontier state is nonzero; each found state's label then
-    falls to the smallest position it is linked to, with pointer jumping.
-    Both chains split into conserved sectors this way (wall count, and
-    excitation number), so a search costs the seeds' blocks, not 2^N.
-    Omitting ``seeds`` means every basis index: SizeError above ``DENSE_CAP``.
+    Every basis index's label falls to the smallest index it is linked
+    to by a nonzero entry of H, with pointer jumping.  Both chains split
+    into conserved sectors this way (wall count, and excitation number).
+    SizeError above ``DENSE_CAP``.
 
     Returns (blocks, where, entries).  ``blocks`` holds one (k, s) index
     array per block size s, ascending in s; each row is one block, its
     indices ascending, rows ordered by their smallest index.  ``where`` is
-    (4, m) over the m found states: their basis indices, ascending, then
-    the array of ``blocks``, row and position holding each.  ``entries``
-    is (src, dst, values), every nonzero <dst|H|src>, src and dst as
-    positions in ``where[0]``; values are float64 unless a group is complex.
+    (3, 2^N): the array of ``blocks``, row and position holding each basis
+    index.  ``entries`` is (src, dst, values), every nonzero <dst|H|src>
+    with src and dst basis indices; values are float64 unless a group is
+    complex.
     """
-    n = spec.n_sites
-    if seeds is None:
-        require_dense(n)
-        seeds = np.arange(1 << n)
-    states = frontier = _sorted_unique(np.asarray(seeds, dtype=np.intp))
-    src, dst, values = [], [], []
-    while frontier.size:
-        for found, part in zip((src, dst, values), _entries(spec, frontier)):
-            found.append(part)
-        reached = _sorted_unique(dst[-1])
-        known = np.searchsorted(states, reached).clip(max=states.size - 1)
-        frontier = reached[states[known] != reached]
-        states = np.sort(np.concatenate([states, frontier]))
-    src = np.searchsorted(states, np.concatenate(src))
-    dst = np.searchsorted(states, np.concatenate(dst))
+    require_dense(spec.n_sites)
+    states = np.arange(spec.dim)
+    src, dst, values = _entries(spec, states)
     linked = src != dst
-    labels = np.arange(states.size)
+    labels = states
     while True:
         new = labels.copy()
         np.minimum.at(new, src[linked], labels[dst[linked]])
@@ -345,21 +326,20 @@ def sector_blocks(spec: HamiltonianSpec, seeds=None) -> tuple:
         if (new == labels).all():
             break
         labels = new
-    # every block shares its smallest position as label; sort by block
+    # every block shares its smallest index as label; sort by block
     # size, then by label, keeping each block's indices ascending
     size_of = np.bincount(labels)[labels]
     members = np.argsort(size_of * states.size + labels, kind="stable")
     blocks, lo = [], 0
-    where = np.empty((4, states.size), dtype=np.intp)
-    where[0] = states
+    where = np.empty((3, states.size), dtype=np.intp)
     for c, s in enumerate(sorted(set(size_of.tolist()))):
         group = members[lo:lo + int((size_of == s).sum())].reshape(-1, s)
         lo += group.size
-        blocks.append(states[group])
-        where[1, group] = c
-        where[2, group] = np.arange(len(group))[:, None]
-        where[3, group] = np.arange(s)
-    return tuple(blocks), where, (src, dst, np.concatenate(values))
+        blocks.append(group)
+        where[0, group] = c
+        where[1, group] = np.arange(len(group))[:, None]
+        where[2, group] = np.arange(s)
+    return tuple(blocks), where, (src, dst, values)
 
 
 def max_commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> float:

@@ -2,7 +2,8 @@
 
 Every experiment in the package is reachable as a subcommand producing a
 deterministic CSV or JSON artifact.  Exit codes: 0 success, 1 numeric or
-assertion failure, 2 usage error.
+assertion failure, 2 usage error (a chain too long for the command, or a
+run too large for memory, included).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    MAX_SITES,
     BitConfig,
     HamiltonianSpec,
     SizeError,
@@ -55,6 +57,9 @@ class UsageError(Exception):
 
 
 def _profile(kind: str, n_sites: int) -> CouplingProfile:
+    """The named profile; a chain no basis index can hold is refused first."""
+    if n_sites > MAX_SITES:
+        raise SizeError(f"N={n_sites} exceeds the {MAX_SITES} sites a basis index can hold")
     if kind == "uniform":
         return CouplingProfile.uniform(n_sites)
     if kind == "engineered":
@@ -426,8 +431,9 @@ def main(argv=None) -> int:
     try:
         args = _parse_with_config(argv)
         return args.func(args)
-    except (UsageError, SizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, SizeError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except (SpinChainError, ValueError) as exc:
         print(f"failure: {exc}", file=sys.stderr)

@@ -1,12 +1,17 @@
 """Time evolution, transfer fidelities and fidelity scans.
 
-Evolution is Schrodinger, U(t) = exp(-i H t) with hbar = 1.  Both chains
-conserve a sector (wall count, excitation number), so a basis state never
-leaves its connected block of H.  :class:`Propagator` works on the blocks
-a query touches, at every chain length: a spectral sum over a block's
-eigenpairs or, above ``EIGH_CAP`` states (``SEARCH_EIGH_CAP`` above the
-dense cap), adaptive Lanczos steps on the block's entries.  The tests check
-both routes against a full-space eigendecomposition and each other.
+Evolution is Schrodinger, U(t) = exp(-i H t) with hbar = 1.
+:class:`Propagator` picks its route once, from the spec.  Under
+Jordan-Wigner the exchange chain, with any couplings and fields, is
+quadratic (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)), and the
+CNOT ladder carries the amplification chain onto it by a basis
+permutation.  So a basis amplitude of either chain is
+exp(-it sum B) det u[D, S], with u = exp(-iht) the N x N single-particle
+propagator and S, D the occupied sites, at any chain length a basis
+index can hold.  Every other spec, and every unitary query, is answered
+from the eigenpairs of H's connected blocks, up to the dense cap.  The
+tests check both routes against each other and against a full-space
+eigendecomposition.
 
 With the engineered couplings J_n = sqrt(n*(N-n)) and the chain
 normalizations used here, perfect transfer happens at t = pi/2.
@@ -16,23 +21,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .algebra import (
-    DENSE_CAP,
     BitConfig,
     HamiltonianSpec,
     SizeError,
     SpinChainError,
-    require_dense,
     sector_blocks,
 )
+from .chains import CouplingProfile, cluster_chain, exchange_chain
 from .maps import mirror_map
 
 __all__ = [
-    "ConvergenceError",
     "Propagator",
     "pst_time",
     "transfer_fidelity",
@@ -45,23 +49,7 @@ __all__ = [
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_TOL = 1e-8       # width at which a scan's golden-section refinement stops
-KRYLOV_TOL = 1e-10      # largest local error one Krylov substep may leave
-KRYLOV_DIM = 30         # Lanczos basis size of one Krylov substep
 MODULUS_FLOOR = 0.5     # phase-probe elements below this carry no usable phase
-
-#: Largest block whose amplitudes come from its eigendecomposition; a larger
-#: one runs Lanczos.  924 is the largest block of either chain at N <= 12.
-#: On one AMD EPYC core, eigh takes 44 ms at 924 states and 109 ms at 1287,
-#: where a Lanczos transfer to t = pi/2 takes 20 ms; a scan reuses the eigh.
-EIGH_CAP = 924
-#: The cap above the dense cap: there an eigh's O(s^2) memory (13.6 MB more
-#: peak RSS for a 715-state N = 13 transfer) would make a command's peak
-#: follow its input's sector, where Lanczos needs O(s).
-SEARCH_EIGH_CAP = 256
-
-
-class ConvergenceError(SpinChainError):
-    """Krylov propagation failed to reach the requested local error."""
 
 
 def _times(ts) -> np.ndarray:
@@ -72,174 +60,116 @@ def _times(ts) -> np.ndarray:
 
 
 class Propagator:
-    """e^{-iHt} of a fixed Hamiltonian, answered one block of H at a time.
+    """e^{-iHt} of a fixed Hamiltonian.
 
-    A query finds the blocks of H it touches on first use and caches them
-    (:func:`~spinamp.algebra.sector_blocks`); above the dense cap it searches
-    from its basis states, so its cost follows their size, not 2^N.  An
-    amplitude between two blocks is exactly 0.  :meth:`amplitudes` sums
-    over the eigenpairs of a block of at most ``EIGH_CAP`` states (above
-    the dense cap, ``SEARCH_EIGH_CAP``), or of any block a unitary query
-    has diagonalized, and runs Lanczos on a larger one: there the route,
-    and the last digits, depend on the queries before.  The unitary
-    queries diagonalize any block of at most 2^DENSE_CAP states, blocks of
-    one size in one batched ``eigh``.  The caches fill lazily: not safe to
-    share between threads.
+    The amplitudes of the exchange and amplification chains come from
+    free fermions (see :meth:`amplitudes`).  Those of any other spec, and
+    every unitary, come from the eigenpairs of H's connected blocks
+    (:func:`~spinamp.algebra.sector_blocks`), which raise SizeError above
+    the dense cap.  Both are computed on first use and cached, the blocks
+    of one size in one batched ``eigh``: not safe to share between threads.
     """
 
     def __init__(self, spec: HamiltonianSpec):
         self.spec = spec
-        self._searches = []     # [blocks, where, entries, {size class: eigenpairs}]
+        self._eigen = {}        # size class -> eigenpairs of its blocks
 
     @property
     def n_sites(self) -> int:
         return self.spec.n_sites
 
     def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
-        """<target|U(t)|source> for each t in ``ts``: 0 when the target lies
-        in another block, else a spectral sum over the source's block,
-        O(block) per time, or one Lanczos evolution through the times in
-        ascending order, each from the one before."""
+        """<target|U(t)|source> for each t in ``ts``.
+
+        For either chain: exactly 0 when S and D, the occupied sites of
+        source and target (through ``b ^ (b >> 1)`` on the amplification
+        chain), differ in number, else exp(-it sum B) det u[D, S], in
+        O(T k^2) memory for k occupied sites.  For any other spec: exactly 0
+        between blocks, else a spectral sum over the source's block.
+        """
         if {source.n_sites, target.n_sites} != {self.n_sites}:
             raise SpinChainError("configs and propagator differ in site count")
         ts = _times(ts)
-        found, c, r, i = self._locate(source.index)
-        block = found[0][c][r]
-        j = int(np.searchsorted(block, target.index))
-        if j == block.size or block[j] != target.index:
+        if self._fermions is not None:
+            ladder, field_sum, (vals, vecs) = self._fermions
+            s, d = source.index, target.index
+            if ladder:
+                s, d = s ^ (s >> 1), d ^ (d >> 1)
+            if s.bit_count() != d.bit_count():
+                return np.zeros(ts.shape, dtype=complex)
+            sites = np.arange(self.n_sites)
+            rows = vecs[(d >> sites) & 1 == 1]      # u[D, S] = rows e^{-i vals t} cols^T
+            cols = vecs[(s >> sites) & 1 == 1]
+            phases = np.exp(-1j * np.multiply.outer(ts, vals))
+            u = np.einsum("dn,tn,sn->tds", rows, phases, cols)
+            return np.exp(-1j * field_sum * ts) * np.linalg.det(u)
+        where = self._split[1]
+        c, r, i = where[:, source.index]
+        if where[0, target.index] != c or where[1, target.index] != r:
             return np.zeros(ts.shape, dtype=complex)
-        cap = EIGH_CAP if self.n_sites <= DENSE_CAP else min(EIGH_CAP, SEARCH_EIGH_CAP)
-        if c in found[3] or block.size <= cap:
-            vals, vecs = self._eigen(found, c)
-            weights = vecs[r, j] * vecs[r, i].conj()
-            return np.exp(-1j * np.multiply.outer(ts, vals[r])) @ weights
-        where, (src, dst, values) = found[1], found[2]
-        mine = (where[1, src] == c) & (where[2, src] == r)
-        col, row, values = where[3, src[mine]], where[3, dst[mine]], values[mine]
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            terms = values * v[col]
-            return (np.bincount(row, terms.real, block.size)
-                    + 1j * np.bincount(row, terms.imag, block.size))
-
-        state = np.zeros(block.size, dtype=complex)
-        state[i] = 1.0
-        out = np.empty(ts.shape, dtype=complex)
-        now = 0.0
-        for k in np.argsort(ts, kind="stable"):
-            state = _krylov_evolve(matvec, state, ts[k] - now)
-            now = ts[k]
-            out[k] = state[j]
-        return out
+        vals, vecs = self._eigenpairs(c)
+        weights = vecs[r, where[2, target.index]] * vecs[r, i].conj()
+        return np.exp(-1j * np.multiply.outer(ts, vals[r])) @ weights
 
     def block_unitary(self, config: BitConfig, t: float) -> tuple:
         """(indices, u): the basis indices of the block holding ``config``,
-        ascending, and e^{-iHt} on the block in that order.  Raises
-        SizeError for a block of more than 2^DENSE_CAP states."""
+        ascending, and e^{-iHt} on the block in that order."""
         _times(t)
-        found, c, r, _ = self._locate(config.index)
-        vals, vecs = self._eigen(found, c)
-        return found[0][c][r], (vecs[r] * np.exp(-1j * vals[r] * t)) @ vecs[r].conj().T
+        blocks, where, _ = self._split
+        c, r, _ = where[:, config.index]
+        vals, vecs = self._eigenpairs(c)
+        return blocks[c][r], (vecs[r] * np.exp(-1j * vals[r] * t)) @ vecs[r].conj().T
 
     def block_unitaries(self, t: float):
         """Yield (indices, u) for the blocks of each size in turn: ``indices``
         is (k, s), one block of s basis indices per row as
         :meth:`block_unitary` gives them, and ``u`` is (k, s, s), their
-        unitaries.  Raises SizeError above the dense cap."""
+        unitaries."""
         _times(t)
-        require_dense(self.n_sites)
-        found = self._locate(0)[0]      # within the cap, the one search is the whole space
-        for c, blocks in enumerate(found[0]):
-            vals, vecs = self._eigen(found, c)
+        for c, blocks in enumerate(self._split[0]):
+            vals, vecs = self._eigenpairs(c)
             yield blocks, (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
-    def _locate(self, index: int) -> tuple:
-        """(search, size class, row, position) of a basis index.  On a miss,
-        a chain within the dense cap splits its whole space in one pass,
-        cheaper there than a search level by level; a longer chain searches
-        from the index."""
-        for found in self._searches:
-            states = found[1][0]
-            k = np.searchsorted(states, index)
-            if k < states.size and states[k] == index:
-                return (found, *found[1][1:, k])
-        seeds = None if self.n_sites <= DENSE_CAP else [index]
-        self._searches.append([*sector_blocks(self.spec, seeds), {}])
-        return self._locate(index)
+    @cached_property
+    def _fermions(self):
+        """(ladder, sum B, eigenpairs of h) when the spec is exactly
+        ``exchange_chain`` (ladder False) or ``cluster_chain`` (ladder
+        True) of some profile, else None.  J_n and B_n are read off the
+        terms, and the chain they give must rebuild the spec; h holds J on
+        its off-diagonals and -2B on its diagonal."""
+        n, terms = self.n_sites, self.spec.term_map()
+        if n < 2:
+            return None
+        for ladder in (False, True):
+            if ladder:      # J_{n-1}/2 on X_n; B_n on Z_n Z_{n+1}, and on Z_N
+                js = [2.0 * terms.get(((s, "X"),), 0.0) for s in range(2, n + 1)]
+                bs = [terms.get(((s, "Z"), (s + 1, "Z")), 0.0) for s in range(1, n)]
+                bs.append(terms.get(((n, "Z"),), 0.0))
+            else:           # J_n/2 on X_n X_{n+1}; B_n on Z_n
+                js = [2.0 * terms.get(((s, "X"), (s + 1, "X")), 0.0) for s in range(1, n)]
+                bs = [terms.get(((s, "Z"),), 0.0) for s in range(1, n + 1)]
+            chain = cluster_chain if ladder else exchange_chain
+            if all(js) and chain(CouplingProfile(n, js, bs)).terms == self.spec.terms:
+                h = np.diag(js, 1) + np.diag(js, -1) - 2.0 * np.diag(bs)
+                return ladder, sum(bs), np.linalg.eigh(h)
+        return None
 
-    @staticmethod
-    def _eigen(found: list, c: int) -> tuple:
-        """Eigenpairs of H on a search's blocks of size class ``c``, from
-        one batched ``eigh`` on first use."""
-        blocks, where, (src, dst, values), eigen = found
-        if c not in eigen:
-            if blocks[c].shape[1] > 1 << DENSE_CAP:
-                raise SizeError(f"a block of {blocks[c].shape[1]} states exceeds "
-                                f"the {1 << DENSE_CAP} of the dense cap")
-            mine = where[1, src] == c
+    @cached_property
+    def _split(self) -> tuple:
+        """:func:`~spinamp.algebra.sector_blocks` of the spec."""
+        return sector_blocks(self.spec)
+
+    def _eigenpairs(self, c: int) -> tuple:
+        """Eigenpairs of H on the blocks of size class ``c``, from one
+        batched ``eigh`` on first use."""
+        if c not in self._eigen:
+            blocks, where, (src, dst, values) = self._split
+            mine = where[0, src] == c
             col, row = src[mine], dst[mine]
             mats = np.zeros(blocks[c].shape + blocks[c].shape[1:], dtype=values.dtype)
-            mats[where[2, col], where[3, row], where[3, col]] = values[mine]
-            eigen[c] = np.linalg.eigh(mats)
-        return eigen[c]
-
-
-# -- Krylov route -----------------------------------------------------------
-
-
-def _krylov_evolve(matvec: Callable, amps: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) amps in adaptive Lanczos substeps, H given by ``matvec``."""
-    remaining = float(t)
-    direction = math.copysign(1.0, remaining)
-    remaining = abs(remaining)
-    dt = remaining
-    v = amps.copy()
-    min_dt = remaining * 1e-12
-    while remaining > 0.0:
-        dt = min(dt, remaining)
-        step, err = _lanczos_step(matvec, v, direction * dt)
-        if err > KRYLOV_TOL:
-            if dt <= min_dt:
-                raise ConvergenceError(
-                    f"Krylov step stalled at dt={dt:.3e} with local error {err:.3e}"
-                )
-            dt *= 0.5
-            continue
-        v = step
-        remaining -= dt
-        if err < 0.01 * KRYLOV_TOL:
-            dt *= 2.0
-    return v
-
-
-def _lanczos_step(matvec: Callable, v: np.ndarray, dt: float) -> tuple:
-    """One exp(-iH dt) v via a Lanczos basis; returns (result, error est)."""
-    norm_v = np.linalg.norm(v)
-    m = KRYLOV_DIM
-    basis = np.empty((m, v.size), dtype=complex)
-    alpha = np.empty(m)
-    beta = np.empty(m)
-    basis[0] = v / norm_v
-    w = matvec(basis[0])
-    alpha[0] = np.real(np.vdot(basis[0], w))
-    w -= alpha[0] * basis[0]
-    k = 1
-    while k < m:
-        beta[k] = np.linalg.norm(w)
-        if beta[k] < 1e-14:     # breakdown: the Krylov space is invariant
-            break
-        basis[k] = w / beta[k]
-        w = matvec(basis[k])
-        alpha[k] = np.real(np.vdot(basis[k], w))
-        w -= alpha[k] * basis[k] + beta[k] * basis[k - 1]
-        k += 1
-    tri = np.diag(alpha[:k]) + np.diag(beta[1:k], 1) + np.diag(beta[1:k], -1)
-    tw, tv = np.linalg.eigh(tri)
-    small = tv @ (np.exp(-1j * tw * dt) * tv[0].conj())
-    result = norm_v * (basis[:k].T @ small)
-    # residual-style estimate: weight leaking out of the Krylov space
-    err = 0.0 if k < m else float(np.linalg.norm(w) * abs(small[-1]))
-    return result, err
+            mats[where[1, col], where[2, row], where[2, col]] = values[mine]
+            self._eigen[c] = np.linalg.eigh(mats)
+        return self._eigen[c]
 
 
 def _wrap(angle: float) -> float:

@@ -5,8 +5,8 @@ control n and target n-1, applied for n = N down to 2.  On classical
 configurations that ladder is the suffix-XOR transform (each output bit
 is the XOR of all input bits from its site to the end of the chain); its
 inverse is the adjacent-difference transform.  On Pauli strings it acts
-by the usual propagation rules: X spreads from control to target, Z from
-target to control.
+by the usual propagation rules, X spreading from control to target and Z
+from target to control, which compose into one closed form per string.
 
 The mirror map conjugates site reversal through the ladder.  It is the
 classical bijection that continuous evolution of the amplification chain
@@ -96,41 +96,24 @@ def _suffix_xor(x, n_sites: int):
 
 
 def _conjugate_term(term: PauliTerm, n_sites: int) -> PauliTerm:
-    """Push one Pauli string through the ladder, gate by gate.
+    """Push one Pauli string through the ladder, in closed form.
 
-    Strings are tracked in tableau form: per-site bits (x, z) with
-    x = z = 1 meaning Y, plus an overall sign.  A CNOT with control c and
-    target t maps x_t ^= x_c, z_c ^= z_t and flips the sign when
-    x_c z_t (x_t + z_c + 1) is odd.
+    In tableau form, bits (x, z) per site with x = z = 1 meaning Y, a
+    string is i^|x&z| X^x Z^z.  The ladder sends X^x to X^x', x' the
+    suffix-XOR of x, and Z^z to Z^z', z' = z ^ (z << 1) on N bits, so the
+    string gains the factor i^(|x&z| - |x'&z'|): -1 when that is 2 mod 4.
     """
     x_mask, y_mask, z_mask = term.masks()
     x = x_mask | y_mask
     z = z_mask | y_mask
-    sign = 1
-    for n in range(n_sites, 1, -1):
-        c_bit = 1 << (n - 1)      # control: site n
-        t_bit = 1 << (n - 2)      # target: site n-1
-        xc = 1 if x & c_bit else 0
-        zt = 1 if z & t_bit else 0
-        xt = 1 if x & t_bit else 0
-        zc = 1 if z & c_bit else 0
-        if xc and zt and (xt ^ zc ^ 1):
-            sign = -sign
-        if xc:
-            x ^= t_bit
-        if zt:
-            z ^= c_bit
+    x2 = _suffix_xor(x, n_sites)
+    z2 = (z ^ (z << 1)) & ((1 << n_sites) - 1)
+    sign = -1 if ((x & z).bit_count() - (x2 & z2).bit_count()) % 4 == 2 else 1
     letters = {}
     for site in range(1, n_sites + 1):
-        bit = 1 << (site - 1)
-        has_x = bool(x & bit)
-        has_z = bool(z & bit)
-        if has_x and has_z:
-            letters[site] = "Y"
-        elif has_x:
-            letters[site] = "X"
-        elif has_z:
-            letters[site] = "Z"
+        code = (x2 >> (site - 1) & 1) | (z2 >> (site - 1) & 1) << 1
+        if code:
+            letters[site] = " XZY"[code]
     return PauliTerm(sign * term.coefficient, letters)
 
 

@@ -17,9 +17,11 @@ A Z flip is diagonal in the computational basis, so a trial never leaves
 the block of H that holds its source (see :class:`Propagator`): trials
 evolve as (block_dim, TRIAL_BLOCK) arrays under the block's segment
 unitary, 28 states for the cluster chain and 8 for the exchange chain at
-N = 8, against 256 for the whole space.  A sweep refuses a chain above
-the dense cap before it draws.  The test suite replays single trials one
-by one over the whole 2^N space as an oracle for the batched evolution.
+N = 8, against 256 for the whole space.  A sweep reads its blocks before
+it draws, so a chain above the dense cap, which
+:meth:`Propagator.block_unitary` refuses, costs no draws.  The test suite
+replays single trials one by one over the whole 2^N space as an oracle
+for the batched evolution.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import BitConfig, require_dense
+from .algebra import BitConfig
 from .evolution import Propagator
 
 __all__ = [
@@ -156,7 +158,7 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     if len(n_sites) != 1:
         raise ValueError("all tasks must share one chain length for common streams")
     n = n_sites.pop()
-    require_dense(n)
+    # the blocks, and SizeError above the dense cap, come before the draws
     block_dims = [task.prop.block_unitary(task.source, 0.0)[0].size for task in tasks]
     draws = trial_draws(cfg, n)
     records = []

@@ -5,6 +5,9 @@ Each one computes by the textbook route, with no code shared with
 
 * ``kron_dense``      -- a Hamiltonian as a sum of Kronecker products;
 * ``kron_unitary``    -- e^{-iHt} from a full eigendecomposition of it;
+* ``exchange_sector`` -- the exchange chain on one excitation-number
+  sector, entry by entry from its definition, for chains too long for
+  the whole 2^N space;
 * ``cnot_matrix`` / ``gamma_matrix`` -- the CNOT ladder as products of
   dense 2^N x 2^N permutation matrices;
 * ``dephasing_trial`` -- one noisy transfer, evolved step by step over
@@ -50,6 +53,25 @@ def kron_unitary(spec: HamiltonianSpec, t: float) -> np.ndarray:
     """e^{-iHt} over the whole 2^N space, from ``eigh`` of :func:`kron_dense`."""
     vals, vecs = np.linalg.eigh(kron_dense(spec))
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
+def exchange_sector(profile: CouplingProfile, excitations: int) -> tuple:
+    """(indices, h): the basis indices holding ``excitations`` up spins,
+    ascending, and the exchange chain's matrix on them.  A coupling J_n
+    links two states that differ by one excitation hopping between sites
+    n and n+1; the diagonal is sum_n B_n (1 - 2 b_n)."""
+    n = profile.n_sites
+    fields = profile.fields or (0.0,) * n
+    indices = [b for b in range(1 << n) if bin(b).count("1") == excitations]
+    position = {b: k for k, b in enumerate(indices)}
+    h = np.zeros((len(indices), len(indices)))
+    for k, b in enumerate(indices):
+        bits = [(b >> i) & 1 for i in range(n)]
+        h[k, k] = sum(field * (1 - 2 * bit) for field, bit in zip(fields, bits))
+        for site, j in enumerate(profile.couplings):
+            if bits[site] != bits[site + 1]:
+                h[position[b ^ (0b11 << site)], k] = j
+    return np.array(indices), h
 
 
 def cnot_matrix(n_sites: int, control: int, target: int) -> np.ndarray:

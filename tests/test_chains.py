@@ -118,9 +118,9 @@ def test_tilde_action_is_tridiagonal(n):
     spec = cluster_chain(CouplingProfile(n, js))
     tildes = [tilde_config(TildeIndexSet(n, (k,) if k else ())) for k in range(n + 1)]
     j = lambda k: js[k - 1] if 1 <= k <= n - 1 else 0.0
-    # H's entries on the blocks of the tilde states, from the library's search
-    _, where, (src, dst, values) = sector_blocks(spec, [t.index for t in tildes])
-    h = dict(zip(zip(where[0, dst].tolist(), where[0, src].tolist()), values.tolist()))
+    # H's entries, from the library's split into blocks
+    _, _, (src, dst, values) = sector_blocks(spec)
+    h = dict(zip(zip(dst.tolist(), src.tolist()), values.tolist()))
     for k in range(n + 1):
         for m in range(n + 1):
             expected = (j(k - 1) if m == k - 1 else 0.0) + (j(k) if m == k + 1 else 0.0)

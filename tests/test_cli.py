@@ -196,6 +196,7 @@ _BAD_INPUT = [
     (["amplify", "--n", "1"], "at least 2 sites"),
     (["amplify", "--n", "64"], "63 sites"),
     (["amplify", "--n", "70"], "63 sites"),
+    (["amplify", "--n", "1000000"], "63 sites"),
     (["transfer", "--n", "64", "--source", "01" + "0" * 62, "--target", "0" * 63 + "1"],
      "63 sites"),
     (["scan", "--n", "64", "--source", "1" + "0" * 63, "--target", "0" * 63 + "1"],
@@ -236,6 +237,34 @@ def test_chain_length_stops_at_the_index_width(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_long_chain_is_refused_before_it_is_built(monkeypatch, capsys):
+    # a chain beyond 63 sites is refused before any profile or term exists
+    built = []
+    for cls in (CouplingProfile, PauliTerm):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, post_init=post_init: built.append(self) or post_init(self))
+    for argv in (["amplify", "--n", "100"], ["noise-sweep", "--n", "100"],
+                 ["transfer", "--n", "100", "--source", "1" + "0" * 99, "--target", "0" * 100]):
+        assert main(argv) == 2
+        assert "63 sites" in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize("message, line", [("Unable to allocate 7.28 TiB for an array", None),
+                                           ("", "out of memory")], ids=["numpy", "bare"])
+def test_allocation_failure_is_a_usage_error(message, line, monkeypatch, capsys):
+    # a grid too large for memory exits 2 with one line, not a traceback
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "max_fidelity_scan", refuse)
+    assert main(_SCAN + ["--t-max", "1e9", "--grid-step", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line or message}\n"
 
 
 def _count_calls(monkeypatch, module, name):
@@ -333,9 +362,9 @@ _NO_FULL_STATE = [
 
 @pytest.mark.parametrize("argv", _NO_FULL_STATE, ids=[" ".join(argv) for argv in _NO_FULL_STATE])
 def test_peak_memory_stays_below_one_state_vector(argv, capsys):
-    # amplify reads four amplitudes on two small blocks, and a cluster
-    # transfer from single(2) to its mirror stays in a C(18, 2)-state block:
-    # the traced peak stays below one 2^N complex vector
+    # amplify reads four amplitudes and transfer one, each a determinant
+    # from the 18 x 18 single-particle propagator: the traced peak stays
+    # below one 2^N complex vector
     peak = _traced_peak(argv)
     assert json.loads(capsys.readouterr().out)["result"]["fidelity"] > 1.0 - 1e-8
     assert peak < 16 << 18

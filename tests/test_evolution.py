@@ -1,6 +1,4 @@
 import math
-import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,8 +12,14 @@ from spinamp.algebra import (
     SizeError,
     sector_blocks,
 )
-from spinamp import evolution
-from spinamp.chains import CouplingProfile, cluster_chain, conserved_wall_operator, exchange_chain
+from spinamp.chains import (
+    CouplingProfile,
+    StarLayout,
+    cluster_chain,
+    conserved_wall_operator,
+    exchange_chain,
+    star_hamiltonian,
+)
 from spinamp.evolution import (
     Propagator,
     amplification_check,
@@ -26,7 +30,7 @@ from spinamp.evolution import (
 )
 from spinamp.maps import gamma_forward, gamma_inverse_indices, mirror_map
 
-from oracles import kron_dense, kron_unitary
+from oracles import exchange_sector, kron_dense, kron_unitary
 
 
 def _cluster_prop(n, profile="engineered"):
@@ -51,24 +55,24 @@ def _evolve(prop, psi, t):
     return out
 
 
-@contextmanager
-def _backend(method):
-    """Yield the list of Lanczos steps taken inside.  "krylov" runs Lanczos
-    on every block that no unitary query has diagonalized; "dense" fails on
-    any Lanczos step, so its amplitudes come from each block's eigh."""
-    steps = []
-    lanczos_step = evolution._lanczos_step
+def _on_blocks(prop):
+    """``prop`` with its free-fermion route switched off, so that its
+    amplitudes come from the eigenpairs of H's blocks."""
+    prop.__dict__["_fermions"] = None       # fills the cached property
+    return prop
 
-    def step(*args):
-        assert method == "krylov", "a Lanczos step on the eigh route"
-        steps.append(args)
-        return lanczos_step(*args)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evolution, "_lanczos_step", step)
-        if method == "krylov":
-            patch.setattr(evolution, "EIGH_CAP", 0)
-        yield steps
+def _route(prop, route):
+    return _on_blocks(prop) if route == "dense" else prop
+
+
+def _block_amplitudes(prop, source, target, ts):
+    """<target|U(t)|source> read off :meth:`Propagator.block_unitary`."""
+    indices, _ = prop.block_unitary(source, 0.0)
+    if target.index not in indices:
+        return np.zeros(len(ts), dtype=complex)
+    i, j = np.searchsorted(indices, [source.index, target.index])
+    return np.array([prop.block_unitary(source, t)[1][j, i] for t in ts])
 
 
 def test_zero_time_is_identity():
@@ -186,12 +190,12 @@ def test_uniform_six_site_transfer_stays_imperfect():
     assert best < 1.0 - 1e-3
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
+@pytest.mark.parametrize("route", ["dense", "fermions"])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_evolve_rejects_non_finite_time(method, t):
-    prop = _cluster_prop(4)
+def test_evolve_rejects_non_finite_time(route, t):
+    prop = _route(_cluster_prop(4), route)
     source = BitConfig.single(4, 1)
-    with pytest.raises(ValueError), _backend(method):
+    with pytest.raises(ValueError):
         prop.amplitudes(source, source, [0.5, t])
     with pytest.raises(ValueError):
         prop.block_unitary(source, t)
@@ -199,21 +203,20 @@ def test_evolve_rejects_non_finite_time(method, t):
         next(prop.block_unitaries(t))
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
-def test_scan_grid_matches_transfer_fidelity(method):
-    prop = Propagator(exchange_chain(CouplingProfile.uniform(5)))
+@pytest.mark.parametrize("route", ["dense", "fermions"])
+def test_scan_grid_matches_transfer_fidelity(route):
+    prop = _route(Propagator(exchange_chain(CouplingProfile.uniform(5))), route)
     source, target = BitConfig.single(5, 1), BitConfig.single(5, 5)
     # at t_max=3.0 the best grid point is the last one, where the
     # golden-section midpoint once fell 2.2e-9 below the grid maximum
-    with _backend(method):
-        for t_max, points in ((5.0, 21), (3.0, 13)):
-            t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
-                                                         t_max=t_max, grid_step=0.25)
-            assert len(ts) == len(fids) == points
-            assert np.allclose(ts, 0.25 * np.arange(points), rtol=0.0, atol=1e-12)
-            for t, fid in zip(ts, fids):
-                assert abs(fid - transfer_fidelity(prop, source, target, t)) < 1e-12
-            assert f_star >= fids.max() - 1e-12
+    for t_max, points in ((5.0, 21), (3.0, 13)):
+        t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
+                                                     t_max=t_max, grid_step=0.25)
+        assert len(ts) == len(fids) == points
+        assert np.allclose(ts, 0.25 * np.arange(points), rtol=0.0, atol=1e-12)
+        for t, fid in zip(ts, fids):
+            assert abs(fid - transfer_fidelity(prop, source, target, t)) < 1e-12
+        assert f_star >= fids.max() - 1e-12
 
 
 def test_scan_argument_validation():
@@ -282,16 +285,14 @@ def test_phase_probe_exchange_shows_crossing_phase():
 
 
 @pytest.mark.parametrize("family", ["cluster", "exchange"])
-def test_phase_probe_krylov_matches_dense(family):
+def test_phase_probe_free_fermions_match_blocks(family):
     chain = cluster_chain if family == "cluster" else exchange_chain
     spec = chain(CouplingProfile.engineered(6))
-    with _backend("dense"):
-        dense = phase_separability_probe(Propagator(spec), pst_time(6), family)
-    with _backend("krylov"):
-        krylov = phase_separability_probe(Propagator(spec), pst_time(6), family)
-    assert krylov.excluded == dense.excluded
+    dense = phase_separability_probe(_on_blocks(Propagator(spec)), pst_time(6), family)
+    fermions = phase_separability_probe(Propagator(spec), pst_time(6), family)
+    assert fermions.excluded == dense.excluded
     for field in ("phi1", "phi2", "deviation"):
-        a, b = getattr(dense, field), getattr(krylov, field)
+        a, b = getattr(dense, field), getattr(fermions, field)
         assert a.keys() == b.keys()
         for key in a:
             assert abs(math.remainder(a[key] - b[key], 2.0 * math.pi)) < 1e-9
@@ -302,49 +303,61 @@ def test_phase_probe_two_sites_trivial():
     assert report.deviation == {}
 
 
-def test_krylov_matches_dense():
-    # Lanczos starts from a basis state: every one, to itself and its mirror
+def test_free_fermions_match_every_block_amplitude():
+    # every pair of basis states: the block unitaries where both lie in one
+    # block, exactly 0 between blocks
     spec = cluster_chain(CouplingProfile.engineered(7))
     ts = (0.4, math.pi / 2, 3.9, -1.3)
-    sources = [BitConfig.from_index(7, b) for b in range(1 << 7)]
-    pairs = [(source, target) for source in sources for target in (source, mirror_map(source))]
-    with _backend("dense"):
-        dense = Propagator(spec)
-        expected = [dense.amplitudes(source, target, ts) for source, target in pairs]
-    with _backend("krylov") as steps:
-        krylov = Propagator(spec)
-        for (source, target), amps in zip(pairs, expected):
-            assert np.max(np.abs(krylov.amplitudes(source, target, ts) - amps)) < 1e-8
-    assert steps
+    prop = Propagator(spec)
+    expected = np.zeros((len(ts), 1 << 7, 1 << 7), dtype=complex)
+    for k, t in enumerate(ts):
+        for rows, us in prop.block_unitaries(t):
+            for indices, u in zip(rows, us):
+                expected[k][np.ix_(indices, indices)] = u
+    for i in range(1 << 7):
+        for j in range(1 << 7):
+            amps = prop.amplitudes(BitConfig.from_index(7, i), BitConfig.from_index(7, j), ts)
+            assert np.max(np.abs(amps - expected[:, j, i])) < 1e-12
+            assert expected[0, j, i] != 0.0 or not amps.any()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
-    st.sampled_from([cluster_chain, exchange_chain]),
-    st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1),
-    st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
-    st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1),
-    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))))
-def test_amplitudes_krylov_matches_dense(case):
-    chain, couplings, fields, i, j, ts = case
-    n = len(fields)
-    spec = chain(CouplingProfile(n, tuple(couplings), tuple(fields)))
-    source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
-    with _backend("dense"):
-        dense = Propagator(spec).amplitudes(source, target, ts)
-    with _backend("krylov"):
-        krylov = Propagator(spec).amplitudes(source, target, ts)
-    assert dense.shape == krylov.shape == (len(ts),)
-    assert np.max(np.abs(dense - krylov)) < 1e-9
+@st.composite
+def _chains(draw):
+    """A random chain on 2..9 sites, with or without fields, and a random
+    or mirror pair of basis states."""
+    n = draw(st.integers(2, 9))
+    couplings = draw(st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1))
+    fields = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    family = draw(st.sampled_from(["cluster", "exchange"]))
+    chain = cluster_chain if family == "cluster" else exchange_chain
+    source = BitConfig.from_index(n, draw(st.integers(0, 2 ** n - 1)))
+    if draw(st.booleans()):
+        target = mirror_map(source) if family == "cluster" else source.reversed_sites()
+    else:
+        target = BitConfig.from_index(n, draw(st.integers(0, 2 ** n - 1)))
+    return chain(CouplingProfile(n, couplings, fields)), source, target
 
 
-def test_krylov_handles_long_chain():
-    spec = cluster_chain(CouplingProfile.engineered(14))
-    source, ones = BitConfig.single(14, 1), BitConfig(14, (1,) * 14)
-    for method in ("dense", "krylov"):
-        with _backend(method):
-            amp = Propagator(spec).amplitudes(source, ones, pst_time(14))[0]
-        assert abs(abs(amp) - 1.0) < 1e-8
+@settings(max_examples=60, deadline=None)
+@given(_chains(), st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))
+def test_free_fermions_match_block_unitaries(case, ts):
+    spec, source, target = case
+    prop = Propagator(spec)
+    amps = prop.amplitudes(source, target, ts)
+    assert amps.shape == (len(ts),)
+    assert np.max(np.abs(amps - _block_amplitudes(prop, source, target, ts))) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["cluster", "exchange"])
+def test_engineered_mirror_is_perfect_at_63_sites(family):
+    n = 63
+    chain = cluster_chain if family == "cluster" else exchange_chain
+    mirror = mirror_map if family == "cluster" else BitConfig.reversed_sites
+    prop = Propagator(chain(CouplingProfile.engineered(n)))
+    rng = np.random.default_rng(63)
+    for source in (BitConfig.single(n, 2), BitConfig(n, tuple(rng.integers(0, 2, n)))):
+        amp = prop.amplitudes(source, mirror(source), pst_time(n))[0]
+        assert abs(abs(amp) ** 2 - 1.0) < 1e-9
 
 
 def test_dense_refused_above_cap():
@@ -353,12 +366,15 @@ def test_dense_refused_above_cap():
         sector_blocks(spec)
     with pytest.raises(SizeError):
         next(Propagator(spec).block_unitaries(1.0))
+    # a spec that is not one of the two chains has no route above the cap
+    other = Propagator(spec + HamiltonianSpec(13, (PauliTerm(0.3, {1: "X"}),)))
+    with pytest.raises(SizeError):
+        other.amplitudes(BitConfig.single(13, 2), BitConfig.single(13, 3), 1.0)
 
 
-def test_krylov_matches_dense_at_long_times():
-    # the Lanczos step does not reorthogonalize; uniform couplings give a
-    # generic spectrum, so five walls / excitations (a 252-state block)
-    # never fit in one Krylov basis and t = 500 takes hundreds of substeps
+def test_free_fermions_match_blocks_at_long_times():
+    # uniform couplings give a generic spectrum; at t = 500 both routes
+    # still agree on a 252-state block (five walls / excitations)
     n, t = 10, 500.0
     profile = CouplingProfile.uniform(n)
     excitations = BitConfig.from_string("1011001010")
@@ -366,30 +382,10 @@ def test_krylov_matches_dense_at_long_times():
     cases = ((cluster_chain(profile), walls, mirror_map(walls)),
              (exchange_chain(profile), excitations, excitations.reversed_sites()))
     for spec, source, target in cases:
-        with _backend("dense"):
-            dense = Propagator(spec).amplitudes(source, target, t)
-        with _backend("krylov") as steps:
-            krylov = Propagator(spec).amplitudes(source, target, t)
-        assert steps
+        prop = Propagator(spec)
+        dense = _block_amplitudes(prop, source, target, [t])
         assert abs(dense[0]) > 1e-3
-        assert abs(dense[0] - krylov[0]) < 1e-9
-
-
-def test_lanczos_scan_evolves_from_each_time_to_the_next():
-    # five walls on 10 uniform sites, a 252-state block: one Lanczos step
-    # covers each 0.1 between grid points, while evolving a point from t = 0
-    # takes several; the amplitudes come back in the caller's order
-    n = 10
-    spec = cluster_chain(CouplingProfile.uniform(n))
-    source = gamma_forward(BitConfig.from_string("1011001010"))
-    target = mirror_map(source)
-    ts = np.random.default_rng(0).permutation(0.1 * np.arange(41))
-    with _backend("dense"):
-        expected = Propagator(spec).amplitudes(source, target, ts)
-    with _backend("krylov") as steps:
-        amps = Propagator(spec).amplitudes(source, target, ts)
-    assert len(steps) == len(ts) - 1
-    assert np.max(np.abs(amps - expected)) < 1e-9
+        assert abs(prop.amplitudes(source, target, t)[0] - dense[0]) < 1e-9
 
 
 @st.composite
@@ -429,8 +425,7 @@ def test_block_backend_matches_full_space(spec, data):
     psi = _random_state(n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32))))
     source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
     prop = Propagator(spec)
-    with _backend("dense"):
-        amps = prop.amplitudes(source, target, ts)
+    amps = prop.amplitudes(source, target, ts)
     for t, amp in zip(ts, amps):
         u = kron_unitary(spec, t)
         # the blocks tile U: each matches the oracle, which is 0 between them
@@ -445,9 +440,6 @@ def test_block_backend_matches_full_space(spec, data):
         indices, block_u = prop.block_unitary(source, t)
         assert i in indices
         assert np.max(np.abs(block_u - u[np.ix_(indices, indices)])) < 1e-12
-    # Lanczos on the same blocks, complex and diagonal-only ones included
-    with _backend("krylov"):
-        assert np.max(np.abs(Propagator(spec).amplitudes(source, target, ts) - amps)) < 1e-9
 
 
 def _sector_labels(family, n):
@@ -490,106 +482,63 @@ def test_blocks_are_the_conserved_sectors(n):
             == {frozenset(row.tolist()) for row in blocks["exchange"]})
 
 
-@settings(max_examples=60, deadline=None)
-@given(_block_specs(), st.data())
-def test_search_from_one_seed_finds_its_whole_space_block(spec, data):
-    n = spec.n_sites
-    seed = data.draw(st.integers(0, 2 ** n - 1))
-    blocks, where, (src, dst, values) = sector_blocks(spec)
-    found, found_where, (found_src, found_dst, found_values) = sector_blocks(spec, [seed])
-    c, r = where[1:3, seed]
-    assert [b.shape[0] for b in found] == [1]
-    assert np.array_equal(found[0][0], blocks[c][r])
-    assert np.array_equal(found_where[0], blocks[c][r])
-
-    def entries(states, s, d, v, keep):
-        # the entries as (dst, src, value) basis-index triples, sorted
-        order = np.lexsort((states[s][keep], states[d][keep]))
-        return states[d][keep][order], states[s][keep][order], v[keep][order]
-
-    mine = (where[1, src] == c) & (where[2, src] == r)
-    expected = entries(where[0], src, dst, values, mine)
-    got = entries(found_where[0], found_src, found_dst, found_values, slice(None))
-    for a, b in zip(expected, got):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+def _star(spikes, length, profile=CouplingProfile.engineered):
+    return star_hamiltonian(StarLayout(spikes, length, profile(length)))
 
 
-def test_large_block_is_answered_by_lanczos(monkeypatch):
-    # five excitations on 13 sites: a C(13, 5) = 1287-state block, above EIGH_CAP
-    spec = exchange_chain(CouplingProfile.engineered(13))
+_FIELDS = tuple(np.random.default_rng(13).uniform(-1.0, 1.0, 13))
+_CHAIN_SPECS = {
+    "exchange": exchange_chain(CouplingProfile.engineered(13)),
+    "exchange with fields": exchange_chain(CouplingProfile.engineered(13, _FIELDS)),
+    "cluster": cluster_chain(CouplingProfile.uniform(13)),
+    "cluster with fields": cluster_chain(CouplingProfile.uniform(13, _FIELDS)),
+    "one-spike star": _star(1, 13),
+}
+_OTHER_SPECS = {
+    "chain plus one term": exchange_chain(CouplingProfile.engineered(13))
+    + HamiltonianSpec(13, (PauliTerm(0.2, {5: "X"}),)),
+    # X_i Y_{i+1} - Y_i X_{i+1} hops an excitation like XX + YY, but it is
+    # complex, and no exchange_chain
+    "complex hopping": HamiltonianSpec(13, tuple(
+        PauliTerm(sign, {i: a, i + 1: b})
+        for i in range(1, 13) for sign, a, b in ((1.0, "X", "Y"), (-1.0, "Y", "X")))),
+    "two-spike star": _star(2, 7),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_SPECS) + list(_OTHER_SPECS))
+def test_route_is_read_off_the_spec(name):
+    # at 13 sites only a recognized chain has amplitudes: the blocks of any
+    # other spec are above the dense cap
+    prop = Propagator({**_CHAIN_SPECS, **_OTHER_SPECS}[name])
+    source = BitConfig.from_string("0110010000000")
+    if name in _OTHER_SPECS:
+        with pytest.raises(SizeError):
+            prop.amplitudes(source, source, 0.5)
+        return
+    amps = prop.amplitudes(source, source, [0.0, 0.5])
+    assert amps[0] == pytest.approx(1.0, abs=1e-12) and abs(amps[1]) <= 1.0 + 1e-12
+    with pytest.raises(SizeError):
+        prop.block_unitary(source, 0.5)
+
+
+@pytest.mark.parametrize("fields", [None, _FIELDS])
+def test_free_fermions_match_a_1287_state_sector(fields):
+    # five excitations on 13 sites: the C(13, 5) = 1287-state sector, built
+    # entry by entry from the chain's definition, above the dense cap
+    profile = CouplingProfile.engineered(13, fields)
     source = BitConfig.from_string("1101010010000")
     target = source.reversed_sites()
-    steps = []
-    lanczos_step = evolution._lanczos_step
-    monkeypatch.setattr(evolution, "_lanczos_step",
-                        lambda *args: steps.append(args) or lanczos_step(*args))
-    ts = [0.3, pst_time(13), 2.9]
-    amps = Propagator(spec).amplitudes(source, target, ts)
-    assert steps
-    (rows,), where, (src, dst, values) = sector_blocks(spec, [source.index])
-    (block,) = rows
-    assert block.size == 1287 > evolution.EIGH_CAP
-    h = np.zeros((block.size, block.size))
-    h[where[3, dst], where[3, src]] = values
+    ts = [0.3, pst_time(13), -2.9]
+    amps = Propagator(exchange_chain(profile)).amplitudes(source, target, ts)
+    indices, h = exchange_sector(profile, 5)
+    assert indices.size == 1287
     vals, vecs = np.linalg.eigh(h)
-    i, j = np.searchsorted(block, [source.index, target.index])
-    expected = np.exp(-1j * np.multiply.outer(ts, vals)) @ (vecs[j] * vecs[i])
-    assert abs(expected[1]) > 0.99      # the mirror transfer at pi/2
-    assert np.max(np.abs(amps - expected)) < 1e-9
-
-
-def test_searched_block_above_its_cap_runs_lanczos_in_linear_memory(monkeypatch):
-    # four walls on 13 sites: a C(13, 4) = 715-state block, within EIGH_CAP
-    # but above SEARCH_EIGH_CAP, so no dense block is built for a transfer
-    spec = cluster_chain(CouplingProfile.engineered(13))
-    source = BitConfig.from_string("0001101111100")
-    target = mirror_map(source)
-    steps = []
-    lanczos_step = evolution._lanczos_step
-    monkeypatch.setattr(evolution, "_lanczos_step",
-                        lambda *args: steps.append(args) or lanczos_step(*args))
-    tracemalloc.start()
-    try:
-        amp = Propagator(spec).amplitudes(source, target, pst_time(13))[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert steps
-    (rows,), where, (src, dst, values) = sector_blocks(spec, [source.index])
-    (block,) = rows
-    assert evolution.SEARCH_EIGH_CAP < block.size == 715 <= evolution.EIGH_CAP
-    assert peak < 8 * block.size ** 2
-    h = np.zeros((block.size, block.size))
-    h[where[3, dst], where[3, src]] = values
-    vals, vecs = np.linalg.eigh(h)
-    i, j = np.searchsorted(block, [source.index, target.index])
-    expected = np.exp(-1j * vals * pst_time(13)) @ (vecs[j] * vecs[i])
-    assert abs(expected) > 0.99
-    assert abs(amp - expected) < 1e-9
-
-
-def test_diagonalized_block_answers_by_its_eigenpairs():
-    # the route depends on the queries before: a block above EIGH_CAP runs
-    # Lanczos until a unitary query diagonalizes it, then its eigenpairs
-    # answer (star-demo's fidelity on a 2048-state star block does this)
-    spec = exchange_chain(CouplingProfile.uniform(8))
-    source = BitConfig.from_string("11010000")
-    target = source.reversed_sites()
-    ts = [0.7, 2.9]
-    with _backend("dense"):
-        expected = Propagator(spec).amplitudes(source, target, ts)
-    with _backend("krylov") as steps:
-        prop = Propagator(spec)
-        lanczos = prop.amplitudes(source, target, ts)
-        assert steps
-        indices, u = prop.block_unitary(source, ts[1])
-        steps.clear()
-        eigh = prop.amplitudes(source, target, ts)
-        assert not steps
-    assert np.max(np.abs(lanczos - expected)) < 1e-9
-    assert np.max(np.abs(eigh - expected)) < 1e-14
     i, j = np.searchsorted(indices, [source.index, target.index])
-    assert abs(u[j, i] - eigh[1]) < 1e-12
+    expected = np.exp(-1j * np.multiply.outer(ts, vals)) @ (vecs[j] * vecs[i])
+    if fields is None:
+        assert abs(expected[1]) > 0.99      # the mirror transfer at pi/2
+    assert np.max(np.abs(amps - expected)) < 1e-12
 
 
 def test_unitary_refused_on_a_block_above_the_dense_cap():
@@ -599,6 +548,6 @@ def test_unitary_refused_on_a_block_above_the_dense_cap():
     prop = Propagator(spec)
     with pytest.raises(SizeError):
         prop.block_unitary(source, 1.0)
-    # Lanczos still answers its amplitudes: the mirror transfer at pi/2
+    # free fermions still answer its amplitudes: the mirror transfer at pi/2
     amp = prop.amplitudes(source, source.reversed_sites(), pst_time(15))[0]
     assert abs(abs(amp) - 1.0) < 1e-8
