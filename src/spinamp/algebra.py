@@ -20,7 +20,6 @@ realization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -164,26 +163,6 @@ class HamiltonianSpec:
                 f"cannot add specs on {self.n_sites} and {other.n_sites} sites"
             )
         return HamiltonianSpec(self.n_sites, self.terms + other.terms)
-
-    # JSON schema: {"n_sites": N, "terms": [{"coeff": c, "letters": {"1": "X"}}]}
-    def to_json(self) -> str:
-        doc = {
-            "n_sites": self.n_sites,
-            "terms": [
-                {"coeff": t.coefficient, "letters": {str(s): p for s, p in t.letters}}
-                for t in self.terms
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HamiltonianSpec":
-        doc = json.loads(text)
-        terms = [
-            PauliTerm(t["coeff"], {int(s): p for s, p in t["letters"].items()})
-            for t in doc["terms"]
-        ]
-        return cls(doc["n_sites"], tuple(terms))
 
 
 @dataclass(frozen=True)

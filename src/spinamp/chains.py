@@ -7,14 +7,14 @@ Two chains share one tridiagonal skeleton:
 * the cluster-like amplification chain, a sum of three-body flip terms
   that grows/shrinks domains of 1s with the same amplitudes.
 
-Coupling profiles carry the J_n (and optional local fields B_n).  The
+Coupling profiles carry the J_n (and optional local fields B_n); a zero
+J_n or B_n adds no term, so a zero coupling cuts the chain in two.  The
 "engineered" profile J_n = sqrt(n*(N-n)) makes both chains transfer
 perfectly at t = pi/2; the "uniform" profile sets every J_n = 1.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,7 +27,6 @@ __all__ = [
     "exchange_chain",
     "cluster_chain",
     "cluster_field_terms",
-    "field_difference",
     "star_hamiltonian",
     "spike_hamiltonians",
     "conserved_wall_operator",
@@ -69,27 +68,6 @@ class CouplingProfile:
         return cls(n_sites, js, None if fields is None else tuple(fields),
                    kind="engineered")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_sites": self.n_sites,
-                "couplings": list(self.couplings),
-                "fields": None if self.fields is None else list(self.fields),
-                "kind": self.kind,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CouplingProfile":
-        doc = json.loads(text)
-        return cls(
-            doc["n_sites"],
-            tuple(doc["couplings"]),
-            None if doc.get("fields") is None else tuple(doc["fields"]),
-            doc.get("kind", "custom"),
-        )
-
 
 @dataclass(frozen=True)
 class StarLayout:
@@ -129,8 +107,9 @@ def exchange_chain(profile: CouplingProfile) -> HamiltonianSpec:
     _require_chain(n)
     terms = []
     for i, j in enumerate(profile.couplings, start=1):
-        terms.append(PauliTerm(0.5 * j, {i: "X", i + 1: "X"}))
-        terms.append(PauliTerm(0.5 * j, {i: "Y", i + 1: "Y"}))
+        if 0.5 * j != 0.0:      # a zero coupling cuts the chain
+            terms.append(PauliTerm(0.5 * j, {i: "X", i + 1: "X"}))
+            terms.append(PauliTerm(0.5 * j, {i: "Y", i + 1: "Y"}))
     if profile.fields is not None:
         for i, b in enumerate(profile.fields, start=1):
             if b != 0.0:
@@ -144,8 +123,9 @@ def _cluster_terms(profile: CouplingProfile, relabel=None) -> list:
     sites = relabel or (lambda s: s)
     terms = []
     for site in range(2, n + 1):
-        j = profile.couplings[site - 2]
-        half = 0.5 * j
+        half = 0.5 * profile.couplings[site - 2]
+        if half == 0.0:
+            continue
         terms.append(PauliTerm(half, {sites(site): "X"}))
         if site < n:
             terms.append(
@@ -184,12 +164,6 @@ def cluster_field_terms(n_sites: int, fields: Sequence[float]) -> HamiltonianSpe
     terms = [PauliTerm(b, {i: "Z", i + 1: "Z"} if i < n_sites else {i: "Z"})
              for i, b in enumerate(fields, start=1) if b != 0.0]
     return HamiltonianSpec(n_sites, tuple(terms))
-
-
-def field_difference(fields: Sequence[float]) -> tuple:
-    """Alternative local-field profile B'_n = B_{n-1} - B_n (B_0 = 0)."""
-    fields = [float(b) for b in fields]
-    return tuple(prev - b for prev, b in zip([0.0] + fields, fields))
 
 
 def spike_hamiltonians(layout: StarLayout) -> list:

@@ -243,6 +243,8 @@ def cmd_noise_sweep(args) -> int:
     with _inputs():
         profile = _profile(args.profile, args.n)
         t = _time(args.time, args.n)
+        if not t > 0.0:
+            raise ValueError(f"--time must be positive, got {t}")
         cfgs = [NoiseConfig(float(p), args.steps, args.trials, args.seed)
                 for p in args.p.split(",")]
     tasks = [

@@ -136,7 +136,8 @@ class Propagator:
         ``exchange_chain`` (ladder False) or ``cluster_chain`` (ladder
         True) of some profile, else None.  J_n and B_n are read off the
         terms, and the chain they give must rebuild the spec; h holds J on
-        its off-diagonals and -2B on its diagonal."""
+        its off-diagonals (a zero J_n cuts it into blocks) and -2B on its
+        diagonal."""
         n, terms = self.n_sites, self.spec.term_map()
         if n < 2:
             return None
@@ -149,7 +150,7 @@ class Propagator:
                 js = [2.0 * terms.get(((s, "X"), (s + 1, "X")), 0.0) for s in range(1, n)]
                 bs = [terms.get(((s, "Z"),), 0.0) for s in range(1, n + 1)]
             chain = cluster_chain if ladder else exchange_chain
-            if all(js) and chain(CouplingProfile(n, js, bs)).terms == self.spec.terms:
+            if chain(CouplingProfile(n, js, bs)).terms == self.spec.terms:
                 h = np.diag(js, 1) + np.diag(js, -1) - 2.0 * np.diag(bs)
                 return ladder, sum(bs), np.linalg.eigh(h)
         return None

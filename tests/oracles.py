@@ -10,6 +10,8 @@ Each one computes by the textbook route, with no code shared with
   the whole 2^N space;
 * ``cnot_matrix`` / ``gamma_matrix`` -- the CNOT ladder as products of
   dense 2^N x 2^N permutation matrices;
+* ``trial_rngs``      -- one numpy generator per noise trial, spawned
+  from the root seed, whose draws ``noise.trial_draws`` computes in bulk;
 * ``dephasing_trial`` -- one noisy transfer, evolved step by step over
   the whole 2^N space;
 * ``gamma_forward_bits`` / ``gamma_inverse_bits`` / ``mirror_bits`` --
@@ -90,6 +92,12 @@ def gamma_matrix(n_sites: int) -> np.ndarray:
     for n in range(n_sites, 1, -1):
         mat = cnot_matrix(n_sites, n, n - 1) @ mat
     return mat
+
+
+def trial_rngs(seed: int, trials: int) -> list:
+    """Trial i's generator: ``default_rng`` of the i-th spawned child of
+    ``SeedSequence(seed)``."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
 def dephasing_trial(prop, source, measure_site, total_time, cfg, rng) -> float:

@@ -203,12 +203,6 @@ def test_expectation_examples():
     assert abs(expectation(hx2, plus) - 1.0) < 1e-12
 
 
-def test_json_round_trip():
-    rng = np.random.default_rng(11)
-    spec = _random_spec(4, rng)
-    assert HamiltonianSpec.from_json(spec.to_json()) == spec
-
-
 def test_bit_config_round_trips():
     cfg = BitConfig.from_string("10110")
     assert str(cfg) == "10110"

@@ -19,7 +19,6 @@ from spinamp.chains import (
     cluster_field_terms,
     conserved_wall_operator,
     exchange_chain,
-    field_difference,
     spike_hamiltonians,
     star_hamiltonian,
 )
@@ -42,9 +41,15 @@ def test_profile_validation():
         CouplingProfile(3, (1.0, 1.0), fields=(0.0, 0.0))
 
 
-def test_profile_json_round_trip():
-    prof = CouplingProfile.engineered(5, fields=(0.1, 0.0, -0.3, 0.0, 0.2))
-    assert CouplingProfile.from_json(prof.to_json()) == prof
+def test_zero_coupling_cuts_the_chain():
+    # a zero J_n adds no term, as a zero field adds none
+    prof = CouplingProfile(4, (1.0, 0.0, 2.0))
+    assert exchange_chain(prof).term_map() == {
+        ((1, "X"), (2, "X")): 0.5, ((1, "Y"), (2, "Y")): 0.5,
+        ((3, "X"), (4, "X")): 1.0, ((3, "Y"), (4, "Y")): 1.0}
+    assert cluster_chain(prof).term_map() == {
+        ((2, "X"),): 0.5, ((1, "Z"), (2, "X"), (3, "Z")): -0.5,
+        ((4, "X"),): 1.0, ((3, "Z"), (4, "X")): -1.0}
 
 
 def test_exchange_two_sites():
@@ -103,11 +108,6 @@ def test_field_fragment_matches_conjugation():
         for key, value in conjugate_hamiltonian(bare).term_map().items():
             assert field_part.pop(key) == value
         assert field_part == cluster_field_terms(n, fields).term_map()
-
-
-def test_field_difference():
-    assert field_difference((1.0, 2.0, 3.0)) == (-1.0, -1.0, -1.0)
-    assert field_difference(()) == ()
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -205,6 +205,8 @@ _BAD_INPUT = [
     (_SWEEP + ["--p", "2"], "flip probability"),
     (_SWEEP + ["--p", ","], "float"),
     (_SWEEP + ["--steps", "0"], "steps"),
+    (_SWEEP + ["--time", "0"], "positive"),
+    (_SWEEP + ["--time", "-1"], "positive"),
     (["star-demo", "--spikes", "0"], "spike"),
     (["transfer", "--n", "3", "--source", "102", "--target", "001"], "0 or 1"),
     (["verify-equivalence", "--profiles", "0"], "profile"),
@@ -219,10 +221,12 @@ _BAD_INPUT = [
 def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "malformed.json").write_text("{bad")
+    draws = _count_calls(monkeypatch, noise, "trial_draws")
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert reason in captured.err
+    assert draws == []
 
 
 def test_chain_length_stops_at_the_index_width(capsys):
@@ -281,8 +285,8 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_noise_sweep_respects_cap(monkeypatch, capsys):
-    # refused before a single per-trial generator is spawned
-    calls = _count_calls(monkeypatch, noise, "trial_rngs")
+    # refused before a single trial is drawn
+    calls = _count_calls(monkeypatch, noise, "trial_draws")
     assert main(["noise-sweep", "--n", "13", "--trials", "20000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

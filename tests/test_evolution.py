@@ -321,6 +321,26 @@ def test_free_fermions_match_every_block_amplitude():
             assert expected[0, j, i] != 0.0 or not amps.any()
 
 
+_CUT_PROFILES = [CouplingProfile(5, (1.0, 0.0, 0.7, 1.3)),
+                 CouplingProfile(5, (0.0, 1.1, 0.0, 0.6), (0.3, 0.0, -0.5, 0.2, 0.1))]
+
+
+@pytest.mark.parametrize("family", ["cluster", "exchange"])
+@pytest.mark.parametrize("profile", _CUT_PROFILES, ids=["cut", "cuts with fields"])
+def test_cut_chain_matches_kronecker_oracle(family, profile):
+    # a zero J_n adds no term and leaves h block diagonal: the chain still
+    # takes the fermion route, and det u[D, S] still holds
+    spec = (cluster_chain if family == "cluster" else exchange_chain)(profile)
+    prop = Propagator(spec)
+    assert prop._fermions is not None
+    ts = (0.4, 2.1, -1.3)
+    expected = np.array([kron_unitary(spec, t) for t in ts])
+    for i in range(1 << 5):
+        for j in range(1 << 5):
+            amps = prop.amplitudes(BitConfig.from_index(5, i), BitConfig.from_index(5, j), ts)
+            assert np.max(np.abs(amps - expected[:, j, i])) < 1e-12
+
+
 @st.composite
 def _chains(draw):
     """A random chain on 2..9 sites, with or without fields, and a random

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,10 +14,10 @@ from spinamp.noise import (
     TransferTask,
     dephasing_ensemble,
     noise_sweep,
-    trial_rngs,
+    trial_draws,
 )
 
-from oracles import dephasing_trial
+from oracles import dephasing_trial, trial_rngs
 
 N = 6
 T = pst_time(N)
@@ -43,6 +44,9 @@ def test_config_validation():
         NoiseConfig(p=0.1, steps=0)
     with pytest.raises(ValueError):
         NoiseConfig(p=0.1, trials=0)
+    NoiseConfig(p=0.1, trials=2 ** 32)     # every spawn key still fits one word
+    with pytest.raises(ValueError):
+        NoiseConfig(p=0.1, trials=2 ** 32 + 1)
     with pytest.raises(ValueError):
         RunRecord(0.1, 1.5, 0.0, 10, 0, "cluster", 2, 6, 5)
 
@@ -92,9 +96,10 @@ def test_batch_matches_single_trials(props):
 
 
 def test_trial_blocks_match_single_trials(props, monkeypatch):
-    # 23 trials in blocks of 5 leave a short last block
-    monkeypatch.setattr(noise, "TRIAL_BLOCK", 5)
+    # 23 trials in batches of 5 leave a short last batch
     cluster, _ = props
+    block_dim = cluster.block_unitary(BitConfig.single(N, 2), 0.0)[0].size
+    monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * block_dim - 1)
     cfg = NoiseConfig(p=0.3, trials=23, seed=4)
     batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, cfg)
     singles = np.array([
@@ -102,6 +107,42 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
         for rng in trial_rngs(cfg.seed, cfg.trials)
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
+
+
+def _oracle_draws(seed, trials, steps, n_sites):
+    rows = [(rng.random(steps), rng.integers(1, n_sites + 1, size=steps))
+            for rng in trial_rngs(seed, trials)]
+    return np.array([u for u, _ in rows]), np.array([s for _, s in rows])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 4345047245122777519])
+def test_draws_equal_the_per_trial_generators(seed):
+    # one and two root-seed words, at both ends of each; 63 sites is the
+    # widest chain, and 2**32 mod N is 0 for N = 2, 8 but not for 3, 12, 63
+    for n_sites, steps, trials in itertools.product((2, 3, 8, 12, 63), (1, 24, 25), (1, 300)):
+        uniforms, sites = trial_draws(NoiseConfig(0.1, steps, trials, seed), n_sites)
+        expected = _oracle_draws(seed, trials, steps, n_sites)
+        assert uniforms.dtype == expected[0].dtype and sites.dtype == expected[1].dtype
+        assert uniforms.tobytes() == expected[0].tobytes()
+        assert sites.tobytes() == expected[1].tobytes()
+
+
+def test_rejected_site_word_is_skipped():
+    # 2**32 mod 61 = 57: site word 421 (from 0) of trial 3135 falls below
+    # it, so numpy takes the next word, and every later site moves
+    uniforms, sites = trial_draws(NoiseConfig(p=0.1, steps=1000, trials=3136, seed=7), 61)
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3135,)))
+    assert uniforms[3135].tobytes() == rng.random(1000).tobytes()
+    assert np.array_equal(sites[3135], rng.integers(1, 62, 1000))
+
+
+def test_draw_batches_match_one_batch(monkeypatch):
+    # 5 + 3 outputs per trial, 3 trials per batch: a short last batch
+    cfg = NoiseConfig(p=0.1, steps=5, trials=13, seed=3)
+    whole = trial_draws(cfg, 6)
+    monkeypatch.setattr(noise, "DRAW_BATCH", 3 * 8 + 7)
+    for part, full in zip(trial_draws(cfg, 6), whole):
+        assert part.tobytes() == full.tobytes()
 
 
 def test_sweep_is_deterministic(props):
