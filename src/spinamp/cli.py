@@ -112,6 +112,14 @@ def finite(text: str) -> float:
     return value
 
 
+def u64(text: str) -> int:
+    """argparse type for --seed: an integer in 0..2^64 - 1."""
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{text!r} is outside 0..2^64 - 1")
+    return value
+
+
 # -- subcommands ----------------------------------------------------------
 
 
@@ -204,8 +212,8 @@ def cmd_transfer(args) -> int:
 
 def cmd_scan(args) -> int:
     profile, source, target = _endpoints(args)
-    if args.t_max <= 0.0 or args.grid_step <= 0.0:
-        raise UsageError("--t-max and --grid-step must be positive")
+    if not (0.0 < args.grid_step and 0.0 < args.t_max < args.grid_step * sys.maxsize):
+        raise UsageError("--t-max and --grid-step must be positive, t_max / grid_step below 2^63")
     t_star, f_star, ts, fidelities = max_fidelity_scan(
         Propagator(_hamiltonian(args.family, profile)), source, target,
         t_max=args.t_max, grid_step=args.grid_step)
@@ -329,7 +337,7 @@ def cmd_star_demo(args) -> int:
 def _add_common(sub: argparse.ArgumentParser, func, defaults: dict) -> None:
     sub.add_argument("--config", help="JSON file supplying argument defaults")
     sub.add_argument("--out", help="output path (stdout if omitted)")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    sub.add_argument("--seed", type=u64, default=0, help="RNG seed (u64)")
     sub.set_defaults(func=func, **defaults)
 
 

@@ -90,18 +90,13 @@ class Propagator:
         if {source.n_sites, target.n_sites} != {self.n_sites}:
             raise SpinChainError("configs and propagator differ in site count")
         ts = _times(ts)
-        if self._fermions is not None:
-            ladder, field_sum, (vals, vecs) = self._fermions
-            s, d = source.index, target.index
-            if ladder:
-                s, d = s ^ (s >> 1), d ^ (d >> 1)
-            if s.bit_count() != d.bit_count():
+        if self.fermions is not None:
+            _, field_sum, (vals, vecs) = self.fermions
+            s, d = self.occupied(source), self.occupied(target)
+            if len(s) != len(d):
                 return np.zeros(ts.shape, dtype=complex)
-            sites = np.arange(self.n_sites)
-            rows = vecs[(d >> sites) & 1 == 1]      # u[D, S] = rows e^{-i vals t} cols^T
-            cols = vecs[(s >> sites) & 1 == 1]
             phases = np.exp(-1j * np.multiply.outer(ts, vals))
-            u = np.einsum("dn,tn,sn->tds", rows, phases, cols)
+            u = np.einsum("dn,tn,sn->tds", vecs[d], phases, vecs[s])    # u[D, S]
             return np.exp(-1j * field_sum * ts) * np.linalg.det(u)
         where = self._split[1]
         c, r, i = where[:, source.index]
@@ -111,27 +106,28 @@ class Propagator:
         weights = vecs[r, where[2, target.index]] * vecs[r, i].conj()
         return np.exp(-1j * np.multiply.outer(ts, vals[r])) @ weights
 
-    def block_unitary(self, config: BitConfig, t: float) -> tuple:
-        """(indices, u): the basis indices of the block holding ``config``,
-        ascending, and e^{-iHt} on the block in that order."""
-        _times(t)
-        blocks, where, _ = self._split
-        c, r, _ = where[:, config.index]
-        vals, vecs = self._eigenpairs(c)
-        return blocks[c][r], (vecs[r] * np.exp(-1j * vals[r] * t)) @ vecs[r].conj().T
-
     def block_unitaries(self, t: float):
         """Yield (indices, u) for the blocks of each size in turn: ``indices``
-        is (k, s), one block of s basis indices per row as
-        :meth:`block_unitary` gives them, and ``u`` is (k, s, s), their
-        unitaries."""
+        is (k, s), one block of s basis indices per row, ascending, and
+        ``u`` is (k, s, s), e^{-iHt} on each block in that order."""
         _times(t)
         for c, blocks in enumerate(self._split[0]):
             vals, vecs = self._eigenpairs(c)
             yield blocks, (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
+    def occupied(self, config: BitConfig) -> list:
+        """The single-particle sites ``config`` fills, ascending from 0: its
+        up sites, through ``b ^ (b >> 1)`` on the amplification chain.
+        ValueError for a spec that is neither chain."""
+        if self.fermions is None:
+            raise ValueError("only exchange_chain and cluster_chain specs are free fermions")
+        b = config.index
+        if self.fermions[0]:
+            b ^= b >> 1
+        return [s for s in range(self.n_sites) if b >> s & 1]
+
     @cached_property
-    def _fermions(self):
+    def fermions(self):
         """(ladder, sum B, eigenpairs of h) when the spec is exactly
         ``exchange_chain`` (ladder False) or ``cluster_chain`` (ladder
         True) of some profile, else None.  J_n and B_n are read off the

@@ -13,16 +13,16 @@ check it bit for bit against the generators.  The draws depend only on
 (seed, trials, steps, N), so a sweep draws them once and reuses them for
 every p and every Hamiltonian (common random numbers).
 
-A Z flip is diagonal in the computational basis, so a trial never leaves
-the block of H that holds its source (see :class:`Propagator`): the trials
-evolve together as one (block_dim, trials) array under the block's segment
-unitary, 28 states for the cluster chain at N = 8 against 256.  A sweep
-reads its blocks before it draws, so a chain above the dense cap costs no
-draws.  The tests replay single trials over the whole 2^N space.
+Both chains are free fermions (see :class:`Propagator`): a trial is the
+N x k matrix W of its k occupied orbitals.  A Z on site s multiplies each
+orbital by -1 on site s (exchange chain) or on sites s..N (cluster chain,
+through the CNOT ladder); the score is (1 - det(I - 2 W_A W_A^H)) / 2, with
+A the measured site's sign set.  The tests replay single trials over 2^N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -43,7 +43,7 @@ __all__ = [
 #: Where in each segment the possible phase flip is applied.
 ERROR_PLACEMENT = "evolve-then-flip"
 
-#: Most state entries :func:`dephasing_ensemble` evolves at once (16 MiB).
+#: Most orbital entries :func:`dephasing_ensemble` evolves at once (16 MiB).
 BATCH_ELEMENTS = 1 << 20
 
 #: Most 64-bit outputs :func:`trial_draws` computes at once (128 KiB).
@@ -84,7 +84,7 @@ class RunRecord:
     hamiltonian: str
     source_site: int
     target_site: int
-    block_dim: int          # size of the block of H the trials evolved in
+    block_dim: int          # C(N, k): the particle-number sector the trials evolved in
     error_placement: str = ERROR_PLACEMENT
 
     def __post_init__(self):
@@ -207,33 +207,37 @@ def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
 def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
                        total_time: float, cfg: NoiseConfig,
                        draws: Optional[tuple] = None) -> np.ndarray:
-    """All trial fidelities, batched over trials, evolved in the source's block.
+    """All trial fidelities, batched over trials, evolved as free fermions.
 
     ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
     chain length; it is drawn here when omitted.
     """
-    if total_time <= 0.0:
-        raise ValueError("total_time must be positive")
-    indices, u_seg = prop.block_unitary(source, total_time / cfg.steps)
-    uniforms, sites = trial_draws(cfg, prop.n_sites) if draws is None else draws
+    if total_time <= 0.0 or not 1 <= measure_site <= prop.n_sites:
+        raise ValueError("total_time must be positive and measure_site a site of the chain")
+    occupied = prop.occupied(source)
+    ladder, _, (vals, vecs) = prop.fermions
+    n, k = prop.n_sites, len(occupied)
+    u_seg = (vecs * np.exp(-1j * vals * total_time / cfg.steps)) @ vecs.T    # symmetric
+    # row s - 1: the sign a flip on site s gives each single-particle site
+    signs = 1.0 - 2.0 * (np.tri(n).T if ladder else np.eye(n))
+    uniforms, sites = trial_draws(cfg, n) if draws is None else draws
     flips = uniforms < cfg.p
 
-    # column s - 1: the sign a flip on site s gives each basis state
-    site_signs = np.where((indices[:, None] >> np.arange(prop.n_sites)) & 1, -1.0, 1.0)
-    site_mask = ((indices >> (measure_site - 1)) & 1).astype(bool)
-    start = np.searchsorted(indices, source.index)
     fids = np.empty(cfg.trials)
-    batch = max(1, BATCH_ELEMENTS // indices.size)
+    batch = max(1, BATCH_ELEMENTS // max(1, n * k))
     for lo in range(0, cfg.trials, batch):
         block = slice(lo, lo + batch)
-        states = np.zeros((indices.size, fids[block].size), dtype=complex)
-        states[start, :] = 1.0
+        # row c of trial t is orbital c; rows evolve as W^T u^T = W^T u
+        orbitals = np.zeros((fids[block].size, k, n), dtype=complex)
+        orbitals[:, np.arange(k), occupied] = 1.0
         for step in range(cfg.steps):
-            states = u_seg @ states
+            orbitals = (orbitals.reshape(-1, n) @ u_seg).reshape(orbitals.shape)
             hit = np.flatnonzero(flips[block, step])
-            states[:, hit] *= site_signs[:, sites[block, step][hit] - 1]
-        fids[block] = np.sum(np.abs(states[site_mask, :]) ** 2, axis=0)
-    return np.minimum(fids, 1.0)
+            orbitals[hit] *= signs[sites[block, step][hit] - 1][:, None]
+        w_a = orbitals[:, :, signs[measure_site - 1] < 0].swapaxes(1, 2)     # rows A of W
+        parity = np.linalg.det(np.eye(w_a.shape[1]) - 2.0 * w_a @ w_a.conj().swapaxes(1, 2))
+        fids[block] = (1.0 - parity.real) / 2.0
+    return np.clip(fids, 0.0, 1.0)
 
 
 def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
@@ -246,8 +250,8 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     if len(n_sites) != 1:
         raise ValueError("all tasks must share one chain length for common streams")
     n = n_sites.pop()
-    # the blocks, and SizeError above the dense cap, come before the draws
-    block_dims = [task.prop.block_unitary(task.source, 0.0)[0].size for task in tasks]
+    # the sector sizes, and ValueError for a spec that is neither chain, come before the draws
+    block_dims = [math.comb(n, len(task.prop.occupied(task.source))) for task in tasks]
     draws = trial_draws(cfg, n)
     records = []
     for p in p_grid:

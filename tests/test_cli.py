@@ -210,6 +210,10 @@ _BAD_INPUT = [
     (["star-demo", "--spikes", "0"], "spike"),
     (["transfer", "--n", "3", "--source", "102", "--target", "001"], "0 or 1"),
     (["verify-equivalence", "--profiles", "0"], "profile"),
+    (["verify-equivalence", "--seed", "-1"], "invalid u64 value"),
+    (["amplify", "--n", "4", "--seed", "18446744073709551616"], "invalid u64 value"),
+    (["scan", "--n", "4", "--source", "0100", "--target", "0001", "--grid-step", "1e-300"],
+     "below 2^63"),
     (["ca-compare", "--n", "13"], "dense cap"),
     (["amplify", "--n", "4", "--config", "missing.json"], "No such file"),
     (["amplify", "--n", "4", "--config", "malformed.json"], "Expecting property name"),
@@ -284,14 +288,10 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_noise_sweep_respects_cap(monkeypatch, capsys):
-    # refused before a single trial is drawn
-    calls = _count_calls(monkeypatch, noise, "trial_draws")
-    assert main(["noise-sweep", "--n", "13", "--trials", "20000"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "dense cap" in captured.err
-    assert calls == []
+def test_noise_sweep_runs_above_the_dense_cap(capsys):
+    # both chains evolve as free fermions, in the C(13, 2) and C(13, 1) sectors
+    assert main(["noise-sweep", "--n", "13", "--trials", "200"]) == 0
+    assert '# block_dims: {"cluster": 78, "exchange": 13}\n' in capsys.readouterr().out
 
 
 def test_star_demo(tmp_path):

@@ -6,7 +6,13 @@ import pytest
 
 from spinamp import noise
 from spinamp.algebra import BitConfig
-from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
+from spinamp.chains import (
+    CouplingProfile,
+    StarLayout,
+    cluster_chain,
+    exchange_chain,
+    star_hamiltonian,
+)
 from spinamp.evolution import Propagator, pst_time, transfer_fidelity
 from spinamp.noise import (
     NoiseConfig,
@@ -84,12 +90,23 @@ def test_trials_stay_normalized(props):
     assert 0.0 <= fid <= 1.0
 
 
-def test_batch_matches_single_trials(props):
-    cluster, _ = props
-    cfg = NoiseConfig(p=0.1, trials=64, seed=21)
-    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, cfg)
+_RNG = np.random.default_rng(8)
+_FIELD_PROFILE = CouplingProfile(N, tuple(_RNG.uniform(0.2, 2.0, N - 1)),
+                                 tuple(_RNG.uniform(-1.0, 1.0, N)))
+
+
+# single-particle occupations k on the exchange / cluster chain: 0 / 0,
+# 1 / 1, 1 / 2, 2 / 1, 3 / 3 and 6 / 1
+@pytest.mark.parametrize("chain", [cluster_chain, exchange_chain])
+@pytest.mark.parametrize("source", ["000000", "100000", "010000", "110000", "101100", "111111"])
+@pytest.mark.parametrize("measure_site", [1, (N + 1) // 2, N])
+def test_batch_matches_single_trials(chain, source, measure_site):
+    prop = Propagator(chain(_FIELD_PROFILE))
+    cfg = NoiseConfig(p=0.3, trials=16, seed=21)
+    config = BitConfig.from_string(source)
+    batch = dephasing_ensemble(prop, config, measure_site, 1.3, cfg)
     singles = np.array([
-        dephasing_trial(cluster, BitConfig.single(N, 2), N, T, cfg, rng)
+        dephasing_trial(prop, config, measure_site, 1.3, cfg, rng)
         for rng in trial_rngs(cfg.seed, cfg.trials)
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
@@ -98,8 +115,8 @@ def test_batch_matches_single_trials(props):
 def test_trial_blocks_match_single_trials(props, monkeypatch):
     # 23 trials in batches of 5 leave a short last batch
     cluster, _ = props
-    block_dim = cluster.block_unitary(BitConfig.single(N, 2), 0.0)[0].size
-    monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * block_dim - 1)
+    k = len(cluster.occupied(BitConfig.single(N, 2)))
+    monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * N * k - 1)
     cfg = NoiseConfig(p=0.3, trials=23, seed=4)
     batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, cfg)
     singles = np.array([
@@ -164,7 +181,7 @@ def test_sweep_reuses_draws_without_changing_records(props):
         assert record.mean_fidelity == float(np.mean(fids))
 
 
-def test_sweep_rejects_bad_inputs(props):
+def test_sweep_rejects_bad_inputs(props, monkeypatch):
     with pytest.raises(ValueError):
         noise_sweep(_tasks(props), [], NoiseConfig(p=0.0, trials=10))
     mixed = _tasks(props) + [TransferTask(
@@ -173,6 +190,18 @@ def test_sweep_rejects_bad_inputs(props):
     )]
     with pytest.raises(ValueError):
         noise_sweep(mixed, [0.0], NoiseConfig(p=0.0, trials=10))
+    for site in (0, N + 1):
+        with pytest.raises(ValueError):
+            dephasing_ensemble(props[0], BitConfig.single(N, 2), site, T,
+                               NoiseConfig(p=0.0, trials=10))
+    # a star of two spikes is no chain: refused before any draw
+    star = star_hamiltonian(StarLayout(2, 4, CouplingProfile.engineered(4)))
+    draws = []
+    monkeypatch.setattr(noise, "trial_draws", lambda *args: draws.append(args))
+    with pytest.raises(ValueError):
+        noise_sweep([TransferTask("star", Propagator(star), BitConfig.single(7, 2), 7, T)],
+                    [0.0], NoiseConfig(p=0.0, trials=10))
+    assert draws == []
 
 
 def test_standard_error_scales_with_trials(props):
