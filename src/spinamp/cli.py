@@ -129,6 +129,8 @@ def cmd_verify_equivalence(args) -> int:
         raise UsageError("need 2 <= n-min <= n-max")
     if args.profiles < 1:
         raise UsageError("need at least one profile per chain length")
+    if not args.tol > 0.0:
+        raise UsageError(f"--tol must be positive, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     failures = []
     lines = []
@@ -231,6 +233,7 @@ def cmd_scan(args) -> int:
 def cmd_ca_compare(args) -> int:
     if args.n is None:
         raise UsageError("--n is required (flag or config)")
+    require_dense(args.n)
     rows = ca_vs_hamiltonian_report(args.n)
     config = {"n": args.n, "profile": "engineered"}
     table = [

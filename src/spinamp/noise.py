@@ -5,13 +5,11 @@ segment, with probability p, a single Z is applied at one uniformly random
 site.  The score of a trial is the probability of finding the excitation
 on the expected output site in the final state.
 
-Reproducibility contract: trial i draws ``steps`` uniforms, then ``steps``
-site indices, from ``default_rng(SeedSequence(seed).spawn(trials)[i])``,
-whether or not the flips fire.  :func:`trial_draws` computes that stream
-for all trials at once in fixed-width integer arithmetic, and the tests
-check it bit for bit against the generators.  The draws depend only on
-(seed, trials, steps, N), so a sweep draws them once and reuses them for
-every p and every Hamiltonian (common random numbers).
+Reproducibility contract: one ``default_rng(seed)`` draws a (trials, steps)
+array of uniforms, then a (trials, steps) array of sites in 1..N; row i
+is trial i, which draws whether or not its flips fire.  The draws depend
+only on (seed, trials, steps, N), so a sweep draws them once and reuses
+them for every p and every Hamiltonian (common random numbers).
 
 Both chains are free fermions (see :class:`Propagator`): a trial is the
 N x k matrix W of its k occupied orbitals.  A Z on site s multiplies each
@@ -46,15 +44,6 @@ ERROR_PLACEMENT = "evolve-then-flip"
 #: Most orbital entries :func:`dephasing_ensemble` evolves at once (16 MiB).
 BATCH_ELEMENTS = 1 << 20
 
-#: Most 64-bit outputs :func:`trial_draws` computes at once (128 KiB).
-DRAW_BATCH = 1 << 14
-
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-# numpy's SeedSequence hash constants and the PCG64 multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -69,7 +58,7 @@ class NoiseConfig:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 1 <= self.trials <= 2 ** 32:
-            raise ValueError("trials must be in 1..2**32, one spawn-key word each")
+            raise ValueError("trials must be in 1..2**32")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -103,105 +92,13 @@ class TransferTask:
     total_time: float
 
 
-def _hasher(const: int, mult: int):
-    """numpy's SeedSequence word hash, with its running constant."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _seed_states(seed: int, trials: int) -> list:
-    """(init_hi, init_lo, inc_hi, inc_lo) as (trials,) uint64 arrays: the
-    PCG64 seed and increment of each spawned child.  The child's entropy is
-    the root seed's 32-bit words padded to 4, then its spawn key, one word;
-    the pool mixes as in ``SeedSequence.mix_entropy``, so only the last
-    round reads the key, and ``generate_state(4, np.uint64)`` hashes it."""
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words + [0] * (4 - len(words))]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    key = np.arange(trials, dtype=np.uint64)
-    pool = [_mix(word, hashmix(key)) for word in pool]
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    half = [hashmix(pool[i % 4]) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (half[k] | half[k + 1] << 32 for k in range(0, 8, 2))
-    return [seed_hi, seed_lo, seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1]
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple:
-    """(a * b) mod 2**128 on uint64 (hi, lo) pairs, the low product from
-    32-bit limbs."""
-    a0, a1, b0, b1 = a_lo & _M32, a_lo >> 32, b_lo & _M32, b_lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
-
-
-def _pcg_outputs(state: list, first: int, count: int) -> np.ndarray:
-    """PCG64 outputs ``first`` .. ``first + count - 1``, counted from 0, as
-    (trials, count) uint64.  ``srandom_r`` leaves the LCG at
-    (init + inc) M + inc, and each output steps it first, so output j
-    reads M^(j+2) init + (1 + M + ... + M^(j+2)) inc through XSL-RR."""
-    powers = _PCG_MULT ** 2 & _M128
-    sums, rows = 1 + _PCG_MULT + powers & _M128, []
-    for _ in range(first + count):
-        rows.append([powers >> 64, powers & _M64, sums >> 64, sums & _M64])
-        powers = powers * _PCG_MULT & _M128
-        sums = sums + powers & _M128
-    a_hi, a_lo, c_hi, c_lo = np.array(rows[first:], dtype=np.uint64).T
-    s_hi, s_lo = _mul128(state[0][:, None], state[1][:, None], a_hi, a_lo)
-    t_hi, t_lo = _mul128(state[2][:, None], state[3][:, None], c_hi, c_lo)
-    lo = s_lo + t_lo
-    hi = s_hi + t_hi + (lo < s_lo)
-    x, rot = hi ^ lo, hi >> 58
-    return x >> rot | x << (64 - rot & 63)
-
-
-def _bounded(state: list, words: np.ndarray, steps: int, n: int) -> np.ndarray:
-    """``integers(1, n + 1, steps)`` from the 64-bit outputs ``words`` on:
-    numpy's buffered Lemire method on their 32-bit halves, low half first.
-    A half w with (w n) mod 2**32 < 2**32 mod n is skipped, and a row that
-    runs short takes further outputs."""
-    while True:
-        scaled = np.stack([words & _M32, words >> 32], axis=-1).reshape(len(words), -1) * n
-        accept = (scaled & _M32) >= 2 ** 32 % n
-        short = steps - int(accept.sum(axis=1).min())
-        if short <= 0:
-            keep = accept & (np.cumsum(accept, axis=1) <= steps)
-            return (scaled[keep] >> 32).astype(np.int64).reshape(len(words), steps) + 1
-        words = np.hstack([words, _pcg_outputs(state, steps + words.shape[1], (short + 1) // 2)])
-
-
 def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
-    """(uniforms, sites), each of shape (trials, steps): row i is what
-    ``default_rng(SeedSequence(cfg.seed).spawn(cfg.trials)[i])`` returns for
-    ``random(steps)``, one output x each as (x >> 11) 2**-53, and then for
-    ``integers(1, n_sites + 1, steps)``, ``DRAW_BATCH`` outputs at a time."""
-    steps, state = cfg.steps, _seed_states(cfg.seed, cfg.trials)
-    uniforms = np.empty((cfg.trials, steps))
-    sites = np.empty((cfg.trials, steps), dtype=np.int64)
-    span = steps + (steps + 1) // 2
-    batch = max(1, DRAW_BATCH // span)
-    for lo in range(0, cfg.trials, batch):
-        rows = slice(lo, lo + batch)
-        part = [v[rows] for v in state]
-        out = _pcg_outputs(part, 0, span)
-        uniforms[rows] = (out[:, :steps] >> 11) * 2.0 ** -53
-        sites[rows] = _bounded(part, out[:, steps:], steps, n_sites)
-    return uniforms, sites
+    """(uniforms, sites), each of shape (trials, steps): from
+    ``default_rng(cfg.seed)``, ``random`` then ``integers(1, n_sites + 1)``,
+    row i for trial i."""
+    rng = np.random.default_rng(cfg.seed)
+    shape = (cfg.trials, cfg.steps)
+    return rng.random(shape), rng.integers(1, n_sites + 1, shape)
 
 
 def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
@@ -250,8 +147,13 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     if len(n_sites) != 1:
         raise ValueError("all tasks must share one chain length for common streams")
     n = n_sites.pop()
-    # the sector sizes, and ValueError for a spec that is neither chain, come before the draws
-    block_dims = [math.comb(n, len(task.prop.occupied(task.source))) for task in tasks]
+    # the sector sizes, and ValueError for a spec that is neither chain or a
+    # source with no up site, come before the draws
+    block_dims = []
+    for task in tasks:
+        if 1 not in task.source.bits:
+            raise ValueError(f"task {task.label!r}: the source has no up site")
+        block_dims.append(math.comb(n, len(task.prop.occupied(task.source))))
     draws = trial_draws(cfg, n)
     records = []
     for p in p_grid:
@@ -265,6 +167,5 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
             records.append(RunRecord(
                 p=float(p), mean_fidelity=mean, standard_error=stderr, trials=cfg.trials,
                 seed=cfg.seed, hamiltonian=task.label, target_site=task.measure_site,
-                source_site=next(i for i, b in enumerate(task.source.bits, 1) if b),
-                block_dim=block_dim))
+                source_site=task.source.bits.index(1) + 1, block_dim=block_dim))
     return records

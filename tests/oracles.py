@@ -10,8 +10,6 @@ Each one computes by the textbook route, with no code shared with
   the whole 2^N space;
 * ``cnot_matrix`` / ``gamma_matrix`` -- the CNOT ladder as products of
   dense 2^N x 2^N permutation matrices;
-* ``trial_rngs``      -- one numpy generator per noise trial, spawned
-  from the root seed, whose draws ``noise.trial_draws`` computes in bulk;
 * ``dephasing_trial`` -- one noisy transfer, evolved step by step over
   the whole 2^N space;
 * ``gamma_forward_bits`` / ``gamma_inverse_bits`` / ``mirror_bits`` --
@@ -94,23 +92,14 @@ def gamma_matrix(n_sites: int) -> np.ndarray:
     return mat
 
 
-def trial_rngs(seed: int, trials: int) -> list:
-    """Trial i's generator: ``default_rng`` of the i-th spawned child of
-    ``SeedSequence(seed)``."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
+def dephasing_trial(prop, source, measure_site, total_time, cfg, uniforms, sites) -> float:
+    """One noisy transfer from one trial's row of draws; P(measure_site is up).
 
-
-def dephasing_trial(prop, source, measure_site, total_time, cfg, rng) -> float:
-    """One noisy transfer with its own generator; P(measure_site is up).
-
-    Draws ``steps`` uniforms, then ``steps`` sites, as the batched
-    ensemble does; evolves segment by segment over the whole 2^N space,
-    with e^{-iHt} from :func:`kron_unitary`, and flips the sign of every
-    amplitude whose drawn site is up when the uniform falls below p.
+    Evolves segment by segment over the whole 2^N space, with e^{-iHt}
+    from :func:`kron_unitary`, and flips the sign of every amplitude whose
+    drawn site is up when the uniform falls below p.
     """
     n = prop.n_sites
-    uniforms = rng.random(cfg.steps)
-    sites = rng.integers(1, n + 1, size=cfg.steps)
     u_seg = kron_unitary(prop.spec, total_time / cfg.steps)
     idx = np.arange(1 << n)
     psi = np.zeros(1 << n, dtype=complex)

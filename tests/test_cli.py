@@ -211,6 +211,8 @@ _BAD_INPUT = [
     (["transfer", "--n", "3", "--source", "102", "--target", "001"], "0 or 1"),
     (["verify-equivalence", "--profiles", "0"], "profile"),
     (["verify-equivalence", "--seed", "-1"], "invalid u64 value"),
+    (["verify-equivalence", "--tol", "0"], "--tol must be positive"),
+    (["verify-equivalence", "--tol", "-1"], "--tol must be positive"),
     (["amplify", "--n", "4", "--seed", "18446744073709551616"], "invalid u64 value"),
     (["scan", "--n", "4", "--source", "0100", "--target", "0001", "--grid-step", "1e-300"],
      "below 2^63"),
@@ -248,16 +250,22 @@ def test_chain_length_stops_at_the_index_width(capsys):
 
 
 def test_long_chain_is_refused_before_it_is_built(monkeypatch, capsys):
-    # a chain beyond 63 sites is refused before any profile or term exists
+    # a chain beyond 63 sites, or beyond the dense cap for the dense-only
+    # ca-compare, is refused before any profile or term exists
     built = []
     for cls in (CouplingProfile, PauliTerm):
         post_init = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__",
                             lambda self, post_init=post_init: built.append(self) or post_init(self))
-    for argv in (["amplify", "--n", "100"], ["noise-sweep", "--n", "100"],
-                 ["transfer", "--n", "100", "--source", "1" + "0" * 99, "--target", "0" * 100]):
+    for argv, message in (
+        (["amplify", "--n", "100"], "63 sites"),
+        (["noise-sweep", "--n", "100"], "63 sites"),
+        (["transfer", "--n", "100", "--source", "1" + "0" * 99, "--target", "0" * 100],
+         "63 sites"),
+        (["ca-compare", "--n", "100"], "dense cap"),
+    ):
         assert main(argv) == 2
-        assert "63 sites" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert built == []
 
 

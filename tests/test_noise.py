@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ from spinamp.noise import (
     trial_draws,
 )
 
-from oracles import dephasing_trial, trial_rngs
+from oracles import dephasing_trial
 
 N = 6
 T = pst_time(N)
@@ -50,7 +49,7 @@ def test_config_validation():
         NoiseConfig(p=0.1, steps=0)
     with pytest.raises(ValueError):
         NoiseConfig(p=0.1, trials=0)
-    NoiseConfig(p=0.1, trials=2 ** 32)     # every spawn key still fits one word
+    NoiseConfig(p=0.1, trials=2 ** 32)     # the largest trial count accepted
     with pytest.raises(ValueError):
         NoiseConfig(p=0.1, trials=2 ** 32 + 1)
     with pytest.raises(ValueError):
@@ -59,9 +58,10 @@ def test_config_validation():
 
 def test_noiseless_trials_reach_unit_fidelity(props):
     cfg = NoiseConfig(p=0.0, trials=1)
+    uniforms, sites = trial_draws(cfg, N)
     for task in _tasks(props):
         fid = dephasing_trial(task.prop, task.source, task.measure_site,
-                              task.total_time, cfg, trial_rngs(0, 1)[0])
+                              task.total_time, cfg, uniforms[0], sites[0])
         assert abs(fid - 1.0) < 1e-8
         clean = transfer_fidelity(task.prop, task.source,
                                   BitConfig.single(N, task.measure_site), T)
@@ -85,8 +85,8 @@ def test_trials_stay_normalized(props):
                               NoiseConfig(p=1.0, trials=50, seed=9))
     assert np.all(fids <= 1.0)
     # per-trial norm: evolve manually and check
-    rng = trial_rngs(9, 1)[0]
-    fid = dephasing_trial(cluster, BitConfig.single(N, 2), N, T, cfg, rng)
+    uniforms, sites = trial_draws(cfg, N)
+    fid = dephasing_trial(cluster, BitConfig.single(N, 2), N, T, cfg, uniforms[0], sites[0])
     assert 0.0 <= fid <= 1.0
 
 
@@ -106,8 +106,8 @@ def test_batch_matches_single_trials(chain, source, measure_site):
     config = BitConfig.from_string(source)
     batch = dephasing_ensemble(prop, config, measure_site, 1.3, cfg)
     singles = np.array([
-        dephasing_trial(prop, config, measure_site, 1.3, cfg, rng)
-        for rng in trial_rngs(cfg.seed, cfg.trials)
+        dephasing_trial(prop, config, measure_site, 1.3, cfg, uniforms, sites)
+        for uniforms, sites in zip(*trial_draws(cfg, N))
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
 
@@ -120,46 +120,28 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
     cfg = NoiseConfig(p=0.3, trials=23, seed=4)
     batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, cfg)
     singles = np.array([
-        dephasing_trial(cluster, BitConfig.single(N, 2), N, T, cfg, rng)
-        for rng in trial_rngs(cfg.seed, cfg.trials)
+        dephasing_trial(cluster, BitConfig.single(N, 2), N, T, cfg, uniforms, sites)
+        for uniforms, sites in zip(*trial_draws(cfg, N))
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
 
 
-def _oracle_draws(seed, trials, steps, n_sites):
-    rows = [(rng.random(steps), rng.integers(1, n_sites + 1, size=steps))
-            for rng in trial_rngs(seed, trials)]
-    return np.array([u for u, _ in rows]), np.array([s for _, s in rows])
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 4345047245122777519])
-def test_draws_equal_the_per_trial_generators(seed):
-    # one and two root-seed words, at both ends of each; 63 sites is the
-    # widest chain, and 2**32 mod N is 0 for N = 2, 8 but not for 3, 12, 63
-    for n_sites, steps, trials in itertools.product((2, 3, 8, 12, 63), (1, 24, 25), (1, 300)):
-        uniforms, sites = trial_draws(NoiseConfig(0.1, steps, trials, seed), n_sites)
-        expected = _oracle_draws(seed, trials, steps, n_sites)
-        assert uniforms.dtype == expected[0].dtype and sites.dtype == expected[1].dtype
-        assert uniforms.tobytes() == expected[0].tobytes()
-        assert sites.tobytes() == expected[1].tobytes()
-
-
-def test_rejected_site_word_is_skipped():
-    # 2**32 mod 61 = 57: site word 421 (from 0) of trial 3135 falls below
-    # it, so numpy takes the next word, and every later site moves
-    uniforms, sites = trial_draws(NoiseConfig(p=0.1, steps=1000, trials=3136, seed=7), 61)
-    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3135,)))
-    assert uniforms[3135].tobytes() == rng.random(1000).tobytes()
-    assert np.array_equal(sites[3135], rng.integers(1, 62, 1000))
-
-
-def test_draw_batches_match_one_batch(monkeypatch):
-    # 5 + 3 outputs per trial, 3 trials per batch: a short last batch
-    cfg = NoiseConfig(p=0.1, steps=5, trials=13, seed=3)
-    whole = trial_draws(cfg, 6)
-    monkeypatch.setattr(noise, "DRAW_BATCH", 3 * 8 + 7)
-    for part, full in zip(trial_draws(cfg, 6), whole):
-        assert part.tobytes() == full.tobytes()
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("n_sites", [2, 63])
+def test_draws_follow_the_seeded_generator(seed, n_sites):
+    # the draw contract, written out: one generator, uniforms then sites,
+    # row i for trial i
+    cfg = NoiseConfig(p=0.1, steps=25, trials=300, seed=seed)
+    uniforms, sites = trial_draws(cfg, n_sites)
+    rng = np.random.default_rng(seed)
+    assert uniforms.dtype == np.float64 and sites.dtype == np.int64
+    assert uniforms.tobytes() == rng.random((300, 25)).tobytes()
+    assert sites.tobytes() == rng.integers(1, n_sites + 1, (300, 25)).tobytes()
+    assert sites.min() == 1 and sites.max() == n_sites
+    # a byte-identical rerun would pass even if the seed were ignored
+    zero, one = (trial_draws(NoiseConfig(p=0.1, steps=25, trials=300, seed=s), n_sites)
+                 for s in (0, 1))
+    assert not np.array_equal(zero[0], one[0]) and not np.array_equal(zero[1], one[1])
 
 
 def test_sweep_is_deterministic(props):
@@ -194,13 +176,16 @@ def test_sweep_rejects_bad_inputs(props, monkeypatch):
         with pytest.raises(ValueError):
             dephasing_ensemble(props[0], BitConfig.single(N, 2), site, T,
                                NoiseConfig(p=0.0, trials=10))
-    # a star of two spikes is no chain: refused before any draw
+    # a star of two spikes is no chain, and a source with no up site has no
+    # source site: both are refused before any draw
     star = star_hamiltonian(StarLayout(2, 4, CouplingProfile.engineered(4)))
     draws = []
     monkeypatch.setattr(noise, "trial_draws", lambda *args: draws.append(args))
-    with pytest.raises(ValueError):
-        noise_sweep([TransferTask("star", Propagator(star), BitConfig.single(7, 2), 7, T)],
-                    [0.0], NoiseConfig(p=0.0, trials=10))
+    exchange = Propagator(exchange_chain(CouplingProfile.engineered(4)))
+    for task in (TransferTask("star", Propagator(star), BitConfig.single(7, 2), 7, T),
+                 TransferTask("exchange", exchange, BitConfig.zeros(4), 4, T)):
+        with pytest.raises(ValueError):
+            noise_sweep([task], [0.0], NoiseConfig(p=0.0, trials=10))
     assert draws == []
 
 
