@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "DENSE_CAP",
-    "MAX_SITES",
     "SpinChainError",
     "SizeError",
     "DimensionMismatchError",
@@ -43,9 +42,6 @@ __all__ = [
 
 #: Largest chain whose 2^N basis indices are split into blocks of H.
 DENSE_CAP = 12
-
-#: Longest chain: basis indices are ``intp``, one bit per site.
-MAX_SITES = np.iinfo(np.intp).bits - 1
 
 _LETTERS = frozenset("XYZ")
 
@@ -128,8 +124,6 @@ class HamiltonianSpec:
         n = int(self.n_sites)
         if n < 1:
             raise SizeError(f"n_sites must be >= 1, got {n}")
-        if n > MAX_SITES:
-            raise SizeError(f"N={n} exceeds the {MAX_SITES} sites a basis index can hold")
         merged: dict = {}
         for term in self.terms:
             if not isinstance(term, PauliTerm):
@@ -154,7 +148,9 @@ class HamiltonianSpec:
 
     @cached_property
     def flip_groups(self) -> tuple:
-        """The compiled terms, built on first use; see :func:`_compile_groups`."""
+        """The compiled terms, built on first use; see :func:`_compile_groups`.
+        Every block-route query starts here: SizeError above ``DENSE_CAP``."""
+        require_dense(self.n_sites)
         return _compile_groups(self)
 
     def __add__(self, other: "HamiltonianSpec") -> "HamiltonianSpec":
@@ -260,12 +256,13 @@ def require_dense(n_sites: int) -> None:
         raise SizeError(f"N={n_sites} exceeds the dense cap {DENSE_CAP}")
 
 
-def _entries(spec: HamiltonianSpec, states: np.ndarray) -> tuple:
-    """(src, dst, values): every nonzero <dst|H|src> with src in ``states``,
+def _entries(spec: HamiltonianSpec) -> tuple:
+    """(src, dst, values): every nonzero <dst|H|src> over all basis states,
     each group's weights read at the bits of its signed sites."""
-    n = spec.n_sites
+    groups = spec.flip_groups
+    n, states = spec.n_sites, np.arange(spec.dim)
     src, dst, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for flip, _, weights in spec.flip_groups:
+    for flip, _, weights in groups:
         # axis a of the weights holds site n - a, at bit n - 1 - a
         at = tuple((states >> (n - 1 - a)) & 1 if size == 2 else 0
                    for a, size in enumerate(weights.shape))
@@ -293,9 +290,8 @@ def sector_blocks(spec: HamiltonianSpec) -> tuple:
     with src and dst basis indices; values are float64 unless a group is
     complex.
     """
-    require_dense(spec.n_sites)
+    src, dst, values = _entries(spec)
     states = np.arange(spec.dim)
-    src, dst, values = _entries(spec, states)
     linked = src != dst
     labels = states
     while True:
@@ -326,7 +322,8 @@ def max_commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> float:
 
     Group f of A after group g of B sends b to b ^ f ^ g with weight
     w_f(b ^ g) * w_g(b): f's weights flipped along g's axes, times g's.
-    Terms with one combined flip f ^ g add up on the (2,)*N grid."""
+    Terms with one combined flip f ^ g add up on the (2,)*N grid.
+    SizeError above ``DENSE_CAP``."""
     total: dict = {}
     for f, f_axes, wf in a.flip_groups:
         for g, g_axes, wg in b.flip_groups:
@@ -338,10 +335,11 @@ def max_commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> float:
 def max_permuted_deviation(a: HamiltonianSpec, b: HamiltonianSpec, perm) -> float:
     """max |A[perm][:, perm] - B| from the two specs' nonzero entries.  Entry
     <d|A|s> lands at (inv[d], inv[s]), inv the inverse permutation; where
-    both specs have an entry it holds a - b, as the dense difference does."""
+    both specs have an entry it holds a - b, as the dense difference does.
+    SizeError above ``DENSE_CAP``."""
     inv = np.argsort(perm)
-    src_a, dst_a, values_a = _entries(a, np.arange(a.dim))
-    src_b, dst_b, values_b = _entries(b, np.arange(b.dim))
+    src_a, dst_a, values_a = _entries(a)
+    src_b, dst_b, values_b = _entries(b)
     keys = np.concatenate([inv[dst_a] * a.dim + inv[src_a], dst_b * b.dim + src_b])
     unique, position = np.unique(keys, return_inverse=True)
     diff = np.zeros(unique.size, dtype=np.result_type(values_a, values_b))

@@ -40,9 +40,10 @@ class CouplingProfile:
     n_sites: int
     couplings: tuple
     fields: Optional[tuple] = None
-    kind: str = "custom"
 
     def __post_init__(self):
+        if self.n_sites < 2:
+            raise SizeError(f"chain needs at least 2 sites, got {self.n_sites}")
         object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
         if self.fields is not None:
             object.__setattr__(self, "fields", tuple(float(b) for b in self.fields))
@@ -58,15 +59,13 @@ class CouplingProfile:
 
     @classmethod
     def uniform(cls, n_sites: int, fields: Optional[Sequence[float]] = None) -> "CouplingProfile":
-        return cls(n_sites, (1.0,) * (n_sites - 1),
-                   None if fields is None else tuple(fields), kind="uniform")
+        return cls(n_sites, (1.0,) * (n_sites - 1), None if fields is None else tuple(fields))
 
     @classmethod
     def engineered(cls, n_sites: int, fields: Optional[Sequence[float]] = None) -> "CouplingProfile":
         """Perfect-transfer couplings J_n = sqrt(n*(N-n))."""
         js = tuple(math.sqrt(n * (n_sites - n)) for n in range(1, n_sites))
-        return cls(n_sites, js, None if fields is None else tuple(fields),
-                   kind="engineered")
+        return cls(n_sites, js, None if fields is None else tuple(fields))
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,6 @@ class StarLayout:
     def __post_init__(self):
         if self.spikes < 1:
             raise ValueError("need at least one spike")
-        if self.spike_length < 2:
-            raise SizeError("spikes must have length >= 2")
         if self.profile.n_sites != self.spike_length:
             raise ValueError("profile length must match spike length")
 
@@ -96,15 +93,9 @@ class StarLayout:
         return 1 + (spike - 1) * (self.spike_length - 1) + (local_site - 1)
 
 
-def _require_chain(n_sites: int) -> None:
-    if n_sites < 2:
-        raise SizeError(f"chain needs at least 2 sites, got {n_sites}")
-
-
 def exchange_chain(profile: CouplingProfile) -> HamiltonianSpec:
     """(1/2) sum_n J_n (X_n X_{n+1} + Y_n Y_{n+1})  [+ sum_n B_n Z_n]."""
     n = profile.n_sites
-    _require_chain(n)
     terms = []
     for i, j in enumerate(profile.couplings, start=1):
         if 0.5 * j != 0.0:      # a zero coupling cuts the chain
@@ -146,7 +137,6 @@ def cluster_chain(profile: CouplingProfile) -> HamiltonianSpec:
     equivalent Z Z / boundary-Z fragment is included too.
     """
     n = profile.n_sites
-    _require_chain(n)
     spec = HamiltonianSpec(n, tuple(_cluster_terms(profile)))
     if profile.fields is not None:
         spec = spec + cluster_field_terms(n, profile.fields)

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
-    MAX_SITES,
     BitConfig,
     HamiltonianSpec,
     SizeError,
@@ -51,15 +50,20 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 
+#: Longest chain a command builds, set by cost: the free-fermion route's
+#: N x N ``eigh`` grows as N^3 (``amplify`` on one BLAS thread of a 2-vCPU
+#: Xeon: 0.4 s at N = 1024, 2.2 s at N = 2048).
+MAX_CHAIN = 1024
+
 
 class UsageError(Exception):
     pass
 
 
 def _profile(kind: str, n_sites: int) -> CouplingProfile:
-    """The named profile; a chain no basis index can hold is refused first."""
-    if n_sites > MAX_SITES:
-        raise SizeError(f"N={n_sites} exceeds the {MAX_SITES} sites a basis index can hold")
+    """The named profile; a chain above ``MAX_CHAIN`` is refused first."""
+    if n_sites > MAX_CHAIN:
+        raise SizeError(f"N={n_sites} exceeds the {MAX_CHAIN}-site chain cap")
     if kind == "uniform":
         return CouplingProfile.uniform(n_sites)
     if kind == "engineered":

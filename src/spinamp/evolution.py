@@ -7,8 +7,8 @@ quadratic (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)), and the
 CNOT ladder carries the amplification chain onto it by a basis
 permutation.  So a basis amplitude of either chain is
 exp(-it sum B) det u[D, S], with u = exp(-iht) the N x N single-particle
-propagator and S, D the occupied sites, at any chain length a basis
-index can hold.  Every other spec, and every unitary query, is answered
+propagator and S, D the occupied sites, read off a Python int at any
+chain length.  Every other spec, and every unitary query, is answered
 from the eigenpairs of H's connected blocks, up to the dense cap.  The
 tests check both routes against each other and against a full-space
 eigendecomposition.

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from spinamp.algebra import BitConfig
 from spinamp.automaton import _half_step, ca_half_step, ca_run, ca_vs_hamiltonian_report
+from spinamp.maps import mirror_map
 
 from oracles import ca_half_step_bits, ca_report_rows
 
@@ -78,6 +79,14 @@ def test_ones_grow_monotonically_from_seed():
     weights = [c.weight for c in run.trajectory]
     assert weights == sorted(weights)
     assert weights[-1] == 8
+
+
+def test_ca_reaches_the_mirror_on_a_long_chain():
+    # the CA runs on Python ints, so it follows the mirror theorem far past
+    # the exhaustive report's range
+    n = 256
+    b = BitConfig(n, tuple(np.random.default_rng(256).integers(0, 2, n)))
+    assert mirror_map(b) in ca_run(b, 4 * n, "even").trajectory
 
 
 def test_comparison_report_n5():

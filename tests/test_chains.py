@@ -30,6 +30,7 @@ from oracles import kron_dense, kron_unitary
 def test_profile_generators():
     uni = CouplingProfile.uniform(5)
     assert uni.couplings == (1.0,) * 4
+    assert uni == CouplingProfile(5, (1, 1, 1, 1))     # a profile is its couplings and fields
     eng = CouplingProfile.engineered(4)
     assert eng.couplings == (math.sqrt(3.0), 2.0, math.sqrt(3.0))
 

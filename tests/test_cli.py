@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from spinamp import chains, cli, noise
-from spinamp.algebra import HamiltonianSpec, PauliTerm, SpinChainError
+from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm, SpinChainError
 from spinamp.chains import CouplingProfile, StarLayout, spike_hamiltonians
 from spinamp.evolution import Propagator
 from spinamp.cli import _json_doc, main
 from spinamp.io import format_number, parse_time, render_csv, write_text_atomic
+from spinamp.maps import mirror_map
 
 from oracles import kron_dense, kron_unitary
 
@@ -194,13 +195,16 @@ _BAD_INPUT = [
     (["amplify", "--n", "4", "--alpha", "inf"], "finite"),
     (["amplify", "--n", "4", "--alpha", "2"], "alpha^2 + beta^2"),
     (["amplify", "--n", "1"], "at least 2 sites"),
-    (["amplify", "--n", "64"], "63 sites"),
-    (["amplify", "--n", "70"], "63 sites"),
-    (["amplify", "--n", "1000000"], "63 sites"),
-    (["transfer", "--n", "64", "--source", "01" + "0" * 62, "--target", "0" * 63 + "1"],
-     "63 sites"),
-    (["scan", "--n", "64", "--source", "1" + "0" * 63, "--target", "0" * 63 + "1"],
-     "63 sites"),
+    (["amplify", "--n", "0"], "at least 2 sites"),
+    (["noise-sweep", "--n", "-3"], "at least 2 sites"),
+    (["star-demo", "--length", "0"], "at least 2 sites"),
+    (["amplify", "--n", "1025"], "1024-site chain cap"),
+    (["noise-sweep", "--n", "1025"], "1024-site chain cap"),
+    (["amplify", "--n", "1000000"], "1024-site chain cap"),
+    (["transfer", "--n", "1025", "--source", "01" + "0" * 1023, "--target", "0" * 1024 + "1"],
+     "1024-site chain cap"),
+    (["scan", "--n", "1025", "--source", "1" + "0" * 1024, "--target", "0" * 1024 + "1"],
+     "1024-site chain cap"),
     (_SWEEP + ["--p", "0.1,nan"], "flip probability"),
     (_SWEEP + ["--p", "2"], "flip probability"),
     (_SWEEP + ["--p", ","], "float"),
@@ -235,33 +239,39 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
     assert draws == []
 
 
-def test_chain_length_stops_at_the_index_width(capsys):
-    # a basis index is an intp, one bit per site: 63 sites still run, and
-    # 64 are refused with one error line, not a traceback
-    assert main(["amplify", "--n", "63"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["fidelity"] > 1.0 - 1e-8
-    assert main(["transfer", "--n", "63", "--source", "01" + "0" * 61,
-                 "--target", "0" * 62 + "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["fidelity"] > 1.0 - 1e-8
-    assert main(["amplify", "--n", "64"]) == 2
+def test_chain_length_stops_at_max_chain(capsys):
+    # the fermion route reads sites off a Python int, so chains past an
+    # int64 index run, with the top site (bit 63 at N = 64) set; MAX_CHAIN
+    # sites still run, and one more is refused with one error line
+    assert cli.MAX_CHAIN == 1024
+    for n in (64, 1024):
+        assert main(["amplify", "--n", str(n)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["fidelity"] > 1.0 - 1e-8
+    for family, mirror in (("cluster", mirror_map), ("exchange", BitConfig.reversed_sites)):
+        for n in (64, 65):
+            source = BitConfig.from_string("01" + "0" * (n - 3) + "1")
+            assert main(["transfer", "--n", str(n), "--family", family,
+                         "--source", str(source), "--target", str(mirror(source))]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["fidelity"] > 1.0 - 1e-8
+    assert main(["amplify", "--n", "1025"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_long_chain_is_refused_before_it_is_built(monkeypatch, capsys):
-    # a chain beyond 63 sites, or beyond the dense cap for the dense-only
-    # ca-compare, is refused before any profile or term exists
+    # a chain beyond MAX_CHAIN sites, or beyond the dense cap for the
+    # dense-only ca-compare, is refused before any profile or term exists
     built = []
     for cls in (CouplingProfile, PauliTerm):
         post_init = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__",
                             lambda self, post_init=post_init: built.append(self) or post_init(self))
     for argv, message in (
-        (["amplify", "--n", "100"], "63 sites"),
-        (["noise-sweep", "--n", "100"], "63 sites"),
-        (["transfer", "--n", "100", "--source", "1" + "0" * 99, "--target", "0" * 100],
-         "63 sites"),
+        (["amplify", "--n", "1025"], "1024-site chain cap"),
+        (["noise-sweep", "--n", "1025"], "1024-site chain cap"),
+        (["transfer", "--n", "1025", "--source", "1" + "0" * 1024, "--target", "0" * 1025],
+         "1024-site chain cap"),
         (["ca-compare", "--n", "100"], "dense cap"),
     ):
         assert main(argv) == 2
@@ -297,9 +307,11 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_noise_sweep_runs_above_the_dense_cap(capsys):
-    # both chains evolve as free fermions, in the C(13, 2) and C(13, 1) sectors
+    # both chains evolve as free fermions, in the C(N, 2) and C(N, 1) sectors
     assert main(["noise-sweep", "--n", "13", "--trials", "200"]) == 0
     assert '# block_dims: {"cluster": 78, "exchange": 13}\n' in capsys.readouterr().out
+    assert main(["noise-sweep", "--n", "100", "--trials", "200"]) == 0
+    assert '# block_dims: {"cluster": 4950, "exchange": 100}\n' in capsys.readouterr().out
 
 
 def test_star_demo(tmp_path):

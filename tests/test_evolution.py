@@ -10,6 +10,8 @@ from spinamp.algebra import (
     HamiltonianSpec,
     PauliTerm,
     SizeError,
+    max_commutator,
+    max_permuted_deviation,
     sector_blocks,
 )
 from spinamp.chains import (
@@ -376,9 +378,9 @@ def test_free_fermions_match_block_unitaries(case, ts):
     assert np.max(np.abs(amps - _block_amplitudes(prop, source, target, ts))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [63, 512])
 @pytest.mark.parametrize("family", ["cluster", "exchange"])
-def test_engineered_mirror_is_perfect_at_63_sites(family):
-    n = 63
+def test_engineered_mirror_is_perfect_on_long_chains(family, n):
     chain = cluster_chain if family == "cluster" else exchange_chain
     mirror = mirror_map if family == "cluster" else BitConfig.reversed_sites
     prop = Propagator(chain(CouplingProfile.engineered(n)))
@@ -392,6 +394,12 @@ def test_dense_refused_above_cap():
     spec = cluster_chain(CouplingProfile.engineered(13))
     with pytest.raises(SizeError):
         sector_blocks(spec)
+    # every block-route query reads the flip groups, which refuse first
+    with pytest.raises(SizeError):
+        max_commutator(spec, spec)
+    with pytest.raises(SizeError):
+        max_permuted_deviation(exchange_chain(CouplingProfile.engineered(13)), spec,
+                               gamma_inverse_indices(13))
     with pytest.raises(SizeError):
         next(Propagator(spec).block_unitaries(1.0))
     # a spec that is not one of the two chains has no route above the cap
