@@ -148,7 +148,8 @@ class HamiltonianSpec:
 
     @cached_property
     def flip_groups(self) -> tuple:
-        """The compiled terms, built on first use; see :func:`_compile_groups`.
+        """The compiled terms, (flip_mask, weights) pairs with one weight per
+        basis index, built on first use; see :func:`_compile_groups`.
         Every block-route query starts here: SizeError above ``DENSE_CAP``."""
         require_dense(self.n_sites)
         return _compile_groups(self)
@@ -217,37 +218,27 @@ class BitConfig:
         return "".join(str(b) for b in self.bits)
 
 
-def _sites(mask: int) -> list:
-    """Sites whose bit is set in ``mask``, in increasing order."""
-    return [s for s in range(1, mask.bit_length() + 1) if (mask >> (s - 1)) & 1]
-
-
 def _compile_groups(spec: HamiltonianSpec) -> tuple:
     """Merge the terms of ``spec`` by the bits they flip.
 
     A term with masks (x, y, z) and coefficient c maps basis state b to
     b ^ (x|y) with weight c * i**popcount(y) * (-1)**popcount(b & (y|z)).
     Terms sharing the flip mask x|y (X_n and Z_{n-1} X_n Z_{n+1}; XX and
-    YY) form one group whose weights add.  A group's weights depend only
-    on the bits of its signed sites, so they are kept as an array with 2
-    on those sites' axes and 1 elsewhere, which broadcasts on the (2,)*N
-    grid of basis bits (site s on axis N - s).  They are float64
-    unless a term carries an odd number of Y letters.
+    YY) form one group whose weights add.  A group's weights are one array
+    over the 2^N basis indices, weights[b] for source b, float64 unless a
+    term carries an odd number of Y letters.
 
-    Returns (flip_mask, flip_axes, weights) triples sorted by flip mask.
+    Returns (flip_mask, weights) pairs sorted by flip mask.
     """
-    n = spec.n_sites
-    # (-1)**b_s for each site s, shaped to vary along that site's axis only
-    signs = [1.0 - 2.0 * b for b in reversed(np.indices((2,) * n, sparse=True))]
+    states = np.arange(spec.dim)
     weights: dict = {}
     for term in spec.terms:
         x, y, z = term.masks()
-        w = np.full((1,) * n, term.coefficient * (1, 1j, -1, -1j)[y.bit_count() % 4])
-        for site in _sites(y | z):
-            w = w * signs[site - 1]
+        # float: bitwise_count is uint8, where 1 - 2 * parity would wrap
+        signs = 1.0 - 2.0 * (np.bitwise_count(states & (y | z)) & 1)
+        w = term.coefficient * (1, 1j, -1, -1j)[y.bit_count() % 4] * signs
         weights[x | y] = weights.get(x | y, 0.0) + w
-    return tuple((flip, tuple(n - s for s in _sites(flip)), w)
-                 for flip, w in sorted(weights.items()))
+    return tuple(sorted(weights.items()))
 
 
 def require_dense(n_sites: int) -> None:
@@ -257,20 +248,13 @@ def require_dense(n_sites: int) -> None:
 
 
 def _entries(spec: HamiltonianSpec) -> tuple:
-    """(src, dst, values): every nonzero <dst|H|src> over all basis states,
-    each group's weights read at the bits of its signed sites."""
-    groups = spec.flip_groups
-    n, states = spec.n_sites, np.arange(spec.dim)
+    """(src, dst, values): every nonzero <dst|H|src> over all basis states."""
     src, dst, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for flip, _, weights in groups:
-        # axis a of the weights holds site n - a, at bit n - 1 - a
-        at = tuple((states >> (n - 1 - a)) & 1 if size == 2 else 0
-                   for a, size in enumerate(weights.shape))
-        w = np.broadcast_to(weights[at], states.shape)
-        nonzero = w.nonzero()[0]
-        src.append(states[nonzero])
-        dst.append(states[nonzero] ^ flip)
-        values.append(w[nonzero])
+    for flip, weights in spec.flip_groups:
+        nonzero = weights.nonzero()[0]
+        src.append(nonzero)
+        dst.append(nonzero ^ flip)
+        values.append(weights[nonzero])
     return np.concatenate(src), np.concatenate(dst), np.concatenate(values)
 
 
@@ -321,13 +305,13 @@ def max_commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> float:
     """Largest |entry| of [A, B], from the two specs' flip groups.
 
     Group f of A after group g of B sends b to b ^ f ^ g with weight
-    w_f(b ^ g) * w_g(b): f's weights flipped along g's axes, times g's.
-    Terms with one combined flip f ^ g add up on the (2,)*N grid.
-    SizeError above ``DENSE_CAP``."""
+    w_f(b ^ g) * w_g(b).  Terms with one combined flip f ^ g add up over
+    the basis indices.  SizeError above ``DENSE_CAP``."""
+    states = np.arange(a.dim)
     total: dict = {}
-    for f, f_axes, wf in a.flip_groups:
-        for g, g_axes, wg in b.flip_groups:
-            term = np.flip(wf, g_axes) * wg - np.flip(wg, f_axes) * wf
+    for f, wf in a.flip_groups:
+        for g, wg in b.flip_groups:
+            term = wf[states ^ g] * wg - wg[states ^ f] * wf
             total[f ^ g] = total.get(f ^ g, 0.0) + term
     return max((float(np.max(np.abs(t))) for t in total.values()), default=0.0)
 

@@ -44,7 +44,7 @@ from .evolution import (
 )
 from .io import format_number, header_lines, parse_time, render_csv, write_text_atomic
 from .maps import conjugate_hamiltonian, gamma_inverse_indices
-from .noise import NoiseConfig, TransferTask, noise_sweep
+from .noise import ERROR_PLACEMENT, NoiseConfig, TransferTask, noise_sweep, require_probability
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -180,7 +180,7 @@ def cmd_amplify(args) -> int:
             raise UsageError(f"need alpha^2 + beta^2 = 1, got alpha={alpha}, beta={beta}")
     result = amplification_check(Propagator(cluster_chain(profile)), alpha, beta, t)
     config = {"n": args.n, "profile": args.profile, "t": t,
-              "alpha": alpha, "beta": beta, "seed": args.seed}
+              "alpha": alpha, "beta": beta}
     _emit(_json_doc(config, {
         "fidelity": result.fidelity,
         "fid0": result.fid0,
@@ -260,18 +260,18 @@ def cmd_noise_sweep(args) -> int:
         t = _time(args.time, args.n)
         if not t > 0.0:
             raise ValueError(f"--time must be positive, got {t}")
-        cfgs = [NoiseConfig(float(p), args.steps, args.trials, args.seed)
-                for p in args.p.split(",")]
+        p_grid = [require_probability(float(p)) for p in args.p.split(",")]
+        cfg = NoiseConfig(args.steps, args.trials, args.seed)
     tasks = [
         TransferTask("cluster", Propagator(cluster_chain(profile)),
                      BitConfig.single(args.n, 2), args.n, t),
         TransferTask("exchange", Propagator(exchange_chain(profile)),
                      BitConfig.single(args.n, 1), args.n, t),
     ]
-    records = noise_sweep(tasks, [c.p for c in cfgs], cfgs[0])
+    records = noise_sweep(tasks, p_grid, cfg)
     config = {"n": args.n, "profile": args.profile, "t": t, "steps": args.steps,
               "trials": args.trials, "seed": args.seed, "p_grid": args.p,
-              "error_placement": records[0].error_placement}
+              "error_placement": ERROR_PLACEMENT}
     rows = [
         (r.hamiltonian, r.p, r.mean_fidelity, r.standard_error, r.trials, r.seed)
         for r in records
@@ -344,7 +344,6 @@ def cmd_star_demo(args) -> int:
 def _add_common(sub: argparse.ArgumentParser, func, defaults: dict) -> None:
     sub.add_argument("--config", help="JSON file supplying argument defaults")
     sub.add_argument("--out", help="output path (stdout if omitted)")
-    sub.add_argument("--seed", type=u64, default=0, help="RNG seed (u64)")
     sub.set_defaults(func=func, **defaults)
 
 
@@ -366,6 +365,7 @@ def build_parser(**defaults) -> argparse.ArgumentParser:
     p.add_argument("--tol", type=finite, default=1e-12)
     p.add_argument("--corrupt", action="store_true",
                    help="negative control: perturb one side and expect failure")
+    p.add_argument("--seed", type=u64, default=0, help="RNG seed (u64)")
     _add_common(p, cmd_verify_equivalence, defaults)
 
     p = subs.add_parser("amplify", help="score the amplification conversion")
@@ -408,6 +408,7 @@ def build_parser(**defaults) -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--time")
+    p.add_argument("--seed", type=u64, default=0, help="RNG seed (u64)")
     _add_common(p, cmd_noise_sweep, defaults)
 
     p = subs.add_parser("star-demo", help="star-geometry factorization checks")

@@ -51,6 +51,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_TOL = 1e-8       # width at which a scan's golden-section refinement stops
 MODULUS_FLOOR = 0.5     # phase-probe elements below this carry no usable phase
 
+#: Most complex entries one batch of free-fermion matrices holds (16 MiB):
+#: u[D, S] over times in :meth:`Propagator.amplitudes`, orbitals over
+#: trials in :func:`~spinamp.noise.dephasing_ensemble`.
+BATCH_ELEMENTS = 1 << 20
+
 
 def _times(ts) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -83,9 +88,10 @@ class Propagator:
 
         For either chain: exactly 0 when S and D, the occupied sites of
         source and target (through ``b ^ (b >> 1)`` on the amplification
-        chain), differ in number, else exp(-it sum B) det u[D, S], in
-        O(T k^2) memory for k occupied sites.  For any other spec: exactly 0
-        between blocks, else a spectral sum over the source's block.
+        chain), differ in number, else exp(-it sum B) det u[D, S], over
+        batches of times of at most ``BATCH_ELEMENTS`` entries of u.  For
+        any other spec: exactly 0 between blocks, else a spectral sum over
+        the source's block.
         """
         if {source.n_sites, target.n_sites} != {self.n_sites}:
             raise SpinChainError("configs and propagator differ in site count")
@@ -95,9 +101,13 @@ class Propagator:
             s, d = self.occupied(source), self.occupied(target)
             if len(s) != len(d):
                 return np.zeros(ts.shape, dtype=complex)
-            phases = np.exp(-1j * np.multiply.outer(ts, vals))
-            u = np.einsum("dn,tn,sn->tds", vecs[d], phases, vecs[s])    # u[D, S]
-            return np.exp(-1j * field_sum * ts) * np.linalg.det(u)
+            dets = np.empty(ts.shape, dtype=complex)
+            batch = max(1, BATCH_ELEMENTS // max(1, len(s) ** 2))
+            for lo in range(0, ts.size, batch):
+                phases = np.exp(-1j * np.multiply.outer(ts[lo:lo + batch], vals))
+                u = np.einsum("dn,tn,sn->tds", vecs[d], phases, vecs[s])    # u[D, S]
+                dets[lo:lo + batch] = np.linalg.det(u)
+            return np.exp(-1j * field_sum * ts) * dets
         where = self._split[1]
         c, r, i = where[:, source.index]
         if where[0, target.index] != c or where[1, target.index] != r:

@@ -10,6 +10,7 @@ array of uniforms, then a (trials, steps) array of sites in 1..N; row i
 is trial i, which draws whether or not its flips fire.  The draws depend
 only on (seed, trials, steps, N), so a sweep draws them once and reuses
 them for every p and every Hamiltonian (common random numbers).
+:class:`NoiseConfig` holds exactly (seed, trials, steps); p is passed apart.
 
 Both chains are free fermions (see :class:`Propagator`): a trial is the
 N x k matrix W of its k occupied orbitals.  A Z on site s multiplies each
@@ -27,10 +28,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .algebra import BitConfig
-from .evolution import Propagator
+from .evolution import BATCH_ELEMENTS, Propagator
 
 __all__ = [
     "NoiseConfig",
+    "require_probability",
     "RunRecord",
     "TransferTask",
     "trial_draws",
@@ -41,20 +43,16 @@ __all__ = [
 #: Where in each segment the possible phase flip is applied.
 ERROR_PLACEMENT = "evolve-then-flip"
 
-#: Most orbital entries :func:`dephasing_ensemble` evolves at once (16 MiB).
-BATCH_ELEMENTS = 1 << 20
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    p: float
+    """What the draws depend on, besides the chain length."""
+
     steps: int = 25
     trials: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"flip probability must be in [0, 1], got {self.p}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 1 <= self.trials <= 2 ** 32:
@@ -71,10 +69,7 @@ class RunRecord:
     trials: int
     seed: int
     hamiltonian: str
-    source_site: int
-    target_site: int
     block_dim: int          # C(N, k): the particle-number sector the trials evolved in
-    error_placement: str = ERROR_PLACEMENT
 
     def __post_init__(self):
         if not 0.0 <= self.mean_fidelity <= 1.0:
@@ -92,6 +87,13 @@ class TransferTask:
     total_time: float
 
 
+def require_probability(p: float) -> float:
+    """``p``, or ValueError unless it is a flip probability in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"flip probability must be in [0, 1], got {p}")
+    return p
+
+
 def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
     """(uniforms, sites), each of shape (trials, steps): from
     ``default_rng(cfg.seed)``, ``random`` then ``integers(1, n_sites + 1)``,
@@ -102,13 +104,15 @@ def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
 
 
 def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
-                       total_time: float, cfg: NoiseConfig,
+                       total_time: float, p: float, cfg: NoiseConfig,
                        draws: Optional[tuple] = None) -> np.ndarray:
-    """All trial fidelities, batched over trials, evolved as free fermions.
+    """All trial fidelities at flip probability ``p``, batched over trials,
+    evolved as free fermions.
 
     ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
     chain length; it is drawn here when omitted.
     """
+    require_probability(p)
     if total_time <= 0.0 or not 1 <= measure_site <= prop.n_sites:
         raise ValueError("total_time must be positive and measure_site a site of the chain")
     occupied = prop.occupied(source)
@@ -118,7 +122,7 @@ def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
     # row s - 1: the sign a flip on site s gives each single-particle site
     signs = 1.0 - 2.0 * (np.tri(n).T if ladder else np.eye(n))
     uniforms, sites = trial_draws(cfg, n) if draws is None else draws
-    flips = uniforms < cfg.p
+    flips = uniforms < p
 
     fids = np.empty(cfg.trials)
     batch = max(1, BATCH_ELEMENTS // max(1, n * k))
@@ -143,6 +147,8 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     (common random numbers sharpen the comparison)."""
     if not p_grid:
         raise ValueError("p grid must be nonempty")
+    for p in p_grid:
+        require_probability(p)
     n_sites = {task.prop.n_sites for task in tasks}
     if len(n_sites) != 1:
         raise ValueError("all tasks must share one chain length for common streams")
@@ -157,15 +163,13 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     draws = trial_draws(cfg, n)
     records = []
     for p in p_grid:
-        p_cfg = NoiseConfig(p=p, steps=cfg.steps, trials=cfg.trials, seed=cfg.seed)
         for task, block_dim in zip(tasks, block_dims):
             fids = dephasing_ensemble(
-                task.prop, task.source, task.measure_site, task.total_time, p_cfg, draws
+                task.prop, task.source, task.measure_site, task.total_time, p, cfg, draws
             )
             mean = float(np.mean(fids))
             stderr = float(np.std(fids, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
             records.append(RunRecord(
                 p=float(p), mean_fidelity=mean, standard_error=stderr, trials=cfg.trials,
-                seed=cfg.seed, hamiltonian=task.label, target_site=task.measure_site,
-                source_site=task.source.bits.index(1) + 1, block_dim=block_dim))
+                seed=cfg.seed, hamiltonian=task.label, block_dim=block_dim))
     return records

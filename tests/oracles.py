@@ -92,7 +92,7 @@ def gamma_matrix(n_sites: int) -> np.ndarray:
     return mat
 
 
-def dephasing_trial(prop, source, measure_site, total_time, cfg, uniforms, sites) -> float:
+def dephasing_trial(prop, source, measure_site, total_time, p, cfg, uniforms, sites) -> float:
     """One noisy transfer from one trial's row of draws; P(measure_site is up).
 
     Evolves segment by segment over the whole 2^N space, with e^{-iHt}
@@ -106,7 +106,7 @@ def dephasing_trial(prop, source, measure_site, total_time, cfg, uniforms, sites
     psi[source.index] = 1.0
     for step in range(cfg.steps):
         psi = u_seg @ psi
-        if uniforms[step] < cfg.p:
+        if uniforms[step] < p:
             psi[((idx >> (int(sites[step]) - 1)) & 1).astype(bool)] *= -1.0
     up = ((idx >> (measure_site - 1)) & 1).astype(bool)
     return min(1.0, float(np.sum(np.abs(psi[up]) ** 2)))

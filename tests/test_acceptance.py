@@ -204,8 +204,7 @@ def test_acceptance_09_noise_comparison():
                          BitConfig.single(n, 1), n, math.pi / 2),
         ]
         p_grid = [0.0, 0.02, 0.05, 0.1, 0.15, 0.2]
-        records = noise_sweep(tasks, p_grid, NoiseConfig(p=0.0, trials=10_000,
-                                                         seed=2026))
+        records = noise_sweep(tasks, p_grid, NoiseConfig(trials=10_000, seed=2026))
         curves = {label: [r for r in records if r.hamiltonian == label]
                   for label in ("cluster", "exchange")}
         for label, curve in curves.items():

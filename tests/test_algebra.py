@@ -178,12 +178,13 @@ def test_flip_groups_merge_terms_with_one_flip_mask():
     spec = cluster_chain(CouplingProfile.engineered(5))
     groups = spec.flip_groups
     assert spec.flip_groups is groups    # compiled once per spec
-    # X_n and Z_{n-1} X_n Z_{n+1} share one group per flipped site
-    assert [flip for flip, _, _ in groups] == [0b00010, 0b00100, 0b01000, 0b10000]
-    flip, axes, weights = groups[1]
-    assert axes == (2,)              # site 3 is axis N - 3 of the (2,)*N state
-    assert weights.shape == (1, 2, 1, 2, 1)   # signed sites 2 and 4
-    assert weights.dtype == np.float64
+    # X_n and Z_{n-1} X_n Z_{n+1} share one group per flipped site, which
+    # holds <b ^ flip|H|b> for every basis index b
+    assert [flip for flip, _ in groups] == [0b00010, 0b00100, 0b01000, 0b10000]
+    dense, states = kron_dense(spec), np.arange(spec.dim)
+    for flip, weights in groups:
+        assert weights.shape == (32,) and weights.dtype == np.float64
+        assert np.max(np.abs(weights - dense[states ^ flip, states])) < 1e-12
 
 
 def test_expectation_examples():
@@ -234,10 +235,11 @@ def test_commutator_matches_kronecker_oracle(pair):
 
 
 def test_commutator_of_groups_without_signed_sites():
-    # X_1 and X_2 carry one weight each, kept with a length-1 axis per site
+    # X_1 and X_2 sign no site, so every basis index gets the same weight
     x1, z1, x2 = (HamiltonianSpec(2, (PauliTerm(1.0, {site: p}),))
                   for site, p in ((1, "X"), (1, "Z"), (2, "X")))
-    assert x1.flip_groups[0][2].shape == (1, 1)
+    (flip, weights), = x1.flip_groups
+    assert flip == 0b01 and np.array_equal(weights, np.ones(4))
     assert max_commutator(x1, z1) == 2.0
     assert max_commutator(x1, x2) == 0.0
     assert max_commutator(x1, HamiltonianSpec(2)) == 0.0

@@ -217,7 +217,8 @@ _BAD_INPUT = [
     (["verify-equivalence", "--seed", "-1"], "invalid u64 value"),
     (["verify-equivalence", "--tol", "0"], "--tol must be positive"),
     (["verify-equivalence", "--tol", "-1"], "--tol must be positive"),
-    (["amplify", "--n", "4", "--seed", "18446744073709551616"], "invalid u64 value"),
+    (_SWEEP + ["--seed", "18446744073709551616"], "invalid u64 value"),
+    (["amplify", "--n", "4", "--seed", "0"], "unrecognized arguments: --seed"),
     (["scan", "--n", "4", "--source", "0100", "--target", "0001", "--grid-step", "1e-300"],
      "below 2^63"),
     (["ca-compare", "--n", "13"], "dense cap"),

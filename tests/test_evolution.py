@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from spinamp.chains import (
     exchange_chain,
     star_hamiltonian,
 )
+from spinamp import evolution
 from spinamp.evolution import (
     Propagator,
     amplification_check,
@@ -587,3 +589,30 @@ def test_unitary_refused_on_a_block_above_the_dense_cap():
     # free fermions still answer its amplitudes: the mirror transfer at pi/2
     amp = prop.amplitudes(source, source.reversed_sites(), pst_time(15))[0]
     assert abs(abs(amp) - 1.0) < 1e-8
+
+
+def test_scan_memory_stays_within_one_batch():
+    # a default-grid scan (2001 times) with k = 48 occupied sites: u[D, S]
+    # at every time at once would take 2001 * 48^2 * 16 B = 70 MiB
+    prop = Propagator(exchange_chain(CouplingProfile.engineered(96)))
+    source = BitConfig(96, (1, 0) * 48)
+    assert prop.fermions is not None        # the eigh is not measured
+    tracemalloc.start()
+    try:
+        max_fidelity_scan(prop, source, source.reversed_sites())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+
+
+def test_time_batches_match_one_batch(monkeypatch):
+    # 23 times in batches of 5 leave a short last batch
+    prop = Propagator(cluster_chain(CouplingProfile.engineered(9, _FIELDS[:9])))
+    source = BitConfig.from_string("011010000")
+    target = mirror_map(source)
+    k = len(prop.occupied(source))
+    ts = np.linspace(-3.0, 7.0, 23)
+    whole = prop.amplitudes(source, target, ts)
+    monkeypatch.setattr(evolution, "BATCH_ELEMENTS", 6 * k * k - 1)
+    assert np.array_equal(prop.amplitudes(source, target, ts), whole)

@@ -44,24 +44,22 @@ def _tasks(props):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NoiseConfig(p=-0.1)
+        NoiseConfig(steps=0)
     with pytest.raises(ValueError):
-        NoiseConfig(p=0.1, steps=0)
+        NoiseConfig(trials=0)
+    NoiseConfig(trials=2 ** 32)     # the largest trial count accepted
     with pytest.raises(ValueError):
-        NoiseConfig(p=0.1, trials=0)
-    NoiseConfig(p=0.1, trials=2 ** 32)     # the largest trial count accepted
+        NoiseConfig(trials=2 ** 32 + 1)
     with pytest.raises(ValueError):
-        NoiseConfig(p=0.1, trials=2 ** 32 + 1)
-    with pytest.raises(ValueError):
-        RunRecord(0.1, 1.5, 0.0, 10, 0, "cluster", 2, 6, 5)
+        RunRecord(0.1, 1.5, 0.0, 10, 0, "cluster", 5)
 
 
 def test_noiseless_trials_reach_unit_fidelity(props):
-    cfg = NoiseConfig(p=0.0, trials=1)
+    cfg = NoiseConfig(trials=1)
     uniforms, sites = trial_draws(cfg, N)
     for task in _tasks(props):
         fid = dephasing_trial(task.prop, task.source, task.measure_site,
-                              task.total_time, cfg, uniforms[0], sites[0])
+                              task.total_time, 0.0, cfg, uniforms[0], sites[0])
         assert abs(fid - 1.0) < 1e-8
         clean = transfer_fidelity(task.prop, task.source,
                                   BitConfig.single(N, task.measure_site), T)
@@ -80,13 +78,13 @@ def test_double_z_is_identity(props):
 
 def test_trials_stay_normalized(props):
     cluster, _ = props
-    cfg = NoiseConfig(p=1.0, trials=1, seed=9)
-    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T,
-                              NoiseConfig(p=1.0, trials=50, seed=9))
+    cfg = NoiseConfig(trials=1, seed=9)
+    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 1.0,
+                              NoiseConfig(trials=50, seed=9))
     assert np.all(fids <= 1.0)
     # per-trial norm: evolve manually and check
     uniforms, sites = trial_draws(cfg, N)
-    fid = dephasing_trial(cluster, BitConfig.single(N, 2), N, T, cfg, uniforms[0], sites[0])
+    fid = dephasing_trial(cluster, BitConfig.single(N, 2), N, T, 1.0, cfg, uniforms[0], sites[0])
     assert 0.0 <= fid <= 1.0
 
 
@@ -102,11 +100,11 @@ _FIELD_PROFILE = CouplingProfile(N, tuple(_RNG.uniform(0.2, 2.0, N - 1)),
 @pytest.mark.parametrize("measure_site", [1, (N + 1) // 2, N])
 def test_batch_matches_single_trials(chain, source, measure_site):
     prop = Propagator(chain(_FIELD_PROFILE))
-    cfg = NoiseConfig(p=0.3, trials=16, seed=21)
+    cfg = NoiseConfig(trials=16, seed=21)
     config = BitConfig.from_string(source)
-    batch = dephasing_ensemble(prop, config, measure_site, 1.3, cfg)
+    batch = dephasing_ensemble(prop, config, measure_site, 1.3, 0.3, cfg)
     singles = np.array([
-        dephasing_trial(prop, config, measure_site, 1.3, cfg, uniforms, sites)
+        dephasing_trial(prop, config, measure_site, 1.3, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
@@ -117,10 +115,10 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
     cluster, _ = props
     k = len(cluster.occupied(BitConfig.single(N, 2)))
     monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * N * k - 1)
-    cfg = NoiseConfig(p=0.3, trials=23, seed=4)
-    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, cfg)
+    cfg = NoiseConfig(trials=23, seed=4)
+    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg)
     singles = np.array([
-        dephasing_trial(cluster, BitConfig.single(N, 2), N, T, cfg, uniforms, sites)
+        dephasing_trial(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
@@ -131,7 +129,7 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
 def test_draws_follow_the_seeded_generator(seed, n_sites):
     # the draw contract, written out: one generator, uniforms then sites,
     # row i for trial i
-    cfg = NoiseConfig(p=0.1, steps=25, trials=300, seed=seed)
+    cfg = NoiseConfig(steps=25, trials=300, seed=seed)
     uniforms, sites = trial_draws(cfg, n_sites)
     rng = np.random.default_rng(seed)
     assert uniforms.dtype == np.float64 and sites.dtype == np.int64
@@ -139,13 +137,13 @@ def test_draws_follow_the_seeded_generator(seed, n_sites):
     assert sites.tobytes() == rng.integers(1, n_sites + 1, (300, 25)).tobytes()
     assert sites.min() == 1 and sites.max() == n_sites
     # a byte-identical rerun would pass even if the seed were ignored
-    zero, one = (trial_draws(NoiseConfig(p=0.1, steps=25, trials=300, seed=s), n_sites)
+    zero, one = (trial_draws(NoiseConfig(steps=25, trials=300, seed=s), n_sites)
                  for s in (0, 1))
     assert not np.array_equal(zero[0], one[0]) and not np.array_equal(zero[1], one[1])
 
 
 def test_sweep_is_deterministic(props):
-    cfg = NoiseConfig(p=0.0, trials=300, seed=123)
+    cfg = NoiseConfig(trials=300, seed=123)
     first = noise_sweep(_tasks(props), [0.0, 0.08], cfg)
     second = noise_sweep(_tasks(props), [0.0, 0.08], cfg)
     assert first == second
@@ -154,30 +152,34 @@ def test_sweep_is_deterministic(props):
 def test_sweep_reuses_draws_without_changing_records(props):
     # one set of draws feeds every (p, task); each record must equal the
     # ensemble drawn afresh for that p alone
-    cfg = NoiseConfig(p=0.0, trials=200, seed=31)
+    cfg = NoiseConfig(trials=200, seed=31)
     records = noise_sweep(_tasks(props), [0.05, 0.3], cfg)
     for record in records:
         task = next(t for t in _tasks(props) if t.label == record.hamiltonian)
-        fids = dephasing_ensemble(task.prop, task.source, task.measure_site, T,
-                                  NoiseConfig(p=record.p, trials=200, seed=31))
+        fids = dephasing_ensemble(task.prop, task.source, task.measure_site, T, record.p, cfg)
         assert record.mean_fidelity == float(np.mean(fids))
 
 
 def test_sweep_rejects_bad_inputs(props, monkeypatch):
     with pytest.raises(ValueError):
-        noise_sweep(_tasks(props), [], NoiseConfig(p=0.0, trials=10))
+        noise_sweep(_tasks(props), [], NoiseConfig(trials=10))
     mixed = _tasks(props) + [TransferTask(
         "short", Propagator(cluster_chain(CouplingProfile.engineered(4))),
         BitConfig.single(4, 2), 4, T,
     )]
     with pytest.raises(ValueError):
-        noise_sweep(mixed, [0.0], NoiseConfig(p=0.0, trials=10))
+        noise_sweep(mixed, [0.0], NoiseConfig(trials=10))
     for site in (0, N + 1):
         with pytest.raises(ValueError):
-            dephasing_ensemble(props[0], BitConfig.single(N, 2), site, T,
-                               NoiseConfig(p=0.0, trials=10))
-    # a star of two spikes is no chain, and a source with no up site has no
-    # source site: both are refused before any draw
+            dephasing_ensemble(props[0], BitConfig.single(N, 2), site, T, 0.0,
+                               NoiseConfig(trials=10))
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="flip probability"):
+            dephasing_ensemble(props[0], BitConfig.single(N, 2), N, T, p,
+                               NoiseConfig(trials=10))
+    # a star of two spikes is no chain, a source with no up site has no
+    # source site, and a flip probability must lie in [0, 1]: all are
+    # refused before any draw
     star = star_hamiltonian(StarLayout(2, 4, CouplingProfile.engineered(4)))
     draws = []
     monkeypatch.setattr(noise, "trial_draws", lambda *args: draws.append(args))
@@ -185,24 +187,27 @@ def test_sweep_rejects_bad_inputs(props, monkeypatch):
     for task in (TransferTask("star", Propagator(star), BitConfig.single(7, 2), 7, T),
                  TransferTask("exchange", exchange, BitConfig.zeros(4), 4, T)):
         with pytest.raises(ValueError):
-            noise_sweep([task], [0.0], NoiseConfig(p=0.0, trials=10))
+            noise_sweep([task], [0.0], NoiseConfig(trials=10))
+    for p_grid in ([0.1, math.nan], [-0.1], [0.0, 1.5]):
+        with pytest.raises(ValueError, match="flip probability"):
+            noise_sweep(_tasks(props), p_grid, NoiseConfig(trials=10))
     assert draws == []
 
 
 def test_standard_error_scales_with_trials(props):
     cluster, _ = props
-    cfg_small = NoiseConfig(p=0.1, trials=400, seed=5)
-    cfg_large = NoiseConfig(p=0.1, trials=1600, seed=5)
+    cfg_small = NoiseConfig(trials=400, seed=5)
+    cfg_large = NoiseConfig(trials=1600, seed=5)
     se = []
     for cfg in (cfg_small, cfg_large):
-        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, cfg)
+        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 0.1, cfg)
         se.append(np.std(fids, ddof=1) / math.sqrt(cfg.trials))
     ratio = se[0] / se[1]
     assert 2.0 / 1.5 < ratio < 2.0 * 1.5
 
 
 def test_cluster_beats_exchange_under_noise(props):
-    cfg = NoiseConfig(p=0.0, trials=2000, seed=77)
+    cfg = NoiseConfig(trials=2000, seed=77)
     records = noise_sweep(_tasks(props), [0.1], cfg)
     by_label = {r.hamiltonian: r for r in records}
     gap = by_label["cluster"].mean_fidelity - by_label["exchange"].mean_fidelity
