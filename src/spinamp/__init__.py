@@ -7,7 +7,7 @@ Subpackages:
 * ``chains``     -- builders for the exchange and amplification chains, stars
 * ``maps``       -- CNOT-ladder basis maps, symbolic conjugation, mirror map
 * ``evolution``  -- propagators (free fermions for the two chains, blocks
-  of H otherwise), transfer fidelities, scans, phase probes
+  of H otherwise), transfer fidelities, scans, the amplification check
 * ``automaton``  -- the classical cellular automaton and its comparison table
 * ``noise``      -- seeded Monte Carlo dephasing comparison
 * ``cli``        -- command-line experiments with reproducible file output
@@ -20,9 +20,9 @@ from .algebra import (
     HamiltonianSpec,
     PauliTerm,
 )
-from .chains import CouplingProfile, StarLayout, cluster_chain, exchange_chain, star_hamiltonian
-from .evolution import Propagator, amplification_check, pst_time, transfer_fidelity
-from .maps import conjugate_hamiltonian, gamma_forward, gamma_inverse, mirror_map, tilde_config
+from .chains import CouplingProfile, StarLayout, cluster_chain, exchange_chain
+from .evolution import PST_TIME, Propagator, amplification_check, transfer_fidelity
+from .maps import conjugate_hamiltonian, gamma_forward, gamma_inverse, mirror_map
 
 __all__ = [
     "__version__",
@@ -33,14 +33,12 @@ __all__ = [
     "StarLayout",
     "cluster_chain",
     "exchange_chain",
-    "star_hamiltonian",
+    "PST_TIME",
     "Propagator",
     "amplification_check",
-    "pst_time",
     "transfer_fidelity",
     "conjugate_hamiltonian",
     "gamma_forward",
     "gamma_inverse",
     "mirror_map",
-    "tilde_config",
 ]

@@ -88,10 +88,6 @@ class PauliTerm:
         object.__setattr__(self, "coefficient", coeff)
         object.__setattr__(self, "letters", norm)
 
-    @property
-    def letter_map(self) -> dict:
-        return dict(self.letters)
-
     def max_site(self) -> int:
         return max((s for s, _ in self.letters), default=1)
 
@@ -202,17 +198,8 @@ class BitConfig:
     def index(self) -> int:
         return sum(b << i for i, b in enumerate(self.bits))
 
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
     def reversed_sites(self) -> "BitConfig":
         return BitConfig(self.n_sites, self.bits[::-1])
-
-    def __xor__(self, other: "BitConfig") -> "BitConfig":
-        if other.n_sites != self.n_sites:
-            raise DimensionMismatchError("XOR of configs of different lengths")
-        return BitConfig(self.n_sites, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)

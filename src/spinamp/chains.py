@@ -27,9 +27,7 @@ __all__ = [
     "exchange_chain",
     "cluster_chain",
     "cluster_field_terms",
-    "star_hamiltonian",
     "spike_hamiltonians",
-    "conserved_wall_operator",
 ]
 
 
@@ -148,6 +146,8 @@ def cluster_field_terms(n_sites: int, fields: Sequence[float]) -> HamiltonianSpe
 
     Interior fields become B_n Z_n Z_{n+1}; the last one stays B_N Z_N
     (site N has no right neighbour to pick up under the basis change).
+    With every B_n = 1 this is the domain-wall count, which the cluster
+    chain conserves.
     """
     if len(fields) != n_sites:
         raise ValueError(f"need {n_sites} field values, got {len(fields)}")
@@ -163,15 +163,3 @@ def spike_hamiltonians(layout: StarLayout) -> list:
     return [HamiltonianSpec(layout.total_sites, tuple(_cluster_terms(
                 layout.profile, lambda s, k=k: layout.global_site(k, s))))
             for k in range(1, layout.spikes + 1)]
-
-
-def star_hamiltonian(layout: StarLayout) -> HamiltonianSpec:
-    """Union of the spike Hamiltonians; only Z touches the shared center."""
-    return sum(spike_hamiltonians(layout), HamiltonianSpec(layout.total_sites))
-
-
-def conserved_wall_operator(n_sites: int) -> HamiltonianSpec:
-    """Domain-wall counter sum_n Z_n Z_{n+1} + Z_N; commutes with the cluster chain."""
-    terms = [PauliTerm(1.0, {i: "Z", i + 1: "Z"}) for i in range(1, n_sites)]
-    terms.append(PauliTerm(1.0, {n_sites: "Z"}))
-    return HamiltonianSpec(n_sites, tuple(terms))

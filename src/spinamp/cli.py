@@ -36,10 +36,10 @@ from .chains import (
     spike_hamiltonians,
 )
 from .evolution import (
+    PST_TIME,
     Propagator,
     amplification_check,
     max_fidelity_scan,
-    pst_time,
     transfer_fidelity,
 )
 from .io import format_number, header_lines, parse_time, render_csv, write_text_atomic
@@ -94,9 +94,9 @@ def _json_doc(config: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _time(text: Optional[str], n_sites: int) -> float:
+def _time(text: Optional[str]) -> float:
     """The --time value, or the perfect-transfer time when it is omitted."""
-    return parse_time(text) if text else pst_time(n_sites)
+    return PST_TIME if text is None else parse_time(text)
 
 
 @contextmanager
@@ -173,7 +173,7 @@ def cmd_amplify(args) -> int:
         raise UsageError("--n is required (flag or config)")
     with _inputs():
         profile = _profile(args.profile, args.n)
-        t = _time(args.time, args.n)
+        t = _time(args.time)
         alpha = 1.0 / math.sqrt(2.0) if args.alpha is None else args.alpha
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha)) if args.beta is None else args.beta
         if not abs(alpha * alpha + beta * beta - 1.0) <= 1e-9:
@@ -208,7 +208,7 @@ def _endpoints(args) -> tuple:
 def cmd_transfer(args) -> int:
     profile, source, target = _endpoints(args)
     with _inputs():
-        t = _time(args.time, args.n)
+        t = _time(args.time)
     fid = transfer_fidelity(Propagator(_hamiltonian(args.family, profile)), source, target, t)
     config = {"n": args.n, "profile": args.profile, "family": args.family,
               "source": str(source), "target": str(target), "t": t}
@@ -257,7 +257,7 @@ def cmd_ca_compare(args) -> int:
 def cmd_noise_sweep(args) -> int:
     with _inputs():
         profile = _profile(args.profile, args.n)
-        t = _time(args.time, args.n)
+        t = _time(args.time)
         if not t > 0.0:
             raise ValueError(f"--time must be positive, got {t}")
         p_grid = [require_probability(float(p)) for p in args.p.split(",")]
@@ -317,7 +317,7 @@ def cmd_star_demo(args) -> int:
     with _inputs():
         layout = StarLayout(args.spikes, args.length,
                             _profile(args.profile, args.length))
-        t = _time(args.time, args.length)
+        t = _time(args.time)
     require_dense(layout.total_sites)
     spikes = spike_hamiltonians(layout)
     comm = max((max_commutator(a, b) for i, a in enumerate(spikes) for b in spikes[i + 1:]),

@@ -29,27 +29,25 @@ import numpy as np
 from .algebra import (
     BitConfig,
     HamiltonianSpec,
-    SizeError,
     SpinChainError,
     sector_blocks,
 )
 from .chains import CouplingProfile, cluster_chain, exchange_chain
-from .maps import mirror_map
 
 __all__ = [
+    "PST_TIME",
     "Propagator",
-    "pst_time",
     "transfer_fidelity",
     "max_fidelity_scan",
     "AmplificationResult",
     "amplification_check",
-    "PhaseReport",
-    "phase_separability_probe",
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_TOL = 1e-8       # width at which a scan's golden-section refinement stops
-MODULUS_FLOOR = 0.5     # phase-probe elements below this carry no usable phase
+
+#: Perfect-transfer time of the engineered profile in this normalization.
+PST_TIME = math.pi / 2.0
 
 #: Most complex entries one batch of free-fermion matrices holds (16 MiB):
 #: u[D, S] over times in :meth:`Propagator.amplitudes`, orbitals over
@@ -185,13 +183,6 @@ def _wrap(angle: float) -> float:
     return wrapped + 2.0 * math.pi if wrapped <= -math.pi else wrapped
 
 
-def pst_time(n_sites: int) -> float:
-    """Perfect-transfer time of the engineered profile in this normalization."""
-    if n_sites < 2:
-        raise SizeError(f"chain needs at least 2 sites, got {n_sites}")
-    return math.pi / 2.0
-
-
 def transfer_fidelity(prop: Propagator, source: BitConfig, target: BitConfig,
                       t: float) -> float:
     """|<target| U(t) |source>|^2 between basis configurations."""
@@ -279,66 +270,3 @@ def amplification_check(prop: Propagator, alpha: complex, beta: complex,
     else:
         phase = 0.0
     return AmplificationResult(float(fidelity), float(fid0), float(fid1), float(phase))
-
-
-@dataclass(frozen=True)
-class PhaseReport:
-    """Transfer phases of physical excitations and their pair deviations."""
-
-    family: str
-    phi1: dict          # site -> single-excitation transfer phase
-    phi2: dict          # (n, m) -> two-excitation transfer phase
-    deviation: dict     # (n, m) -> phi2 - phi1(n) - phi1(m), wrapped to (-pi, pi]
-    excluded: tuple     # pairs whose matrix element had negligible modulus
-
-    def max_abs_deviation(self) -> float:
-        return max((abs(d) for d in self.deviation.values()), default=0.0)
-
-
-#: family -> (first physical site, the configuration a transfer reaches)
-_FAMILIES = {"cluster": (2, mirror_map), "exchange": (1, BitConfig.reversed_sites)}
-
-
-def phase_separability_probe(prop: Propagator, t: float,
-                             family: str) -> PhaseReport:
-    """Compare two-excitation transfer phases with sums of single ones.
-
-    Physical excitations are lone 1s on the chain (sites 2..N for the
-    amplification chain, where site 1 is the encoding site; all sites for
-    the exchange chain).  A vanishing deviation means excitations move
-    through each other with no conditional phase.
-    """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    first, mirror = _FAMILIES[family]
-    n = prop.n_sites
-    sites = list(range(first, n + 1))
-
-    def transfer_phase(config: BitConfig):
-        element = prop.amplitudes(config, mirror(config), t)[0]
-        if abs(element) < MODULUS_FLOOR:
-            return None
-        return float(np.angle(element))
-
-    phi1 = {}
-    for s in sites:
-        ph = transfer_phase(BitConfig.single(n, s))
-        if ph is not None:
-            phi1[s] = ph
-    phi2 = {}
-    deviation = {}
-    excluded = []
-    for i, s1 in enumerate(sites):
-        for s2 in sites[i + 1:]:
-            pair = (s1, s2)
-            if s1 not in phi1 or s2 not in phi1:
-                excluded.append(pair)
-                continue
-            config = BitConfig.single(n, s1) ^ BitConfig.single(n, s2)
-            ph = transfer_phase(config)
-            if ph is None:
-                excluded.append(pair)
-                continue
-            phi2[pair] = ph
-            deviation[pair] = _wrap(ph - phi1[s1] - phi1[s2])
-    return PhaseReport(family, phi1, phi2, deviation, tuple(excluded))

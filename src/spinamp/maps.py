@@ -15,50 +15,17 @@ realizes on every basis state at the transfer time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import BitConfig, HamiltonianSpec, PauliTerm
 
 __all__ = [
-    "TildeIndexSet",
-    "tilde_config",
     "gamma_forward",
     "gamma_inverse",
     "gamma_inverse_indices",
     "conjugate_hamiltonian",
     "mirror_map",
 ]
-
-
-@dataclass(frozen=True)
-class TildeIndexSet:
-    """Sorted set of effective excitation positions in 1..N."""
-
-    n_sites: int
-    indices: tuple = ()
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate excitation index")
-        if idx and not (1 <= idx[0] and idx[-1] <= self.n_sites):
-            raise ValueError(f"indices {idx} out of range 1..{self.n_sites}")
-        object.__setattr__(self, "indices", idx)
-
-
-def tilde_config(indices: TildeIndexSet) -> BitConfig:
-    """XOR of the prefix patterns 1^n 0^(N-n) over the index set.
-
-    A single index n gives 1s on sites 1..n; several indices combine by
-    bitwise addition mod 2, e.g. {3,5} at N=5 -> 11100 xor 11111 = 00011.
-    """
-    bits = [0] * indices.n_sites
-    for n in indices.indices:
-        for i in range(n):
-            bits[i] ^= 1
-    return BitConfig(indices.n_sites, tuple(bits))
 
 
 def gamma_forward(b: BitConfig) -> BitConfig:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -105,12 +105,12 @@ def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
 
 def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
                        total_time: float, p: float, cfg: NoiseConfig,
-                       draws: Optional[tuple] = None) -> np.ndarray:
+                       draws: tuple) -> np.ndarray:
     """All trial fidelities at flip probability ``p``, batched over trials,
     evolved as free fermions.
 
     ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
-    chain length; it is drawn here when omitted.
+    chain length.
     """
     require_probability(p)
     if total_time <= 0.0 or not 1 <= measure_site <= prop.n_sites:
@@ -121,7 +121,7 @@ def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
     u_seg = (vecs * np.exp(-1j * vals * total_time / cfg.steps)) @ vecs.T    # symmetric
     # row s - 1: the sign a flip on site s gives each single-particle site
     signs = 1.0 - 2.0 * (np.tri(n).T if ladder else np.eye(n))
-    uniforms, sites = trial_draws(cfg, n) if draws is None else draws
+    uniforms, sites = draws
     flips = uniforms < p
 
     fids = np.empty(cfg.trials)

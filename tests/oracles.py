@@ -16,16 +16,22 @@ Each one computes by the textbook route, with no code shared with
   the ladder maps and the mirror map, bit by bit on ``BitConfig`` tuples;
 * ``ca_half_step_bits`` -- one CA half-step, site by site;
 * ``ca_report_rows`` -- the CA comparison table, one config at a time,
-  reading the full 2^N x 2^N unitary of ``kron_unitary``.
+  reading the full 2^N x 2^N unitary of ``kron_unitary``;
+* ``binomial_transfer`` -- the engineered chain's one-excitation transfer
+  probabilities in closed form, at any chain length.
+
+``pair_phase_deviations`` is no reference but a measurement: the
+conditional phases of two excitations, read off ``Propagator.amplitudes``.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from spinamp.algebra import BitConfig, HamiltonianSpec
 from spinamp.chains import CouplingProfile, cluster_chain
-from spinamp.evolution import pst_time
+from spinamp.evolution import PST_TIME
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -40,7 +46,7 @@ def kron_dense(spec: HamiltonianSpec) -> np.ndarray:
     n = spec.n_sites
     out = np.zeros((1 << n, 1 << n), dtype=complex)
     for term in spec.terms:
-        letters = term.letter_map
+        letters = dict(term.letters)
         # site 1 occupies the least significant index block
         mat = np.array([[term.coefficient]], dtype=complex)
         for site in range(n, 0, -1):
@@ -161,7 +167,7 @@ def ca_report_rows(n_sites: int) -> list:
     """
     step_cap = 4 * n_sites
     spec = cluster_chain(CouplingProfile.engineered(n_sites))
-    probs = abs(kron_unitary(spec, pst_time(n_sites))) ** 2
+    probs = abs(kron_unitary(spec, PST_TIME)) ** 2
     rows = []
     for bits in itertools.product((0, 1), repeat=n_sites):
         b = BitConfig(n_sites, bits)
@@ -183,3 +189,33 @@ def ca_report_rows(n_sites: int) -> list:
             config = ca_half_step_bits(config, next(parity_cycle))
         rows.append((b, continuous, float(col[best]), mirror, continuous == mirror, hit))
     return rows
+
+
+def binomial_transfer(n_sites: int, site: int, t: float) -> float:
+    """|<site|U(t)|1>|^2 on the engineered exchange chain, one excitation.
+
+    Its hopping matrix is 2 S_x for spin (N - 1)/2 (Christandl et al., PRL
+    92, 187902 (2004)), so the probability is binomial:
+    C(N-1, site-1) s^(site-1) (1-s)^(N-site), with s = sin^2 t.
+    """
+    s, k = math.sin(t) ** 2, site - 1
+    return math.exp(math.log(math.comb(n_sites - 1, k)) + k * math.log(s)
+                    + (n_sites - site) * math.log1p(-s))
+
+
+def pair_phase_deviations(prop, t: float, first: int, mirror) -> dict:
+    """(a, b) -> phi2 - phi1(a) - phi1(b), in [-pi, pi], for sites
+    first <= a < b <= N, where phi1(s) is the phase of <mirror(c)|U(t)|c>
+    for c the lone excitation at s, and phi2 that of c with 1s at a and b.
+    Each of these amplitudes must have modulus at least 1/2."""
+    n = prop.n_sites
+
+    def phase(*sites) -> float:
+        config = BitConfig(n, tuple(int(s in sites) for s in range(1, n + 1)))
+        amp = prop.amplitudes(config, mirror(config), t)[0]
+        assert abs(amp) >= 0.5
+        return float(np.angle(amp))
+
+    phi1 = {s: phase(s) for s in range(first, n + 1)}
+    return {(a, b): math.remainder(phase(a, b) - phi1[a] - phi1[b], 2.0 * math.pi)
+            for a, b in itertools.combinations(phi1, 2)}

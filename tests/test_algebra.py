@@ -92,8 +92,6 @@ def test_apply_dimension_mismatch():
     spec = HamiltonianSpec(3, (PauliTerm(1.0, {1: "Z"}),))
     with pytest.raises(DimensionMismatchError):
         spec + HamiltonianSpec(4, (PauliTerm(1.0, {1: "Z"}),))
-    with pytest.raises(DimensionMismatchError):
-        BitConfig.zeros(3) ^ BitConfig.zeros(4)
 
 
 def _random_spec(n, rng, n_terms=6):
@@ -209,7 +207,6 @@ def test_bit_config_round_trips():
     assert str(cfg) == "10110"
     assert BitConfig.from_index(5, cfg.index) == cfg
     assert cfg.index == 0b01101  # site 1 is the least significant bit
-    assert cfg.weight == 3
     assert str(cfg.reversed_sites()) == "01101"
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinamp.algebra import BitConfig
-from spinamp.automaton import _half_step, ca_half_step, ca_run, ca_vs_hamiltonian_report
+from spinamp.automaton import ca_half_step, ca_vs_hamiltonian_report
 from spinamp.maps import mirror_map
 
 from oracles import ca_half_step_bits, ca_report_rows
@@ -14,23 +14,30 @@ def _walls(b):
     return sum(x != y for x, y in zip(b.bits, b.bits[1:])) + b.bits[-1]
 
 
+def _trajectory(b: BitConfig, k: int) -> list:
+    """The basis indices of k half-steps from ``b``, starting on the even sites."""
+    out = [b.index]
+    for step in range(k):
+        out.append(ca_half_step(out[-1], b.n_sites, ("even", "odd")[step % 2]))
+    return out
+
+
 def test_half_step_examples():
-    assert str(ca_half_step(BitConfig.from_string("100"), "even")) == "110"
-    assert str(ca_half_step(BitConfig.from_string("000000"), "even")) == "000000"
-    assert str(ca_half_step(BitConfig.from_string("000000"), "odd")) == "000000"
-    assert str(ca_half_step(BitConfig.from_string("100000"), "even")) == "110000"
+    for text, parity, expected in (("100", "even", "110"), ("000000", "even", "000000"),
+                                   ("000000", "odd", "000000"), ("100000", "even", "110000")):
+        n, x = len(text), BitConfig.from_string(text).index
+        assert str(BitConfig.from_index(n, ca_half_step(x, n, parity))) == expected
 
 
 def test_half_step_rejects_bad_parity():
     with pytest.raises(ValueError):
-        ca_half_step(BitConfig.from_string("10"), "both")
+        ca_half_step(1, 2, "both")
 
 
 def test_site_one_never_flips():
-    for i in range(1 << 6):
-        b = BitConfig.from_index(6, i)
-        for parity in ("even", "odd"):
-            assert ca_half_step(b, parity).bits[0] == b.bits[0]
+    x = np.arange(1 << 6)
+    for parity in ("even", "odd"):
+        assert np.array_equal(ca_half_step(x, 6, parity) & 1, x & 1)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -38,32 +45,22 @@ def test_site_one_never_flips():
 def test_half_step_matches_per_bit_oracle(n, parity):
     expected = [ca_half_step_bits(BitConfig.from_index(n, i), parity).index
                 for i in range(1 << n)]
-    assert [ca_half_step(BitConfig.from_index(n, i), parity).index
-            for i in range(1 << n)] == expected
-    assert _half_step(np.arange(1 << n), n, parity).tolist() == expected
+    assert [ca_half_step(i, n, parity) for i in range(1 << n)] == expected
+    assert ca_half_step(np.arange(1 << n), n, parity).tolist() == expected
 
 
 def test_canonical_amplification_run():
-    run = ca_run(BitConfig.from_string("100000"), 5, "even")
-    assert [str(c) for c in run.trajectory] == [
+    trajectory = _trajectory(BitConfig.from_string("100000"), 5)
+    assert [str(BitConfig.from_index(6, x)) for x in trajectory] == [
         "100000", "110000", "111000", "111100", "111110", "111111",
     ]
-    assert run.half_steps == ("even", "odd", "even", "odd", "even")
-
-
-def test_run_validation():
-    with pytest.raises(ValueError):
-        ca_run(BitConfig.from_string("10"), -1)
-    with pytest.raises(ValueError):
-        ca_run(BitConfig.from_string("10"), 2, "sideways")
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_same_parity_involution(n):
-    for i in range(1 << n):
-        b = BitConfig.from_index(n, i)
-        for parity in ("even", "odd"):
-            assert ca_half_step(ca_half_step(b, parity), parity) == b
+    x = np.arange(1 << n)
+    for parity in ("even", "odd"):
+        assert np.array_equal(ca_half_step(ca_half_step(x, n, parity), n, parity), x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -71,12 +68,11 @@ def test_same_parity_involution(n):
 def test_wall_count_is_conserved(n, data, parity):
     bits = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
     b = BitConfig(n, bits)
-    assert _walls(ca_half_step(b, parity)) == _walls(b)
+    assert _walls(BitConfig.from_index(n, ca_half_step(b.index, n, parity))) == _walls(b)
 
 
 def test_ones_grow_monotonically_from_seed():
-    run = ca_run(BitConfig.from_string("10000000"), 7, "even")
-    weights = [c.weight for c in run.trajectory]
+    weights = [x.bit_count() for x in _trajectory(BitConfig.from_string("10000000"), 7)]
     assert weights == sorted(weights)
     assert weights[-1] == 8
 
@@ -86,7 +82,7 @@ def test_ca_reaches_the_mirror_on_a_long_chain():
     # the exhaustive report's range
     n = 256
     b = BitConfig(n, tuple(np.random.default_rng(256).integers(0, 2, n)))
-    assert mirror_map(b) in ca_run(b, 4 * n, "even").trajectory
+    assert mirror_map(b).index in _trajectory(b, 4 * n)
 
 
 def test_comparison_report_n5():

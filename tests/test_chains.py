@@ -17,12 +17,10 @@ from spinamp.chains import (
     StarLayout,
     cluster_chain,
     cluster_field_terms,
-    conserved_wall_operator,
     exchange_chain,
     spike_hamiltonians,
-    star_hamiltonian,
 )
-from spinamp.maps import conjugate_hamiltonian, tilde_config, TildeIndexSet
+from spinamp.maps import conjugate_hamiltonian, gamma_forward
 
 from oracles import kron_dense, kron_unitary
 
@@ -117,7 +115,9 @@ def test_tilde_action_is_tridiagonal(n):
     rng = np.random.default_rng(300 + n)
     js = tuple(rng.uniform(0.2, 2.0, n - 1))
     spec = cluster_chain(CouplingProfile(n, js))
-    tildes = [tilde_config(TildeIndexSet(n, (k,) if k else ())) for k in range(n + 1)]
+    # |k~> = 1^k 0^(N-k), the image of a lone excitation at k (none for k = 0)
+    tildes = [gamma_forward(BitConfig.single(n, k)) if k else BitConfig.zeros(n)
+              for k in range(n + 1)]
     j = lambda k: js[k - 1] if 1 <= k <= n - 1 else 0.0
     # H's entries, from the library's split into blocks
     _, _, (src, dst, values) = sector_blocks(spec)
@@ -151,7 +151,8 @@ def test_wall_operator_symmetry(n):
     rng = np.random.default_rng(500 + n)
     prof = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)),
                            tuple(rng.normal(size=n)))
-    assert max_commutator(cluster_chain(prof), conserved_wall_operator(n)) < 1e-12
+    walls = cluster_field_terms(n, (1.0,) * n)     # sum_n Z_n Z_{n+1} + Z_N
+    assert max_commutator(cluster_chain(prof), walls) < 1e-12
 
 
 def test_stabilizer_parts_commute_exactly():
@@ -173,9 +174,13 @@ def _demo_layout(spikes, length):
     return StarLayout(spikes, length, CouplingProfile.engineered(length))
 
 
+def _star(layout):
+    return sum(spike_hamiltonians(layout), HamiltonianSpec(layout.total_sites))
+
+
 def test_star_single_spike_is_a_chain():
     layout = _demo_layout(1, 5)
-    assert star_hamiltonian(layout) == cluster_chain(CouplingProfile.engineered(5))
+    assert _star(layout) == cluster_chain(CouplingProfile.engineered(5))
 
 
 def test_star_spikes_commute():
@@ -186,8 +191,8 @@ def test_star_spikes_commute():
 
 def test_star_center_sees_only_z():
     layout = _demo_layout(3, 3)
-    for term in star_hamiltonian(layout).terms:
-        letters = term.letter_map
+    for term in _star(layout).terms:
+        letters = dict(term.letters)
         if 1 in letters:
             assert letters[1] == "Z"
 
@@ -195,7 +200,7 @@ def test_star_center_sees_only_z():
 def test_star_evolution_factorizes():
     layout = _demo_layout(3, 3)
     t = 0.73
-    u_star = kron_unitary(star_hamiltonian(layout), t)
+    u_star = kron_unitary(_star(layout), t)
     product = np.eye(u_star.shape[0], dtype=complex)
     for spec in spike_hamiltonians(layout):
         product = kron_unitary(spec, t) @ product

@@ -189,6 +189,9 @@ _SWEEP = ["noise-sweep", "--n", "4", "--trials", "2"]
 
 _BAD_INPUT = [
     (["amplify", "--n", "4", "--time", "pi/0"], "divides by zero"),
+    (["amplify", "--n", "4", "--time", ""], "cannot parse time value"),
+    (_SWEEP + ["--time", ""], "cannot parse time value"),
+    (["amplify", "--n", "4", "--config", "empty_time.json"], "cannot parse time value"),
     (_SCAN + ["--t-max", "nan"], "finite"),
     (_SCAN + ["--grid-step", "inf"], "finite"),
     (_SCAN + ["--grid-step", "0"], "positive"),
@@ -222,6 +225,7 @@ _BAD_INPUT = [
     (["scan", "--n", "4", "--source", "0100", "--target", "0001", "--grid-step", "1e-300"],
      "below 2^63"),
     (["ca-compare", "--n", "13"], "dense cap"),
+    (["ca-compare", "--n", "1"], "at least 2 sites"),
     (["amplify", "--n", "4", "--config", "missing.json"], "No such file"),
     (["amplify", "--n", "4", "--config", "malformed.json"], "Expecting property name"),
 ]
@@ -232,6 +236,7 @@ _BAD_INPUT = [
 def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "malformed.json").write_text("{bad")
+    (tmp_path / "empty_time.json").write_text('{"time": ""}')
     draws = _count_calls(monkeypatch, noise, "trial_draws")
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()

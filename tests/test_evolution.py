@@ -19,22 +19,27 @@ from spinamp.chains import (
     CouplingProfile,
     StarLayout,
     cluster_chain,
-    conserved_wall_operator,
+    cluster_field_terms,
     exchange_chain,
-    star_hamiltonian,
+    spike_hamiltonians,
 )
 from spinamp import evolution
 from spinamp.evolution import (
+    PST_TIME,
     Propagator,
     amplification_check,
     max_fidelity_scan,
-    phase_separability_probe,
-    pst_time,
     transfer_fidelity,
 )
 from spinamp.maps import gamma_forward, gamma_inverse_indices, mirror_map
 
-from oracles import exchange_sector, kron_dense, kron_unitary
+from oracles import (
+    binomial_transfer,
+    exchange_sector,
+    kron_dense,
+    kron_unitary,
+    pair_phase_deviations,
+)
 
 
 def _cluster_prop(n, profile="engineered"):
@@ -132,7 +137,7 @@ def test_composition():
 def test_energy_and_wall_conservation():
     rng = np.random.default_rng(3)
     prop = _cluster_prop(6)
-    h, walls = kron_dense(prop.spec), kron_dense(conserved_wall_operator(6))
+    h, walls = kron_dense(prop.spec), kron_dense(cluster_field_terms(6, (1.0,) * 6))
 
     def expectation(op, psi):
         value = np.vdot(psi, op @ psi)
@@ -156,16 +161,14 @@ def test_exchange_perfect_transfer_n6():
 
 
 def test_pst_time_examples():
-    assert pst_time(2) == math.pi / 2
-    with pytest.raises(SizeError):
-        pst_time(1)
+    assert PST_TIME == math.pi / 2
     # N=2: single-excitation block is J_1 X with J_1 = 1, so |sin(t)| = 1 at pi/2
     assert transfer_fidelity(_exchange_prop(2), BitConfig.single(2, 1),
-                             BitConfig.single(2, 2), pst_time(2)) > 1.0 - 1e-12
+                             BitConfig.single(2, 2), PST_TIME) > 1.0 - 1e-12
     assert transfer_fidelity(_exchange_prop(3), BitConfig.single(3, 1),
-                             BitConfig.single(3, 3), pst_time(3)) > 1.0 - 1e-12
+                             BitConfig.single(3, 3), PST_TIME) > 1.0 - 1e-12
     assert transfer_fidelity(_exchange_prop(10), BitConfig.single(10, 1),
-                             BitConfig.single(10, 10), pst_time(10)) > 1.0 - 1e-10
+                             BitConfig.single(10, 10), PST_TIME) > 1.0 - 1e-10
 
 
 def test_transfer_identity_at_zero_time():
@@ -177,10 +180,9 @@ def test_transfer_identity_at_zero_time():
 def test_cluster_chain_moves_single_excitations():
     # a lone excitation at site n travels to site N+2-n
     prop = _cluster_prop(6)
-    t = pst_time(6)
     for n in range(2, 7):
         fid = transfer_fidelity(prop, BitConfig.single(6, n),
-                                BitConfig.single(6, 8 - n), t)
+                                BitConfig.single(6, 8 - n), PST_TIME)
         assert fid > 1.0 - 1e-8
 
 
@@ -272,7 +274,7 @@ def test_amplification_engineered_vs_uniform():
 def test_mirror_theorem_exhaustive():
     for n in range(2, 8):
         mirror = {b: mirror_map(BitConfig.from_index(n, b)).index for b in range(1 << n)}
-        for rows, us in _cluster_prop(n).block_unitaries(pst_time(n)):
+        for rows, us in _cluster_prop(n).block_unitaries(PST_TIME):
             for indices, u in zip(rows, us):
                 position = {int(x): k for k, x in enumerate(indices)}
                 for k, b in enumerate(indices.tolist()):
@@ -280,39 +282,21 @@ def test_mirror_theorem_exhaustive():
 
 
 def test_phase_probe_cluster_has_no_conditional_phase():
-    report = phase_separability_probe(_cluster_prop(6), pst_time(6), "cluster")
-    assert report.excluded == ()
-    assert report.max_abs_deviation() < 1e-6
+    # excitations on sites 2..N; site 1 is the encoding site
+    deviation = pair_phase_deviations(_cluster_prop(6), PST_TIME, 2, mirror_map)
+    assert len(deviation) == 10
+    assert max(abs(d) for d in deviation.values()) < 1e-6
 
 
 def test_phase_probe_exchange_shows_crossing_phase():
-    report = phase_separability_probe(_exchange_prop(6), pst_time(6), "exchange")
-    assert report.excluded == ()
-    values = list(report.deviation.values())
-    assert values
+    deviation = pair_phase_deviations(_exchange_prop(6), PST_TIME, 1,
+                                      BitConfig.reversed_sites)
+    values = list(deviation.values())
+    assert len(values) == 15
     # constant modulo 2 pi and bounded away from zero
     for dev in values:
         assert abs(abs(dev) - abs(values[0])) < 1e-6
         assert abs(dev) > 1e-3
-
-
-@pytest.mark.parametrize("family", ["cluster", "exchange"])
-def test_phase_probe_free_fermions_match_blocks(family):
-    chain = cluster_chain if family == "cluster" else exchange_chain
-    spec = chain(CouplingProfile.engineered(6))
-    dense = phase_separability_probe(_on_blocks(Propagator(spec)), pst_time(6), family)
-    fermions = phase_separability_probe(Propagator(spec), pst_time(6), family)
-    assert fermions.excluded == dense.excluded
-    for field in ("phi1", "phi2", "deviation"):
-        a, b = getattr(dense, field), getattr(fermions, field)
-        assert a.keys() == b.keys()
-        for key in a:
-            assert abs(math.remainder(a[key] - b[key], 2.0 * math.pi)) < 1e-9
-
-
-def test_phase_probe_two_sites_trivial():
-    report = phase_separability_probe(_cluster_prop(2), pst_time(2), "cluster")
-    assert report.deviation == {}
 
 
 def test_free_fermions_match_every_block_amplitude():
@@ -388,7 +372,7 @@ def test_engineered_mirror_is_perfect_on_long_chains(family, n):
     prop = Propagator(chain(CouplingProfile.engineered(n)))
     rng = np.random.default_rng(63)
     for source in (BitConfig.single(n, 2), BitConfig(n, tuple(rng.integers(0, 2, n)))):
-        amp = prop.amplitudes(source, mirror(source), pst_time(n))[0]
+        amp = prop.amplitudes(source, mirror(source), PST_TIME)[0]
         assert abs(abs(amp) ** 2 - 1.0) < 1e-9
 
 
@@ -483,7 +467,7 @@ def test_block_backend_matches_full_space(spec, data):
 def _sector_labels(family, n):
     """Wall count (cluster) or excitation number (exchange) of every basis index."""
     if family == "cluster":
-        return np.diag(kron_dense(conserved_wall_operator(n))).real
+        return np.diag(kron_dense(cluster_field_terms(n, (1.0,) * n))).real
     return np.array([bin(i).count("1") for i in range(1 << n)])
 
 
@@ -521,7 +505,8 @@ def test_blocks_are_the_conserved_sectors(n):
 
 
 def _star(spikes, length, profile=CouplingProfile.engineered):
-    return star_hamiltonian(StarLayout(spikes, length, profile(length)))
+    layout = StarLayout(spikes, length, profile(length))
+    return sum(spike_hamiltonians(layout), HamiltonianSpec(layout.total_sites))
 
 
 _FIELDS = tuple(np.random.default_rng(13).uniform(-1.0, 1.0, 13))
@@ -567,7 +552,7 @@ def test_free_fermions_match_a_1287_state_sector(fields):
     profile = CouplingProfile.engineered(13, fields)
     source = BitConfig.from_string("1101010010000")
     target = source.reversed_sites()
-    ts = [0.3, pst_time(13), -2.9]
+    ts = [0.3, PST_TIME, -2.9]
     amps = Propagator(exchange_chain(profile)).amplitudes(source, target, ts)
     indices, h = exchange_sector(profile, 5)
     assert indices.size == 1287
@@ -587,7 +572,7 @@ def test_unitary_refused_on_a_block_above_the_dense_cap():
     with pytest.raises(SizeError):
         next(prop.block_unitaries(1.0))
     # free fermions still answer its amplitudes: the mirror transfer at pi/2
-    amp = prop.amplitudes(source, source.reversed_sites(), pst_time(15))[0]
+    amp = prop.amplitudes(source, source.reversed_sites(), PST_TIME)[0]
     assert abs(abs(amp) - 1.0) < 1e-8
 
 
@@ -616,3 +601,27 @@ def test_time_batches_match_one_batch(monkeypatch):
     whole = prop.amplitudes(source, target, ts)
     monkeypatch.setattr(evolution, "BATCH_ELEMENTS", 6 * k * k - 1)
     assert np.array_equal(prop.amplitudes(source, target, ts), whole)
+
+
+@pytest.mark.parametrize("n", [7, 64, 256, 1024])
+def test_engineered_transfer_is_binomial(n):
+    # a closed form at intermediate times, far above the dense cap; sites
+    # within 1 of the peak, where the probability is not tiny
+    prop = _exchange_prop(n)
+    for t in (0.4, 1.1):
+        peak = 1 + round(math.sin(t) ** 2 * (n - 1))
+        for site in range(max(1, peak - 1), min(n, peak + 1) + 1):
+            expected = binomial_transfer(n, site, t)
+            assert expected > 0.02
+            fid = transfer_fidelity(prop, BitConfig.single(n, 1), BitConfig.single(n, site), t)
+            assert abs(fid - expected) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024])
+def test_amplify_closed_form(n):
+    # the ladder carries 10...0 to one excitation on site 1 and 1...1 to one
+    # on site N, so fid1 is the binomial law's last term; 0...0 stays put
+    t = math.pi / 2 - 0.05
+    result = amplification_check(_cluster_prop(n), 2 ** -0.5, 2 ** -0.5, t)
+    assert abs(result.fid1 - math.sin(t) ** (2 * (n - 1))) < 1e-12
+    assert abs(result.fid0 - 1.0) < 1e-12

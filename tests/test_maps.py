@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 from spinamp.maps import (
-    TildeIndexSet,
     conjugate_hamiltonian,
     gamma_forward,
     gamma_inverse,
     gamma_inverse_indices,
     mirror_map,
-    tilde_config,
 )
 
 from oracles import (
@@ -23,19 +21,6 @@ from oracles import (
     kron_dense,
     mirror_bits,
 )
-
-
-def test_tilde_config_examples():
-    assert str(tilde_config(TildeIndexSet(5, (3,)))) == "11100"
-    assert str(tilde_config(TildeIndexSet(5, (3, 5)))) == "00011"
-    assert str(tilde_config(TildeIndexSet(4, ()))) == "0000"
-
-
-def test_tilde_index_set_validation():
-    with pytest.raises(ValueError):
-        TildeIndexSet(4, (2, 2))
-    with pytest.raises(ValueError):
-        TildeIndexSet(4, (5,))
 
 
 def test_gamma_forward_examples():
@@ -83,11 +68,10 @@ def test_gamma_forward_matches_ladder_matrix():
 
 
 def test_tilde_consistency():
+    # a lone excitation at n maps to the prefix pattern 1^n 0^(N-n)
     for n in range(1, 9):
         for site in range(1, n + 1):
-            assert gamma_forward(BitConfig.single(n, site)) == tilde_config(
-                TildeIndexSet(n, (site,))
-            )
+            assert str(gamma_forward(BitConfig.single(n, site))) == "1" * site + "0" * (n - site)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -109,7 +93,7 @@ def test_domain_walls_count_excitations(n, data):
     bits = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
     b = BitConfig(n, bits)
     walls = sum(x != y for x, y in zip(bits, bits[1:])) + bits[-1]
-    assert gamma_inverse(b).weight == walls
+    assert sum(gamma_inverse(b).bits) == walls
 
 
 def test_conjugation_of_xx_terms():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from spinamp import noise
-from spinamp.algebra import BitConfig
+from spinamp.algebra import BitConfig, HamiltonianSpec
 from spinamp.chains import (
     CouplingProfile,
     StarLayout,
     cluster_chain,
     exchange_chain,
-    star_hamiltonian,
+    spike_hamiltonians,
 )
-from spinamp.evolution import Propagator, pst_time, transfer_fidelity
+from spinamp.evolution import PST_TIME, Propagator, transfer_fidelity
 from spinamp.noise import (
     NoiseConfig,
     RunRecord,
@@ -25,7 +25,7 @@ from spinamp.noise import (
 from oracles import dephasing_trial
 
 N = 6
-T = pst_time(N)
+T = PST_TIME
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +79,9 @@ def test_double_z_is_identity(props):
 def test_trials_stay_normalized(props):
     cluster, _ = props
     cfg = NoiseConfig(trials=1, seed=9)
-    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 1.0,
-                              NoiseConfig(trials=50, seed=9))
+    many = NoiseConfig(trials=50, seed=9)
+    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 1.0, many,
+                              trial_draws(many, N))
     assert np.all(fids <= 1.0)
     # per-trial norm: evolve manually and check
     uniforms, sites = trial_draws(cfg, N)
@@ -102,7 +103,7 @@ def test_batch_matches_single_trials(chain, source, measure_site):
     prop = Propagator(chain(_FIELD_PROFILE))
     cfg = NoiseConfig(trials=16, seed=21)
     config = BitConfig.from_string(source)
-    batch = dephasing_ensemble(prop, config, measure_site, 1.3, 0.3, cfg)
+    batch = dephasing_ensemble(prop, config, measure_site, 1.3, 0.3, cfg, trial_draws(cfg, N))
     singles = np.array([
         dephasing_trial(prop, config, measure_site, 1.3, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -116,7 +117,8 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
     k = len(cluster.occupied(BitConfig.single(N, 2)))
     monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * N * k - 1)
     cfg = NoiseConfig(trials=23, seed=4)
-    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg)
+    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg,
+                               trial_draws(cfg, N))
     singles = np.array([
         dephasing_trial(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -156,7 +158,8 @@ def test_sweep_reuses_draws_without_changing_records(props):
     records = noise_sweep(_tasks(props), [0.05, 0.3], cfg)
     for record in records:
         task = next(t for t in _tasks(props) if t.label == record.hamiltonian)
-        fids = dephasing_ensemble(task.prop, task.source, task.measure_site, T, record.p, cfg)
+        fids = dephasing_ensemble(task.prop, task.source, task.measure_site, T, record.p, cfg,
+                                  trial_draws(cfg, N))
         assert record.mean_fidelity == float(np.mean(fids))
 
 
@@ -169,18 +172,20 @@ def test_sweep_rejects_bad_inputs(props, monkeypatch):
     )]
     with pytest.raises(ValueError):
         noise_sweep(mixed, [0.0], NoiseConfig(trials=10))
+    cfg = NoiseConfig(trials=10)
     for site in (0, N + 1):
         with pytest.raises(ValueError):
-            dephasing_ensemble(props[0], BitConfig.single(N, 2), site, T, 0.0,
-                               NoiseConfig(trials=10))
+            dephasing_ensemble(props[0], BitConfig.single(N, 2), site, T, 0.0, cfg,
+                               trial_draws(cfg, N))
     for p in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match="flip probability"):
-            dephasing_ensemble(props[0], BitConfig.single(N, 2), N, T, p,
-                               NoiseConfig(trials=10))
+            dephasing_ensemble(props[0], BitConfig.single(N, 2), N, T, p, cfg,
+                               trial_draws(cfg, N))
     # a star of two spikes is no chain, a source with no up site has no
     # source site, and a flip probability must lie in [0, 1]: all are
     # refused before any draw
-    star = star_hamiltonian(StarLayout(2, 4, CouplingProfile.engineered(4)))
+    star = sum(spike_hamiltonians(StarLayout(2, 4, CouplingProfile.engineered(4))),
+               HamiltonianSpec(7))
     draws = []
     monkeypatch.setattr(noise, "trial_draws", lambda *args: draws.append(args))
     exchange = Propagator(exchange_chain(CouplingProfile.engineered(4)))
@@ -200,7 +205,8 @@ def test_standard_error_scales_with_trials(props):
     cfg_large = NoiseConfig(trials=1600, seed=5)
     se = []
     for cfg in (cfg_small, cfg_large):
-        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 0.1, cfg)
+        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 0.1, cfg,
+                                  trial_draws(cfg, N))
         se.append(np.std(fids, ddof=1) / math.sqrt(cfg.trials))
     ratio = se[0] / se[1]
     assert 2.0 / 1.5 < ratio < 2.0 * 1.5

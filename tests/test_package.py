@@ -1,10 +1,13 @@
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import spinamp
 
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 _MODULES = ["spinamp"] + [f"spinamp.{m.name}" for m in pkgutil.iter_modules(spinamp.__path__)]
 
 
@@ -20,3 +23,12 @@ def test_star_import():
     namespace = {}
     exec("from spinamp import *", namespace)
     assert set(spinamp.__all__) <= namespace.keys()
+
+
+def test_readme_python_blocks_run():
+    # a deleted or renamed public name fails here instead of leaving the
+    # README's examples stale
+    blocks = re.findall(r"^```python\n(.*?)^```", _README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(block, {})
