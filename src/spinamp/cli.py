@@ -423,7 +423,8 @@ def build_parser(**defaults) -> argparse.ArgumentParser:
 
 def _parse_with_config(argv) -> argparse.Namespace:
     """Parse argv; --config JSON supplies defaults, explicit flags win."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     try:
@@ -433,11 +434,16 @@ def _parse_with_config(argv) -> argparse.Namespace:
         raise UsageError(f"cannot read --config {args.config}: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError("--config must contain a JSON object")
+    own = vars(parser.parse_args([args.command]))      # the subcommand's own defaults
     defaults = {}
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if attr in ("func", "command") or not hasattr(args, attr):
+        if attr in ("func", "command") or attr not in own:
             raise UsageError(f"config key {key!r} unknown for this subcommand")
+        # null only where the default is None; booleans for on/off flags alone
+        if (value is None and own[attr] is not None
+                or isinstance(value, bool) != isinstance(own[attr], bool)):
+            raise UsageError(f"config key {key!r} cannot be {json.dumps(value)}")
         # anything but text, booleans and null goes through the flag's own
         # type check as its text, as if typed on the command line
         keep = value is None or isinstance(value, (str, bool))

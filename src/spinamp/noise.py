@@ -13,10 +13,11 @@ them for every p and every Hamiltonian (common random numbers).
 :class:`NoiseConfig` holds exactly (seed, trials, steps); p is passed apart.
 
 Both chains are free fermions (see :class:`Propagator`): a trial is the
-N x k matrix W of its k occupied orbitals.  A Z on site s multiplies each
-orbital by -1 on site s (exchange chain) or on sites s..N (cluster chain,
-through the CNOT ladder); the score is (1 - det(I - 2 W_A W_A^H)) / 2, with
-A the measured site's sign set.  The tests replay single trials over 2^N.
+N x k matrix W of its k occupied orbitals, kept in h's eigenbasis with the
+elapsed free phases divided out, so only a flip touches it.  A Z on site s
+multiplies each orbital by -1 on site s (exchange chain) or on sites s..N
+(cluster chain, through the CNOT ladder); the score is
+(1 - det(I - 2 W_A W_A^H)) / 2, with A the measured site's sign set.
 """
 
 from __future__ import annotations
@@ -118,26 +119,29 @@ def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
     occupied = prop.occupied(source)
     ladder, _, (vals, vecs) = prop.fermions
     n, k = prop.n_sites, len(occupied)
-    u_seg = (vecs * np.exp(-1j * vals * total_time / cfg.steps)) @ vecs.T    # symmetric
+    vecs = vecs.astype(complex)
     # row s - 1: the sign a flip on site s gives each single-particle site
     signs = 1.0 - 2.0 * (np.tri(n).T if ladder else np.eye(n))
+    measured = vecs[signs[measure_site - 1] < 0]                            # rows A of V
     uniforms, sites = draws
     flips = uniforms < p
+    rate = -1j * total_time / cfg.steps * vals      # free phases of j segments: exp(rate j)
 
     fids = np.empty(cfg.trials)
     batch = max(1, BATCH_ELEMENTS // max(1, n * k))
     for lo in range(0, cfg.trials, batch):
-        block = slice(lo, lo + batch)
-        # row c of trial t is orbital c; rows evolve as W^T u^T = W^T u
-        orbitals = np.zeros((fids[block].size, k, n), dtype=complex)
-        orbitals[:, np.arange(k), occupied] = 1.0
-        for step in range(cfg.steps):
-            orbitals = (orbitals.reshape(-1, n) @ u_seg).reshape(orbitals.shape)
-            hit = np.flatnonzero(flips[block, step])
-            orbitals[hit] *= signs[sites[block, step][hit] - 1][:, None]
-        w_a = orbitals[:, :, signs[measure_site - 1] < 0].swapaxes(1, 2)     # rows A of W
-        parity = np.linalg.det(np.eye(w_a.shape[1]) - 2.0 * w_a @ w_a.conj().swapaxes(1, 2))
-        fids[block] = (1.0 - parity.real) / 2.0
+        # row c of trial t: orbital c as w^T V, free phases divided out
+        y = np.tile(vecs[occupied], (min(batch, cfg.trials - lo), 1, 1))
+        for step in np.flatnonzero(flips[lo:lo + len(y)].any(axis=0)):
+            hit = np.flatnonzero(flips[lo:lo + len(y), step])
+            v_phi = vecs * np.exp(rate * (step + 1))         # V diag(phi_j): w^T = y v_phi^T
+            w = (y[hit].reshape(-1, n) @ v_phi.T).reshape(hit.size, k, n)
+            w *= signs[sites[lo + hit, step] - 1][:, None]
+            y[hit] = (w.reshape(-1, n) @ v_phi.conj()).reshape(hit.size, k, n)
+        w_a = (y.reshape(-1, n) @ (measured * np.exp(rate * cfg.steps)).T).reshape(
+            len(y), k, len(measured)).swapaxes(1, 2)                        # rows A of W
+        parity = np.linalg.det(np.eye(len(measured)) - 2.0 * w_a @ w_a.conj().swapaxes(1, 2))
+        fids[lo:lo + len(y)] = (1.0 - parity.real) / 2.0
     return np.clip(fids, 0.0, 1.0)
 
 

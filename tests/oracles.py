@@ -12,6 +12,10 @@ Each one computes by the textbook route, with no code shared with
   dense 2^N x 2^N permutation matrices;
 * ``dephasing_trial`` -- one noisy transfer, evolved step by step over
   the whole 2^N space;
+* ``forward_ensemble`` -- every noisy transfer of a sweep as free
+  fermions, each trial's orbitals multiplied by the N x N site-basis
+  segment propagator at every step, for chains too long for 2^N (it
+  reads h's eigenpairs off ``Propagator.fermions``);
 * ``gamma_forward_bits`` / ``gamma_inverse_bits`` / ``mirror_bits`` --
   the ladder maps and the mirror map, bit by bit on ``BitConfig`` tuples;
 * ``ca_half_step_bits`` -- one CA half-step, site by site;
@@ -116,6 +120,29 @@ def dephasing_trial(prop, source, measure_site, total_time, p, cfg, uniforms, si
             psi[((idx >> (int(sites[step]) - 1)) & 1).astype(bool)] *= -1.0
     up = ((idx >> (measure_site - 1)) & 1).astype(bool)
     return min(1.0, float(np.sum(np.abs(psi[up]) ** 2)))
+
+
+def forward_ensemble(prop, source, measure_site, total_time, p, cfg, draws) -> np.ndarray:
+    """All trial fidelities, as ``dephasing_ensemble`` scores them, by the
+    plain forward route: row c of trial t is orbital c over the sites,
+    every row times the segment propagator u = V e^{-i lambda T/steps} V^T
+    at every step, then the hit trials times their flip's sign row.  A
+    trial scores (1 - det(I - 2 W_A W_A^H)) / 2, A the measured site's sign
+    set: site m on the exchange chain, sites m..N on the cluster chain."""
+    ladder, _, (vals, vecs) = prop.fermions
+    n, occupied = prop.n_sites, prop.occupied(source)
+    u_seg = (vecs * np.exp(-1j * vals * total_time / cfg.steps)) @ vecs.T
+    signs = 1.0 - 2.0 * (np.tri(n).T if ladder else np.eye(n))
+    uniforms, sites = draws
+    orbitals = np.zeros((cfg.trials, len(occupied), n), dtype=complex)
+    orbitals[:, np.arange(len(occupied)), occupied] = 1.0
+    for step in range(cfg.steps):
+        orbitals = orbitals @ u_seg
+        for trial in np.flatnonzero(uniforms[:, step] < p):
+            orbitals[trial] *= signs[sites[trial, step] - 1]
+    w_a = orbitals[:, :, signs[measure_site - 1] < 0].swapaxes(1, 2)
+    parity = np.linalg.det(np.eye(w_a.shape[1]) - 2.0 * w_a @ w_a.conj().swapaxes(1, 2))
+    return np.clip((1.0 - parity.real) / 2.0, 0.0, 1.0)
 
 
 def gamma_forward_bits(b: BitConfig) -> BitConfig:

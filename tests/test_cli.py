@@ -462,3 +462,51 @@ def test_config_values_pass_the_flag_type_check(doc, tmp_path, capsys):
     cfg.write_text(doc)
     assert _exit_code(["amplify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().out == ""
+
+
+_BAD_CONFIG = [
+    (["noise-sweep", "--n", "4"], {"steps": None}),
+    (["noise-sweep", "--n", "4"], {"trials": None}),
+    (["noise-sweep", "--n", "4"], {"seed": None}),
+    (["noise-sweep", "--n", "4"], {"p": None}),
+    (["noise-sweep"], {"n": None}),
+    (["star-demo"], {"spikes": None}),
+    (["star-demo"], {"length": None}),
+    (["verify-equivalence"], {"n_max": None}),
+    (["verify-equivalence"], {"profiles": None}),
+    (["verify-equivalence"], {"tol": None}),
+    (["scan", "--n", "4", "--source", "1000", "--target", "0001"], {"t_max": None}),
+    # an on/off flag takes a JSON boolean, and no other flag does
+    (["verify-equivalence", "--n-max", "3"], {"corrupt": "false"}),
+    (["verify-equivalence", "--n-max", "3"], {"corrupt": 0}),
+    (["verify-equivalence", "--n-max", "3"], {"corrupt": None}),
+    (["star-demo"], {"spikes": True}),
+    (["amplify"], {"n": False}),
+    (["noise-sweep", "--n", "4"], {"time": True}),
+]
+
+
+@pytest.mark.parametrize("argv, doc", _BAD_CONFIG,
+                         ids=[f"{argv[0]} {json.dumps(doc)}" for argv, doc in _BAD_CONFIG])
+def test_config_null_and_boolean_values_are_checked(argv, doc, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    draws = _count_calls(monkeypatch, noise, "trial_draws")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config key") and captured.err.count("\n") == 1
+    assert draws == []
+
+
+def test_config_null_means_omitted_and_booleans_switch(tmp_path, capsys):
+    # null is kept for a flag whose own default is None; a JSON boolean
+    # turns an on/off flag on or leaves it off
+    cfg = tmp_path / "cfg.json"
+    for doc, code in (({"n": 4, "time": None, "out": None}, 0), ({"n": None}, 2)):
+        cfg.write_text(json.dumps(doc))
+        assert main(["amplify", "--config", str(cfg)]) == code
+    assert json.loads(capsys.readouterr().out)["config"]["t"] == math.pi / 2
+    for corrupt, code in ((False, 0), (True, 1)):
+        cfg.write_text(json.dumps({"n_max": 3, "corrupt": corrupt}))
+        assert main(["verify-equivalence", "--config", str(cfg)]) == code

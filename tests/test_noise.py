@@ -22,7 +22,7 @@ from spinamp.noise import (
     trial_draws,
 )
 
-from oracles import dephasing_trial
+from oracles import binomial_transfer, dephasing_trial, forward_ensemble, gamma_forward_bits
 
 N = 6
 T = PST_TIME
@@ -109,6 +109,71 @@ def test_batch_matches_single_trials(chain, source, measure_site):
         for uniforms, sites in zip(*trial_draws(cfg, N))
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
+
+
+# steps = 1, one trial, a flip at every step, and k = 0 (all down, on both
+# chains) or k = N (all up, on the exchange chain)
+@pytest.mark.parametrize("chain", [cluster_chain, exchange_chain])
+@pytest.mark.parametrize("source", ["000000", "111111", "010000"])
+@pytest.mark.parametrize("steps, trials, p", [(1, 16, 0.3), (25, 1, 0.3), (25, 16, 1.0),
+                                              (1, 1, 1.0)])
+def test_ensemble_edges_match_single_trials(chain, source, steps, trials, p):
+    prop = Propagator(chain(_FIELD_PROFILE))
+    cfg = NoiseConfig(steps=steps, trials=trials, seed=3)
+    config = BitConfig.from_string(source)
+    draws = trial_draws(cfg, N)
+    batch = dephasing_ensemble(prop, config, N - 1, 0.9, p, cfg, draws)
+    singles = np.array([dephasing_trial(prop, config, N - 1, 0.9, p, cfg, uniforms, sites)
+                        for uniforms, sites in zip(*draws)])
+    assert batch.shape == (trials,)
+    assert np.max(np.abs(batch - singles)) < 1e-12
+    forward = forward_ensemble(prop, config, N - 1, 0.9, p, cfg, draws)
+    assert np.max(np.abs(batch - forward)) < 1e-12
+
+
+_LONG = 64
+_RNG_LONG = np.random.default_rng(64)
+_LONG_PROFILE = CouplingProfile(_LONG, tuple(_RNG_LONG.uniform(0.2, 2.0, _LONG - 1)),
+                                tuple(_RNG_LONG.uniform(-1.0, 1.0, _LONG)))
+
+
+@pytest.mark.parametrize("chain", [cluster_chain, exchange_chain])
+@pytest.mark.parametrize("k", [1, 2, _LONG // 2])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
+    # far above 2^N: the site-basis loop of oracles.forward_ensemble, with k
+    # occupied orbitals picked at random; the cluster chain's source is the
+    # suffix XOR of them, and its measured sets A hold 64, 32 and 1 sites
+    prop = Propagator(chain(_LONG_PROFILE))
+    rng = np.random.default_rng(k)
+    occupied = sorted(rng.choice(_LONG, k, replace=False).tolist())
+    pattern = BitConfig(_LONG, tuple(int(s in occupied) for s in range(_LONG)))
+    source = gamma_forward_bits(pattern) if chain is cluster_chain else pattern
+    assert prop.occupied(source) == occupied
+    cfg = NoiseConfig(steps=25, trials=12, seed=11)
+    draws = trial_draws(cfg, _LONG)
+    for site in (1, _LONG // 2, _LONG):
+        batch = dephasing_ensemble(prop, source, site, 1.3, p, cfg, draws)
+        reference = forward_ensemble(prop, source, site, 1.3, p, cfg, draws)
+        assert np.max(np.abs(batch - reference)) < 1e-12
+
+
+def test_noiseless_ensemble_is_binomial_at_1024_sites():
+    # p = 0 leaves every trial on the free evolution: the exchange chain's
+    # one-excitation law, C(N-1, m-1) s^(m-1) (1-s)^(N-m) with s = sin^2 t,
+    # at the transfer's end site N and within 1 of the law's peak
+    n, t = 1024, 1.1
+    prop = Propagator(exchange_chain(CouplingProfile.engineered(n)))
+    cfg = NoiseConfig(trials=3)
+    draws = trial_draws(cfg, n)
+    peak = 1 + round(math.sin(t) ** 2 * (n - 1))
+    for site in (n, peak - 1, peak, peak + 1):
+        fids = dephasing_ensemble(prop, BitConfig.single(n, 1), site, t, 0.0, cfg, draws)
+        clean = transfer_fidelity(prop, BitConfig.single(n, 1), BitConfig.single(n, site), t)
+        expected = binomial_transfer(n, site, t)
+        assert site == n or expected > 0.02
+        assert np.max(np.abs(fids - clean)) < 1e-12
+        assert np.max(np.abs(fids - expected)) < 1e-12
 
 
 def test_trial_blocks_match_single_trials(props, monkeypatch):
