@@ -16,18 +16,17 @@ propagator at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BitConfig
 from .chains import CouplingProfile, cluster_chain
 from .evolution import PST_TIME, Propagator
 from .maps import _suffix_xor, gamma_inverse_indices
 
 __all__ = [
     "ca_half_step",
-    "CAComparisonRow",
+    "CAReport",
     "ca_vs_hamiltonian_report",
 ]
 
@@ -39,22 +38,26 @@ def ca_half_step(x, n_sites: int, parity: str):
     if parity not in _PARITIES:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     first = 2 if parity == "even" else 3
-    mask = sum(1 << (site - 1) for site in range(first, n_sites + 1, 2))
+    # sites first, first + 2, ...: the bits of 0b...0101 shifted up, cut to N
+    mask = ((1 << 2 * n_sites) // 3 << first - 1) & ((1 << n_sites) - 1)
     return x ^ (((x << 1) ^ (x >> 1)) & mask)
 
 
-@dataclass(frozen=True)
-class CAComparisonRow:
-    input: BitConfig
-    continuous_output: BitConfig
-    continuous_prob: float
-    mirror_output: BitConfig
-    agree: bool
-    ca_hit_step: int             # half-step at which the CA first shows the
+class CAReport(NamedTuple):
+    """The comparison table, one array entry per row; configs are basis indices."""
+    inputs: np.ndarray
+    continuous_output: np.ndarray
+    continuous_prob: np.ndarray
+    mirror_output: np.ndarray
+    ca_hit_step: np.ndarray      # half-step at which the CA first shows the
                                  # mirror output; -1 if never (within the cap)
 
+    @property
+    def agree(self) -> np.ndarray:
+        return self.continuous_output == self.mirror_output
 
-def ca_vs_hamiltonian_report(n_sites: int) -> list[CAComparisonRow]:
+
+def ca_vs_hamiltonian_report(n_sites: int) -> CAReport:
     """Exhaustive comparison of continuous evolution, mirror map and CA.
 
     For every classical config b: evolve under the engineered amplification
@@ -84,14 +87,4 @@ def ca_vs_hamiltonian_report(n_sites: int) -> list[CAComparisonRow]:
                          for k, row in enumerate(trajectory)])
     first = (hits | revisits).argmax(axis=0)    # the search stops at either
     hit_step = np.where(hits[first, configs], first, -1)
-    return [
-        CAComparisonRow(
-            input=BitConfig.from_index(n_sites, x),
-            continuous_output=BitConfig.from_index(n_sites, int(output[x])),
-            continuous_prob=float(prob[x]),
-            mirror_output=BitConfig.from_index(n_sites, int(mirror[x])),
-            agree=bool(output[x] == mirror[x]),
-            ca_hit_step=int(hit_step[x]),
-        )
-        for x in reverse.tolist()
-    ]
+    return CAReport(reverse, output[reverse], prob[reverse], mirror[reverse], hit_step[reverse])

@@ -238,20 +238,16 @@ def cmd_ca_compare(args) -> int:
     if args.n is None:
         raise UsageError("--n is required (flag or config)")
     require_dense(args.n)
-    rows = ca_vs_hamiltonian_report(args.n)
+    report = ca_vs_hamiltonian_report(args.n)
+    names = np.array([format(i, f"0{args.n}b")[::-1] for i in range(1 << args.n)])  # site 1 first
+    columns = (names[report.inputs], names[report.continuous_output], report.continuous_prob,
+               names[report.mirror_output], report.agree, report.ca_hit_step)
     config = {"n": args.n, "profile": "engineered"}
-    table = [
-        (str(r.input), str(r.continuous_output), r.continuous_prob,
-         str(r.mirror_output), r.agree, r.ca_hit_step)
-        for r in rows
-    ]
     _emit(render_csv(
         ("input", "continuous_output", "continuous_prob",
          "mirror_output", "agree", "ca_hit_step"),
-        table, header_lines(config, __version__)), args.out)
-    if not all(r.agree for r in rows):
-        return EXIT_NUMERIC
-    return EXIT_OK
+        zip(*(c.tolist() for c in columns)), header_lines(config, __version__)), args.out)
+    return EXIT_OK if report.agree.all() else EXIT_NUMERIC
 
 
 def cmd_noise_sweep(args) -> int:
@@ -341,89 +337,94 @@ def cmd_star_demo(args) -> int:
 # -- argument plumbing ----------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, func, defaults: dict) -> None:
-    sub.add_argument("--config", help="JSON file supplying argument defaults")
-    sub.add_argument("--out", help="output path (stdout if omitted)")
-    sub.set_defaults(func=func, **defaults)
+#: (name, help, handler, arguments) of every subcommand, in help order; an
+#: argument is (flag, add_argument keywords).
+COMMANDS = (
+    ("verify-equivalence", "check the CNOT-ladder identity symbolically and entry by entry",
+     cmd_verify_equivalence, (
+         ("--n-min", dict(type=int, default=2)),
+         ("--n-max", dict(type=int, default=8)),
+         ("--profiles", dict(type=int, default=5, help="random profiles per chain length")),
+         ("--tol", dict(type=finite, default=1e-12)),
+         ("--corrupt", dict(action="store_true",
+                            help="negative control: perturb one side and expect failure")),
+         ("--seed", dict(type=u64, default=0, help="RNG seed (u64)")),
+     )),
+    ("amplify", "score the amplification conversion", cmd_amplify, (
+        ("--n", dict(type=int)),
+        ("--profile", dict(default="engineered")),
+        ("--time", dict(help="evolution time; accepts pi tokens like pi/2")),
+        ("--alpha", dict(type=finite)),
+        ("--beta", dict(type=finite)),
+    )),
+    ("transfer", "basis-state transfer probability", cmd_transfer, (
+        ("--n", dict(type=int)),
+        ("--profile", dict(default="engineered")),
+        ("--family", dict(default="cluster", choices=("cluster", "exchange"))),
+        ("--source", dict(help="bit string, site 1 first")),
+        ("--target", {}),
+        ("--time", {}),
+    )),
+    ("scan", "fidelity scan over a time window", cmd_scan, (
+        ("--n", dict(type=int)),
+        ("--profile", dict(default="uniform")),
+        ("--family", dict(default="cluster", choices=("cluster", "exchange"))),
+        ("--source", {}),
+        ("--target", {}),
+        ("--t-max", dict(type=finite, default=200.0)),
+        ("--grid-step", dict(type=finite, default=0.1)),
+    )),
+    ("ca-compare", "exhaustive CA vs continuous evolution table", cmd_ca_compare, (
+        ("--n", dict(type=int)),
+    )),
+    ("noise-sweep", "Monte Carlo dephasing comparison", cmd_noise_sweep, (
+        ("--n", dict(type=int, default=6)),
+        ("--profile", dict(default="engineered")),
+        ("--p", dict(default="0,0.02,0.05,0.1,0.15,0.2",
+                     help="comma-separated flip probabilities")),
+        ("--steps", dict(type=int, default=25)),
+        ("--trials", dict(type=int, default=10_000)),
+        ("--time", {}),
+        ("--seed", dict(type=u64, default=0, help="RNG seed (u64)")),
+    )),
+    ("star-demo", "star-geometry factorization checks", cmd_star_demo, (
+        ("--spikes", dict(type=int, default=3)),
+        ("--length", dict(type=int, default=3)),
+        ("--profile", dict(default="engineered")),
+        ("--time", {}),
+    )),
+)
+_COMMON = (
+    ("--config", dict(help="JSON file supplying argument defaults")),
+    ("--out", dict(help="output path (stdout if omitted)")),
+)
 
 
-def build_parser(**defaults) -> argparse.ArgumentParser:
-    """The parser; ``defaults`` (a --config file's) beat each subcommand's own."""
+def build_parser(argv, **defaults) -> argparse.ArgumentParser:
+    """The parser for ``argv``; ``defaults`` (a --config file's) beat each
+    subcommand's own.  Every subcommand is listed, but only the one argv
+    names gets its arguments: the top level takes no option with a value,
+    so that is argv's first token not starting with '-'."""
     parser = argparse.ArgumentParser(
         prog="spinamp",
         description="Spin-chain amplification dynamics and differential tests",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("verify-equivalence",
-                        help="check the CNOT-ladder identity symbolically and entry by entry")
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--profiles", type=int, default=5,
-                   help="random profiles per chain length")
-    p.add_argument("--tol", type=finite, default=1e-12)
-    p.add_argument("--corrupt", action="store_true",
-                   help="negative control: perturb one side and expect failure")
-    p.add_argument("--seed", type=u64, default=0, help="RNG seed (u64)")
-    _add_common(p, cmd_verify_equivalence, defaults)
-
-    p = subs.add_parser("amplify", help="score the amplification conversion")
-    p.add_argument("--n", type=int)
-    p.add_argument("--profile", default="engineered")
-    p.add_argument("--time", help="evolution time; accepts pi tokens like pi/2")
-    p.add_argument("--alpha", type=finite)
-    p.add_argument("--beta", type=finite)
-    _add_common(p, cmd_amplify, defaults)
-
-    p = subs.add_parser("transfer", help="basis-state transfer probability")
-    p.add_argument("--n", type=int)
-    p.add_argument("--profile", default="engineered")
-    p.add_argument("--family", default="cluster", choices=("cluster", "exchange"))
-    p.add_argument("--source", help="bit string, site 1 first")
-    p.add_argument("--target")
-    p.add_argument("--time")
-    _add_common(p, cmd_transfer, defaults)
-
-    p = subs.add_parser("scan", help="fidelity scan over a time window")
-    p.add_argument("--n", type=int)
-    p.add_argument("--profile", default="uniform")
-    p.add_argument("--family", default="cluster", choices=("cluster", "exchange"))
-    p.add_argument("--source")
-    p.add_argument("--target")
-    p.add_argument("--t-max", type=finite, default=200.0)
-    p.add_argument("--grid-step", type=finite, default=0.1)
-    _add_common(p, cmd_scan, defaults)
-
-    p = subs.add_parser("ca-compare",
-                        help="exhaustive CA vs continuous evolution table")
-    p.add_argument("--n", type=int)
-    _add_common(p, cmd_ca_compare, defaults)
-
-    p = subs.add_parser("noise-sweep", help="Monte Carlo dephasing comparison")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--profile", default="engineered")
-    p.add_argument("--p", default="0,0.02,0.05,0.1,0.15,0.2",
-                   help="comma-separated flip probabilities")
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--time")
-    p.add_argument("--seed", type=u64, default=0, help="RNG seed (u64)")
-    _add_common(p, cmd_noise_sweep, defaults)
-
-    p = subs.add_parser("star-demo", help="star-geometry factorization checks")
-    p.add_argument("--spikes", type=int, default=3)
-    p.add_argument("--length", type=int, default=3)
-    p.add_argument("--profile", default="engineered")
-    p.add_argument("--time")
-    _add_common(p, cmd_star_demo, defaults)
-
+    command = next((a for a in argv if not a.startswith("-")), None)
+    for name, help_text, func, arguments in COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        if name == command:
+            for flag, keywords in arguments + _COMMON:
+                sub.add_argument(flag, **keywords)
+            sub.set_defaults(func=func, **defaults)
     return parser
 
 
 def _parse_with_config(argv) -> argparse.Namespace:
     """Parse argv; --config JSON supplies defaults, explicit flags win."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
@@ -448,7 +449,7 @@ def _parse_with_config(argv) -> argparse.Namespace:
         # type check as its text, as if typed on the command line
         keep = value is None or isinstance(value, (str, bool))
         defaults[attr] = value if keep else str(value)
-    return build_parser(**defaults).parse_args(argv)
+    return build_parser(argv, **defaults).parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -126,8 +126,8 @@ def _mirror_check(n):
 
 def test_acceptance_05_mirror_theorem_and_ca():
     worst = _mirror_check(6)
-    rows = ca_vs_hamiltonian_report(6)
-    all_agree = all(r.agree for r in rows)
+    report = ca_vs_hamiltonian_report(6)
+    all_agree = bool(report.agree.all())
     x = BitConfig.from_string("100000").index
     for step in range(5):
         x = ca_half_step(x, 6, ("even", "odd")[step % 2])

@@ -49,6 +49,16 @@ def test_half_step_matches_per_bit_oracle(n, parity):
     assert ca_half_step(np.arange(1 << n), n, parity).tolist() == expected
 
 
+@pytest.mark.parametrize("parity, first", (("even", 2), ("odd", 3)))
+def test_parity_mask_matches_site_by_site_sum(parity, first):
+    # x's neighbour XOR, x_{i-1} ^ x_{i+1}, is 1 on every bit from 0 to
+    # past site N, so the half-step flips exactly the mask's bits
+    for n in range(1, 1025):
+        x = sum(1 << j for j in range(n + 2) if j % 4 in (1, 2))
+        mask = sum(1 << (site - 1) for site in range(first, n + 1, 2))
+        assert ca_half_step(x, n, parity) ^ x == mask
+
+
 def test_canonical_amplification_run():
     trajectory = _trajectory(BitConfig.from_string("100000"), 5)
     assert [str(BitConfig.from_index(6, x)) for x in trajectory] == [
@@ -86,23 +96,23 @@ def test_ca_reaches_the_mirror_on_a_long_chain():
 
 
 def test_comparison_report_n5():
-    rows = ca_vs_hamiltonian_report(5)
-    assert len(rows) == 32
-    for row in rows:
-        assert row.agree
-        assert row.continuous_prob > 1.0 - 1e-8
-    by_input = {str(r.input): r for r in rows}
-    assert str(by_input["10000"].mirror_output) == "11111"
-    assert by_input["10000"].ca_hit_step == 4      # N-1 half-steps
-    assert by_input["00000"].ca_hit_step == 0
+    report = ca_vs_hamiltonian_report(5)
+    assert len(report.inputs) == 32
+    assert report.agree.all()
+    assert (report.continuous_prob > 1.0 - 1e-8).all()
+    row = {int(x): k for k, x in enumerate(report.inputs)}
+    seed, empty = BitConfig.from_string("10000").index, 0
+    assert report.mirror_output[row[seed]] == BitConfig.from_string("11111").index
+    assert report.ca_hit_step[row[seed]] == 4      # N-1 half-steps
+    assert report.ca_hit_step[row[empty]] == 0
 
 
 def test_comparison_report_records_misses_without_failing():
-    rows = ca_vs_hamiltonian_report(6)
-    assert all(r.agree for r in rows)
+    report = ca_vs_hamiltonian_report(6)
+    assert report.agree.all()
     # not every mirror image appears in the CA trajectory; that is
     # recorded per row rather than asserted
-    assert any(r.ca_hit_step == -1 for r in rows)
+    assert (report.ca_hit_step == -1).any()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -110,11 +120,11 @@ def test_report_matches_per_config_oracle(n):
     # the oracle takes each continuous output as the column argmax of
     # |U|^2 for the full Kronecker-product unitary, and runs the CA one
     # config at a time
-    rows = ca_vs_hamiltonian_report(n)
+    report = ca_vs_hamiltonian_report(n)
     expected = ca_report_rows(n)
-    assert len(rows) == len(expected) == 1 << n
-    for row, (b, continuous, prob, mirror, agree, hit) in zip(rows, expected):
-        assert (row.input, row.continuous_output, row.mirror_output) == (b, continuous, mirror)
-        assert abs(row.continuous_prob - prob) <= 1e-12
-        assert (row.agree, row.ca_hit_step) == (agree, hit)
-
+    assert len(report.inputs) == len(expected) == 1 << n
+    for k, (b, continuous, prob, mirror, agree, hit) in enumerate(expected):
+        assert (report.inputs[k], report.continuous_output[k], report.mirror_output[k]) == (
+            b.index, continuous.index, mirror.index)
+        assert abs(report.continuous_prob[k] - prob) <= 1e-12
+        assert (report.agree[k], report.ca_hit_step[k]) == (agree, hit)

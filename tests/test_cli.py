@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,7 @@ from spinamp.cli import _json_doc, main
 from spinamp.io import format_number, parse_time, render_csv, write_text_atomic
 from spinamp.maps import mirror_map
 
-from oracles import kron_dense, kron_unitary
+from oracles import ca_report_rows, kron_dense, kron_unitary
 
 
 def test_parse_time_tokens():
@@ -138,6 +140,20 @@ def test_ca_compare_csv(tmp_path):
                        "mirror_output,agree,ca_hit_step")
     assert len(rows) == 17
     assert all(",true," in r for r in rows[1:])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ca_compare_rows_match_per_config_oracle(n, capsys):
+    # the CLI renders the report's index arrays as bit strings, site 1 first
+    assert main(["ca-compare", "--n", str(n)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    expected = ca_report_rows(n)
+    assert len(lines) == 1 + len(expected)
+    for line, (b, continuous, prob, mirror, agree, hit) in zip(lines[1:], expected):
+        fields = line.split(",")
+        assert fields[:2] + fields[3:] == [str(b), str(continuous), str(mirror),
+                                           "true" if agree else "false", str(hit)]
+        assert abs(float(fields[2]) - prob) <= 1e-12
 
 
 def test_noise_sweep_reruns_byte_identical(tmp_path):
@@ -432,6 +448,47 @@ def test_star_demo_respects_cap(monkeypatch, capsys):
         assert captured.out == ""
         assert "dense cap" in captured.err
     assert calls == [[], []]
+
+
+_FLAGS = {
+    "verify-equivalence": ["--n-min", "--n-max", "--profiles", "--tol", "--corrupt", "--seed"],
+    "amplify": ["--n", "--profile", "--time", "--alpha", "--beta"],
+    "transfer": ["--n", "--profile", "--family", "--source", "--target", "--time"],
+    "scan": ["--n", "--profile", "--family", "--source", "--target", "--t-max", "--grid-step"],
+    "ca-compare": ["--n"],
+    "noise-sweep": ["--n", "--profile", "--p", "--steps", "--trials", "--time", "--seed"],
+    "star-demo": ["--spikes", "--length", "--profile", "--time"],
+}
+
+
+def test_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")        # one line per subcommand
+    assert _exit_code(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert [name for name, *_ in cli.COMMANDS] == list(_FLAGS)
+    for name, help_text, *_ in cli.COMMANDS:
+        assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.M)
+
+
+@pytest.mark.parametrize("command", _FLAGS)
+def test_subcommand_help_lists_its_own_flags(command, capsys):
+    assert _exit_code([command, "--help"]) == 0
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {*_FLAGS[command], "--config", "--out", "--help"}
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["--n", "4", "amplify"]])
+def test_missing_or_unknown_subcommand_is_a_usage_error(argv, capsys):
+    assert _exit_code(argv) == 2
+    assert "spinamp: error: " in capsys.readouterr().err
+
+
+def test_only_the_invoked_subcommand_gets_arguments(monkeypatch, capsys):
+    # every subcommand is listed, but the other six get no arguments
+    calls = _count_calls(monkeypatch, argparse.ArgumentParser, "add_argument")
+    assert main(["amplify", "--n", "4"]) == 0
+    assert [args[1] for args in calls if args[1] != "-h"] == [
+        "--version", "--n", "--profile", "--time", "--alpha", "--beta", "--config", "--out"]
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -2,10 +2,12 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import pytest
 
 import spinamp
+from spinamp import cli
 
 _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 _MODULES = ["spinamp"] + [f"spinamp.{m.name}" for m in pkgutil.iter_modules(spinamp.__path__)]
@@ -32,3 +34,15 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(block, {})
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
+    # every `spinamp ...` line of the README's sh blocks, --out files
+    # landing in tmp_path
+    blocks = re.findall(r"^```sh\n(.*?)^```", _README.read_text(), re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("spinamp ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
