@@ -6,8 +6,8 @@ Subpackages:
   one compiled operator kernel behind H's blocks and the entry-wise checks
 * ``chains``     -- builders for the exchange and amplification chains, stars
 * ``maps``       -- CNOT-ladder basis maps, symbolic conjugation, mirror map
-* ``evolution``  -- propagators (free fermions for the two chains, blocks
-  of H otherwise), transfer fidelities, scans, the amplification check
+* ``evolution``  -- the two chains' free-fermion propagator, e^{-iHt} on
+  the blocks of H, transfer fidelities, scans, the amplification check
 * ``automaton``  -- the classical cellular automaton and its comparison table
 * ``noise``      -- seeded Monte Carlo dephasing comparison
 * ``cli``        -- command-line experiments with reproducible file output

@@ -10,9 +10,10 @@ kept in a canonical form (duplicate strings merged, zero weights dropped).
 Each spec is compiled once into flip-mask groups (see
 :func:`_compile_groups`), and every query reads those groups, so all of
 them share one rule for the matrix elements: the connected blocks of H in
-the computational basis, with H's entries on them (:func:`sector_blocks`,
-which evolution diagonalizes one block size at a time), and the
-entry-wise checks of a commutator and of a basis permutation.  No
+the computational basis, each with H on it (:func:`sector_blocks`, one
+(indices, h) pair per block size, which evolution diagonalizes one size
+at a time), and the entry-wise checks of a commutator and of a basis
+permutation.  No
 query builds a 2^N x 2^N matrix or holds a vector of 2^N amplitudes.  The
 test suite checks the rule against an independent Kronecker-product
 realization.
@@ -245,21 +246,19 @@ def _entries(spec: HamiltonianSpec) -> tuple:
     return np.concatenate(src), np.concatenate(dst), np.concatenate(values)
 
 
-def sector_blocks(spec: HamiltonianSpec) -> tuple:
-    """The connected blocks of H in the computational basis.
+def sector_blocks(spec: HamiltonianSpec) -> list:
+    """The connected blocks of H in the computational basis, with H on each.
 
     Every basis index's label falls to the smallest index it is linked
     to by a nonzero entry of H, with pointer jumping.  Both chains split
     into conserved sectors this way (wall count, and excitation number).
     SizeError above ``DENSE_CAP``.
 
-    Returns (blocks, where, entries).  ``blocks`` holds one (k, s) index
-    array per block size s, ascending in s; each row is one block, its
-    indices ascending, rows ordered by their smallest index.  ``where`` is
-    (3, 2^N): the array of ``blocks``, row and position holding each basis
-    index.  ``entries`` is (src, dst, values), every nonzero <dst|H|src>
-    with src and dst basis indices; values are float64 unless a group is
-    complex.
+    Returns one (indices, h) pair per block size s, ascending in s.
+    ``indices`` is (k, s): one block per row, its basis indices ascending,
+    rows ordered by their smallest index.  ``h`` is (k, s, s), H on each
+    block, h[r, a, b] = <indices[r, a]|H|indices[r, b]>; float64 unless a
+    group is complex.
     """
     src, dst, values = _entries(spec)
     states = np.arange(spec.dim)
@@ -276,16 +275,18 @@ def sector_blocks(spec: HamiltonianSpec) -> tuple:
     # size, then by label, keeping each block's indices ascending
     size_of = np.bincount(labels)[labels]
     members = np.argsort(size_of * states.size + labels, kind="stable")
-    blocks, lo = [], 0
-    where = np.empty((3, states.size), dtype=np.intp)
-    for c, s in enumerate(sorted(set(size_of.tolist()))):
-        group = members[lo:lo + int((size_of == s).sum())].reshape(-1, s)
-        lo += group.size
-        blocks.append(group)
-        where[0, group] = c
-        where[1, group] = np.arange(len(group))[:, None]
-        where[2, group] = np.arange(s)
-    return tuple(blocks), where, (src, dst, values)
+    row, pos = np.empty((2, states.size), dtype=np.intp)     # block row, position
+    pairs, lo = [], 0
+    for s in sorted(set(size_of.tolist())):
+        indices = members[lo:lo + int((size_of == s).sum())].reshape(-1, s)
+        lo += indices.size
+        row[indices] = np.arange(len(indices))[:, None]
+        pos[indices] = np.arange(s)
+        mine = size_of[src] == s
+        h = np.zeros(indices.shape + (s,), dtype=values.dtype)
+        h[row[src[mine]], pos[dst[mine]], pos[src[mine]]] = values[mine]
+        pairs.append((indices, h))
+    return pairs
 
 
 def max_commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> float:

@@ -10,8 +10,8 @@ On a basis index (site i at bit i-1) a half-step is one integer
 expression, ``x ^ (((x << 1) ^ (x >> 1)) & parity_mask)``.
 :func:`ca_half_step` takes a Python int, at any chain length, or an
 array of indices: the comparison report runs the automaton on all 2^N
-indices at once and reads continuous evolution one block of the
-propagator at a time.
+indices at once and reads continuous evolution one block of
+e^{-iHt} at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import CouplingProfile, cluster_chain
-from .evolution import PST_TIME, Propagator
+from .evolution import PST_TIME, block_unitaries
 from .maps import _suffix_xor, gamma_inverse_indices
 
 __all__ = [
@@ -66,11 +66,10 @@ def ca_vs_hamiltonian_report(n_sites: int) -> CAReport:
     (even start, stopping on a revisit or after 4N half-steps) for the
     mirror output.  Rows run over the configs with site 1 varying slowest.
     """
-    prop = Propagator(cluster_chain(CouplingProfile.engineered(n_sites)))
     dim = 1 << n_sites
     output = np.empty(dim, dtype=np.intp)
     prob = np.empty(dim)
-    for indices, u in prop.block_unitaries(PST_TIME):
+    for indices, u in block_unitaries(cluster_chain(CouplingProfile.engineered(n_sites)), PST_TIME):
         probs = abs(u) ** 2
         output[indices] = np.take_along_axis(indices, probs.argmax(axis=1), axis=1)
         prob[indices] = probs.max(axis=1)

@@ -39,6 +39,7 @@ from .evolution import (
     PST_TIME,
     Propagator,
     amplification_check,
+    block_unitaries,
     max_fidelity_scan,
     transfer_fidelity,
 )
@@ -80,7 +81,7 @@ def _hamiltonian(family: str, profile: CouplingProfile):
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
@@ -281,17 +282,23 @@ def cmd_noise_sweep(args) -> int:
     return EXIT_OK
 
 
-def _product_deviation(star_prop: Propagator, spikes, t: float) -> float:
-    """max |U_star - U_spike_k ... U_spike_1|, one size class of star blocks
-    at a time: spikes flip disjoint sites, so every spike block lies inside
-    one star block.  A class's product is built after its unitary, from the
-    spikes' block unitaries, about 2^16 product entries per batch."""
-    spike_blocks = [b for spike in spikes for b in Propagator(spike).block_unitaries(t)]
-    row, pos = np.full((2, star_prop.spec.dim), -1)     # star block in the class, position
-    deviation = 0.0
-    for indices, u in star_prop.block_unitaries(t):
+def _star_checks(star: HamiltonianSpec, spikes, t: float) -> tuple:
+    """(max |U_star - U_spike_k ... U_spike_1|, |<1...1|U_star|10...0>|^2),
+    one size class of star blocks at a time: spikes flip disjoint sites, so
+    every spike block lies inside one star block.  A class's product is
+    built after its unitary, from the spikes' block unitaries, about 2^16
+    product entries per batch.  The probability is read off the star's
+    block before the product is subtracted, and is 0.0 when the two states
+    lie in different blocks."""
+    spike_blocks = [b for spike in spikes for b in block_unitaries(spike, t)]
+    seed, ones = 1, star.dim - 1
+    row, pos = np.full((2, star.dim), -1)     # star block in the class, position
+    deviation = probability = 0.0
+    for indices, u in block_unitaries(star, t):
         row[indices] = np.arange(indices.shape[0])[:, None]
         pos[indices] = np.arange(indices.shape[1])
+        if row[seed] >= 0 and row[ones] == row[seed]:
+            probability = float(abs(u[row[seed], pos[ones], pos[seed]]) ** 2)
         product = np.broadcast_to(np.eye(u.shape[1], dtype=complex), u.shape).copy()
         for spike_indices, v in spike_blocks:
             r, p = row[spike_indices], pos[spike_indices]
@@ -306,7 +313,7 @@ def _product_deviation(star_prop: Propagator, spikes, t: float) -> float:
         u -= product
         deviation = max(deviation, float(np.max(np.abs(u))))
         del u, product              # free each class before the next is evolved
-    return deviation
+    return deviation, probability
 
 
 def cmd_star_demo(args) -> int:
@@ -318,11 +325,7 @@ def cmd_star_demo(args) -> int:
     spikes = spike_hamiltonians(layout)
     comm = max((max_commutator(a, b) for i, a in enumerate(spikes) for b in spikes[i + 1:]),
                default=0.0)
-    star_prop = Propagator(sum(spikes, HamiltonianSpec(layout.total_sites)))
-    product_dev = _product_deviation(star_prop, spikes, t)
-    source = BitConfig.single(layout.total_sites, 1)
-    target = BitConfig(layout.total_sites, (1,) * layout.total_sites)
-    fid = transfer_fidelity(star_prop, source, target, t)
+    product_dev, fid = _star_checks(sum(spikes, HamiltonianSpec(layout.total_sites)), spikes, t)
     config = {"spikes": args.spikes, "length": args.length,
               "profile": args.profile, "t": t}
     _emit(_json_doc(config, {

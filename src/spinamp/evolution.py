@@ -1,16 +1,19 @@
 """Time evolution, transfer fidelities and fidelity scans.
 
-Evolution is Schrodinger, U(t) = exp(-i H t) with hbar = 1.
-:class:`Propagator` picks its route once, from the spec.  Under
-Jordan-Wigner the exchange chain, with any couplings and fields, is
-quadratic (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)), and the
-CNOT ladder carries the amplification chain onto it by a basis
-permutation.  So a basis amplitude of either chain is
+Evolution is Schrodinger, U(t) = exp(-i H t) with hbar = 1.  There are
+two routes, and they answer different questions.
+
+:class:`Propagator` gives basis amplitudes of the two chains at any
+length.  Under Jordan-Wigner the exchange chain, with any couplings and
+fields, is quadratic (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
+(1961)), and the CNOT ladder carries the amplification chain onto it by
+a basis permutation.  So a basis amplitude of either chain is
 exp(-it sum B) det u[D, S], with u = exp(-iht) the N x N single-particle
-propagator and S, D the occupied sites, read off a Python int at any
-chain length.  Every other spec, and every unitary query, is answered
-from the eigenpairs of H's connected blocks, up to the dense cap.  The
-tests check both routes against each other and against a full-space
+propagator and S, D the occupied sites, read off a Python int.
+
+:func:`block_unitaries` gives e^{-iHt} on every connected block of H, for
+any spec up to the dense cap, from the eigenpairs of the blocks.  The
+tests check the two against each other and against a full-space
 eigendecomposition.
 
 With the engineered couplings J_n = sqrt(n*(N-n)) and the chain
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +39,7 @@ from .chains import CouplingProfile, cluster_chain, exchange_chain
 __all__ = [
     "PST_TIME",
     "Propagator",
+    "block_unitaries",
     "transfer_fidelity",
     "max_fidelity_scan",
     "AmplificationResult",
@@ -63,89 +66,20 @@ def _times(ts) -> np.ndarray:
 
 
 class Propagator:
-    """e^{-iHt} of a fixed Hamiltonian.
+    """e^{-iHt} of the exchange or amplification chain, as free fermions.
 
-    The amplitudes of the exchange and amplification chains come from
-    free fermions (see :meth:`amplitudes`).  Those of any other spec, and
-    every unitary, come from the eigenpairs of H's connected blocks
-    (:func:`~spinamp.algebra.sector_blocks`), which raise SizeError above
-    the dense cap.  Both are computed on first use and cached, the blocks
-    of one size in one batched ``eigh``: not safe to share between threads.
+    The spec must be exactly ``exchange_chain`` or ``cluster_chain`` of
+    some profile, else ValueError.  J_n and B_n are read off the terms,
+    and the chain they give must rebuild the spec.  ``fermions`` is
+    (ladder, sum B, eigenpairs of h): ladder is True for the
+    amplification chain, and h holds J on its off-diagonals (a zero J_n
+    cuts it into blocks) and -2B on its diagonal.
     """
 
     def __init__(self, spec: HamiltonianSpec):
         self.spec = spec
-        self._eigen = {}        # size class -> eigenpairs of its blocks
-
-    @property
-    def n_sites(self) -> int:
-        return self.spec.n_sites
-
-    def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
-        """<target|U(t)|source> for each t in ``ts``.
-
-        For either chain: exactly 0 when S and D, the occupied sites of
-        source and target (through ``b ^ (b >> 1)`` on the amplification
-        chain), differ in number, else exp(-it sum B) det u[D, S], over
-        batches of times of at most ``BATCH_ELEMENTS`` entries of u.  For
-        any other spec: exactly 0 between blocks, else a spectral sum over
-        the source's block.
-        """
-        if {source.n_sites, target.n_sites} != {self.n_sites}:
-            raise SpinChainError("configs and propagator differ in site count")
-        ts = _times(ts)
-        if self.fermions is not None:
-            _, field_sum, (vals, vecs) = self.fermions
-            s, d = self.occupied(source), self.occupied(target)
-            if len(s) != len(d):
-                return np.zeros(ts.shape, dtype=complex)
-            dets = np.empty(ts.shape, dtype=complex)
-            batch = max(1, BATCH_ELEMENTS // max(1, len(s) ** 2))
-            for lo in range(0, ts.size, batch):
-                phases = np.exp(-1j * np.multiply.outer(ts[lo:lo + batch], vals))
-                u = np.einsum("dn,tn,sn->tds", vecs[d], phases, vecs[s])    # u[D, S]
-                dets[lo:lo + batch] = np.linalg.det(u)
-            return np.exp(-1j * field_sum * ts) * dets
-        where = self._split[1]
-        c, r, i = where[:, source.index]
-        if where[0, target.index] != c or where[1, target.index] != r:
-            return np.zeros(ts.shape, dtype=complex)
-        vals, vecs = self._eigenpairs(c)
-        weights = vecs[r, where[2, target.index]] * vecs[r, i].conj()
-        return np.exp(-1j * np.multiply.outer(ts, vals[r])) @ weights
-
-    def block_unitaries(self, t: float):
-        """Yield (indices, u) for the blocks of each size in turn: ``indices``
-        is (k, s), one block of s basis indices per row, ascending, and
-        ``u`` is (k, s, s), e^{-iHt} on each block in that order."""
-        _times(t)
-        for c, blocks in enumerate(self._split[0]):
-            vals, vecs = self._eigenpairs(c)
-            yield blocks, (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-
-    def occupied(self, config: BitConfig) -> list:
-        """The single-particle sites ``config`` fills, ascending from 0: its
-        up sites, through ``b ^ (b >> 1)`` on the amplification chain.
-        ValueError for a spec that is neither chain."""
-        if self.fermions is None:
-            raise ValueError("only exchange_chain and cluster_chain specs are free fermions")
-        b = config.index
-        if self.fermions[0]:
-            b ^= b >> 1
-        return [s for s in range(self.n_sites) if b >> s & 1]
-
-    @cached_property
-    def fermions(self):
-        """(ladder, sum B, eigenpairs of h) when the spec is exactly
-        ``exchange_chain`` (ladder False) or ``cluster_chain`` (ladder
-        True) of some profile, else None.  J_n and B_n are read off the
-        terms, and the chain they give must rebuild the spec; h holds J on
-        its off-diagonals (a zero J_n cuts it into blocks) and -2B on its
-        diagonal."""
-        n, terms = self.n_sites, self.spec.term_map()
-        if n < 2:
-            return None
-        for ladder in (False, True):
+        n, terms = spec.n_sites, spec.term_map()
+        for ladder in (False, True) if n >= 2 else ():     # no chain has 1 site
             if ladder:      # J_{n-1}/2 on X_n; B_n on Z_n Z_{n+1}, and on Z_N
                 js = [2.0 * terms.get(((s, "X"),), 0.0) for s in range(2, n + 1)]
                 bs = [terms.get(((s, "Z"), (s + 1, "Z")), 0.0) for s in range(1, n)]
@@ -154,27 +88,57 @@ class Propagator:
                 js = [2.0 * terms.get(((s, "X"), (s + 1, "X")), 0.0) for s in range(1, n)]
                 bs = [terms.get(((s, "Z"),), 0.0) for s in range(1, n + 1)]
             chain = cluster_chain if ladder else exchange_chain
-            if chain(CouplingProfile(n, js, bs)).terms == self.spec.terms:
+            if chain(CouplingProfile(n, js, bs)).terms == spec.terms:
                 h = np.diag(js, 1) + np.diag(js, -1) - 2.0 * np.diag(bs)
-                return ladder, sum(bs), np.linalg.eigh(h)
-        return None
+                self.fermions = ladder, sum(bs), np.linalg.eigh(h)
+                return
+        raise ValueError("only exchange_chain and cluster_chain specs are free fermions")
 
-    @cached_property
-    def _split(self) -> tuple:
-        """:func:`~spinamp.algebra.sector_blocks` of the spec."""
-        return sector_blocks(self.spec)
+    @property
+    def n_sites(self) -> int:
+        return self.spec.n_sites
 
-    def _eigenpairs(self, c: int) -> tuple:
-        """Eigenpairs of H on the blocks of size class ``c``, from one
-        batched ``eigh`` on first use."""
-        if c not in self._eigen:
-            blocks, where, (src, dst, values) = self._split
-            mine = where[0, src] == c
-            col, row = src[mine], dst[mine]
-            mats = np.zeros(blocks[c].shape + blocks[c].shape[1:], dtype=values.dtype)
-            mats[where[1, col], where[2, row], where[2, col]] = values[mine]
-            self._eigen[c] = np.linalg.eigh(mats)
-        return self._eigen[c]
+    def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
+        """<target|U(t)|source> for each t in ``ts``: exactly 0 when S and D,
+        the occupied sites of source and target, differ in number, else
+        exp(-it sum B) det u[D, S], over batches of times of at most
+        ``BATCH_ELEMENTS`` entries of u."""
+        if {source.n_sites, target.n_sites} != {self.n_sites}:
+            raise SpinChainError("configs and propagator differ in site count")
+        ts = _times(ts)
+        _, field_sum, (vals, vecs) = self.fermions
+        s, d = self.occupied(source), self.occupied(target)
+        if len(s) != len(d):
+            return np.zeros(ts.shape, dtype=complex)
+        dets = np.empty(ts.shape, dtype=complex)
+        batch = max(1, BATCH_ELEMENTS // max(1, len(s) ** 2))
+        for lo in range(0, ts.size, batch):
+            phases = np.exp(-1j * np.multiply.outer(ts[lo:lo + batch], vals))
+            u = np.einsum("dn,tn,sn->tds", vecs[d], phases, vecs[s])    # u[D, S]
+            dets[lo:lo + batch] = np.linalg.det(u)
+        return np.exp(-1j * field_sum * ts) * dets
+
+    def occupied(self, config: BitConfig) -> list:
+        """The single-particle sites ``config`` fills, ascending from 0: its
+        up sites, through ``b ^ (b >> 1)`` on the amplification chain."""
+        b = config.index
+        if self.fermions[0]:
+            b ^= b >> 1
+        return [s for s in range(self.n_sites) if b >> s & 1]
+
+
+def block_unitaries(spec: HamiltonianSpec, t: float):
+    """Yield (indices, u) for the blocks of each size in turn: ``indices``
+    is (k, s), as :func:`~spinamp.algebra.sector_blocks` gives it, and
+    ``u`` is (k, s, s), e^{-iHt} on each block in that order, from one
+    batched ``eigh`` per size.  SizeError above the dense cap."""
+    _times(t)
+    blocks = sector_blocks(spec)
+    while blocks:
+        indices, h = blocks.pop(0)
+        vals, vecs = np.linalg.eigh(h)
+        del h                   # freed before the class's unitary is built
+        yield indices, (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
 def _wrap(angle: float) -> float:

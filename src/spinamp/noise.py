@@ -157,8 +157,8 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     if len(n_sites) != 1:
         raise ValueError("all tasks must share one chain length for common streams")
     n = n_sites.pop()
-    # the sector sizes, and ValueError for a spec that is neither chain or a
-    # source with no up site, come before the draws
+    # the sector sizes, and ValueError for a source with no up site, come
+    # before the draws
     block_dims = []
     for task in tasks:
         if 1 not in task.source.bits:

@@ -19,11 +19,21 @@ from spinamp.maps import conjugate_hamiltonian, gamma_inverse_indices
 from oracles import kron_dense
 
 
+def _entries(spec):
+    """(src, dst, values): every entry of :func:`sector_blocks`' blocks by
+    basis index, <dst|H|src> = values; the blocks tile the basis."""
+    pairs = sector_blocks(spec)
+    rows = np.concatenate([indices.ravel() for indices, _ in pairs])
+    assert np.array_equal(np.sort(rows), np.arange(spec.dim))
+    src = np.concatenate([np.broadcast_to(i[:, None, :], h.shape).ravel() for i, h in pairs])
+    dst = np.concatenate([np.broadcast_to(i[:, :, None], h.shape).ravel() for i, h in pairs])
+    return src, dst, np.concatenate([h.ravel() for _, h in pairs])
+
+
 def _from_blocks(spec):
-    """The 2^N x 2^N matrix assembled from :func:`sector_blocks`' entries,
-    each of which links two positions of one block."""
-    _, where, (src, dst, values) = sector_blocks(spec)
-    assert np.array_equal(where[:2, src], where[:2, dst])
+    """The 2^N x 2^N matrix assembled from :func:`sector_blocks`' blocks,
+    each entry of which links two positions of one block."""
+    src, dst, values = _entries(spec)
     out = np.zeros((spec.dim, spec.dim), dtype=values.dtype)
     out[dst, src] = values
     return out
@@ -111,10 +121,14 @@ def test_matrix_free_matches_dense(n):
     rng = np.random.default_rng(100 + n)
     spec = _random_spec(n, rng)
     dense = kron_dense(spec)
-    _, where, (src, dst, values) = sector_blocks(spec)
+    src, dst, values = _entries(spec)
+    block = np.empty(1 << n, dtype=np.intp)     # a label per block
+    rows = [row for indices, _ in sector_blocks(spec) for row in indices]
+    for label, row in enumerate(rows):
+        block[row] = label
     for _ in range(20):
         seeds = rng.integers(1 << n, size=2)
-        on = (where[:2, :, None] == where[:2, None, seeds]).all(axis=0).any(axis=1)
+        on = np.isin(block, block[seeds])
         psi = np.where(on, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n), 0.0)
         out = np.zeros(1 << n, dtype=complex)
         np.add.at(out, dst, values * psi[src])
@@ -168,7 +182,7 @@ def test_chain_matrices_are_real(n):
     rng = np.random.default_rng(300 + n)
     prof = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)), tuple(rng.normal(size=n)))
     for spec in (exchange_chain(prof), cluster_chain(prof)):
-        assert sector_blocks(spec)[2][2].dtype == np.float64
+        assert all(h.dtype == np.float64 for _, h in sector_blocks(spec))
         assert np.max(np.abs(_from_blocks(spec) - kron_dense(spec))) < 1e-12
 
 

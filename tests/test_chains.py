@@ -120,8 +120,9 @@ def test_tilde_action_is_tridiagonal(n):
               for k in range(n + 1)]
     j = lambda k: js[k - 1] if 1 <= k <= n - 1 else 0.0
     # H's entries, from the library's split into blocks
-    _, _, (src, dst, values) = sector_blocks(spec)
-    h = dict(zip(zip(dst.tolist(), src.tolist()), values.tolist()))
+    h = {(int(d), int(s)): float(block[a, b])
+         for rows, blocks in sector_blocks(spec) for indices, block in zip(rows, blocks)
+         for a, d in enumerate(indices) for b, s in enumerate(indices)}
     for k in range(n + 1):
         for m in range(n + 1):
             expected = (j(k - 1) if m == k - 1 else 0.0) + (j(k) if m == k + 1 else 0.0)

@@ -11,7 +11,6 @@ import pytest
 from spinamp import chains, cli, noise
 from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm, SpinChainError
 from spinamp.chains import CouplingProfile, StarLayout, spike_hamiltonians
-from spinamp.evolution import Propagator
 from spinamp.cli import _json_doc, main
 from spinamp.io import format_number, parse_time, render_csv, write_text_atomic
 from spinamp.maps import mirror_map
@@ -208,6 +207,8 @@ _BAD_INPUT = [
     (["amplify", "--n", "4", "--time", ""], "cannot parse time value"),
     (_SWEEP + ["--time", ""], "cannot parse time value"),
     (["amplify", "--n", "4", "--config", "empty_time.json"], "cannot parse time value"),
+    (["amplify", "--n", "4", "--out", ""], "cannot write"),
+    (["amplify", "--n", "4", "--config", "empty_out.json"], "cannot write"),
     (_SCAN + ["--t-max", "nan"], "finite"),
     (_SCAN + ["--grid-step", "inf"], "finite"),
     (_SCAN + ["--grid-step", "0"], "positive"),
@@ -253,6 +254,7 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "malformed.json").write_text("{bad")
     (tmp_path / "empty_time.json").write_text('{"time": ""}')
+    (tmp_path / "empty_out.json").write_text('{"out": ""}')
     draws = _count_calls(monkeypatch, noise, "trial_draws")
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
@@ -370,7 +372,15 @@ def test_product_deviation_refuses_a_spike_across_star_blocks():
     # a diagonal "star" has one block per basis state; X_1 links two of them
     z, x = (HamiltonianSpec(2, (PauliTerm(1.0, {1: p}),)) for p in "ZX")
     with pytest.raises(SpinChainError, match="spans two star blocks"):
-        cli._product_deviation(Propagator(z), [x], 1.0)
+        cli._star_checks(z, [x], 1.0)
+
+
+def test_all_ones_probability_is_zero_across_star_blocks():
+    # on a diagonal spec 10 and 11 lie in different blocks
+    z = HamiltonianSpec(2, (PauliTerm(1.0, {1: "Z"}),))
+    deviation, probability = cli._star_checks(z, [z], 1.0)
+    assert probability == 0.0
+    assert deviation < 1e-15
 
 
 def _traced_peak(argv) -> int:

@@ -28,6 +28,7 @@ from spinamp.evolution import (
     PST_TIME,
     Propagator,
     amplification_check,
+    block_unitaries,
     max_fidelity_scan,
     transfer_fidelity,
 )
@@ -42,12 +43,20 @@ from oracles import (
 )
 
 
+def _cluster(n, profile="engineered"):
+    return cluster_chain(getattr(CouplingProfile, profile)(n))
+
+
+def _exchange(n, profile="engineered"):
+    return exchange_chain(getattr(CouplingProfile, profile)(n))
+
+
 def _cluster_prop(n, profile="engineered"):
-    return Propagator(cluster_chain(getattr(CouplingProfile, profile)(n)))
+    return Propagator(_cluster(n, profile))
 
 
 def _exchange_prop(n, profile="engineered"):
-    return Propagator(exchange_chain(getattr(CouplingProfile, profile)(n)))
+    return Propagator(_exchange(n, profile))
 
 
 def _random_state(n, rng):
@@ -56,67 +65,55 @@ def _random_state(n, rng):
     return psi / np.linalg.norm(psi)
 
 
-def _evolve(prop, psi, t):
-    """U(t) psi, block by block from :meth:`Propagator.block_unitaries`."""
+def _evolve(spec, psi, t):
+    """U(t) psi, block by block from :func:`block_unitaries`."""
     out = np.empty_like(psi)
-    for indices, u in prop.block_unitaries(t):
+    for indices, u in block_unitaries(spec, t):
         out[indices] = (u @ psi[indices][:, :, None])[:, :, 0]
     return out
 
 
-def _on_blocks(prop):
-    """``prop`` with its free-fermion route switched off, so that its
-    amplitudes come from the eigenpairs of H's blocks."""
-    prop.__dict__["fermions"] = None        # fills the cached property
-    return prop
-
-
-def _route(prop, route):
-    return _on_blocks(prop) if route == "dense" else prop
-
-
-def _block_of(prop, config, t):
+def _block_of(spec, config, t):
     """(indices, u): the basis indices of the block holding ``config``,
-    ascending, and e^{-iHt} on it, read off :meth:`Propagator.block_unitaries`."""
-    for rows, us in prop.block_unitaries(t):
+    ascending, and e^{-iHt} on it, read off :func:`block_unitaries`."""
+    for rows, us in block_unitaries(spec, t):
         hit = np.flatnonzero((rows == config.index).any(axis=1))
         if hit.size:
             return rows[hit[0]], us[hit[0]]
     raise AssertionError(f"no block holds {config}")
 
 
-def _block_amplitudes(prop, source, target, ts):
+def _block_amplitudes(spec, source, target, ts):
     """<target|U(t)|source> read off the block holding ``source``."""
-    indices, _ = _block_of(prop, source, 0.0)
+    indices, _ = _block_of(spec, source, 0.0)
     if target.index not in indices:
         return np.zeros(len(ts), dtype=complex)
     i, j = np.searchsorted(indices, [source.index, target.index])
-    return np.array([_block_of(prop, source, t)[1][j, i] for t in ts])
+    return np.array([_block_of(spec, source, t)[1][j, i] for t in ts])
 
 
 def test_zero_time_is_identity():
     rng = np.random.default_rng(0)
-    prop = _cluster_prop(5)
     psi = _random_state(5, rng)
-    assert np.linalg.norm(_evolve(prop, psi, 0.0) - psi) < 1e-12
+    assert np.linalg.norm(_evolve(_cluster(5), psi, 0.0) - psi) < 1e-12
 
 
 def test_all_zeros_is_stationary():
-    prop = _cluster_prop(4)
+    spec = _cluster(4)
     vac = np.eye(16, dtype=complex)[BitConfig.zeros(4).index]
     for t in (0.1, 1.0, math.pi / 2, 17.3):
-        assert np.linalg.norm(_evolve(prop, vac, t) - vac) < 1e-12
+        assert np.linalg.norm(_evolve(spec, vac, t) - vac) < 1e-12
 
 
 def test_unitarity_and_inverse():
     rng = np.random.default_rng(1)
-    for prop in (_cluster_prop(6), _exchange_prop(6)):
+    for spec in (_cluster(6), _exchange(6)):
         psi = _random_state(6, rng)
-        out = _evolve(prop, psi, 1.7)
+        out = _evolve(spec, psi, 1.7)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
-        back = _evolve(prop, out, -1.7)
+        back = _evolve(spec, out, -1.7)
         assert np.linalg.norm(back - psi) < 1e-10
-        for (_, u), (_, u_back) in zip(prop.block_unitaries(1.7), prop.block_unitaries(-1.7)):
+        for (_, u), (_, u_back) in zip(block_unitaries(spec, 1.7), block_unitaries(spec, -1.7)):
             eye = np.eye(u.shape[1])
             assert np.max(np.abs(u @ u.conj().swapaxes(1, 2) - eye)) < 1e-10
             assert np.max(np.abs(u_back @ u - eye)) < 1e-10
@@ -124,20 +121,20 @@ def test_unitarity_and_inverse():
 
 def test_composition():
     rng = np.random.default_rng(2)
-    prop = _cluster_prop(6)
+    spec = _cluster(6)
     psi = _random_state(6, rng)
-    two_step = _evolve(prop, _evolve(prop, psi, 0.6), 1.1)
-    one_step = _evolve(prop, psi, 1.7)
+    two_step = _evolve(spec, _evolve(spec, psi, 0.6), 1.1)
+    one_step = _evolve(spec, psi, 1.7)
     assert np.linalg.norm(two_step - one_step) < 1e-9
     source = BitConfig.from_string("011010")
-    u = {t: _block_of(prop, source, t)[1] for t in (0.6, 1.1, 1.7)}
+    u = {t: _block_of(spec, source, t)[1] for t in (0.6, 1.1, 1.7)}
     assert np.max(np.abs(u[1.1] @ u[0.6] - u[1.7])) < 1e-9
 
 
 def test_energy_and_wall_conservation():
     rng = np.random.default_rng(3)
-    prop = _cluster_prop(6)
-    h, walls = kron_dense(prop.spec), kron_dense(cluster_field_terms(6, (1.0,) * 6))
+    spec = _cluster(6)
+    h, walls = kron_dense(spec), kron_dense(cluster_field_terms(6, (1.0,) * 6))
 
     def expectation(op, psi):
         value = np.vdot(psi, op @ psi)
@@ -148,7 +145,7 @@ def test_energy_and_wall_conservation():
     e0 = expectation(h, psi)
     w0 = expectation(walls, psi)
     for t in np.linspace(0.5, 10.0, 8):
-        out = _evolve(prop, psi, float(t))
+        out = _evolve(spec, psi, float(t))
         assert abs(expectation(h, out) - e0) < 1e-9
         assert abs(expectation(walls, out) - w0) < 1e-10
 
@@ -209,17 +206,18 @@ def test_uniform_six_site_transfer_stays_imperfect():
 @pytest.mark.parametrize("route", ["dense", "fermions"])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_evolve_rejects_non_finite_time(route, t):
-    prop = _route(_cluster_prop(4), route)
-    source = BitConfig.single(4, 1)
+    # the dense route is the block unitaries, the fermion route amplitudes
+    spec, source = _cluster(4), BitConfig.single(4, 1)
+    prop = Propagator(spec)
     with pytest.raises(ValueError):
-        prop.amplitudes(source, source, [0.5, t])
-    with pytest.raises(ValueError):
-        next(prop.block_unitaries(t))
+        if route == "dense":
+            next(block_unitaries(spec, t))
+        else:
+            prop.amplitudes(source, source, [0.5, t])
 
 
-@pytest.mark.parametrize("route", ["dense", "fermions"])
-def test_scan_grid_matches_transfer_fidelity(route):
-    prop = _route(Propagator(exchange_chain(CouplingProfile.uniform(5))), route)
+def test_scan_grid_matches_transfer_fidelity():
+    prop = Propagator(exchange_chain(CouplingProfile.uniform(5)))
     source, target = BitConfig.single(5, 1), BitConfig.single(5, 5)
     # at t_max=3.0 the best grid point is the last one, where the
     # golden-section midpoint once fell 2.2e-9 below the grid maximum
@@ -274,7 +272,7 @@ def test_amplification_engineered_vs_uniform():
 def test_mirror_theorem_exhaustive():
     for n in range(2, 8):
         mirror = {b: mirror_map(BitConfig.from_index(n, b)).index for b in range(1 << n)}
-        for rows, us in _cluster_prop(n).block_unitaries(PST_TIME):
+        for rows, us in block_unitaries(_cluster(n), PST_TIME):
             for indices, u in zip(rows, us):
                 position = {int(x): k for k, x in enumerate(indices)}
                 for k, b in enumerate(indices.tolist()):
@@ -307,7 +305,7 @@ def test_free_fermions_match_every_block_amplitude():
     prop = Propagator(spec)
     expected = np.zeros((len(ts), 1 << 7, 1 << 7), dtype=complex)
     for k, t in enumerate(ts):
-        for rows, us in prop.block_unitaries(t):
+        for rows, us in block_unitaries(spec, t):
             for indices, u in zip(rows, us):
                 expected[k][np.ix_(indices, indices)] = u
     for i in range(1 << 7):
@@ -328,7 +326,6 @@ def test_cut_chain_matches_kronecker_oracle(family, profile):
     # takes the fermion route, and det u[D, S] still holds
     spec = (cluster_chain if family == "cluster" else exchange_chain)(profile)
     prop = Propagator(spec)
-    assert prop.fermions is not None
     ts = (0.4, 2.1, -1.3)
     expected = np.array([kron_unitary(spec, t) for t in ts])
     for i in range(1 << 5):
@@ -361,7 +358,7 @@ def test_free_fermions_match_block_unitaries(case, ts):
     prop = Propagator(spec)
     amps = prop.amplitudes(source, target, ts)
     assert amps.shape == (len(ts),)
-    assert np.max(np.abs(amps - _block_amplitudes(prop, source, target, ts))) < 1e-12
+    assert np.max(np.abs(amps - _block_amplitudes(spec, source, target, ts))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [63, 512])
@@ -386,12 +383,10 @@ def test_dense_refused_above_cap():
     with pytest.raises(SizeError):
         max_permuted_deviation(exchange_chain(CouplingProfile.engineered(13)), spec,
                                gamma_inverse_indices(13))
-    with pytest.raises(SizeError):
-        next(Propagator(spec).block_unitaries(1.0))
-    # a spec that is not one of the two chains has no route above the cap
-    other = Propagator(spec + HamiltonianSpec(13, (PauliTerm(0.3, {1: "X"}),)))
-    with pytest.raises(SizeError):
-        other.amplitudes(BitConfig.single(13, 2), BitConfig.single(13, 3), 1.0)
+    # block unitaries above the cap are refused for the chains and any other spec
+    for refused in (spec, spec + HamiltonianSpec(13, (PauliTerm(0.3, {1: "X"}),))):
+        with pytest.raises(SizeError):
+            next(block_unitaries(refused, 1.0))
 
 
 def test_free_fermions_match_blocks_at_long_times():
@@ -404,10 +399,9 @@ def test_free_fermions_match_blocks_at_long_times():
     cases = ((cluster_chain(profile), walls, mirror_map(walls)),
              (exchange_chain(profile), excitations, excitations.reversed_sites()))
     for spec, source, target in cases:
-        prop = Propagator(spec)
-        dense = _block_amplitudes(prop, source, target, [t])
+        dense = _block_amplitudes(spec, source, target, [t])
         assert abs(dense[0]) > 1e-3
-        assert abs(prop.amplitudes(source, target, t)[0] - dense[0]) < 1e-9
+        assert abs(Propagator(spec).amplitudes(source, target, t)[0] - dense[0]) < 1e-9
 
 
 @st.composite
@@ -446,20 +440,19 @@ def test_block_backend_matches_full_space(spec, data):
     ts = data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3))
     psi = _random_state(n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32))))
     source, target = BitConfig.from_index(n, i), BitConfig.from_index(n, j)
-    prop = Propagator(spec)
-    amps = prop.amplitudes(source, target, ts)
+    amps = _block_amplitudes(spec, source, target, ts)
     for t, amp in zip(ts, amps):
         u = kron_unitary(spec, t)
         # the blocks tile U: each matches the oracle, which is 0 between them
         between = u.copy()
-        for rows, block_us in prop.block_unitaries(t):
+        for rows, block_us in block_unitaries(spec, t):
             for indices, block_u in zip(rows, block_us):
                 assert np.max(np.abs(block_u - u[np.ix_(indices, indices)])) < 1e-12
                 between[np.ix_(indices, indices)] = 0.0
         assert np.max(np.abs(between)) < 1e-12
-        assert np.max(np.abs(_evolve(prop, psi, t) - u @ psi)) < 1e-12
+        assert np.max(np.abs(_evolve(spec, psi, t) - u @ psi)) < 1e-12
         assert abs(amp - u[j, i]) < 1e-12
-        indices, block_u = _block_of(prop, source, t)
+        indices, block_u = _block_of(spec, source, t)
         assert i in indices
         assert np.max(np.abs(block_u - u[np.ix_(indices, indices)])) < 1e-12
 
@@ -490,7 +483,7 @@ def test_blocks_are_the_conserved_sectors(n):
     rng = np.random.default_rng(n)
     profile = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)),
                               tuple(rng.uniform(-1.0, 1.0, n)))
-    blocks = {family: [row for rows in sector_blocks(chain(profile))[0] for row in rows]
+    blocks = {family: [row for rows, _ in sector_blocks(chain(profile)) for row in rows]
               for family, chain in (("cluster", cluster_chain), ("exchange", exchange_chain))}
     for family, rows in blocks.items():
         labels = _sector_labels(family, n)
@@ -531,18 +524,27 @@ _OTHER_SPECS = {
 
 @pytest.mark.parametrize("name", list(_CHAIN_SPECS) + list(_OTHER_SPECS))
 def test_route_is_read_off_the_spec(name):
-    # at 13 sites only a recognized chain has amplitudes: the blocks of any
-    # other spec are above the dense cap
-    prop = Propagator({**_CHAIN_SPECS, **_OTHER_SPECS}[name])
-    source = BitConfig.from_string("0110010000000")
-    if name in _OTHER_SPECS:
-        with pytest.raises(SizeError):
-            prop.amplitudes(source, source, 0.5)
-        return
-    amps = prop.amplitudes(source, source, [0.0, 0.5])
-    assert amps[0] == pytest.approx(1.0, abs=1e-12) and abs(amps[1]) <= 1.0 + 1e-12
+    # at 13 sites only a recognized chain has amplitudes, and no spec has
+    # block unitaries: its blocks are above the dense cap
+    spec = {**_CHAIN_SPECS, **_OTHER_SPECS}[name]
     with pytest.raises(SizeError):
-        next(prop.block_unitaries(0.5))
+        next(block_unitaries(spec, 0.5))
+    if name in _OTHER_SPECS:
+        with pytest.raises(ValueError, match="free fermions"):
+            Propagator(spec)
+        return
+    source = BitConfig.from_string("0110010000000")
+    amps = Propagator(spec).amplitudes(source, source, [0.0, 0.5])
+    assert amps[0] == pytest.approx(1.0, abs=1e-12) and abs(amps[1]) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("spec", [_star(2, 4), HamiltonianSpec(1, (PauliTerm(1.0, {1: "Z"}),))],
+                         ids=["two-spike star", "one site"])
+def test_propagator_refuses_a_spec_that_is_no_chain(spec):
+    # a star of two spikes within the dense cap, and a spec too short to
+    # be a chain, are still refused when the propagator is built
+    with pytest.raises(ValueError, match="free fermions"):
+        Propagator(spec)
 
 
 @pytest.mark.parametrize("fields", [None, _FIELDS])
@@ -568,20 +570,18 @@ def test_unitary_refused_on_a_block_above_the_dense_cap():
     # seven excitations on 15 sites: C(15, 7) = 6435 states > 2^DENSE_CAP
     spec = exchange_chain(CouplingProfile.engineered(15))
     source = BitConfig.from_string("110101010010100")
-    prop = Propagator(spec)
     with pytest.raises(SizeError):
-        next(prop.block_unitaries(1.0))
+        next(block_unitaries(spec, 1.0))
     # free fermions still answer its amplitudes: the mirror transfer at pi/2
-    amp = prop.amplitudes(source, source.reversed_sites(), PST_TIME)[0]
+    amp = Propagator(spec).amplitudes(source, source.reversed_sites(), PST_TIME)[0]
     assert abs(abs(amp) - 1.0) < 1e-8
 
 
 def test_scan_memory_stays_within_one_batch():
     # a default-grid scan (2001 times) with k = 48 occupied sites: u[D, S]
     # at every time at once would take 2001 * 48^2 * 16 B = 70 MiB
-    prop = Propagator(exchange_chain(CouplingProfile.engineered(96)))
+    prop = Propagator(exchange_chain(CouplingProfile.engineered(96)))   # eigh not measured
     source = BitConfig(96, (1, 0) * 48)
-    assert prop.fermions is not None        # the eigh is not measured
     tracemalloc.start()
     try:
         max_fidelity_scan(prop, source, source.reversed_sites())

@@ -246,18 +246,20 @@ def test_sweep_rejects_bad_inputs(props, monkeypatch):
         with pytest.raises(ValueError, match="flip probability"):
             dephasing_ensemble(props[0], BitConfig.single(N, 2), N, T, p, cfg,
                                trial_draws(cfg, N))
-    # a star of two spikes is no chain, a source with no up site has no
-    # source site, and a flip probability must lie in [0, 1]: all are
-    # refused before any draw
+    # a star of two spikes is no chain (its propagator is refused), a
+    # source with no up site has no source site, and a flip probability
+    # must lie in [0, 1]: all are refused before any draw
     star = sum(spike_hamiltonians(StarLayout(2, 4, CouplingProfile.engineered(4))),
                HamiltonianSpec(7))
     draws = []
     monkeypatch.setattr(noise, "trial_draws", lambda *args: draws.append(args))
+    with pytest.raises(ValueError):
+        noise_sweep([TransferTask("star", Propagator(star), BitConfig.single(7, 2), 7, T)],
+                    [0.0], NoiseConfig(trials=10))
     exchange = Propagator(exchange_chain(CouplingProfile.engineered(4)))
-    for task in (TransferTask("star", Propagator(star), BitConfig.single(7, 2), 7, T),
-                 TransferTask("exchange", exchange, BitConfig.zeros(4), 4, T)):
-        with pytest.raises(ValueError):
-            noise_sweep([task], [0.0], NoiseConfig(trials=10))
+    with pytest.raises(ValueError):
+        noise_sweep([TransferTask("exchange", exchange, BitConfig.zeros(4), 4, T)],
+                    [0.0], NoiseConfig(trials=10))
     for p_grid in ([0.1, math.nan], [-0.1], [0.0, 1.5]):
         with pytest.raises(ValueError, match="flip probability"):
             noise_sweep(_tasks(props), p_grid, NoiseConfig(trials=10))
