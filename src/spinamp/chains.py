@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """J_1..J_{N-1} couplings plus optional local fields B_1..B_N."""
+    """J_1..J_{N-1} couplings plus optional local fields B_1..B_N, all finite."""
 
     n_sites: int
     couplings: tuple
@@ -54,6 +54,8 @@ class CouplingProfile:
             raise ValueError(
                 f"need {self.n_sites} fields, got {len(self.fields)}"
             )
+        if not all(map(math.isfinite, self.couplings + (self.fields or ()))):
+            raise ValueError("couplings and fields must be finite")
 
     @classmethod
     def uniform(cls, n_sites: int, fields: Optional[Sequence[float]] = None) -> "CouplingProfile":

@@ -2,8 +2,8 @@
 
 Every experiment in the package is reachable as a subcommand producing a
 deterministic CSV or JSON artifact.  Exit codes: 0 success, 1 numeric or
-assertion failure, 2 usage error (a chain too long for the command, or a
-run too large for memory, included).
+assertion failure, 2 usage error (a chain too long for the command, a time
+whose phases overflow, or a run too large for memory, included).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .chains import (
 from .evolution import (
     PST_TIME,
     Propagator,
+    TimeRangeError,
     amplification_check,
     block_unitaries,
     max_fidelity_scan,
@@ -70,14 +71,6 @@ def _profile(kind: str, n_sites: int) -> CouplingProfile:
     if kind == "engineered":
         return CouplingProfile.engineered(n_sites)
     raise UsageError(f"unknown profile kind {kind!r}")
-
-
-def _hamiltonian(family: str, profile: CouplingProfile):
-    if family == "cluster":
-        return cluster_chain(profile)
-    if family == "exchange":
-        return exchange_chain(profile)
-    raise UsageError(f"unknown Hamiltonian family {family!r}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -175,11 +168,16 @@ def cmd_amplify(args) -> int:
     with _inputs():
         profile = _profile(args.profile, args.n)
         t = _time(args.time)
-        alpha = 1.0 / math.sqrt(2.0) if args.alpha is None else args.alpha
-        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha)) if args.beta is None else args.beta
+        alpha, beta = args.alpha, args.beta     # one given fixes the other
+        if alpha is None:
+            alpha = (1.0 / math.sqrt(2.0) if beta is None
+                     else math.sqrt(max(0.0, 1.0 - beta * beta)))
+        if beta is None:
+            beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
         if not abs(alpha * alpha + beta * beta - 1.0) <= 1e-9:
             raise UsageError(f"need alpha^2 + beta^2 = 1, got alpha={alpha}, beta={beta}")
-    result = amplification_check(Propagator(cluster_chain(profile)), alpha, beta, t)
+        prop = Propagator(profile, "cluster")
+    result = amplification_check(prop, alpha, beta, t)
     config = {"n": args.n, "profile": args.profile, "t": t,
               "alpha": alpha, "beta": beta}
     _emit(_json_doc(config, {
@@ -210,7 +208,8 @@ def cmd_transfer(args) -> int:
     profile, source, target = _endpoints(args)
     with _inputs():
         t = _time(args.time)
-    fid = transfer_fidelity(Propagator(_hamiltonian(args.family, profile)), source, target, t)
+        prop = Propagator(profile, args.family)
+    fid = transfer_fidelity(prop, source, target, t)
     config = {"n": args.n, "profile": args.profile, "family": args.family,
               "source": str(source), "target": str(target), "t": t}
     _emit(_json_doc(config, {"fidelity": fid}), args.out)
@@ -221,9 +220,10 @@ def cmd_scan(args) -> int:
     profile, source, target = _endpoints(args)
     if not (0.0 < args.grid_step and 0.0 < args.t_max < args.grid_step * sys.maxsize):
         raise UsageError("--t-max and --grid-step must be positive, t_max / grid_step below 2^63")
+    with _inputs():
+        prop = Propagator(profile, args.family)
     t_star, f_star, ts, fidelities = max_fidelity_scan(
-        Propagator(_hamiltonian(args.family, profile)), source, target,
-        t_max=args.t_max, grid_step=args.grid_step)
+        prop, source, target, t_max=args.t_max, grid_step=args.grid_step)
     rows = zip(ts, fidelities)
     config = {"n": args.n, "profile": args.profile, "family": args.family,
               "source": str(source), "target": str(target),
@@ -259,12 +259,8 @@ def cmd_noise_sweep(args) -> int:
             raise ValueError(f"--time must be positive, got {t}")
         p_grid = [require_probability(float(p)) for p in args.p.split(",")]
         cfg = NoiseConfig(args.steps, args.trials, args.seed)
-    tasks = [
-        TransferTask("cluster", Propagator(cluster_chain(profile)),
-                     BitConfig.single(args.n, 2), args.n, t),
-        TransferTask("exchange", Propagator(exchange_chain(profile)),
-                     BitConfig.single(args.n, 1), args.n, t),
-    ]
+        tasks = [TransferTask(Propagator(profile, family), BitConfig.single(args.n, site), args.n, t)
+                 for family, site in (("cluster", 2), ("exchange", 1))]
     records = noise_sweep(tasks, p_grid, cfg)
     config = {"n": args.n, "profile": args.profile, "t": t, "steps": args.steps,
               "trials": args.trials, "seed": args.seed, "p_grid": args.p,
@@ -459,7 +455,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_with_config(argv)
         return args.func(args)
-    except (UsageError, SizeError, MemoryError) as exc:
+    except (UsageError, SizeError, TimeRangeError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,12 +4,12 @@ Evolution is Schrodinger, U(t) = exp(-i H t) with hbar = 1.  There are
 two routes, and they answer different questions.
 
 :class:`Propagator` gives basis amplitudes of the two chains at any
-length.  Under Jordan-Wigner the exchange chain, with any couplings and
-fields, is quadratic (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
+length.  Under Jordan-Wigner the exchange chain, with any couplings J and
+fields B, is quadratic (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
 (1961)), and the CNOT ladder carries the amplification chain onto it by
 a basis permutation.  So a basis amplitude of either chain is
-exp(-it sum B) det u[D, S], with u = exp(-iht) the N x N single-particle
-propagator and S, D the occupied sites, read off a Python int.
+exp(-it sum B) det u[D, S], u = exp(-iht), from h = tridiag(J) - 2 diag(B)
+alone, with S, D the occupied sites, read off a Python int.
 
 :func:`block_unitaries` gives e^{-iHt} on every connected block of H, for
 any spec up to the dense cap, from the eigenpairs of the blocks.  The
@@ -34,11 +34,13 @@ from .algebra import (
     SpinChainError,
     sector_blocks,
 )
-from .chains import CouplingProfile, cluster_chain, exchange_chain
+from .chains import CouplingProfile
 
 __all__ = [
     "PST_TIME",
     "Propagator",
+    "TimeRangeError",
+    "require_times",
     "block_unitaries",
     "transfer_fidelity",
     "max_fidelity_scan",
@@ -58,55 +60,50 @@ PST_TIME = math.pi / 2.0
 BATCH_ELEMENTS = 1 << 20
 
 
-def _times(ts) -> np.ndarray:
+class TimeRangeError(ValueError):
+    """An evolution time that is not finite, or whose phases t * lambda are not."""
+
+
+def require_times(ts, vals) -> np.ndarray:
+    """``ts`` as a 1-d float array; TimeRangeError unless the product of
+    every time with every value in ``vals`` is finite (inf * 0 is not)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("evolution times must be finite")
+    top = float(np.max(np.abs(ts), initial=0.0))
+    if not math.isfinite(top * float(np.max(np.abs(vals)))):
+        raise TimeRangeError(f"evolution time {top:g}: phases t * lambda must be finite")
     return ts
 
 
 class Propagator:
-    """e^{-iHt} of the exchange or amplification chain, as free fermions.
+    """e^{-iHt} of ``exchange_chain(profile)`` or ``cluster_chain(profile)``,
+    as free fermions.
 
-    The spec must be exactly ``exchange_chain`` or ``cluster_chain`` of
-    some profile, else ValueError.  J_n and B_n are read off the terms,
-    and the chain they give must rebuild the spec.  ``fermions`` is
-    (ladder, sum B, eigenpairs of h): ladder is True for the
-    amplification chain, and h holds J on its off-diagonals (a zero J_n
-    cuts it into blocks) and -2B on its diagonal.
+    ``family`` is "exchange" or "cluster", else ValueError.  h holds the
+    couplings J on its off-diagonals (a zero J_n cuts it into blocks) and
+    -2B on its diagonal; ``vals`` and ``vecs`` are its eigenpairs,
+    ``field_sum`` is sum B, and ``ladder`` is True for the amplification
+    chain, whose configurations reach h through the CNOT ladder.
     """
 
-    def __init__(self, spec: HamiltonianSpec):
-        self.spec = spec
-        n, terms = spec.n_sites, spec.term_map()
-        for ladder in (False, True) if n >= 2 else ():     # no chain has 1 site
-            if ladder:      # J_{n-1}/2 on X_n; B_n on Z_n Z_{n+1}, and on Z_N
-                js = [2.0 * terms.get(((s, "X"),), 0.0) for s in range(2, n + 1)]
-                bs = [terms.get(((s, "Z"), (s + 1, "Z")), 0.0) for s in range(1, n)]
-                bs.append(terms.get(((n, "Z"),), 0.0))
-            else:           # J_n/2 on X_n X_{n+1}; B_n on Z_n
-                js = [2.0 * terms.get(((s, "X"), (s + 1, "X")), 0.0) for s in range(1, n)]
-                bs = [terms.get(((s, "Z"),), 0.0) for s in range(1, n + 1)]
-            chain = cluster_chain if ladder else exchange_chain
-            if chain(CouplingProfile(n, js, bs)).terms == spec.terms:
-                h = np.diag(js, 1) + np.diag(js, -1) - 2.0 * np.diag(bs)
-                self.fermions = ladder, sum(bs), np.linalg.eigh(h)
-                return
-        raise ValueError("only exchange_chain and cluster_chain specs are free fermions")
-
-    @property
-    def n_sites(self) -> int:
-        return self.spec.n_sites
+    def __init__(self, profile: CouplingProfile, family: str):
+        if family not in ("cluster", "exchange"):
+            raise ValueError(f"unknown Hamiltonian family {family!r}")
+        self.profile, self.family, self.n_sites = profile, family, profile.n_sites
+        self.ladder = family == "cluster"
+        js, bs = profile.couplings, profile.fields or (0.0,) * profile.n_sites
+        self.field_sum = sum(bs)
+        self.vals, self.vecs = np.linalg.eigh(np.diag(js, 1) + np.diag(js, -1) - 2.0 * np.diag(bs))
 
     def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
         """<target|U(t)|source> for each t in ``ts``: exactly 0 when S and D,
         the occupied sites of source and target, differ in number, else
         exp(-it sum B) det u[D, S], over batches of times of at most
-        ``BATCH_ELEMENTS`` entries of u."""
+        ``BATCH_ELEMENTS`` entries of u.  TimeRangeError unless every
+        phase t * lambda, and t * sum B, is finite."""
         if {source.n_sites, target.n_sites} != {self.n_sites}:
             raise SpinChainError("configs and propagator differ in site count")
-        ts = _times(ts)
-        _, field_sum, (vals, vecs) = self.fermions
+        vals, vecs = self.vals, self.vecs
+        ts = require_times(ts, np.append(vals, self.field_sum))
         s, d = self.occupied(source), self.occupied(target)
         if len(s) != len(d):
             return np.zeros(ts.shape, dtype=complex)
@@ -116,13 +113,13 @@ class Propagator:
             phases = np.exp(-1j * np.multiply.outer(ts[lo:lo + batch], vals))
             u = np.einsum("dn,tn,sn->tds", vecs[d], phases, vecs[s])    # u[D, S]
             dets[lo:lo + batch] = np.linalg.det(u)
-        return np.exp(-1j * field_sum * ts) * dets
+        return np.exp(-1j * self.field_sum * ts) * dets
 
     def occupied(self, config: BitConfig) -> list:
         """The single-particle sites ``config`` fills, ascending from 0: its
         up sites, through ``b ^ (b >> 1)`` on the amplification chain."""
         b = config.index
-        if self.fermions[0]:
+        if self.ladder:
             b ^= b >> 1
         return [s for s in range(self.n_sites) if b >> s & 1]
 
@@ -131,13 +128,14 @@ def block_unitaries(spec: HamiltonianSpec, t: float):
     """Yield (indices, u) for the blocks of each size in turn: ``indices``
     is (k, s), as :func:`~spinamp.algebra.sector_blocks` gives it, and
     ``u`` is (k, s, s), e^{-iHt} on each block in that order, from one
-    batched ``eigh`` per size.  SizeError above the dense cap."""
-    _times(t)
+    batched ``eigh`` per size.  SizeError above the dense cap;
+    TimeRangeError for a size whose phases t * lambda are not finite."""
     blocks = sector_blocks(spec)
     while blocks:
         indices, h = blocks.pop(0)
         vals, vecs = np.linalg.eigh(h)
         del h                   # freed before the class's unitary is built
+        require_times(t, vals)
         yield indices, (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
@@ -155,7 +153,8 @@ def transfer_fidelity(prop: Propagator, source: BitConfig, target: BitConfig,
 
 def _golden_max(f: Callable[[float], float], a: float, b: float,
                 tol: float) -> tuple:
-    """Golden-section search for the maximum of f on [a, b]."""
+    """Golden-section search for the maximum of f on [a, b], to width tol or 4 ulps."""
+    tol = max(tol, 4.0 * math.ulp(max(abs(a), abs(b))))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -168,7 +167,7 @@ def _golden_max(f: Callable[[float], float], a: float, b: float,
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = f(d)
-    t_star = 0.5 * (a + b)
+    t_star = 0.5 * a + 0.5 * b         # a + b may overflow
     return float(t_star), float(f(t_star))
 
 

@@ -12,12 +12,13 @@ only on (seed, trials, steps, N), so a sweep draws them once and reuses
 them for every p and every Hamiltonian (common random numbers).
 :class:`NoiseConfig` holds exactly (seed, trials, steps); p is passed apart.
 
-Both chains are free fermions (see :class:`Propagator`): a trial is the
-N x k matrix W of its k occupied orbitals, kept in h's eigenbasis with the
-elapsed free phases divided out, so only a flip touches it.  A Z on site s
-multiplies each orbital by -1 on site s (exchange chain) or on sites s..N
-(cluster chain, through the CNOT ladder); the score is
-(1 - det(I - 2 W_A W_A^H)) / 2, with A the measured site's sign set.
+A task's records are labelled by its :class:`Propagator`'s family.  Both
+chains are free fermions: a trial is the N x k matrix W of its k occupied
+orbitals, kept in h's eigenbasis with the elapsed free phases divided
+out, so only a flip touches it.  A Z on site s multiplies each orbital by
+-1 on site s (exchange chain) or on sites s..N (cluster chain, through
+the CNOT ladder); the score is (1 - det(I - 2 W_A W_A^H)) / 2, with A
+the measured site's sign set.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .algebra import BitConfig
-from .evolution import BATCH_ELEMENTS, Propagator
+from .evolution import BATCH_ELEMENTS, Propagator, require_times
 
 __all__ = [
     "NoiseConfig",
@@ -79,9 +80,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class TransferTask:
-    """One Hamiltonian with its transfer endpoints for the comparison."""
+    """One chain with its transfer endpoints for the comparison."""
 
-    label: str
     prop: Propagator
     source: BitConfig
     measure_site: int
@@ -111,17 +111,18 @@ def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
     evolved as free fermions.
 
     ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
-    chain length.
+    chain length.  TimeRangeError when the free phases of ``total_time``
+    are not finite.
     """
     require_probability(p)
     if total_time <= 0.0 or not 1 <= measure_site <= prop.n_sites:
         raise ValueError("total_time must be positive and measure_site a site of the chain")
+    vals, vecs = prop.vals, prop.vecs.astype(complex)
+    require_times(total_time, vals)
     occupied = prop.occupied(source)
-    ladder, _, (vals, vecs) = prop.fermions
     n, k = prop.n_sites, len(occupied)
-    vecs = vecs.astype(complex)
     # row s - 1: the sign a flip on site s gives each single-particle site
-    signs = 1.0 - 2.0 * (np.tri(n).T if ladder else np.eye(n))
+    signs = 1.0 - 2.0 * (np.tri(n).T if prop.ladder else np.eye(n))
     measured = vecs[signs[measure_site - 1] < 0]                            # rows A of V
     uniforms, sites = draws
     flips = uniforms < p
@@ -162,7 +163,7 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
     block_dims = []
     for task in tasks:
         if 1 not in task.source.bits:
-            raise ValueError(f"task {task.label!r}: the source has no up site")
+            raise ValueError(f"task {task.prop.family!r}: the source has no up site")
         block_dims.append(math.comb(n, len(task.prop.occupied(task.source))))
     draws = trial_draws(cfg, n)
     records = []
@@ -175,5 +176,5 @@ def noise_sweep(tasks: Sequence[TransferTask], p_grid: Sequence[float],
             stderr = float(np.std(fids, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
             records.append(RunRecord(
                 p=float(p), mean_fidelity=mean, standard_error=stderr, trials=cfg.trials,
-                seed=cfg.seed, hamiltonian=task.label, block_dim=block_dim))
+                seed=cfg.seed, hamiltonian=task.prop.family, block_dim=block_dim))
     return records

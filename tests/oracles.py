@@ -11,11 +11,11 @@ Each one computes by the textbook route, with no code shared with
 * ``cnot_matrix`` / ``gamma_matrix`` -- the CNOT ladder as products of
   dense 2^N x 2^N permutation matrices;
 * ``dephasing_trial`` -- one noisy transfer, evolved step by step over
-  the whole 2^N space;
+  the whole 2^N space, with the propagator's chain rebuilt as a spec;
 * ``forward_ensemble`` -- every noisy transfer of a sweep as free
   fermions, each trial's orbitals multiplied by the N x N site-basis
   segment propagator at every step, for chains too long for 2^N (it
-  reads h's eigenpairs off ``Propagator.fermions``);
+  reads h's eigenpairs off ``Propagator.vals`` and ``Propagator.vecs``);
 * ``gamma_forward_bits`` / ``gamma_inverse_bits`` / ``mirror_bits`` --
   the ladder maps and the mirror map, bit by bit on ``BitConfig`` tuples;
 * ``ca_half_step_bits`` -- one CA half-step, site by site;
@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from spinamp.algebra import BitConfig, HamiltonianSpec
-from spinamp.chains import CouplingProfile, cluster_chain
+from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 from spinamp.evolution import PST_TIME
 
 PAULI_MATRICES = {
@@ -110,7 +110,8 @@ def dephasing_trial(prop, source, measure_site, total_time, p, cfg, uniforms, si
     drawn site is up when the uniform falls below p.
     """
     n = prop.n_sites
-    u_seg = kron_unitary(prop.spec, total_time / cfg.steps)
+    chain = cluster_chain if prop.family == "cluster" else exchange_chain
+    u_seg = kron_unitary(chain(prop.profile), total_time / cfg.steps)
     idx = np.arange(1 << n)
     psi = np.zeros(1 << n, dtype=complex)
     psi[source.index] = 1.0
@@ -129,10 +130,10 @@ def forward_ensemble(prop, source, measure_site, total_time, p, cfg, draws) -> n
     at every step, then the hit trials times their flip's sign row.  A
     trial scores (1 - det(I - 2 W_A W_A^H)) / 2, A the measured site's sign
     set: site m on the exchange chain, sites m..N on the cluster chain."""
-    ladder, _, (vals, vecs) = prop.fermions
+    vals, vecs = prop.vals, prop.vecs
     n, occupied = prop.n_sites, prop.occupied(source)
     u_seg = (vecs * np.exp(-1j * vals * total_time / cfg.steps)) @ vecs.T
-    signs = 1.0 - 2.0 * (np.tri(n).T if ladder else np.eye(n))
+    signs = 1.0 - 2.0 * (np.tri(n).T if prop.ladder else np.eye(n))
     uniforms, sites = draws
     orbitals = np.zeros((cfg.trials, len(occupied), n), dtype=complex)
     orbitals[:, np.arange(len(occupied)), occupied] = 1.0

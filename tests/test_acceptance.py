@@ -78,14 +78,14 @@ def test_acceptance_03_perfect_amplification():
     worst_fid = 1.0
     worst_residual = 0.0
     for n in range(2, 11):
-        prop = Propagator(cluster_chain(CouplingProfile.engineered(n)))
-        result = amplification_check(prop, a, a, math.pi / 2)
+        profile = CouplingProfile.engineered(n)
+        result = amplification_check(Propagator(profile, "cluster"), a, a, math.pi / 2)
         worst_fid = min(worst_fid, result.fidelity)
         # |0...0> evolved block by block over the whole space stays put
         vac = np.zeros(1 << n, dtype=complex)
         vac[0] = 1.0
         out = np.zeros_like(vac)
-        for indices, u in block_unitaries(prop.spec, math.pi / 2):
+        for indices, u in block_unitaries(cluster_chain(profile), math.pi / 2):
             out[indices] = (u @ vac[indices][:, :, None])[:, :, 0]
         worst_residual = max(worst_residual, float(np.linalg.norm(out - vac)))
     _report(3, "perfect amplification", worst_fid >= 1.0 - 1e-8
@@ -102,7 +102,7 @@ def test_acceptance_04_uniform_chain_imperfection():
     # N = 6 stays clear of 1 - 1e-3 throughout
     bounds = {4: 1e-5, 5: 1e-5, 6: 1e-3}
     for n, bound in bounds.items():
-        prop = Propagator(cluster_chain(CouplingProfile.uniform(n)))
+        prop = Propagator(CouplingProfile.uniform(n), "cluster")
         best = max(
             amplification_check(prop, a, a, float(t)).fidelity
             for t in np.arange(0.05, 200.0, 0.05)
@@ -110,14 +110,14 @@ def test_acceptance_04_uniform_chain_imperfection():
         details.append(f"N={n} best {best:.6f}")
         ok = ok and best < 1.0 - bound
     for n, t_star in ((2, math.pi / 2), (3, math.pi / math.sqrt(2.0))):
-        prop = Propagator(cluster_chain(CouplingProfile.uniform(n)))
+        prop = Propagator(CouplingProfile.uniform(n), "cluster")
         fid = amplification_check(prop, a, a, t_star).fidelity
         ok = ok and fid >= 1.0 - 1e-8
     _report(4, "uniform-chain imperfection", ok, "; ".join(details))
 
 
 def _mirror_check(n):
-    prop = Propagator(cluster_chain(CouplingProfile.engineered(n)))
+    prop = Propagator(CouplingProfile.engineered(n), "cluster")
     worst = 1.0
     for i in range(1 << n):
         b = BitConfig.from_index(n, i)
@@ -146,7 +146,7 @@ def test_acceptance_05b_mirror_theorem_n8():
 
 
 def test_acceptance_06_single_excitation_transfer():
-    prop = Propagator(cluster_chain(CouplingProfile.engineered(6)))
+    prop = Propagator(CouplingProfile.engineered(6), "cluster")
     worst = 1.0
     for n in range(2, 7):
         fid = transfer_fidelity(prop, BitConfig.single(6, n),
@@ -160,9 +160,9 @@ def test_acceptance_07_phase_separability():
     prof = CouplingProfile.engineered(6)
     # excitations on sites 2..N of the cluster chain, site 1 encodes
     cluster = pair_phase_deviations(
-        Propagator(cluster_chain(prof)), math.pi / 2, 2, mirror_map)
+        Propagator(prof, "cluster"), math.pi / 2, 2, mirror_map)
     exchange = pair_phase_deviations(
-        Propagator(exchange_chain(prof)), math.pi / 2, 1, BitConfig.reversed_sites)
+        Propagator(prof, "exchange"), math.pi / 2, 1, BitConfig.reversed_sites)
     worst = max(abs(v) for v in cluster.values())
     values = list(exchange.values())
     constant = all(abs(abs(v) - abs(values[0])) < 1e-6 for v in values)
@@ -200,10 +200,8 @@ def test_acceptance_09_noise_comparison():
     for n in (6, 16):
         prof = CouplingProfile.engineered(n)
         tasks = [
-            TransferTask("cluster", Propagator(cluster_chain(prof)),
-                         BitConfig.single(n, 2), n, math.pi / 2),
-            TransferTask("exchange", Propagator(exchange_chain(prof)),
-                         BitConfig.single(n, 1), n, math.pi / 2),
+            TransferTask(Propagator(prof, "cluster"), BitConfig.single(n, 2), n, math.pi / 2),
+            TransferTask(Propagator(prof, "exchange"), BitConfig.single(n, 1), n, math.pi / 2),
         ]
         p_grid = [0.0, 0.02, 0.05, 0.1, 0.15, 0.2]
         records = noise_sweep(tasks, p_grid, NoiseConfig(trials=10_000, seed=2026))

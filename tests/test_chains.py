@@ -40,6 +40,18 @@ def test_profile_validation():
         CouplingProfile(3, (1.0, 1.0), fields=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_refuses_non_finite_values(bad):
+    # no spec is built on the fermion route, so the profile is where a
+    # non-finite J or B is refused: once, a NaN coupling reached eigh
+    with pytest.raises(ValueError, match="finite"):
+        CouplingProfile(3, (1.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        CouplingProfile(3, (1.0, 1.0), fields=(0.0, bad, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        CouplingProfile.engineered(3, fields=(bad, 0.0, 0.0))
+
+
 def test_zero_coupling_cuts_the_chain():
     # a zero J_n adds no term, as a zero field adds none
     prof = CouplingProfile(4, (1.0, 0.0, 2.0))

@@ -179,6 +179,76 @@ def test_transfer_rejects_infinite_time(capsys):
     assert capsys.readouterr().out == ""
 
 
+_HUGE_TIME = [
+    ["transfer", "--n", "3", "--family", "exchange", "--source", "100", "--target", "001",
+     "--time", "1e308"],
+    ["amplify", "--n", "4", "--time", "1e308"],
+    ["star-demo", "--spikes", "2", "--length", "3", "--time", "1e308"],
+    ["noise-sweep", "--n", "4", "--trials", "10", "--time", "1e308"],
+    ["scan", "--n", "3", "--family", "exchange", "--source", "100", "--target", "001",
+     "--t-max", "1.7e308", "--grid-step", "1e307"],
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_TIME, ids=[argv[0] for argv in _HUGE_TIME])
+def test_time_whose_phases_overflow_is_a_usage_error(argv, capsys):
+    # a finite time whose phases t * lambda overflow once became NaN, with
+    # numpy warnings on stderr and exit 1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: evolution time") and captured.err.count("\n") == 1
+
+
+def test_large_time_with_finite_phases_still_runs(capsys):
+    assert main(["amplify", "--n", "4", "--time", "1e300"]) == 0
+    assert capsys.readouterr().err == ""
+    # a scan far out in time, where adjacent floats lie further apart than
+    # the refinement tolerance, stops refining
+    assert main(["scan", "--n", "2", "--profile", "uniform", "--family", "exchange",
+                 "--source", "10", "--target", "01", "--t-max", "1.7e308",
+                 "--grid-step", "1e307"]) == 0
+
+
+@pytest.mark.parametrize("flag, other", [("--alpha", "beta"), ("--beta", "alpha")])
+def test_amplify_derives_the_missing_amplitude(flag, other, capsys):
+    # either amplitude alone fixes the other as sqrt(1 - a^2)
+    assert main(["amplify", "--n", "4", flag, "0.6"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config[flag[2:]] == 0.6
+    assert config[other] == math.sqrt(1.0 - 0.6 * 0.6)
+
+
+def test_fermion_commands_build_no_spec(monkeypatch, capsys):
+    # amplify, transfer, scan and noise-sweep build h from the profile's
+    # couplings and fields alone
+    def refuse(self):
+        raise AssertionError("a Pauli spec was built")
+
+    monkeypatch.setattr(HamiltonianSpec, "__post_init__", refuse)
+    for family in ("cluster", "exchange"):
+        assert main(["transfer", "--n", "5", "--family", family,
+                     "--source", "01000", "--target", "00001"]) == 0
+        assert main(["scan", "--n", "5", "--family", family, "--source", "01000",
+                     "--target", "00001", "--t-max", "5"]) == 0
+    assert main(["amplify", "--n", "5"]) == 0
+    assert main(["noise-sweep", "--n", "5", "--trials", "20"]) == 0
+    with pytest.raises(AssertionError, match="spec"):
+        main(["star-demo"])
+
+
+def test_unknown_family_in_config_is_a_usage_error(tmp_path, capsys):
+    # --config bypasses argparse's choices, so the propagator refuses it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "foo"}))
+    for argv in (["transfer", "--n", "3", "--source", "100", "--target", "001"],
+                 ["scan", "--n", "3", "--source", "100", "--target", "001"]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown Hamiltonian family 'foo'\n"
+
+
 def _exit_code(argv):
     """main's return value, or the code argparse exits with."""
     try:

@@ -27,6 +27,7 @@ from spinamp import evolution
 from spinamp.evolution import (
     PST_TIME,
     Propagator,
+    TimeRangeError,
     amplification_check,
     block_unitaries,
     max_fidelity_scan,
@@ -43,6 +44,9 @@ from oracles import (
 )
 
 
+CHAIN = {"cluster": cluster_chain, "exchange": exchange_chain}
+
+
 def _cluster(n, profile="engineered"):
     return cluster_chain(getattr(CouplingProfile, profile)(n))
 
@@ -52,11 +56,11 @@ def _exchange(n, profile="engineered"):
 
 
 def _cluster_prop(n, profile="engineered"):
-    return Propagator(_cluster(n, profile))
+    return Propagator(getattr(CouplingProfile, profile)(n), "cluster")
 
 
 def _exchange_prop(n, profile="engineered"):
-    return Propagator(_exchange(n, profile))
+    return Propagator(getattr(CouplingProfile, profile)(n), "exchange")
 
 
 def _random_state(n, rng):
@@ -208,7 +212,7 @@ def test_uniform_six_site_transfer_stays_imperfect():
 def test_evolve_rejects_non_finite_time(route, t):
     # the dense route is the block unitaries, the fermion route amplitudes
     spec, source = _cluster(4), BitConfig.single(4, 1)
-    prop = Propagator(spec)
+    prop = _cluster_prop(4)
     with pytest.raises(ValueError):
         if route == "dense":
             next(block_unitaries(spec, t))
@@ -217,7 +221,7 @@ def test_evolve_rejects_non_finite_time(route, t):
 
 
 def test_scan_grid_matches_transfer_fidelity():
-    prop = Propagator(exchange_chain(CouplingProfile.uniform(5)))
+    prop = _exchange_prop(5, "uniform")
     source, target = BitConfig.single(5, 1), BitConfig.single(5, 5)
     # at t_max=3.0 the best grid point is the last one, where the
     # golden-section midpoint once fell 2.2e-9 below the grid maximum
@@ -300,9 +304,8 @@ def test_phase_probe_exchange_shows_crossing_phase():
 def test_free_fermions_match_every_block_amplitude():
     # every pair of basis states: the block unitaries where both lie in one
     # block, exactly 0 between blocks
-    spec = cluster_chain(CouplingProfile.engineered(7))
+    spec, prop = _cluster(7), _cluster_prop(7)
     ts = (0.4, math.pi / 2, 3.9, -1.3)
-    prop = Propagator(spec)
     expected = np.zeros((len(ts), 1 << 7, 1 << 7), dtype=complex)
     for k, t in enumerate(ts):
         for rows, us in block_unitaries(spec, t):
@@ -324,8 +327,7 @@ _CUT_PROFILES = [CouplingProfile(5, (1.0, 0.0, 0.7, 1.3)),
 def test_cut_chain_matches_kronecker_oracle(family, profile):
     # a zero J_n adds no term and leaves h block diagonal: the chain still
     # takes the fermion route, and det u[D, S] still holds
-    spec = (cluster_chain if family == "cluster" else exchange_chain)(profile)
-    prop = Propagator(spec)
+    spec, prop = CHAIN[family](profile), Propagator(profile, family)
     ts = (0.4, 2.1, -1.3)
     expected = np.array([kron_unitary(spec, t) for t in ts])
     for i in range(1 << 5):
@@ -342,31 +344,30 @@ def _chains(draw):
     couplings = draw(st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1))
     fields = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
     family = draw(st.sampled_from(["cluster", "exchange"]))
-    chain = cluster_chain if family == "cluster" else exchange_chain
     source = BitConfig.from_index(n, draw(st.integers(0, 2 ** n - 1)))
     if draw(st.booleans()):
         target = mirror_map(source) if family == "cluster" else source.reversed_sites()
     else:
         target = BitConfig.from_index(n, draw(st.integers(0, 2 ** n - 1)))
-    return chain(CouplingProfile(n, couplings, fields)), source, target
+    return CouplingProfile(n, couplings, fields), family, source, target
 
 
 @settings(max_examples=60, deadline=None)
 @given(_chains(), st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))
 def test_free_fermions_match_block_unitaries(case, ts):
-    spec, source, target = case
-    prop = Propagator(spec)
-    amps = prop.amplitudes(source, target, ts)
+    # h from the couplings, against the blocks of the chain's Pauli spec
+    profile, family, source, target = case
+    amps = Propagator(profile, family).amplitudes(source, target, ts)
     assert amps.shape == (len(ts),)
-    assert np.max(np.abs(amps - _block_amplitudes(spec, source, target, ts))) < 1e-12
+    expected = _block_amplitudes(CHAIN[family](profile), source, target, ts)
+    assert np.max(np.abs(amps - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [63, 512])
 @pytest.mark.parametrize("family", ["cluster", "exchange"])
 def test_engineered_mirror_is_perfect_on_long_chains(family, n):
-    chain = cluster_chain if family == "cluster" else exchange_chain
     mirror = mirror_map if family == "cluster" else BitConfig.reversed_sites
-    prop = Propagator(chain(CouplingProfile.engineered(n)))
+    prop = Propagator(CouplingProfile.engineered(n), family)
     rng = np.random.default_rng(63)
     for source in (BitConfig.single(n, 2), BitConfig(n, tuple(rng.integers(0, 2, n)))):
         amp = prop.amplitudes(source, mirror(source), PST_TIME)[0]
@@ -396,12 +397,13 @@ def test_free_fermions_match_blocks_at_long_times():
     profile = CouplingProfile.uniform(n)
     excitations = BitConfig.from_string("1011001010")
     walls = gamma_forward(excitations)
-    cases = ((cluster_chain(profile), walls, mirror_map(walls)),
-             (exchange_chain(profile), excitations, excitations.reversed_sites()))
-    for spec, source, target in cases:
-        dense = _block_amplitudes(spec, source, target, [t])
+    cases = (("cluster", walls, mirror_map(walls)),
+             ("exchange", excitations, excitations.reversed_sites()))
+    for family, source, target in cases:
+        dense = _block_amplitudes(CHAIN[family](profile), source, target, [t])
         assert abs(dense[0]) > 1e-3
-        assert abs(Propagator(spec).amplitudes(source, target, t)[0] - dense[0]) < 1e-9
+        amp = Propagator(profile, family).amplitudes(source, target, t)[0]
+        assert abs(amp - dense[0]) < 1e-9
 
 
 @st.composite
@@ -467,8 +469,7 @@ def _sector_labels(family, n):
 @pytest.mark.parametrize("family", ["cluster", "exchange"])
 def test_amplitudes_between_blocks_are_exactly_zero(family):
     n = 5
-    chain = cluster_chain if family == "cluster" else exchange_chain
-    prop = Propagator(chain(CouplingProfile.uniform(n)))
+    prop = Propagator(CouplingProfile.uniform(n), family)
     labels = _sector_labels(family, n)
     pairs = [(i, j) for i in range(1 << n) for j in range(1 << n) if labels[i] != labels[j]]
     assert pairs
@@ -503,48 +504,65 @@ def _star(spikes, length, profile=CouplingProfile.engineered):
 
 
 _FIELDS = tuple(np.random.default_rng(13).uniform(-1.0, 1.0, 13))
-_CHAIN_SPECS = {
-    "exchange": exchange_chain(CouplingProfile.engineered(13)),
-    "exchange with fields": exchange_chain(CouplingProfile.engineered(13, _FIELDS)),
-    "cluster": cluster_chain(CouplingProfile.uniform(13)),
-    "cluster with fields": cluster_chain(CouplingProfile.uniform(13, _FIELDS)),
-    "one-spike star": _star(1, 13),
-}
-_OTHER_SPECS = {
-    "chain plus one term": exchange_chain(CouplingProfile.engineered(13))
-    + HamiltonianSpec(13, (PauliTerm(0.2, {5: "X"}),)),
-    # X_i Y_{i+1} - Y_i X_{i+1} hops an excitation like XX + YY, but it is
-    # complex, and no exchange_chain
-    "complex hopping": HamiltonianSpec(13, tuple(
-        PauliTerm(sign, {i: a, i + 1: b})
-        for i in range(1, 13) for sign, a, b in ((1.0, "X", "Y"), (-1.0, "Y", "X")))),
-    "two-spike star": _star(2, 7),
+_CHAINS_13 = {      # name: (profile, family)
+    "exchange": (CouplingProfile.engineered(13), "exchange"),
+    "exchange with fields": (CouplingProfile.engineered(13, _FIELDS), "exchange"),
+    "cluster": (CouplingProfile.uniform(13), "cluster"),
+    "cluster with fields": (CouplingProfile.uniform(13, _FIELDS), "cluster"),
+    "one-spike star": (CouplingProfile.engineered(13), "cluster"),
 }
 
 
-@pytest.mark.parametrize("name", list(_CHAIN_SPECS) + list(_OTHER_SPECS))
+@pytest.mark.parametrize("name", list(_CHAINS_13))
 def test_route_is_read_off_the_spec(name):
-    # at 13 sites only a recognized chain has amplitudes, and no spec has
-    # block unitaries: its blocks are above the dense cap
-    spec = {**_CHAIN_SPECS, **_OTHER_SPECS}[name]
+    # at 13 sites the chain's spec has no block unitaries, its blocks being
+    # above the dense cap, and the propagator still has amplitudes; a
+    # one-spike star is the cluster chain of its spike's profile
+    profile, family = _CHAINS_13[name]
+    spec = _star(1, 13) if name == "one-spike star" else CHAIN[family](profile)
     with pytest.raises(SizeError):
         next(block_unitaries(spec, 0.5))
-    if name in _OTHER_SPECS:
-        with pytest.raises(ValueError, match="free fermions"):
-            Propagator(spec)
-        return
     source = BitConfig.from_string("0110010000000")
-    amps = Propagator(spec).amplitudes(source, source, [0.0, 0.5])
+    amps = Propagator(profile, family).amplitudes(source, source, [0.0, 0.5])
     assert amps[0] == pytest.approx(1.0, abs=1e-12) and abs(amps[1]) <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("spec", [_star(2, 4), HamiltonianSpec(1, (PauliTerm(1.0, {1: "Z"}),))],
-                         ids=["two-spike star", "one site"])
-def test_propagator_refuses_a_spec_that_is_no_chain(spec):
-    # a star of two spikes within the dense cap, and a spec too short to
-    # be a chain, are still refused when the propagator is built
-    with pytest.raises(ValueError, match="free fermions"):
-        Propagator(spec)
+def test_propagator_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown Hamiltonian family 'foo'"):
+        Propagator(CouplingProfile.engineered(4), "foo")
+
+
+@pytest.mark.parametrize("family", ["cluster", "exchange"])
+def test_huge_finite_times_are_refused(family):
+    # t * lambda overflows at t = 1e308, where both routes once returned
+    # NaN; t = 1e300 keeps every phase finite and still evaluates
+    profile = CouplingProfile.engineered(4)
+    prop, source = Propagator(profile, family), BitConfig.from_string("0100")
+    with pytest.raises(TimeRangeError, match=r"phases t \* lambda"):
+        prop.amplitudes(source, source, [0.5, 1e308])
+    with pytest.raises(TimeRangeError, match=r"phases t \* lambda"):
+        list(block_unitaries(CHAIN[family](profile), 1e308))
+    # exp(-it sum B) is checked too: here |sum B| = 4e10 is twice h's
+    # largest |eigenvalue|, and only t * sum B overflows
+    fields = Propagator(CouplingProfile(4, (0.0,) * 3, (1e10,) * 4), family)
+    with pytest.raises(TimeRangeError):
+        fields.amplitudes(BitConfig.zeros(4), BitConfig.zeros(4), 6e297)
+    assert np.all(np.isfinite(prop.amplitudes(source, source, 1e300)))
+    assert all(np.all(np.isfinite(u)) for _, u in block_unitaries(CHAIN[family](profile), 1e300))
+
+
+def test_scan_refinement_stops_at_float_spacing():
+    # near t = 5e8 adjacent floats lie 6e-8 apart, above the refinement
+    # tolerance: the golden-section search once looped there for ever
+    source, target = BitConfig.single(3, 1), BitConfig.single(3, 3)
+    t_star, f_star, ts, fids = max_fidelity_scan(_exchange_prop(3), source, target,
+                                                 t_max=1e9, grid_step=1e8)
+    assert 0.0 <= t_star <= ts[-1] and f_star >= fids.max()
+    # near the largest float the midpoint a + b once overflowed to inf
+    peak = 1.7e308
+    t, _ = evolution._golden_max(lambda t: -abs(t - peak), 1.6e308, 1.75e308,
+                                 evolution.REFINE_TOL)
+    assert abs(t - peak) <= 1e-12 * peak
 
 
 @pytest.mark.parametrize("fields", [None, _FIELDS])
@@ -555,7 +573,7 @@ def test_free_fermions_match_a_1287_state_sector(fields):
     source = BitConfig.from_string("1101010010000")
     target = source.reversed_sites()
     ts = [0.3, PST_TIME, -2.9]
-    amps = Propagator(exchange_chain(profile)).amplitudes(source, target, ts)
+    amps = Propagator(profile, "exchange").amplitudes(source, target, ts)
     indices, h = exchange_sector(profile, 5)
     assert indices.size == 1287
     vals, vecs = np.linalg.eigh(h)
@@ -568,19 +586,18 @@ def test_free_fermions_match_a_1287_state_sector(fields):
 
 def test_unitary_refused_on_a_block_above_the_dense_cap():
     # seven excitations on 15 sites: C(15, 7) = 6435 states > 2^DENSE_CAP
-    spec = exchange_chain(CouplingProfile.engineered(15))
     source = BitConfig.from_string("110101010010100")
     with pytest.raises(SizeError):
-        next(block_unitaries(spec, 1.0))
+        next(block_unitaries(_exchange(15), 1.0))
     # free fermions still answer its amplitudes: the mirror transfer at pi/2
-    amp = Propagator(spec).amplitudes(source, source.reversed_sites(), PST_TIME)[0]
+    amp = _exchange_prop(15).amplitudes(source, source.reversed_sites(), PST_TIME)[0]
     assert abs(abs(amp) - 1.0) < 1e-8
 
 
 def test_scan_memory_stays_within_one_batch():
     # a default-grid scan (2001 times) with k = 48 occupied sites: u[D, S]
     # at every time at once would take 2001 * 48^2 * 16 B = 70 MiB
-    prop = Propagator(exchange_chain(CouplingProfile.engineered(96)))   # eigh not measured
+    prop = _exchange_prop(96)       # eigh not measured
     source = BitConfig(96, (1, 0) * 48)
     tracemalloc.start()
     try:
@@ -593,7 +610,7 @@ def test_scan_memory_stays_within_one_batch():
 
 def test_time_batches_match_one_batch(monkeypatch):
     # 23 times in batches of 5 leave a short last batch
-    prop = Propagator(cluster_chain(CouplingProfile.engineered(9, _FIELDS[:9])))
+    prop = Propagator(CouplingProfile.engineered(9, _FIELDS[:9]), "cluster")
     source = BitConfig.from_string("011010000")
     target = mirror_map(source)
     k = len(prop.occupied(source))

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from spinamp import noise
-from spinamp.algebra import BitConfig, HamiltonianSpec
-from spinamp.chains import (
-    CouplingProfile,
-    StarLayout,
-    cluster_chain,
-    exchange_chain,
-    spike_hamiltonians,
-)
-from spinamp.evolution import PST_TIME, Propagator, transfer_fidelity
+from spinamp.algebra import BitConfig
+from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
+from spinamp.evolution import PST_TIME, Propagator, TimeRangeError, transfer_fidelity
 from spinamp.noise import (
     NoiseConfig,
     RunRecord,
@@ -26,19 +20,20 @@ from oracles import binomial_transfer, dephasing_trial, forward_ensemble, gamma_
 
 N = 6
 T = PST_TIME
+FAMILY = {cluster_chain: "cluster", exchange_chain: "exchange"}
 
 
 @pytest.fixture(scope="module")
 def props():
     prof = CouplingProfile.engineered(N)
-    return Propagator(cluster_chain(prof)), Propagator(exchange_chain(prof))
+    return Propagator(prof, "cluster"), Propagator(prof, "exchange")
 
 
 def _tasks(props):
     cluster, exchange = props
     return [
-        TransferTask("cluster", cluster, BitConfig.single(N, 2), N, T),
-        TransferTask("exchange", exchange, BitConfig.single(N, 1), N, T),
+        TransferTask(cluster, BitConfig.single(N, 2), N, T),
+        TransferTask(exchange, BitConfig.single(N, 1), N, T),
     ]
 
 
@@ -100,7 +95,7 @@ _FIELD_PROFILE = CouplingProfile(N, tuple(_RNG.uniform(0.2, 2.0, N - 1)),
 @pytest.mark.parametrize("source", ["000000", "100000", "010000", "110000", "101100", "111111"])
 @pytest.mark.parametrize("measure_site", [1, (N + 1) // 2, N])
 def test_batch_matches_single_trials(chain, source, measure_site):
-    prop = Propagator(chain(_FIELD_PROFILE))
+    prop = Propagator(_FIELD_PROFILE, FAMILY[chain])
     cfg = NoiseConfig(trials=16, seed=21)
     config = BitConfig.from_string(source)
     batch = dephasing_ensemble(prop, config, measure_site, 1.3, 0.3, cfg, trial_draws(cfg, N))
@@ -118,7 +113,7 @@ def test_batch_matches_single_trials(chain, source, measure_site):
 @pytest.mark.parametrize("steps, trials, p", [(1, 16, 0.3), (25, 1, 0.3), (25, 16, 1.0),
                                               (1, 1, 1.0)])
 def test_ensemble_edges_match_single_trials(chain, source, steps, trials, p):
-    prop = Propagator(chain(_FIELD_PROFILE))
+    prop = Propagator(_FIELD_PROFILE, FAMILY[chain])
     cfg = NoiseConfig(steps=steps, trials=trials, seed=3)
     config = BitConfig.from_string(source)
     draws = trial_draws(cfg, N)
@@ -144,7 +139,7 @@ def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
     # far above 2^N: the site-basis loop of oracles.forward_ensemble, with k
     # occupied orbitals picked at random; the cluster chain's source is the
     # suffix XOR of them, and its measured sets A hold 64, 32 and 1 sites
-    prop = Propagator(chain(_LONG_PROFILE))
+    prop = Propagator(_LONG_PROFILE, FAMILY[chain])
     rng = np.random.default_rng(k)
     occupied = sorted(rng.choice(_LONG, k, replace=False).tolist())
     pattern = BitConfig(_LONG, tuple(int(s in occupied) for s in range(_LONG)))
@@ -163,7 +158,7 @@ def test_noiseless_ensemble_is_binomial_at_1024_sites():
     # one-excitation law, C(N-1, m-1) s^(m-1) (1-s)^(N-m) with s = sin^2 t,
     # at the transfer's end site N and within 1 of the law's peak
     n, t = 1024, 1.1
-    prop = Propagator(exchange_chain(CouplingProfile.engineered(n)))
+    prop = Propagator(CouplingProfile.engineered(n), "exchange")
     cfg = NoiseConfig(trials=3)
     draws = trial_draws(cfg, n)
     peak = 1 + round(math.sin(t) ** 2 * (n - 1))
@@ -222,7 +217,7 @@ def test_sweep_reuses_draws_without_changing_records(props):
     cfg = NoiseConfig(trials=200, seed=31)
     records = noise_sweep(_tasks(props), [0.05, 0.3], cfg)
     for record in records:
-        task = next(t for t in _tasks(props) if t.label == record.hamiltonian)
+        task = next(t for t in _tasks(props) if t.prop.family == record.hamiltonian)
         fids = dephasing_ensemble(task.prop, task.source, task.measure_site, T, record.p, cfg,
                                   trial_draws(cfg, N))
         assert record.mean_fidelity == float(np.mean(fids))
@@ -231,10 +226,8 @@ def test_sweep_reuses_draws_without_changing_records(props):
 def test_sweep_rejects_bad_inputs(props, monkeypatch):
     with pytest.raises(ValueError):
         noise_sweep(_tasks(props), [], NoiseConfig(trials=10))
-    mixed = _tasks(props) + [TransferTask(
-        "short", Propagator(cluster_chain(CouplingProfile.engineered(4))),
-        BitConfig.single(4, 2), 4, T,
-    )]
+    short = Propagator(CouplingProfile.engineered(4), "cluster")
+    mixed = _tasks(props) + [TransferTask(short, BitConfig.single(4, 2), 4, T)]
     with pytest.raises(ValueError):
         noise_sweep(mixed, [0.0], NoiseConfig(trials=10))
     cfg = NoiseConfig(trials=10)
@@ -246,24 +239,27 @@ def test_sweep_rejects_bad_inputs(props, monkeypatch):
         with pytest.raises(ValueError, match="flip probability"):
             dephasing_ensemble(props[0], BitConfig.single(N, 2), N, T, p, cfg,
                                trial_draws(cfg, N))
-    # a star of two spikes is no chain (its propagator is refused), a
-    # source with no up site has no source site, and a flip probability
-    # must lie in [0, 1]: all are refused before any draw
-    star = sum(spike_hamiltonians(StarLayout(2, 4, CouplingProfile.engineered(4))),
-               HamiltonianSpec(7))
+    # a source with no up site has no source site, and a flip probability
+    # must lie in [0, 1]: both are refused before any draw
     draws = []
     monkeypatch.setattr(noise, "trial_draws", lambda *args: draws.append(args))
+    exchange = Propagator(CouplingProfile.engineered(4), "exchange")
     with pytest.raises(ValueError):
-        noise_sweep([TransferTask("star", Propagator(star), BitConfig.single(7, 2), 7, T)],
-                    [0.0], NoiseConfig(trials=10))
-    exchange = Propagator(exchange_chain(CouplingProfile.engineered(4)))
-    with pytest.raises(ValueError):
-        noise_sweep([TransferTask("exchange", exchange, BitConfig.zeros(4), 4, T)],
+        noise_sweep([TransferTask(exchange, BitConfig.zeros(4), 4, T)],
                     [0.0], NoiseConfig(trials=10))
     for p_grid in ([0.1, math.nan], [-0.1], [0.0, 1.5]):
         with pytest.raises(ValueError, match="flip probability"):
             noise_sweep(_tasks(props), p_grid, NoiseConfig(trials=10))
     assert draws == []
+
+
+def test_ensemble_refuses_a_time_whose_phases_overflow(props):
+    # at t = 1e308 the free phases t * lambda overflow; the ensemble once
+    # scored such trials NaN
+    cfg = NoiseConfig(trials=10)
+    for prop, source in zip(props, (BitConfig.single(N, 2), BitConfig.single(N, 1))):
+        with pytest.raises(TimeRangeError, match=r"phases t \* lambda"):
+            dephasing_ensemble(prop, source, N, 1e308, 0.1, cfg, trial_draws(cfg, N))
 
 
 def test_standard_error_scales_with_trials(props):
