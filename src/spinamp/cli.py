@@ -8,11 +8,11 @@ whose phases overflow, or a run too large for memory, included).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -103,7 +103,7 @@ def _inputs():
 
 
 def finite(text: str) -> float:
-    """argparse type for a float flag: finite values only."""
+    """Flag type of a float flag: finite values only."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
@@ -111,7 +111,7 @@ def finite(text: str) -> float:
 
 
 def u64(text: str) -> int:
-    """argparse type for --seed: an integer in 0..2^64 - 1."""
+    """Flag type of --seed: an integer in 0..2^64 - 1."""
     value = int(text)
     if not 0 <= value < 2 ** 64:
         raise ValueError(f"{text!r} is outside 0..2^64 - 1")
@@ -218,8 +218,10 @@ def cmd_transfer(args) -> int:
 
 def cmd_scan(args) -> int:
     profile, source, target = _endpoints(args)
-    if not (0.0 < args.grid_step and 0.0 < args.t_max < args.grid_step * sys.maxsize):
-        raise UsageError("--t-max and --grid-step must be positive, t_max / grid_step below 2^63")
+    if not (0.0 < args.grid_step and 0.0 < args.t_max < args.grid_step * sys.maxsize
+            and math.isfinite(args.t_max + args.grid_step / 2)):      # the grid's stop
+        raise UsageError("--t-max and --grid-step must be positive, t_max / grid_step below 2^63, "
+                         "t_max + grid_step / 2 finite")
     with _inputs():
         prop = Propagator(profile, args.family)
     t_star, f_star, ts, fidelities = max_fidelity_scan(
@@ -337,7 +339,7 @@ def cmd_star_demo(args) -> int:
 
 
 #: (name, help, handler, arguments) of every subcommand, in help order; an
-#: argument is (flag, add_argument keywords).
+#: argument is (flag, keywords of type, default, choices, help, store_true).
 COMMANDS = (
     ("verify-equivalence", "check the CNOT-ladder identity symbolically and entry by entry",
      cmd_verify_equivalence, (
@@ -345,7 +347,7 @@ COMMANDS = (
          ("--n-max", dict(type=int, default=8)),
          ("--profiles", dict(type=int, default=5, help="random profiles per chain length")),
          ("--tol", dict(type=finite, default=1e-12)),
-         ("--corrupt", dict(action="store_true",
+         ("--corrupt", dict(action="store_true", default=False,
                             help="negative control: perturb one side and expect failure")),
          ("--seed", dict(type=u64, default=0, help="RNG seed (u64)")),
      )),
@@ -399,65 +401,89 @@ _COMMON = (
 )
 
 
-def build_parser(argv, **defaults) -> argparse.ArgumentParser:
-    """The parser for ``argv``; ``defaults`` (a --config file's) beat each
-    subcommand's own.  Every subcommand is listed, but only the one argv
-    names gets its arguments: the top level takes no option with a value,
-    so that is argv's first token not starting with '-'."""
-    parser = argparse.ArgumentParser(
-        prog="spinamp",
-        description="Spin-chain amplification dynamics and differential tests",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-    command = next((a for a in argv if not a.startswith("-")), None)
-    for name, help_text, func, arguments in COMMANDS:
-        sub = subs.add_parser(name, help=help_text)
-        if name == command:
-            for flag, keywords in arguments + _COMMON:
-                sub.add_argument(flag, **keywords)
-            sub.set_defaults(func=func, **defaults)
-    return parser
+class ArgvError(UsageError):
+    """A malformed command line: one ``spinamp: error:`` line, exit 2."""
 
 
-def _parse_with_config(argv) -> argparse.Namespace:
-    """Parse argv; --config JSON supplies defaults, explicit flags win."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
+def _value(flag: str, keywords: dict, text: str):
+    kind = keywords.get("type", str)
     try:
-        with open(args.config) as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read --config {args.config}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise UsageError("--config must contain a JSON object")
-    own = vars(parser.parse_args([args.command]))      # the subcommand's own defaults
-    defaults = {}
+        return kind(text)
+    except ValueError:
+        raise ArgvError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+
+
+def _help(command=None) -> str:
+    """The --help text of spinamp, or of one entry of ``COMMANDS``."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        head = "spinamp [-h] [--version] COMMAND ...\n\nSpin-chain amplification dynamics and differential tests"
+        rows += [("--version", "print the version and exit"), *(c[:2] for c in COMMANDS)]
+    else:
+        head = f"spinamp {command[0]} [flags]\n\n{command[1]}"
+        rows += [(f"{flag} {'' if 'action' in kw else flag[2:].upper().replace('-', '_')}",
+                  kw.get("help", "")) for flag, kw in command[3] + _COMMON]
+    return f"usage: {head}\n" + "".join(f"\n  {a:<22}  {b}".rstrip() for a, b in rows) + "\n"
+
+
+def parse_argv(argv: list) -> Optional[SimpleNamespace]:
+    """The namespace ``argv`` asks for, or None once --help (anywhere after the
+    command) or --version is printed.  A flag takes its ``COMMANDS`` default,
+    then its --config value, then its last argv value (held to ``choices``)."""
+    command = next((c for c in COMMANDS if argv[:1] == [c[0]]), None)
+    if argv[:1] == ["--version"] or {"-h", "--help"} & set(argv if command else argv[:1]):
+        sys.stdout.write(f"{__version__}\n" if argv[0] == "--version" else _help(command))
+        return None
+    if command is None:
+        raise ArgvError(f"the first argument must be one of {', '.join(c[0] for c in COMMANDS)}")
+    flags = dict(command[3] + _COMMON)
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        keywords = flags.get(flag, {})
+        switch = "action" in keywords               # store_true takes no value, not even "="
+        if flag not in flags or switch and eq:
+            raise ArgvError(f"unrecognized arguments: {token}")
+        if not (switch or eq):
+            text = next(tokens, None)
+            if text is None or text.partition("=")[0] in flags:
+                raise ArgvError(f"argument {flag}: expected one argument")
+        given[flag] = switch or _value(flag, keywords, text)
+        if "choices" in keywords and given[flag] not in keywords["choices"]:
+            raise ArgvError(f"argument {flag}: invalid choice: {text!r}, not in {keywords['choices']}")
+    doc = {}
+    if given.get("--config"):
+        try:
+            with open(given["--config"]) as handle:
+                doc = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read --config {given['--config']}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise UsageError("--config must contain a JSON object")
+    values = {flag: keywords.get("default") for flag, keywords in flags.items()}
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if attr in ("func", "command") or attr not in own:
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
             raise UsageError(f"config key {key!r} unknown for this subcommand")
-        # null only where the default is None; booleans for on/off flags alone
-        if (value is None and own[attr] is not None
-                or isinstance(value, bool) != isinstance(own[attr], bool)):
+        default = flags[flag].get("default")
+        # null only where the default is None, booleans for on/off flags alone;
+        # other values go through the flag's type as text, unless argv's value wins
+        if value is None and default is not None or isinstance(value, bool) != isinstance(default, bool):
             raise UsageError(f"config key {key!r} cannot be {json.dumps(value)}")
-        # anything but text, booleans and null goes through the flag's own
-        # type check as its text, as if typed on the command line
-        keep = value is None or isinstance(value, (str, bool))
-        defaults[attr] = value if keep else str(value)
-    return build_parser(argv, **defaults).parse_args(argv)
+        keep = value is None or isinstance(value, bool) or flag in given
+        values[flag] = value if keep else _value(flag, flags[flag], str(value))
+    values.update(given)
+    return SimpleNamespace(func=command[2], **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse_with_config(argv)
-        return args.func(args)
+        args = parse_argv(sys.argv[1:] if argv is None else list(argv))
+        return EXIT_OK if args is None else args.func(args)
     except (UsageError, SizeError, TimeRangeError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one says nothing
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        prog = "spinamp: " if isinstance(exc, ArgvError) else ""
+        print(f"{prog}error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except (SpinChainError, ValueError) as exc:
         print(f"failure: {exc}", file=sys.stderr)

@@ -67,13 +67,17 @@ def header_lines(config: Mapping, version: str) -> list:
     return [f"# spinamp v{version}", f"# config: {echo}"]
 
 
+def _column(values: tuple) -> list:
+    """``format_number`` of each value, in one %-format for a column of floats."""
+    if all(isinstance(v, float) for v in values):
+        return ("\n".join(["%.15g"] * len(values)) % values).split("\n")
+    return [format_number(v) for v in values]
+
+
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence],
                comments: Sequence[str] = ()) -> str:
-    lines = list(comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+    cells = [_column(values) for values in zip(*rows)]      # a column at a time
+    return "\n".join([*comments, ",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -24,15 +24,21 @@ Each one computes by the textbook route, with no code shared with
 * ``binomial_transfer`` -- the engineered chain's one-excitation transfer
   probabilities in closed form, at any chain length.
 
+``argparse_namespace`` reads a ``spinamp`` command line, --config file and
+all, with argparse, built from ``cli.COMMANDS`` as the CLI once built it.
+
 ``pair_phase_deviations`` is no reference but a measurement: the
 conditional phases of two excitations, read off ``Propagator.amplitudes``.
 """
 
+import argparse
 import itertools
+import json
 import math
 
 import numpy as np
 
+from spinamp import __version__, cli
 from spinamp.algebra import BitConfig, HamiltonianSpec
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 from spinamp.evolution import PST_TIME
@@ -247,3 +253,56 @@ def pair_phase_deviations(prop, t: float, first: int, mirror) -> dict:
     phi1 = {s: phase(s) for s in range(first, n + 1)}
     return {(a, b): math.remainder(phase(a, b) - phi1[a] - phi1[b], 2.0 * math.pi)
             for a, b in itertools.combinations(phi1, 2)}
+
+
+class ArgvRefused(Exception):
+    """argparse refused the command line (where the CLI exited with code 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgvRefused(message)
+
+
+def argparse_parser(**defaults) -> argparse.ArgumentParser:
+    """Every subcommand of ``cli.COMMANDS`` with its flags, no prefix
+    abbreviations; ``defaults`` (a --config file's) beat the table's."""
+    parser = _Parser(prog="spinamp", allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, func, arguments in cli.COMMANDS:
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, keywords in arguments + cli._COMMON:
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(func=func, **defaults)
+    return parser
+
+
+def argparse_namespace(argv) -> argparse.Namespace:
+    """Parse argv; --config JSON supplies defaults, explicit flags win.  A
+    null is kept only where the default is None, a boolean only for an
+    on/off flag; other values are set as text, so argparse puts them
+    through the flag's type unless argv gives the flag."""
+    parser = argparse_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    try:
+        with open(args.config) as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ArgvRefused(f"cannot read --config {args.config}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ArgvRefused("--config must contain a JSON object")
+    own = vars(parser.parse_args([args.command]))      # the subcommand's own defaults
+    defaults = {}
+    for key, value in doc.items():
+        attr = key.replace("-", "_")
+        if attr in ("func", "command") or attr not in own:
+            raise ArgvRefused(f"config key {key!r} unknown for this subcommand")
+        if (value is None and own[attr] is not None
+                or isinstance(value, bool) != isinstance(own[attr], bool)):
+            raise ArgvRefused(f"config key {key!r} cannot be {json.dumps(value)}")
+        keep = value is None or isinstance(value, (str, bool))
+        defaults[attr] = value if keep else str(value)
+    return argparse_parser(**defaults).parse_args(argv)

@@ -1,12 +1,14 @@
-import argparse
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spinamp import chains, cli, noise
 from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm, SpinChainError
@@ -15,7 +17,7 @@ from spinamp.cli import _json_doc, main
 from spinamp.io import format_number, parse_time, render_csv, write_text_atomic
 from spinamp.maps import mirror_map
 
-from oracles import ca_report_rows, kron_dense, kron_unitary
+from oracles import ArgvRefused, argparse_namespace, ca_report_rows, kron_dense, kron_unitary
 
 
 def test_parse_time_tokens():
@@ -61,6 +63,36 @@ def test_atomic_write_gives_the_mode_open_would(umask, tmp_path):
 def test_render_csv_uses_lf_and_comments():
     text = render_csv(("a", "b"), [(1, 0.5)], ["# note"])
     assert text == "# note\na,b\n1,0.5\n"
+
+
+def _per_value_csv(columns, rows, comments) -> str:
+    lines = [*comments, ",".join(columns)]
+    lines += [",".join(format_number(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_CELLS = [st.booleans(), st.integers(), st.text("01x,", max_size=4), st.floats(),
+          st.floats().map(np.float64), st.sampled_from([-0.0, 1e-300, 0.1, 1 / 3, 2.0 ** 70])]
+
+
+@given(data=st.data())
+def test_render_csv_matches_a_per_value_render(data):
+    # render_csv formats a column at a time; the bytes are format_number's
+    n_rows = data.draw(st.integers(0, 5))
+    kinds = data.draw(st.lists(st.sampled_from(_CELLS + [st.one_of(*_CELLS)]),
+                               min_size=1, max_size=4))
+    rows = list(zip(*(data.draw(st.lists(kind, min_size=n_rows, max_size=n_rows))
+                      for kind in kinds)))
+    columns = [f"c{i}" for i in range(len(kinds))]
+    assert render_csv(columns, rows, ["# x"]) == _per_value_csv(columns, rows, ["# x"])
+
+
+def test_render_csv_matches_a_per_value_render_on_scan_rows():
+    ts = np.arange(0.0, 20.05, 0.1)
+    rows = [*zip(ts, np.sin(ts) ** 2), (np.float64(-0.0), np.float64(1e-300))]
+    mixed = [(True, 3, "01", -0.0, 1e-300), (False, -7, "10", 0.1, np.float64(2) / 3)]
+    for columns, table in ((("t", "fidelity"), rows), ("abcde", mixed)):
+        assert render_csv(columns, table) == _per_value_csv(columns, table, ())
 
 
 def test_verify_equivalence_ok(capsys):
@@ -249,17 +281,9 @@ def test_unknown_family_in_config_is_a_usage_error(tmp_path, capsys):
         assert captured.err == "error: unknown Hamiltonian family 'foo'\n"
 
 
-def _exit_code(argv):
-    """main's return value, or the code argparse exits with."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def test_json_output_never_carries_nan(capsys):
     # a NaN input is refused before evaluation, never written as the token NaN
-    assert _exit_code(["amplify", "--n", "4", "--alpha", "nan"]) == 2
+    assert main(["amplify", "--n", "4", "--alpha", "nan"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -311,6 +335,8 @@ _BAD_INPUT = [
     (["amplify", "--n", "4", "--seed", "0"], "unrecognized arguments: --seed"),
     (["scan", "--n", "4", "--source", "0100", "--target", "0001", "--grid-step", "1e-300"],
      "below 2^63"),
+    (["scan", "--n", "2", "--profile", "uniform", "--family", "exchange", "--source", "10",
+      "--target", "01", "--t-max", "1.79e308", "--grid-step", "1e307"], "grid_step / 2 finite"),
     (["ca-compare", "--n", "13"], "dense cap"),
     (["ca-compare", "--n", "1"], "at least 2 sites"),
     (["amplify", "--n", "4", "--config", "missing.json"], "No such file"),
@@ -326,7 +352,7 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
     (tmp_path / "empty_time.json").write_text('{"time": ""}')
     (tmp_path / "empty_out.json").write_text('{"out": ""}')
     draws = _count_calls(monkeypatch, noise, "trial_draws")
-    assert _exit_code(argv) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert reason in captured.err
@@ -541,9 +567,8 @@ _FLAGS = {
 }
 
 
-def test_help_lists_every_subcommand(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "200")        # one line per subcommand
-    assert _exit_code(["--help"]) == 0
+def test_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert [name for name, *_ in cli.COMMANDS] == list(_FLAGS)
     for name, help_text, *_ in cli.COMMANDS:
@@ -552,23 +577,162 @@ def test_help_lists_every_subcommand(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", _FLAGS)
 def test_subcommand_help_lists_its_own_flags(command, capsys):
-    assert _exit_code([command, "--help"]) == 0
+    assert main([command, "--help"]) == 0
     flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     assert flags == {*_FLAGS[command], "--config", "--out", "--help"}
 
 
 @pytest.mark.parametrize("argv", [["bogus"], [], ["--n", "4", "amplify"]])
 def test_missing_or_unknown_subcommand_is_a_usage_error(argv, capsys):
-    assert _exit_code(argv) == 2
-    assert "spinamp: error: " in capsys.readouterr().err
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("spinamp: error: ")
 
 
-def test_only_the_invoked_subcommand_gets_arguments(monkeypatch, capsys):
-    # every subcommand is listed, but the other six get no arguments
-    calls = _count_calls(monkeypatch, argparse.ArgumentParser, "add_argument")
-    assert main(["amplify", "--n", "4"]) == 0
-    assert [args[1] for args in calls if args[1] != "-h"] == [
-        "--version", "--n", "--profile", "--time", "--alpha", "--beta", "--config", "--out"]
+@pytest.mark.parametrize("argv, message", [
+    (["amplify", "--n"], "argument --n: expected one argument"),
+    (["amplify", "--n", "4", "--time", "--n"], "argument --time: expected one argument"),
+    (["amplify", "--n", "4", "--time", "--alpha=1"], "argument --time: expected one argument"),
+    (["amplify", "--n", "four"], "argument --n: invalid int value: 'four'"),
+    (["amplify", "--n", "4", "--alpha", "inf"], "argument --alpha: invalid finite value: 'inf'"),
+    (["amplify", "--n", "4", "--pro", "uniform"], "unrecognized arguments: --pro"),
+    (["amplify", "--n", "4", "stray"], "unrecognized arguments: stray"),
+    (["verify-equivalence", "--corrupt=yes"], "unrecognized arguments: --corrupt=yes"),
+    (["transfer", "--family", "foo"], "argument --family: invalid choice: 'foo'"),
+])
+def test_parse_error_is_one_line(argv, message, capsys):
+    # no usage block and no abbreviations: the error line alone, exit 2
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"spinamp: error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_version_is_printed(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{cli.__version__}\n"
+
+
+def test_negative_pi_time_needs_no_equals_sign(tmp_path):
+    outputs = []
+    for time in (["--time", "-pi/2"], ["--time=-pi/2"]):
+        out = tmp_path / f"{len(outputs)}.json"
+        assert main(["amplify", "--n", "4", *time, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["config"]["t"] == -math.pi / 2
+
+
+def test_a_run_imports_no_argparse(tmp_path):
+    # the parser reads argv from COMMANDS alone: neither argparse nor the
+    # gettext and locale modules it pulls in are loaded by a run
+    code = ("import sys, spinamp.cli\n"
+            "assert spinamp.cli.main(['amplify', '--n', '4', '--out', sys.argv[1]]) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "amp.json")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def _argparse_reads_as_flag(token: str) -> bool:
+    """Whether argparse takes ``token``, after a flag that wants a value,
+    for a flag instead: it starts with '-' and is neither a lone '-', a
+    negative number nor a text with a space."""
+    return (len(token) > 1 and token[0] == "-" and " " not in token
+            and not re.match(r"^-\d+$|^-\d*\.\d+$", token))
+
+
+_TEXTS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "x", "=", "a=b", "pi/2", "-pi/2", "cluster", "exchange", "uniform",
+                     "engineered", "0,0.1", "1e999", "18446744073709551616", "0110", "-1 2",
+                     "4.0", "--bogus", "-n"]),
+)
+_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(), _TEXTS)
+
+
+def _good(keywords: dict):
+    """Values the flag takes, as JSON values: text for a flag without a type."""
+    kind = keywords.get("type")
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if "action" in keywords:
+        return st.booleans()
+    if kind in (int, cli.u64):
+        return st.integers(0, 2 ** 64 - 1 if kind is cli.u64 else 40)
+    if kind is cli.finite:
+        return st.floats(allow_nan=False, allow_infinity=False)
+    return st.sampled_from(["pi/2", "-pi/2", "0.5", "0110", "uniform", "0,0.1", "out.csv"])
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, --config document or None) for one command of ``COMMANDS``:
+    its flags in any order, repeated, in both value forms, with bad values,
+    unknown flags, abbreviations and stray words among them."""
+    name, _, _, arguments = draw(st.sampled_from(cli.COMMANDS))
+    table = dict(arguments + cli._COMMON)
+    flags = [flag for flag in table if flag != "--config"]
+    argv = [name]
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(flags))
+        form = draw(st.sampled_from(["separate"] * 5 + ["joined"] * 5 + ["stray"]))
+        text = draw(st.one_of(*[_good(table[flag]).map(str)] * 3, _TEXTS))
+        if form == "stray":
+            argv.append(draw(st.sampled_from(["--bogus", "--bogus=1", "-n", "x", flag[:-1] + "=1"]
+                                             + [flag[:-1]] * (len(flag) > 4))))
+        elif form == "joined":
+            argv.append(f"{flag}={text}")
+        elif "action" in table[flag]:
+            argv.append(flag)
+        else:
+            if draw(st.integers(0, 5)) == 0:                # another flag where a value belongs
+                text = draw(st.sampled_from(flags)) + draw(st.sampled_from(["", "=1"]))
+            # the one intended difference: argparse refuses a value it reads
+            # as a flag, the CLI refuses only the command's own flags
+            assume(not _argparse_reads_as_flag(text) or text.partition("=")[0] in flags)
+            argv += [flag, text]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.sampled_from(flags)))          # a last flag, maybe lacking its value
+    if draw(st.booleans()):
+        return argv, None
+    doc, used = {}, [t.partition("=")[0][2:] for t in argv if t.partition("=")[0] in flags]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(used * 3 + [flag[2:] for flag in flags]
+                                   + ["n_max", "bogus", "func"]))
+        keywords = table.get("--" + key.replace("_", "-"), {})
+        doc[key] = draw(st.one_of(_good(keywords), _good(keywords), _JSON))
+    return argv, doc
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse`` gives argv, as a dict without argparse's
+    ``command``, or "refused"."""
+    try:
+        args = vars(parse(argv))
+    except (ArgvRefused, cli.UsageError):
+        return "refused"
+    args.pop("command", None)
+    return args
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("config") / "config.json")
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=_command_lines())
+def test_parser_agrees_with_argparse_oracle(line, config_path):
+    argv, doc = line
+    if doc is not None:
+        with open(config_path, "w") as handle:
+            json.dump(doc, handle)
+        argv = argv[:1] + ["--config", config_path] + argv[1:]
+    assert _parsed(cli.parse_argv, argv) == _parsed(argparse_namespace, argv)
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -592,12 +756,21 @@ def test_command_line_beats_config_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["n"] == 5
 
 
+def test_config_value_under_a_command_line_flag_is_not_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # values that would fail the flags' types, but argv gives both flags
+    cfg.write_text(json.dumps({"n": "six", "alpha": "inf"}))
+    assert main(["amplify", "--config", str(cfg), "--n", "5", "--alpha=1"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["n"], config["alpha"]) == (5, 1.0)
+
+
 @pytest.mark.parametrize("doc", ['{"n": 4, "alpha": NaN}', '{"n": [4]}',
                                  '{"n": 4, "time": {"t": 1}}'])
 def test_config_values_pass_the_flag_type_check(doc, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc)
-    assert _exit_code(["amplify", "--config", str(cfg)]) == 2
+    assert main(["amplify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().out == ""
 
 
