@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .chains import CouplingProfile, StarLayout, cluster_chain, exchange_chain
 from .evolution import PST_TIME, Propagator, amplification_check, transfer_fidelity
-from .maps import conjugate_hamiltonian, gamma_forward, gamma_inverse, mirror_map
+from .maps import conjugate_hamiltonian, mirror_map
 
 __all__ = [
     "__version__",
@@ -38,7 +38,5 @@ __all__ = [
     "amplification_check",
     "transfer_fidelity",
     "conjugate_hamiltonian",
-    "gamma_forward",
-    "gamma_inverse",
     "mirror_map",
 ]

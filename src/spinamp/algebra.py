@@ -7,22 +7,21 @@ means sites 1 and 2 are up and corresponds to basis index 3.
 
 A Hamiltonian is a weighted sum of Pauli strings with real coefficients,
 kept in a canonical form (duplicate strings merged, zero weights dropped).
-Each spec is compiled once into flip-mask groups (see
-:func:`_compile_groups`), and every query reads those groups, so all of
-them share one rule for the matrix elements: the connected blocks of H in
-the computational basis, each with H on it (:func:`sector_blocks`, one
-(indices, h) pair per block size, which evolution diagonalizes one size
-at a time), and the entry-wise checks of a commutator and of a basis
-permutation.  No
-query builds a 2^N x 2^N matrix or holds a vector of 2^N amplitudes.  The
-test suite checks the rule against an independent Kronecker-product
-realization.
+Each string is the tableau pair (x, z) of bit masks (:meth:`PauliTerm.masks`),
+and :func:`commutator` is Pauli algebra on those masks.  :func:`_entries` is
+the one reader of a spec's matrix entries, so every matrix query shares one
+rule: the connected blocks of H in the computational basis, each with H on
+it (:func:`sector_blocks`, one (indices, h) pair per block size, which
+evolution diagonalizes one size at a time), and the entry-wise checks of a
+commutator and of a basis permutation.  No query builds a 2^N x 2^N matrix
+or holds a vector of 2^N amplitudes.  The test suite checks both against an
+independent Kronecker-product realization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -37,6 +36,7 @@ __all__ = [
     "BitConfig",
     "require_dense",
     "sector_blocks",
+    "commutator",
     "max_commutator",
     "max_permuted_deviation",
 ]
@@ -89,21 +89,26 @@ class PauliTerm:
         object.__setattr__(self, "coefficient", coeff)
         object.__setattr__(self, "letters", norm)
 
-    def max_site(self) -> int:
-        return max((s for s, _ in self.letters), default=1)
-
     def masks(self) -> tuple:
-        """(x_mask, y_mask, z_mask) bit masks; site i sits at bit i-1."""
-        x = y = z = 0
+        """The tableau pair (x, z) of bit masks, site i at bit i-1: X sets
+        x, Z sets z and Y sets both, so the string is i^|x&z| X^x Z^z."""
+        x = z = 0
         for site, pauli in self.letters:
             bit = 1 << (site - 1)
-            if pauli == "X":
-                x |= bit
-            elif pauli == "Y":
-                y |= bit
-            else:
-                z |= bit
-        return x, y, z
+            x |= bit * (pauli != "Z")
+            z |= bit * (pauli != "X")
+        return x, z
+
+    @classmethod
+    def from_masks(cls, coefficient: float, x: int, z: int) -> "PauliTerm":
+        """coefficient * i^|x&z| X^x Z^z, the inverse of :meth:`masks`."""
+        letters = []
+        rest = x | z
+        while rest:
+            site = (rest & -rest).bit_length()
+            letters.append((site, " XZY"[(x >> (site - 1) & 1) | (z >> (site - 1) & 1) << 1]))
+            rest &= rest - 1
+        return cls(coefficient, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ class HamiltonianSpec:
         for term in self.terms:
             if not isinstance(term, PauliTerm):
                 term = PauliTerm(*term)
-            if term.max_site() > n:
+            if term.letters and term.letters[-1][0] > n:     # sorted by site
                 raise ValueError(
                     f"term {term.letters} exceeds chain of {n} sites"
                 )
@@ -142,14 +147,6 @@ class HamiltonianSpec:
 
     def term_map(self) -> dict:
         return {t.letters: t.coefficient for t in self.terms}
-
-    @cached_property
-    def flip_groups(self) -> tuple:
-        """The compiled terms, (flip_mask, weights) pairs with one weight per
-        basis index, built on first use; see :func:`_compile_groups`.
-        Every block-route query starts here: SizeError above ``DENSE_CAP``."""
-        require_dense(self.n_sites)
-        return _compile_groups(self)
 
     def __add__(self, other: "HamiltonianSpec") -> "HamiltonianSpec":
         if other.n_sites != self.n_sites:
@@ -206,27 +203,33 @@ class BitConfig:
         return "".join(str(b) for b in self.bits)
 
 
-def _compile_groups(spec: HamiltonianSpec) -> tuple:
-    """Merge the terms of ``spec`` by the bits they flip.
+def commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> HamiltonianSpec:
+    """i[A, B], a real Pauli sum, by Pauli algebra on the tableau masks.
 
-    A term with masks (x, y, z) and coefficient c maps basis state b to
-    b ^ (x|y) with weight c * i**popcount(y) * (-1)**popcount(b & (y|z)).
-    Terms sharing the flip mask x|y (X_n and Z_{n-1} X_n Z_{n+1}; XX and
-    YY) form one group whose weights add.  A group's weights are one array
-    over the 2^N basis indices, weights[b] for source b, float64 unless a
-    term carries an odd number of Y letters.
-
-    Returns (flip_mask, weights) pairs sorted by flip mask.
+    Strings (x1, z1) and (x2, z2) anticommute iff |x1&z2| + |z1&x2| is odd,
+    and then contribute 2i c1 c2 P1 P2, with P1 P2 = i^e P(x1^x2, z1^z2),
+    e = a1 + a2 - a3 + 2|z1&x2| and a_k = |x_k & z_k| (Aaronson & Gottesman,
+    PRA 70, 052328 (2004)).  e is odd, so the term is +-2 c1 c2 P3.  The
+    coefficients add per string, exactly rounded, before any term is
+    built: the sum does not depend on term order, so commutator(b, a) is
+    exactly -commutator(a, b), and an exact cancellation, or a product
+    that underflows, leaves no term.
     """
-    states = np.arange(spec.dim)
-    weights: dict = {}
-    for term in spec.terms:
-        x, y, z = term.masks()
-        # float: bitwise_count is uint8, where 1 - 2 * parity would wrap
-        signs = 1.0 - 2.0 * (np.bitwise_count(states & (y | z)) & 1)
-        w = term.coefficient * (1, 1j, -1, -1j)[y.bit_count() % 4] * signs
-        weights[x | y] = weights.get(x | y, 0.0) + w
-    return tuple(sorted(weights.items()))
+    if a.n_sites != b.n_sites:
+        raise DimensionMismatchError(f"cannot commute specs on {a.n_sites} and {b.n_sites} sites")
+    left, right = ([(t.coefficient, *t.masks()) for t in spec.terms] for spec in (a, b))
+    total: dict = {}
+    for c1, x1, z1 in left:
+        for c2, x2, z2 in right:
+            if ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2:
+                x3, z3 = x1 ^ x2, z1 ^ z2
+                e = ((x1 & z1).bit_count() + (x2 & z2).bit_count()
+                     - (x3 & z3).bit_count() + 2 * (z1 & x2).bit_count())
+                c = 2.0 * c1 * c2 * (1.0 if e % 4 == 3 else -1.0)
+                total.setdefault((x3, z3), []).append(c)
+    sums = {masks: math.fsum(cs) for masks, cs in total.items()}
+    return HamiltonianSpec(a.n_sites, tuple(
+        PauliTerm.from_masks(c, x, z) for (x, z), c in sums.items() if c != 0.0))
 
 
 def require_dense(n_sites: int) -> None:
@@ -236,13 +239,30 @@ def require_dense(n_sites: int) -> None:
 
 
 def _entries(spec: HamiltonianSpec) -> tuple:
-    """(src, dst, values): every nonzero <dst|H|src> over all basis states."""
+    """(src, dst, values): every nonzero <dst|H|src> over all basis states,
+    each (src, dst) pair once.  SizeError above ``DENSE_CAP``.
+
+    A term c * P(x, z) maps basis state b to b ^ x with weight
+    c * i**|x&z| * (-1)**|b&z|.  Terms sharing the flip mask x (X_n and
+    Z_{n-1} X_n Z_{n+1}; XX and YY) add up first, as one array of weights
+    over the 2^N basis indices, float64 unless a term carries an odd
+    number of Y letters.
+    """
+    require_dense(spec.n_sites)
+    states = np.arange(spec.dim)
+    weights: dict = {}
+    for term in spec.terms:
+        x, z = term.masks()
+        # float: bitwise_count is uint8, where 1 - 2 * parity would wrap
+        signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
+        w = term.coefficient * (1, 1j, -1, -1j)[(x & z).bit_count() % 4] * signs
+        weights[x] = weights.get(x, 0.0) + w
     src, dst, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for flip, weights in spec.flip_groups:
-        nonzero = weights.nonzero()[0]
+    for flip, w in sorted(weights.items()):
+        nonzero = w.nonzero()[0]
         src.append(nonzero)
         dst.append(nonzero ^ flip)
-        values.append(weights[nonzero])
+        values.append(w[nonzero])
     return np.concatenate(src), np.concatenate(dst), np.concatenate(values)
 
 
@@ -257,8 +277,8 @@ def sector_blocks(spec: HamiltonianSpec) -> list:
     Returns one (indices, h) pair per block size s, ascending in s.
     ``indices`` is (k, s): one block per row, its basis indices ascending,
     rows ordered by their smallest index.  ``h`` is (k, s, s), H on each
-    block, h[r, a, b] = <indices[r, a]|H|indices[r, b]>; float64 unless a
-    group is complex.
+    block, h[r, a, b] = <indices[r, a]|H|indices[r, b]>; float64 unless an
+    entry is complex.
     """
     src, dst, values = _entries(spec)
     states = np.arange(spec.dim)
@@ -290,18 +310,9 @@ def sector_blocks(spec: HamiltonianSpec) -> list:
 
 
 def max_commutator(a: HamiltonianSpec, b: HamiltonianSpec) -> float:
-    """Largest |entry| of [A, B], from the two specs' flip groups.
-
-    Group f of A after group g of B sends b to b ^ f ^ g with weight
-    w_f(b ^ g) * w_g(b).  Terms with one combined flip f ^ g add up over
-    the basis indices.  SizeError above ``DENSE_CAP``."""
-    states = np.arange(a.dim)
-    total: dict = {}
-    for f, wf in a.flip_groups:
-        for g, wg in b.flip_groups:
-            term = wf[states ^ g] * wg - wg[states ^ f] * wf
-            total[f ^ g] = total.get(f ^ g, 0.0) + term
-    return max((float(np.max(np.abs(t))) for t in total.values()), default=0.0)
+    """Largest |entry| of [A, B], read off :func:`commutator`; exactly 0.0
+    when no pair of strings anticommutes.  SizeError above ``DENSE_CAP``."""
+    return float(np.max(np.abs(_entries(commutator(a, b))[2]), initial=0.0))
 
 
 def max_permuted_deviation(a: HamiltonianSpec, b: HamiltonianSpec, perm) -> float:

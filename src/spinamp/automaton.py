@@ -66,10 +66,11 @@ def ca_vs_hamiltonian_report(n_sites: int) -> CAReport:
     (even start, stopping on a revisit or after 4N half-steps) for the
     mirror output.  Rows run over the configs with site 1 varying slowest.
     """
+    chain = cluster_chain(CouplingProfile.engineered(n_sites))    # refuses N < 2 first
     dim = 1 << n_sites
     output = np.empty(dim, dtype=np.intp)
     prob = np.empty(dim)
-    for indices, u in block_unitaries(cluster_chain(CouplingProfile.engineered(n_sites)), PST_TIME):
+    for indices, u in block_unitaries(chain, PST_TIME):
         probs = abs(u) ** 2
         output[indices] = np.take_along_axis(indices, probs.argmax(axis=1), axis=1)
         prob[indices] = probs.max(axis=1)

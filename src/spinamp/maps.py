@@ -20,37 +20,28 @@ import numpy as np
 from .algebra import BitConfig, HamiltonianSpec, PauliTerm
 
 __all__ = [
-    "gamma_forward",
-    "gamma_inverse",
     "gamma_inverse_indices",
     "conjugate_hamiltonian",
     "mirror_map",
 ]
 
 
-def gamma_forward(b: BitConfig) -> BitConfig:
-    """Suffix-XOR: output bit i = XOR of input bits i..N."""
-    return BitConfig.from_index(b.n_sites, _suffix_xor(b.index, b.n_sites))
-
-
-def gamma_inverse(b: BitConfig) -> BitConfig:
-    """Adjacent differences: output bit i = b_i xor b_{i+1} (b_{N+1} = 0)."""
-    return BitConfig.from_index(b.n_sites, b.index ^ (b.index >> 1))
-
-
 def gamma_inverse_indices(n_sites: int) -> np.ndarray:
-    """``gamma_inverse`` applied to every basis index 0..2^N-1 at once.
+    """Adjacent differences, b ^ (b >> 1), of every basis index 0..2^N-1.
 
-    The ladder maps basis state b to gamma_forward(b), so a matrix H in
-    the original basis becomes ``H[np.ix_(g, g)]`` after conjugation.
+    The ladder maps basis state b to its suffix-XOR, whose inverse this
+    is, so a matrix H in the original basis becomes ``H[np.ix_(g, g)]``
+    after conjugation.
     """
     idx = np.arange(1 << n_sites)
     return idx ^ (idx >> 1)
 
 
 def mirror_map(b: BitConfig) -> BitConfig:
-    """Site reversal conjugated through the CNOT ladder; an involution."""
-    return gamma_forward(gamma_inverse(b).reversed_sites())
+    """Site reversal conjugated through the CNOT ladder; an involution:
+    adjacent differences, then site reversal, then suffix-XOR."""
+    walls = BitConfig.from_index(b.n_sites, b.index ^ (b.index >> 1))
+    return BitConfig.from_index(b.n_sites, _suffix_xor(walls.reversed_sites().index, b.n_sites))
 
 
 def _suffix_xor(x, n_sites: int):
@@ -65,23 +56,16 @@ def _suffix_xor(x, n_sites: int):
 def _conjugate_term(term: PauliTerm, n_sites: int) -> PauliTerm:
     """Push one Pauli string through the ladder, in closed form.
 
-    In tableau form, bits (x, z) per site with x = z = 1 meaning Y, a
-    string is i^|x&z| X^x Z^z.  The ladder sends X^x to X^x', x' the
-    suffix-XOR of x, and Z^z to Z^z', z' = z ^ (z << 1) on N bits, so the
-    string gains the factor i^(|x&z| - |x'&z'|): -1 when that is 2 mod 4.
+    In tableau form (:meth:`PauliTerm.masks`) a string is i^|x&z| X^x Z^z.
+    The ladder sends X^x to X^x', x' the suffix-XOR of x, and Z^z to Z^z',
+    z' = z ^ (z << 1) on N bits, so the string gains the factor
+    i^(|x&z| - |x'&z'|): -1 when that is 2 mod 4.
     """
-    x_mask, y_mask, z_mask = term.masks()
-    x = x_mask | y_mask
-    z = z_mask | y_mask
+    x, z = term.masks()
     x2 = _suffix_xor(x, n_sites)
     z2 = (z ^ (z << 1)) & ((1 << n_sites) - 1)
     sign = -1 if ((x & z).bit_count() - (x2 & z2).bit_count()) % 4 == 2 else 1
-    letters = {}
-    for site in range(1, n_sites + 1):
-        code = (x2 >> (site - 1) & 1) | (z2 >> (site - 1) & 1) << 1
-        if code:
-            letters[site] = " XZY"[code]
-    return PauliTerm(sign * term.coefficient, letters)
+    return PauliTerm.from_masks(sign * term.coefficient, x2, z2)
 
 
 def conjugate_hamiltonian(spec: HamiltonianSpec) -> HamiltonianSpec:

@@ -1,0 +1,134 @@
+"""Mutation checks kept as data, and their runner.
+
+Each entry of ``MUTANTS`` is (file under src/spinamp, old text, new text,
+pytest selection): a deliberate bug, and the tests that must catch it.
+
+    python tests/mutants.py
+
+first checks that every old text occurs exactly once in its file, and
+refuses to run otherwise.  It then runs every selection against an
+unmutated copy of src/, which must pass.  Then, for each mutant, it copies
+src/ to a temporary directory, applies the mutant there and runs the
+mutant's selection against the copy.  A mutant whose selection still
+passes survives.  The runner lists the survivors and exits 1 if there are
+any.
+
+It uses only the standard library and pytest, and is not part of tier-1,
+since each mutant costs one pytest run.  A survivor is a gap in the tests:
+it is recorded and mended, never deleted to make the runner pass.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_ALGEBRA = ["tests/test_algebra.py"]
+_COMMUTATOR = ["tests/test_algebra.py", "tests/test_chains.py", "-k", "commutator or wall or star"]
+_NOISE = ["tests/test_noise.py"]
+_TIMES = ["tests/test_evolution.py", "tests/test_noise.py", "tests/test_cli.py"]
+
+MUTANTS = [
+    # the sign of i^(e+1) for an anticommuting pair
+    ("algebra.py", "(1.0 if e % 4 == 3 else -1.0)", "(1.0 if e % 4 == 1 else -1.0)", _COMMUTATOR),
+    # every pair of strings anticommutes
+    ("algebra.py", "(z1 & x2).bit_count()) % 2:", "(z1 & x2).bit_count()) % 2 or True:",
+     _COMMUTATOR),
+    # X and Z swapped in the tableau pair
+    ("algebra.py", "        return x, z\n", "        return z, x\n", _ALGEBRA),
+    # no dense cap on the entry reader
+    ("algebra.py", "    require_dense(spec.n_sites)\n", "",
+     ["tests/test_algebra.py::test_dense_cap_enforced",
+      "tests/test_evolution.py::test_dense_refused_above_cap"]),
+    # the free phases of step j, not j + 1, at a flip
+    ("noise.py", "np.exp(rate * (step + 1))", "np.exp(rate * step)", _NOISE),
+    # V for V^T when a hit trial goes to sites
+    ("noise.py", "@ v_phi.T).reshape", "@ v_phi).reshape", _NOISE),
+    # star-demo's probability read after the product is subtracted
+    ("cli.py", "        row[indices] = -1\n        u -= product\n",
+     "        u -= product\n"
+     "        if row[seed] >= 0 and row[ones] == row[seed]:\n"
+     "            probability = float(abs(u[row[seed], pos[ones], pos[seed]]) ** 2)\n"
+     "        row[indices] = -1\n",
+     ["tests/test_cli.py", "tests/test_acceptance.py", "-k", "star"]),
+    # the CA parity mask cut to N + 1 bits
+    ("automaton.py", "& ((1 << n_sites) - 1)", "& ((1 << n_sites + 1) - 1)",
+     ["tests/test_automaton.py"]),
+    # each require_times call dropped
+    ("evolution.py", "ts = require_times(ts, np.append(vals, self.field_sum))",
+     "ts = np.atleast_1d(np.asarray(ts, dtype=float))", _TIMES),
+    ("evolution.py", "        require_times(t, vals)\n", "", _TIMES),
+    ("noise.py", "    require_times(total_time, vals)\n", "", _TIMES),
+    # sum B dropped from the amplitude range check
+    ("evolution.py", "require_times(ts, np.append(vals, self.field_sum))",
+     "require_times(ts, vals)", _TIMES),
+]
+
+
+def _source(file: str, root: Path = ROOT) -> Path:
+    return root / "src" / "spinamp" / file
+
+
+def _run(selection, copy: Path) -> int:
+    """pytest's exit code for ``selection`` with ``copy``'s src/ imported."""
+    path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection]
+    try:
+        return subprocess.run(argv, cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=900).returncode
+    except subprocess.TimeoutExpired:
+        return 1                # a hang fails the selection too
+
+
+def _copy(tmp: str) -> Path:
+    copy = Path(tmp)
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+def main() -> int:
+    bad = [(file, old) for file, old, _, _ in MUTANTS if _source(file).read_text().count(old) != 1]
+    if bad:
+        for file, old in bad:
+            print(f"refused: {old!r} does not occur exactly once in {file}")
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = _copy(tmp)
+        probe = [sys.executable, "-c", "import spinamp; print(spinamp.__file__)"]
+        where = subprocess.run(probe, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+                               capture_output=True, text=True).stdout
+        if not where.startswith(str(copy)):
+            print(f"refused: the copy is not what imports ({where.strip()})")
+            return 2
+        selections = {arg for *_, selection in MUTANTS for arg in selection
+                      if arg.startswith("tests/")}
+        if _run(sorted(selections), copy) != 0:
+            print("refused: the selections fail on the unmutated source")
+            return 2
+    survivors, errors = [], []
+    for number, (file, old, new, selection) in enumerate(MUTANTS, 1):
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = _copy(tmp)
+            target = _source(file, copy)
+            target.write_text(target.read_text().replace(old, new))
+            code = _run(selection, copy)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+        print(f"{number:2d} {verdict:9s} {file}: {old.strip()[:50]!r}", flush=True)
+        if code == 0:
+            survivors.append(number)
+        elif code != 1:
+            errors.append(number)
+    if survivors or errors:
+        print(f"survivors: {survivors}; errors: {errors}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,9 @@ Each one computes by the textbook route, with no code shared with
 * ``ca_report_rows`` -- the CA comparison table, one config at a time,
   reading the full 2^N x 2^N unitary of ``kron_unitary``;
 * ``binomial_transfer`` -- the engineered chain's one-excitation transfer
-  probabilities in closed form, at any chain length.
+  probabilities in closed form, at any chain length;
+* ``uniform_chain_amplitude`` -- a k-excitation amplitude of the uniform
+  chain from its sine modes, a determinant with no ``eigh`` in it.
 
 ``argparse_namespace`` reads a ``spinamp`` command line, --config file and
 all, with argparse, built from ``cli.COMMANDS`` as the CLI once built it.
@@ -306,3 +308,19 @@ def argparse_namespace(argv) -> argparse.Namespace:
         keep = value is None or isinstance(value, (str, bool))
         defaults[attr] = value if keep else str(value)
     return argparse_parser(**defaults).parse_args(argv)
+
+
+def uniform_chain_amplitude(n_sites: int, sources, targets, t: float) -> complex:
+    """<targets|e^{-iht}|sources> for fermions on the uniform chain with no
+    field, h = tridiag(1), sites 1-based: det u[D, S], with
+    u = sum_k phi_k phi_k^T e^{-i lambda_k t}, phi_k(n) = sqrt(2/(N+1))
+    sin(pi k n/(N+1)) and lambda_k = 2 cos(pi k/(N+1)) (Lieb, Schultz &
+    Mattis, Ann. Phys. 16, 407 (1961))."""
+    modes = np.arange(1, n_sites + 1)
+    angle = math.pi / (n_sites + 1)
+
+    def phi(sites):
+        return math.sqrt(2.0 / (n_sites + 1)) * np.sin(angle * np.outer(sites, modes))
+
+    u = (phi(targets) * np.exp(-2j * t * np.cos(angle * modes))) @ phi(sources).T
+    return complex(np.linalg.det(u))

@@ -9,6 +9,8 @@ from spinamp.algebra import (
     HamiltonianSpec,
     PauliTerm,
     SizeError,
+    _entries,
+    commutator,
     max_commutator,
     max_permuted_deviation,
     sector_blocks,
@@ -19,7 +21,7 @@ from spinamp.maps import conjugate_hamiltonian, gamma_inverse_indices
 from oracles import kron_dense
 
 
-def _entries(spec):
+def _block_entries(spec):
     """(src, dst, values): every entry of :func:`sector_blocks`' blocks by
     basis index, <dst|H|src> = values; the blocks tile the basis."""
     pairs = sector_blocks(spec)
@@ -33,7 +35,7 @@ def _entries(spec):
 def _from_blocks(spec):
     """The 2^N x 2^N matrix assembled from :func:`sector_blocks`' blocks,
     each entry of which links two positions of one block."""
-    src, dst, values = _entries(spec)
+    src, dst, values = _block_entries(spec)
     out = np.zeros((spec.dim, spec.dim), dtype=values.dtype)
     out[dst, src] = values
     return out
@@ -121,7 +123,7 @@ def test_matrix_free_matches_dense(n):
     rng = np.random.default_rng(100 + n)
     spec = _random_spec(n, rng)
     dense = kron_dense(spec)
-    src, dst, values = _entries(spec)
+    src, dst, values = _block_entries(spec)
     block = np.empty(1 << n, dtype=np.intp)     # a label per block
     rows = [row for indices, _ in sector_blocks(spec) for row in indices]
     for label, row in enumerate(rows):
@@ -173,6 +175,11 @@ def _specs(letters):
 def test_kernel_matches_kronecker_oracle(spec):
     dense = _from_blocks(spec)
     assert np.max(np.abs(dense - kron_dense(spec))) < 1e-12
+    # the one entry reader lists each nonzero (src, dst) once
+    src, dst, values = _entries(spec)
+    assert np.unique(dst * spec.dim + src).size == src.size and values.all()
+    assert np.max(np.abs(kron_dense(spec)[dst, src] - values), initial=0.0) < 1e-12
+    assert np.count_nonzero(np.abs(kron_dense(spec)) > 1e-12) <= src.size
     has_odd_y = any(sum(p == "Y" for _, p in t.letters) % 2 for t in spec.terms)
     assert dense.dtype == (complex if has_odd_y else np.float64)
 
@@ -186,17 +193,17 @@ def test_chain_matrices_are_real(n):
         assert np.max(np.abs(_from_blocks(spec) - kron_dense(spec))) < 1e-12
 
 
-def test_flip_groups_merge_terms_with_one_flip_mask():
+def test_entries_merge_terms_with_one_flip_mask():
     spec = cluster_chain(CouplingProfile.engineered(5))
-    groups = spec.flip_groups
-    assert spec.flip_groups is groups    # compiled once per spec
-    # X_n and Z_{n-1} X_n Z_{n+1} share one group per flipped site, which
-    # holds <b ^ flip|H|b> for every basis index b
-    assert [flip for flip, _ in groups] == [0b00010, 0b00100, 0b01000, 0b10000]
-    dense, states = kron_dense(spec), np.arange(spec.dim)
-    for flip, weights in groups:
-        assert weights.shape == (32,) and weights.dtype == np.float64
-        assert np.max(np.abs(weights - dense[states ^ flip, states])) < 1e-12
+    # X_n and Z_{n-1} X_n Z_{n+1} flip the same site, so their weights add
+    # into one entry per (src, dst), which holds <dst|H|src>
+    src, dst, values = _entries(spec)
+    assert sorted(set((src ^ dst).tolist())) == [0b00010, 0b00100, 0b01000, 0b10000]
+    assert np.unique(dst * spec.dim + src).size == src.size
+    assert values.dtype == np.float64
+    dense = kron_dense(spec)
+    assert np.max(np.abs(dense[dst, src] - values)) < 1e-12
+    assert np.count_nonzero(np.abs(dense) > 1e-12) == src.size
 
 
 def test_expectation_examples():
@@ -239,21 +246,54 @@ def _spec_pairs():
 @settings(max_examples=100, deadline=None)
 @given(_spec_pairs())
 def test_commutator_matches_kronecker_oracle(pair):
+    # entry by entry: a wrong product phase flips the sign of a term, which
+    # the largest |entry| alone cannot see
     a, b = pair
     ka, kb = kron_dense(a), kron_dense(b)
-    expected = float(np.max(np.abs(ka @ kb - kb @ ka)))
-    assert abs(max_commutator(a, b) - expected) < 1e-12 * max(1.0, expected)
+    expected = 1j * (ka @ kb - kb @ ka)
+    assert np.max(np.abs(kron_dense(commutator(a, b)) - expected)) < 1e-12
+    largest = float(np.max(np.abs(expected)))
+    assert abs(max_commutator(a, b) - largest) < 1e-12 * max(1.0, largest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spec_pairs())
+def test_commutator_is_antisymmetric(pair):
+    a, b = pair
+    assert commutator(b, a).term_map() == {
+        k: -v for k, v in commutator(a, b).term_map().items()}
+    assert commutator(a, a).terms == ()
 
 
 def test_commutator_of_groups_without_signed_sites():
     # X_1 and X_2 sign no site, so every basis index gets the same weight
     x1, z1, x2 = (HamiltonianSpec(2, (PauliTerm(1.0, {site: p}),))
                   for site, p in ((1, "X"), (1, "Z"), (2, "X")))
-    (flip, weights), = x1.flip_groups
-    assert flip == 0b01 and np.array_equal(weights, np.ones(4))
+    src, dst, values = _entries(x1)
+    assert np.array_equal(dst, src ^ 0b01) and np.array_equal(values, np.ones(4))
+    # XZ = -iY, so i[X, Z] = 2Y
+    assert commutator(x1, z1).term_map() == {((1, "Y"),): 2.0}
     assert max_commutator(x1, z1) == 2.0
     assert max_commutator(x1, x2) == 0.0
     assert max_commutator(x1, HamiltonianSpec(2)) == 0.0
+
+
+def test_commutator_drops_underflowing_products():
+    x1, z1 = (HamiltonianSpec(1, (PauliTerm(1e-200, {1: p}),)) for p in "XZ")
+    assert commutator(x1, z1).terms == ()
+    assert max_commutator(x1, z1) == 0.0
+
+
+def test_commutator_refuses_mismatched_chains():
+    with pytest.raises(DimensionMismatchError):
+        commutator(HamiltonianSpec(2), HamiltonianSpec(3))
+
+
+def test_masks_are_the_tableau_pair():
+    term = PauliTerm(0.5, {1: "X", 3: "Y", 4: "Z"})
+    assert term.masks() == (0b0101, 0b1100)
+    assert PauliTerm.from_masks(0.5, *term.masks()) == term
+    assert PauliTerm.from_masks(1.0, 0, 0) == PauliTerm(1.0)
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.01])

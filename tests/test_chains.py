@@ -9,7 +9,7 @@ from spinamp.algebra import (
     HamiltonianSpec,
     PauliTerm,
     SizeError,
-    max_commutator,
+    commutator,
     sector_blocks,
 )
 from spinamp.chains import (
@@ -20,9 +20,9 @@ from spinamp.chains import (
     exchange_chain,
     spike_hamiltonians,
 )
-from spinamp.maps import conjugate_hamiltonian, gamma_forward
+from spinamp.maps import conjugate_hamiltonian
 
-from oracles import kron_dense, kron_unitary
+from oracles import gamma_forward_bits, kron_dense, kron_unitary
 
 
 def test_profile_generators():
@@ -128,7 +128,7 @@ def test_tilde_action_is_tridiagonal(n):
     js = tuple(rng.uniform(0.2, 2.0, n - 1))
     spec = cluster_chain(CouplingProfile(n, js))
     # |k~> = 1^k 0^(N-k), the image of a lone excitation at k (none for k = 0)
-    tildes = [gamma_forward(BitConfig.single(n, k)) if k else BitConfig.zeros(n)
+    tildes = [gamma_forward_bits(BitConfig.single(n, k)) if k else BitConfig.zeros(n)
               for k in range(n + 1)]
     j = lambda k: js[k - 1] if 1 <= k <= n - 1 else 0.0
     # H's entries, from the library's split into blocks
@@ -164,8 +164,11 @@ def test_wall_operator_symmetry(n):
     rng = np.random.default_rng(500 + n)
     prof = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)),
                            tuple(rng.normal(size=n)))
+    # exactly, as Pauli sums: each chain commutes with its conserved count
     walls = cluster_field_terms(n, (1.0,) * n)     # sum_n Z_n Z_{n+1} + Z_N
-    assert max_commutator(cluster_chain(prof), walls) < 1e-12
+    assert commutator(cluster_chain(prof), walls).terms == ()
+    excitations = HamiltonianSpec(n, tuple(PauliTerm(1.0, {s: "Z"}) for s in range(1, n + 1)))
+    assert commutator(exchange_chain(prof), excitations).terms == ()
 
 
 def test_stabilizer_parts_commute_exactly():
@@ -200,6 +203,14 @@ def test_star_spikes_commute():
     layout = _demo_layout(2, 3)
     h1, h2 = (kron_dense(s) for s in spike_hamiltonians(layout))
     assert np.max(np.abs(h1 @ h2 - h2 @ h1)) < 1e-12
+
+
+def test_star_spikes_commute_symbolically_at_any_size():
+    # no pair of strings from two spikes anticommutes, so every commutator
+    # is the empty sum, with no dense cap (301 sites)
+    spikes = spike_hamiltonians(_demo_layout(12, 26))
+    assert spikes[0].n_sites == 301
+    assert all(commutator(a, b).terms == () for i, a in enumerate(spikes) for b in spikes[i + 1:])
 
 
 def test_star_center_sees_only_z():

@@ -339,6 +339,8 @@ _BAD_INPUT = [
       "--target", "01", "--t-max", "1.79e308", "--grid-step", "1e307"], "grid_step / 2 finite"),
     (["ca-compare", "--n", "13"], "dense cap"),
     (["ca-compare", "--n", "1"], "at least 2 sites"),
+    (["ca-compare", "--n", "-1"], "at least 2 sites"),
+    (["ca-compare", "--config", "negative_n.json"], "at least 2 sites"),
     (["amplify", "--n", "4", "--config", "missing.json"], "No such file"),
     (["amplify", "--n", "4", "--config", "malformed.json"], "Expecting property name"),
 ]
@@ -351,6 +353,7 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
     (tmp_path / "malformed.json").write_text("{bad")
     (tmp_path / "empty_time.json").write_text('{"time": ""}')
     (tmp_path / "empty_out.json").write_text('{"out": ""}')
+    (tmp_path / "negative_n.json").write_text('{"n": -1}')
     draws = _count_calls(monkeypatch, noise, "trial_draws")
     assert main(argv) == 2
     captured = capsys.readouterr()

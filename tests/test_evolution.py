@@ -33,14 +33,16 @@ from spinamp.evolution import (
     max_fidelity_scan,
     transfer_fidelity,
 )
-from spinamp.maps import gamma_forward, gamma_inverse_indices, mirror_map
+from spinamp.maps import gamma_inverse_indices, mirror_map
 
 from oracles import (
     binomial_transfer,
     exchange_sector,
+    gamma_forward_bits,
     kron_dense,
     kron_unitary,
     pair_phase_deviations,
+    uniform_chain_amplitude,
 )
 
 
@@ -378,7 +380,7 @@ def test_dense_refused_above_cap():
     spec = cluster_chain(CouplingProfile.engineered(13))
     with pytest.raises(SizeError):
         sector_blocks(spec)
-    # every block-route query reads the flip groups, which refuse first
+    # every block-route query reads _entries, which refuses first
     with pytest.raises(SizeError):
         max_commutator(spec, spec)
     with pytest.raises(SizeError):
@@ -396,7 +398,7 @@ def test_free_fermions_match_blocks_at_long_times():
     n, t = 10, 500.0
     profile = CouplingProfile.uniform(n)
     excitations = BitConfig.from_string("1011001010")
-    walls = gamma_forward(excitations)
+    walls = gamma_forward_bits(excitations)
     cases = (("cluster", walls, mirror_map(walls)),
              ("exchange", excitations, excitations.reversed_sites()))
     for family, source, target in cases:
@@ -642,3 +644,19 @@ def test_amplify_closed_form(n):
     result = amplification_check(_cluster_prop(n), 2 ** -0.5, 2 ** -0.5, t)
     assert abs(result.fid1 - math.sin(t) ** (2 * (n - 1))) < 1e-12
     assert abs(result.fid0 - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, first", [(64, 20), (1024, 500)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_uniform_chain_determinant_closed_form(n, first, k):
+    # k excitations on every other site, each one site to the right at
+    # t = 1: the only closed form with k > 1, on both families
+    sites = [first + 2 * j for j in range(k)]
+    expected = uniform_chain_amplitude(n, sites, [s + 1 for s in sites], 1.0)
+    assert abs(expected) >= 1e-3
+    source = BitConfig(n, tuple(int(s in sites) for s in range(1, n + 1)))
+    target = BitConfig(n, (0,) + source.bits[:-1])
+    for family, config in (("exchange", lambda b: b), ("cluster", gamma_forward_bits)):
+        prop = Propagator(CouplingProfile.uniform(n), family)
+        amp = prop.amplitudes(config(source), config(target), 1.0)[0]
+        assert abs(amp - expected) < 1e-12

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
+from spinamp.evolution import Propagator
 from spinamp.maps import (
+    _suffix_xor,
     conjugate_hamiltonian,
-    gamma_forward,
-    gamma_inverse,
     gamma_inverse_indices,
     mirror_map,
 )
@@ -23,37 +23,63 @@ from oracles import (
 )
 
 
+def _forward(text):
+    """The ladder on one configuration: the suffix-XOR of its index."""
+    b = BitConfig.from_string(text)
+    return str(BitConfig.from_index(b.n_sites, _suffix_xor(b.index, b.n_sites)))
+
+
+def _inverse(text):
+    """Adjacent differences of one configuration, by index lookup."""
+    b = BitConfig.from_string(text)
+    return str(BitConfig.from_index(b.n_sites, int(gamma_inverse_indices(b.n_sites)[b.index])))
+
+
 def test_gamma_forward_examples():
-    assert str(gamma_forward(BitConfig.from_string("00100"))) == "11100"
-    assert str(gamma_forward(BitConfig.from_string("00101"))) == "00011"
-    assert str(gamma_forward(BitConfig.from_string("00000"))) == "00000"
+    assert _forward("00100") == "11100"
+    assert _forward("00101") == "00011"
+    assert _forward("00000") == "00000"
 
 
 def test_gamma_inverse_examples():
-    assert str(gamma_inverse(BitConfig.from_string("11100"))) == "00100"
-    assert str(gamma_inverse(BitConfig.from_string("11111"))) == "00001"
+    assert _inverse("11100") == "00100"
+    assert _inverse("11111") == "00001"
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_gamma_is_a_bijection(n):
-    images = {gamma_forward(BitConfig.from_index(n, i)).index for i in range(1 << n)}
-    assert images == set(range(1 << n))
+    images = _suffix_xor(np.arange(1 << n), n)
+    assert np.array_equal(np.sort(images), np.arange(1 << n))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_ladder_maps_match_per_bit_oracles(n):
+    idx = np.arange(1 << n)
+    forward, inverse = _suffix_xor(idx, n), gamma_inverse_indices(n)
     for i in range(1 << n):
         b = BitConfig.from_index(n, i)
-        assert gamma_forward(b) == gamma_forward_bits(b)
-        assert gamma_inverse(b) == gamma_inverse_bits(b)
+        assert forward[i] == _suffix_xor(i, n) == gamma_forward_bits(b).index
+        assert inverse[i] == gamma_inverse_bits(b).index
         assert mirror_map(b) == mirror_bits(b)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_occupied_sites_match_per_bit_oracles(n):
+    # the fermion sites of a config: its walls on the amplification
+    # chain, its up sites on the exchange chain
+    cluster = Propagator(CouplingProfile.uniform(n), "cluster")
+    exchange = Propagator(CouplingProfile.uniform(n), "exchange")
+    for i in range(1 << n):
+        b = BitConfig.from_index(n, i)
+        walls = gamma_inverse_bits(b).bits
+        assert cluster.occupied(b) == [s for s in range(n) if walls[s]]
+        assert exchange.occupied(b) == [s for s in range(n) if b.bits[s]]
+
+
 def test_gamma_round_trip_n10():
-    for i in range(1 << 10):
-        b = BitConfig.from_index(10, i)
-        assert gamma_inverse(gamma_forward(b)) == b
-        assert gamma_forward(gamma_inverse(b)) == b
+    idx, g = np.arange(1 << 10), gamma_inverse_indices(10)
+    assert np.array_equal(g[_suffix_xor(idx, 10)], idx)
+    assert np.array_equal(_suffix_xor(g, 10), idx)
 
 
 def test_gamma_forward_matches_ladder_matrix():
@@ -61,9 +87,8 @@ def test_gamma_forward_matches_ladder_matrix():
     n = 5
     gm = gamma_matrix(n)
     for i in range(1 << n):
-        out = gamma_forward(BitConfig.from_index(n, i))
         col = np.zeros(1 << n)
-        col[out.index] = 1.0
+        col[_suffix_xor(i, n)] = 1.0
         assert np.array_equal(gm[:, i], col)
 
 
@@ -71,7 +96,7 @@ def test_tilde_consistency():
     # a lone excitation at n maps to the prefix pattern 1^n 0^(N-n)
     for n in range(1, 9):
         for site in range(1, n + 1):
-            assert str(gamma_forward(BitConfig.single(n, site))) == "1" * site + "0" * (n - site)
+            assert _forward(str(BitConfig.single(n, site))) == "1" * site + "0" * (n - site)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -93,7 +118,7 @@ def test_domain_walls_count_excitations(n, data):
     bits = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
     b = BitConfig(n, bits)
     walls = sum(x != y for x, y in zip(bits, bits[1:])) + bits[-1]
-    assert sum(gamma_inverse(b).bits) == walls
+    assert bin(gamma_inverse_indices(n)[b.index]).count("1") == walls
 
 
 def test_conjugation_of_xx_terms():
@@ -153,7 +178,7 @@ def test_symbolic_conjugation_matches_dense_oracle(n):
 def test_index_conjugation_matches_dense_ladder(n, seed):
     g = gamma_inverse_indices(n)
     assert [int(i) for i in g] == [
-        gamma_inverse(BitConfig.from_index(n, i)).index for i in range(1 << n)
+        gamma_inverse_bits(BitConfig.from_index(n, i)).index for i in range(1 << n)
     ]
     spec = _random_pauli_spec(n, np.random.default_rng(seed))
     gm = gamma_matrix(n)
