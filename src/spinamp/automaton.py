@@ -10,8 +10,7 @@ On a basis index (site i at bit i-1) a half-step is one integer
 expression, ``x ^ (((x << 1) ^ (x >> 1)) & parity_mask)``.
 :func:`ca_half_step` takes a Python int, at any chain length, or an
 array of indices: the comparison report runs the automaton on all 2^N
-indices at once and reads continuous evolution one block of
-e^{-iHt} at a time.
+indices at once and reads each continuous row off one determinant.
 """
 
 from __future__ import annotations
@@ -20,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chains import CouplingProfile, cluster_chain
-from .evolution import PST_TIME, block_unitaries
+from .algebra import SizeError
+from .chains import CouplingProfile
+from .evolution import PST_TIME, Propagator
 from .maps import _suffix_xor, gamma_inverse_indices
 
 __all__ = [
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _PARITIES = ("even", "odd")
+
+CA_LIMIT = 16       #: longest chain of the exhaustive report: 2^16 rows, 4.2 MB of CSV
 
 
 def ca_half_step(x, n_sites: int, parity: str):
@@ -46,8 +48,8 @@ def ca_half_step(x, n_sites: int, parity: str):
 class CAReport(NamedTuple):
     """The comparison table, one array entry per row; configs are basis indices."""
     inputs: np.ndarray
-    continuous_output: np.ndarray
-    continuous_prob: np.ndarray
+    continuous_output: np.ndarray    # -1 where no output has probability above 1/2
+    continuous_prob: np.ndarray      # of the mirror output
     mirror_output: np.ndarray
     ca_hit_step: np.ndarray      # half-step at which the CA first shows the
                                  # mirror output; -1 if never (within the cap)
@@ -60,31 +62,39 @@ class CAReport(NamedTuple):
 def ca_vs_hamiltonian_report(n_sites: int) -> CAReport:
     """Exhaustive comparison of continuous evolution, mirror map and CA.
 
-    For every classical config b: evolve under the engineered amplification
-    chain for the transfer time and take the most likely output config;
-    compare with mirror_map(b); and search the canonical CA trajectory
-    (even start, stopping on a revisit or after 4N half-steps) for the
-    mirror output.  Rows run over the configs with site 1 varying slowest.
+    b fills the fermion sites S of b ^ (b >> 1), mirror_map(b) their reversal
+    R(S), so at the transfer time the mirror has p = |det u[R(S), S]|^2, with
+    u = (-i)^(N-1) R; it is the continuous output if p > 1/2 (|U|^2's columns
+    sum to 1), else there is none (-1).  The CA trajectory (even start, ending
+    on a revisit or after 4N half-steps) is searched for the mirror.  Rows run
+    over the configs with site 1 varying slowest.  SizeError above CA_LIMIT.
     """
-    chain = cluster_chain(CouplingProfile.engineered(n_sites))    # refuses N < 2 first
-    dim = 1 << n_sites
-    output = np.empty(dim, dtype=np.intp)
-    prob = np.empty(dim)
-    for indices, u in block_unitaries(chain, PST_TIME):
-        probs = abs(u) ** 2
-        output[indices] = np.take_along_axis(indices, probs.argmax(axis=1), axis=1)
-        prob[indices] = probs.max(axis=1)
-    configs = np.arange(dim)
+    if n_sites > CA_LIMIT:
+        raise SizeError(f"N={n_sites} exceeds ca-compare's exhaustive limit {CA_LIMIT}")
+    prop = Propagator(CouplingProfile.engineered(n_sites), "cluster")    # refuses N < 2
+    # a Newton-Schulz step makes V orthogonal to rounding: p errs 2e-15, not 8e-15
+    vecs = prop.vecs @ (1.5 * np.eye(n_sites) - 0.5 * prop.vecs.T @ prop.vecs)
+    u = (vecs * np.exp(-1j * PST_TIME * prop.vals)) @ vecs.T
+    configs, walls = np.arange(1 << n_sites), gamma_inverse_indices(n_sites)
+    occupied = walls[:, None] >> np.arange(n_sites) & 1     # the sites of b ^ (b >> 1)
+    prob, counts = np.ones(configs.size), occupied.sum(axis=1)      # k = 0 gives 1
+    for k in range(1, n_sites + 1):
+        rows = np.flatnonzero(counts == k)
+        s = np.nonzero(occupied[rows])[1].reshape(-1, k)            # S, ascending
+        prob[rows] = abs(np.linalg.det(u[(n_sites - 1 - s)[:, :, None], s[:, None, :]])) ** 2
     # site reversal of each index: also the configs with site 1 varying slowest
     reverse = configs.reshape((2,) * n_sites).T.ravel()
-    mirror = _suffix_xor(reverse[gamma_inverse_indices(n_sites)], n_sites)
+    mirror = _suffix_xor(reverse[walls], n_sites)
+    output = np.where(prob > 0.5, mirror, -1)
     trajectory = [configs]
     for step in range(4 * n_sites):
         trajectory.append(ca_half_step(trajectory[-1], n_sites, _PARITIES[step % 2]))
     trajectory = np.array(trajectory)
     hits = trajectory == mirror
-    revisits = np.array([(trajectory[:k] == row).any(axis=0)
-                         for k, row in enumerate(trajectory)])
+    # half-steps are involutions, so the first revisit returns to the start, or
+    # repeats a fixed point and then retraces the path back to the start
+    revisits = trajectory == configs
+    revisits[0] = False
     first = (hits | revisits).argmax(axis=0)    # the search stops at either
     hit_step = np.where(hits[first, configs], first, -1)
     return CAReport(reverse, output[reverse], prob[reverse], mirror[reverse], hit_step[reverse])

@@ -118,13 +118,9 @@ def _cluster_terms(profile: CouplingProfile, relabel=None) -> list:
         if half == 0.0:
             continue
         terms.append(PauliTerm(half, {sites(site): "X"}))
-        if site < n:
-            terms.append(
-                PauliTerm(-half, {sites(site - 1): "Z", sites(site): "X", sites(site + 1): "Z"})
-            )
-        else:
-            # end of chain: flip site N only when site N-1 is up
-            terms.append(PauliTerm(-half, {sites(site - 1): "Z", sites(site): "X"}))
+        # no Z to the right at the end of the chain: site N flips when site N-1 is up
+        right = {sites(site + 1): "Z"} if site < n else {}
+        terms.append(PauliTerm(-half, {sites(site - 1): "Z", sites(site): "X", **right}))
     return terms
 
 

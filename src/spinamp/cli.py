@@ -153,13 +153,8 @@ def cmd_verify_equivalence(args) -> int:
             if dense_dev >= args.tol:
                 failures.append(f"N={n}: dense deviation {dense_dev:.3e} >= {args.tol}")
         lines.append(f"N={n}: max dense deviation {format_number(worst)}")
-    report = "\n".join(lines) + "\n"
-    if failures:
-        report += "\n".join(failures) + "\n"
-        _emit(report, args.out)
-        return EXIT_NUMERIC
-    _emit(report, args.out)
-    return EXIT_OK
+    _emit("".join(line + "\n" for line in lines + failures), args.out)
+    return EXIT_NUMERIC if failures else EXIT_OK
 
 
 def cmd_amplify(args) -> int:
@@ -240,9 +235,9 @@ def cmd_scan(args) -> int:
 def cmd_ca_compare(args) -> int:
     if args.n is None:
         raise UsageError("--n is required (flag or config)")
-    require_dense(args.n)
     report = ca_vs_hamiltonian_report(args.n)
-    names = np.array([format(i, f"0{args.n}b")[::-1] for i in range(1 << args.n)])  # site 1 first
+    # site 1 first; index -1, no continuous output, names the empty string
+    names = np.array([format(i, f"0{args.n}b")[::-1] for i in range(1 << args.n)] + [""])
     columns = (names[report.inputs], names[report.continuous_output], report.continuous_prob,
                names[report.mirror_output], report.agree, report.ca_hit_step)
     config = {"n": args.n, "profile": "engineered"}

@@ -68,9 +68,14 @@ def header_lines(config: Mapping, version: str) -> list:
 
 
 def _column(values: tuple) -> list:
-    """``format_number`` of each value, in one %-format for a column of floats."""
-    if all(isinstance(v, float) for v in values):
+    """``format_number`` of each value; one pass unless bools or floats mix with other kinds."""
+    kinds = set(map(type, values))
+    if all(issubclass(kind, float) for kind in kinds):
         return ("\n".join(["%.15g"] * len(values)) % values).split("\n")
+    if kinds == {bool}:
+        return [("false", "true")[v] for v in values]
+    if not any(issubclass(kind, (bool, float)) for kind in kinds):
+        return list(map(str, values))
     return [format_number(v) for v in values]
 
 

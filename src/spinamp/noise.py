@@ -18,7 +18,7 @@ orbitals, kept in h's eigenbasis with the elapsed free phases divided
 out, so only a flip touches it.  A Z on site s multiplies each orbital by
 -1 on site s (exchange chain) or on sites s..N (cluster chain, through
 the CNOT ladder); the score is (1 - det(I - 2 W_A W_A^H)) / 2, with A
-the measured site's sign set.
+the measured site's sign set, and sum_c |W_ac|^2 when A is one site a.
 """
 
 from __future__ import annotations
@@ -141,8 +141,9 @@ def dephasing_ensemble(prop: Propagator, source: BitConfig, measure_site: int,
             y[hit] = (w.reshape(-1, n) @ v_phi.conj()).reshape(hit.size, k, n)
         w_a = (y.reshape(-1, n) @ (measured * np.exp(rate * cfg.steps)).T).reshape(
             len(y), k, len(measured)).swapaxes(1, 2)                        # rows A of W
-        parity = np.linalg.det(np.eye(len(measured)) - 2.0 * w_a @ w_a.conj().swapaxes(1, 2))
-        fids[lo:lo + len(y)] = (1.0 - parity.real) / 2.0
+        gram = w_a @ w_a.conj().swapaxes(1, 2)      # W_A W_A^H; one site: sum_c |W_ac|^2
+        fids[lo:lo + len(y)] = gram[:, 0, 0].real if len(measured) == 1 else (
+            1.0 - np.linalg.det(np.eye(len(measured)) - 2.0 * gram).real) / 2.0
     return np.clip(fids, 0.0, 1.0)
 
 

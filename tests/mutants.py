@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 _ALGEBRA = ["tests/test_algebra.py"]
+_AUTOMATON = ["tests/test_automaton.py"]
 _COMMUTATOR = ["tests/test_algebra.py", "tests/test_chains.py", "-k", "commutator or wall or star"]
 _NOISE = ["tests/test_noise.py"]
 _TIMES = ["tests/test_evolution.py", "tests/test_noise.py", "tests/test_cli.py"]
@@ -66,6 +67,26 @@ MUTANTS = [
     # sum B dropped from the amplitude range check
     ("evolution.py", "require_times(ts, np.append(vals, self.field_sum))",
      "require_times(ts, vals)", _TIMES),
+    # the mirror's probability read off the target set S, not its reversal R(S)
+    ("automaton.py", "u[(n_sites - 1 - s)[:, :, None], s[:, None, :]]",
+     "u[s[:, :, None], s[:, None, :]]", _AUTOMATON),
+    # the mirror taken as the continuous output whatever its probability
+    ("automaton.py", "np.where(prob > 0.5, mirror, -1)", "mirror.copy()", _AUTOMATON),
+    # the eigenvectors used as eigh returns them, orthogonal only to N ulps
+    ("automaton.py", "prop.vecs @ (1.5 * np.eye(n_sites) - 0.5 * prop.vecs.T @ prop.vecs)",
+     "prop.vecs", _AUTOMATON),
+    # the occupied sites read off b, not b ^ (b >> 1)
+    ("automaton.py", "occupied = walls[:, None]", "occupied = configs[:, None]", _AUTOMATON),
+    # the CA search run on past a return to the start
+    ("automaton.py", "revisits = trajectory == configs", "revisits = trajectory < 0",
+     _AUTOMATON),
+    # the start counted as a revisit of itself
+    ("automaton.py", "    revisits[0] = False\n", "", _AUTOMATON),
+    # true and false swapped in a column of bools
+    ("io.py", '("false", "true")[v]', '("true", "false")[v]',
+     ["tests/test_cli.py", "-k", "render_csv or ca_compare"]),
+    # one measured site scored through the determinant, losing a small fidelity's digits
+    ("noise.py", "if len(measured) == 1 else", "if False else", _NOISE),
 ]
 
 

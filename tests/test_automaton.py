@@ -1,10 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinamp import automaton
 from spinamp.algebra import BitConfig
 from spinamp.automaton import ca_half_step, ca_vs_hamiltonian_report
+from spinamp.chains import CouplingProfile, cluster_chain
+from spinamp.evolution import PST_TIME, block_unitaries
 from spinamp.maps import mirror_map
 
 from oracles import ca_half_step_bits, ca_report_rows
@@ -128,3 +133,69 @@ def test_report_matches_per_config_oracle(n):
             b.index, continuous.index, mirror.index)
         assert abs(report.continuous_prob[k] - prob) <= 1e-12
         assert (report.agree[k], report.ca_hit_step[k]) == (agree, hit)
+
+
+def _block_columns(profile: CouplingProfile) -> np.ndarray:
+    """|U|^2 of the cluster chain at the transfer time, column b holding
+    the output probabilities of config b, from the dense block route."""
+    dim = 1 << profile.n_sites
+    probs = np.zeros((dim, dim))
+    for indices, u in block_unitaries(cluster_chain(profile), PST_TIME):
+        probs[indices[:, :, None], indices[:, None, :]] = abs(u) ** 2
+    return probs
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_report_matches_block_unitaries(n):
+    # the determinant route against each column's argmax and maximum of
+    # |U|^2, block by block, the way the report read them before
+    dim = 1 << n
+    output, prob = np.empty(dim, dtype=np.intp), np.empty(dim)
+    for indices, u in block_unitaries(cluster_chain(CouplingProfile.engineered(n)), PST_TIME):
+        probs = abs(u) ** 2
+        output[indices] = np.take_along_axis(indices, probs.argmax(axis=1), axis=1)
+        prob[indices] = probs.max(axis=1)
+    report = ca_vs_hamiltonian_report(n)
+    assert np.array_equal(report.continuous_output, output[report.inputs])
+    assert np.max(np.abs(report.continuous_prob - prob[report.inputs])) <= 1e-12
+    assert report.agree.all()
+    # u = (-i)^(N-1) R exactly, so every p is 1; with V orthogonal to
+    # rounding the determinants stay within a few ulps of it
+    assert np.max(np.abs(report.continuous_prob - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_report_does_not_guess_below_one_half(n, monkeypatch):
+    # on uniform couplings the mirror is often unlikely: its probability
+    # still matches |U[mirror(b), b]|^2, and a row whose mirror has p <= 1/2
+    # has no continuous output (-1) and does not agree
+    monkeypatch.setattr(automaton, "CouplingProfile",
+                        SimpleNamespace(engineered=CouplingProfile.uniform))
+    report = ca_vs_hamiltonian_report(n)
+    probs = _block_columns(CouplingProfile.uniform(n))
+    assert np.max(np.abs(report.continuous_prob
+                         - probs[report.mirror_output, report.inputs])) <= 1e-12
+    likely = report.continuous_prob > 0.5
+    assert (~likely).any() and likely.any()
+    assert np.array_equal(report.continuous_output[~likely], np.full((~likely).sum(), -1))
+    assert np.array_equal(report.continuous_output[likely], report.mirror_output[likely])
+    assert np.array_equal(probs[:, report.inputs[likely]].argmax(axis=0),
+                          report.mirror_output[likely])
+    assert np.array_equal(report.agree, likely)
+
+
+@pytest.mark.parametrize("n", range(9, 15))
+def test_ca_search_stops_as_a_search_over_every_earlier_state(n):
+    # the report ends a search only on a return to the start; the literal
+    # search, beyond the per-config oracle's range, ends on any revisit
+    report = ca_vs_hamiltonian_report(n)
+    trajectory = [report.inputs]
+    for step in range(4 * n):
+        trajectory.append(ca_half_step(trajectory[-1], n, ("even", "odd")[step % 2]))
+    trajectory = np.array(trajectory)
+    hits = trajectory == report.mirror_output
+    revisits = np.array([(trajectory[:k] == row).any(axis=0) for k, row in enumerate(trajectory)])
+    first = (hits | revisits).argmax(axis=0)
+    expected = np.where(hits[first, np.arange(1 << n)], first, -1)
+    assert np.array_equal(report.ca_hit_step, expected)
+

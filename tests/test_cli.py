@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinamp import chains, cli, noise
+from spinamp import automaton, chains, cli, noise
 from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm, SpinChainError
 from spinamp.chains import CouplingProfile, StarLayout, spike_hamiltonians
 from spinamp.cli import _json_doc, main
@@ -72,7 +73,8 @@ def _per_value_csv(columns, rows, comments) -> str:
 
 
 _CELLS = [st.booleans(), st.integers(), st.text("01x,", max_size=4), st.floats(),
-          st.floats().map(np.float64), st.sampled_from([-0.0, 1e-300, 0.1, 1 / 3, 2.0 ** 70])]
+          st.floats().map(np.float64), st.sampled_from([-0.0, 1e-300, 0.1, 1 / 3, 2.0 ** 70]),
+          st.booleans().map(np.bool_), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)]
 
 
 @given(data=st.data())
@@ -185,6 +187,31 @@ def test_ca_compare_rows_match_per_config_oracle(n, capsys):
         assert fields[:2] + fields[3:] == [str(b), str(continuous), str(mirror),
                                            "true" if agree else "false", str(hit)]
         assert abs(float(fields[2]) - prob) <= 1e-12
+
+
+def test_ca_compare_runs_to_its_exhaustive_limit(capsys):
+    # 2^16 rows on free-fermion determinants, every one on the mirror
+    assert main(["ca-compare", "--n", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in lines[3:]]
+    assert lines[2].startswith("input,") and len(rows) == 1 << 16
+    assert len({row[0] for row in rows}) == 1 << 16
+    assert all(row[1] == row[3] and row[4] == "true" and float(row[2]) > 1.0 - 1e-12
+               for row in rows)
+
+
+def test_ca_compare_fails_loudly_when_the_mirror_is_unlikely(capsys, monkeypatch):
+    # uniform couplings: a row whose mirror has probability <= 1/2 names no
+    # continuous output and does not agree, and the command exits 1
+    monkeypatch.setattr(automaton, "CouplingProfile",
+                        SimpleNamespace(engineered=CouplingProfile.uniform))
+    assert main(["ca-compare", "--n", "5"]) == 1
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[3:]]
+    assert len(rows) == 32
+    unlikely = [row for row in rows if float(row[2]) <= 0.5]
+    assert unlikely and all(row[1] == "" and row[4] == "false" for row in unlikely)
+    assert all(row[1] == row[3] and row[4] == "true" for row in rows if float(row[2]) > 0.5)
+    assert rows[0] == ["00000", "00000", "1", "00000", "true", "0"]
 
 
 def test_noise_sweep_reruns_byte_identical(tmp_path):
@@ -337,7 +364,7 @@ _BAD_INPUT = [
      "below 2^63"),
     (["scan", "--n", "2", "--profile", "uniform", "--family", "exchange", "--source", "10",
       "--target", "01", "--t-max", "1.79e308", "--grid-step", "1e307"], "grid_step / 2 finite"),
-    (["ca-compare", "--n", "13"], "dense cap"),
+    (["ca-compare", "--n", "17"], "exhaustive limit 16"),
     (["ca-compare", "--n", "1"], "at least 2 sites"),
     (["ca-compare", "--n", "-1"], "at least 2 sites"),
     (["ca-compare", "--config", "negative_n.json"], "at least 2 sites"),
@@ -383,8 +410,8 @@ def test_chain_length_stops_at_max_chain(capsys):
 
 
 def test_long_chain_is_refused_before_it_is_built(monkeypatch, capsys):
-    # a chain beyond MAX_CHAIN sites, or beyond the dense cap for the
-    # dense-only ca-compare, is refused before any profile or term exists
+    # a chain beyond MAX_CHAIN sites, or beyond the exhaustive limit of
+    # ca-compare, is refused before any profile or term exists
     built = []
     for cls in (CouplingProfile, PauliTerm):
         post_init = cls.__post_init__
@@ -395,7 +422,7 @@ def test_long_chain_is_refused_before_it_is_built(monkeypatch, capsys):
         (["noise-sweep", "--n", "1025"], "1024-site chain cap"),
         (["transfer", "--n", "1025", "--source", "1" + "0" * 1024, "--target", "0" * 1025],
          "1024-site chain cap"),
-        (["ca-compare", "--n", "100"], "dense cap"),
+        (["ca-compare", "--n", "100"], "exhaustive limit 16"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err

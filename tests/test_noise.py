@@ -171,6 +171,21 @@ def test_noiseless_ensemble_is_binomial_at_1024_sites():
         assert np.max(np.abs(fids - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("n, t", [(12, PST_TIME), (64, 24.0)])
+def test_small_noiseless_fidelity_keeps_its_digits(n, t):
+    # one measured site scores sum_c |W_ac|^2, so a small fidelity keeps
+    # its relative digits, which 1 - det(I - 2 W_A W_A^H) cancels away:
+    # 9.1e-12 on the CLI's uniform N = 12 task, 1.3e-9 at N = 64 and t = 24.
+    # (At N = 64 and t = pi/2 the exact fidelity, about 1e-150, lies below
+    # the rounding of u itself, so no route resolves it.)
+    prop = Propagator(CouplingProfile.uniform(n), "exchange")
+    source = BitConfig.single(n, 1)
+    clean = transfer_fidelity(prop, source, BitConfig.single(n, n), t)
+    assert 1e-13 < clean < 1e-8
+    (record,) = noise_sweep([TransferTask(prop, source, n, t)], [0.0], NoiseConfig(trials=4))
+    assert abs(record.mean_fidelity / clean - 1.0) < 1e-9
+
+
 def test_trial_blocks_match_single_trials(props, monkeypatch):
     # 23 trials in batches of 5 leave a short last batch
     cluster, _ = props
