@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -71,52 +70,55 @@ class PauliTerm:
     letters: tuple = ()
 
     def __post_init__(self):
-        coeff = float(self.coefficient)
-        if not np.isfinite(coeff) or coeff == 0.0:
-            raise ValueError(f"coefficient must be finite and nonzero, got {coeff!r}")
-        if isinstance(self.letters, Mapping):
-            items = self.letters.items()
-        else:
-            items = self.letters
-        norm = tuple(sorted((int(s), str(p)) for s, p in items))
+        coeff = _coefficient(self.coefficient)
+        items = self.letters.items() if hasattr(self.letters, "items") else self.letters
+        norm = tuple(sorted([(int(s), str(p)) for s, p in items]))
+        x = z = 0
         for site, pauli in norm:
             if site < 1:
                 raise ValueError(f"site index must be >= 1, got {site}")
             if pauli not in _LETTERS:
                 raise ValueError(f"unknown Pauli letter {pauli!r} at site {site}")
-        if len({s for s, _ in norm}) != len(norm):
-            raise ValueError("duplicate site in Pauli string")
-        object.__setattr__(self, "coefficient", coeff)
-        object.__setattr__(self, "letters", norm)
+            bit = 1 << (site - 1)
+            if (x | z) & bit:
+                raise ValueError("duplicate site in Pauli string")
+            x |= bit * (pauli != "Z")
+            z |= bit * (pauli != "X")
+        vars(self).update(coefficient=coeff, letters=norm, _xz=(x, z))
 
     def masks(self) -> tuple:
         """The tableau pair (x, z) of bit masks, site i at bit i-1: X sets
         x, Z sets z and Y sets both, so the string is i^|x&z| X^x Z^z."""
-        x = z = 0
-        for site, pauli in self.letters:
-            bit = 1 << (site - 1)
-            x |= bit * (pauli != "Z")
-            z |= bit * (pauli != "X")
-        return x, z
+        return self._xz
 
     @classmethod
     def from_masks(cls, coefficient: float, x: int, z: int) -> "PauliTerm":
-        """coefficient * i^|x&z| X^x Z^z, the inverse of :meth:`masks`."""
+        """coefficient * i^|x&z| X^x Z^z, the inverse of :meth:`masks`.
+        Only the coefficient is checked: letters read off masks are valid."""
         letters = []
         rest = x | z
         while rest:
             site = (rest & -rest).bit_length()
             letters.append((site, " XZY"[(x >> (site - 1) & 1) | (z >> (site - 1) & 1) << 1]))
             rest &= rest - 1
-        return cls(coefficient, tuple(letters))
+        term = object.__new__(cls)
+        vars(term).update(coefficient=_coefficient(coefficient), letters=tuple(letters), _xz=(x, z))
+        return term
+
+
+def _coefficient(value) -> float:
+    coeff = float(value)
+    if not math.isfinite(coeff) or coeff == 0.0:
+        raise ValueError(f"coefficient must be finite and nonzero, got {coeff!r}")
+    return coeff
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Canonical real-weighted Pauli-string sum on ``n_sites`` sites.
 
-    Construction merges terms with identical strings and drops exact zero
-    coefficients, so canonicalization is idempotent by design.
+    Construction merges terms with identical strings, drops exact zero
+    coefficients and sorts terms by letters: it is idempotent by design.
     """
 
     n_sites: int
@@ -126,18 +128,17 @@ class HamiltonianSpec:
         n = int(self.n_sites)
         if n < 1:
             raise SizeError(f"n_sites must be >= 1, got {n}")
-        merged: dict = {}
+        merged: dict = {}       # letters: (coefficient sum, first term)
         for term in self.terms:
             if not isinstance(term, PauliTerm):
                 term = PauliTerm(*term)
-            if term.letters and term.letters[-1][0] > n:     # sorted by site
-                raise ValueError(
-                    f"term {term.letters} exceeds chain of {n} sites"
-                )
-            merged[term.letters] = merged.get(term.letters, 0.0) + term.coefficient
-        canon = tuple(
-            PauliTerm(c, ls) for ls, c in sorted(merged.items()) if c != 0.0
-        )
+            if max(term.masks()) >> n:
+                raise ValueError(f"term {term.letters} exceeds chain of {n} sites")
+            total, first = merged.get(term.letters, (0.0, term))
+            merged[term.letters] = (total + term.coefficient, first)
+        # a sum is rebuilt only if it moved; from_masks refuses an inf one
+        canon = tuple(first if c == first.coefficient else PauliTerm.from_masks(c, *first.masks())
+                      for _, (c, first) in sorted(merged.items()) if c != 0.0)
         object.__setattr__(self, "n_sites", n)
         object.__setattr__(self, "terms", canon)
 
@@ -240,30 +241,32 @@ def require_dense(n_sites: int) -> None:
 
 def _entries(spec: HamiltonianSpec) -> tuple:
     """(src, dst, values): every nonzero <dst|H|src> over all basis states,
-    each (src, dst) pair once.  SizeError above ``DENSE_CAP``.
+    each pair once, by flip mask, then by src.  SizeError above ``DENSE_CAP``.
 
     A term c * P(x, z) maps basis state b to b ^ x with weight
-    c * i**|x&z| * (-1)**|b&z|.  Terms sharing the flip mask x (X_n and
-    Z_{n-1} X_n Z_{n+1}; XX and YY) add up first, as one array of weights
-    over the 2^N basis indices, float64 unless a term carries an odd
-    number of Y letters.
+    c * i**|x&z| * (-1)**|b&z|: one row of a (T, 2^N) table over the T
+    terms.  Terms sharing the flip mask x (X_n and Z_{n-1} X_n Z_{n+1};
+    XX and YY) add up, in term order from 0.0, into one row per flip.
+    The values are float64 unless a term carries an odd number of Y letters.
     """
     require_dense(spec.n_sites)
-    states = np.arange(spec.dim)
-    weights: dict = {}
-    for term in spec.terms:
-        x, z = term.masks()
-        # float: bitwise_count is uint8, where 1 - 2 * parity would wrap
-        signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
-        w = term.coefficient * (1, 1j, -1, -1j)[(x & z).bit_count() % 4] * signs
-        weights[x] = weights.get(x, 0.0) + w
-    src, dst, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for flip, w in sorted(weights.items()):
-        nonzero = w.nonzero()[0]
-        src.append(nonzero)
-        dst.append(nonzero ^ flip)
-        values.append(w[nonzero])
-    return np.concatenate(src), np.concatenate(dst), np.concatenate(values)
+    dim = spec.dim
+    x, z = np.array([t.masks() for t in spec.terms], dtype=np.int64).reshape(-1, 2).T
+    states = np.arange(dim)
+    # float: bitwise_count is uint8, where 1 - 2 * parity would wrap
+    signs = 1.0 - 2.0 * (np.bitwise_count(states & z[:, None]) & 1)
+    # i**|x&z| puts c, with a sign, in the real or the imaginary part
+    parts = np.array([t.coefficient for t in spec.terms]) * np.array(
+        [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])[:, np.bitwise_count(x & z) % 4]
+    flips, group = np.unique(x, return_inverse=True)
+    cells = (group[:, None] * dim + states).ravel()
+    odd = bool(parts[1].any())
+    # bincount adds each cell's weights in term order, starting from 0.0
+    sums = np.stack([np.bincount(cells, (part[:, None] * signs).ravel(), minlength=flips.size * dim)
+                     for part in parts[:1 + odd]], axis=-1)
+    weights = sums.view(np.complex128 if odd else np.float64).reshape(flips.size, dim)
+    rows, src = np.nonzero(weights)
+    return src, src ^ flips[rows], weights[rows, src]
 
 
 def sector_blocks(spec: HamiltonianSpec) -> list:

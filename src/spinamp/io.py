@@ -12,7 +12,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -86,17 +85,15 @@ def render_csv(columns: Sequence[str], rows: Iterable[Sequence],
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """``text`` as UTF-8 into a new sibling ``.spinamp-<12 hex digits>``, renamed
+    onto ``path``.  O_EXCL follows no link planted there; the umask applies."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spinamp-")
+    tmp = os.path.join(directory, f".spinamp-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+        with open(fd, "wb") as handle:      # closes fd, written or not
+            handle.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise

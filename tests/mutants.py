@@ -40,7 +40,15 @@ MUTANTS = [
     ("algebra.py", "(z1 & x2).bit_count()) % 2:", "(z1 & x2).bit_count()) % 2 or True:",
      _COMMUTATOR),
     # X and Z swapped in the tableau pair
-    ("algebra.py", "        return x, z\n", "        return z, x\n", _ALGEBRA),
+    ("algebra.py", "letters=norm, _xz=(x, z)", "letters=norm, _xz=(z, x)", _ALGEBRA),
+    # a merged coefficient that overflows kept as the first term's
+    ("algebra.py", "first if c == first.coefficient else",
+     "first if c == first.coefficient or math.isinf(c) else",
+     ["tests/test_algebra.py", "-k", "merged"]),
+    # a flip mask's weights added in reverse term order
+    ("algebra.py", "np.bincount(cells, (part[:, None] * signs).ravel(),",
+     "np.bincount(cells[::-1], (part[:, None] * signs).ravel()[::-1],",
+     ["tests/test_algebra.py", "-k", "entries"]),
     # no dense cap on the entry reader
     ("algebra.py", "    require_dense(spec.n_sites)\n", "",
      ["tests/test_algebra.py::test_dense_cap_enforced",
@@ -85,6 +93,8 @@ MUTANTS = [
     # true and false swapped in a column of bools
     ("io.py", '("false", "true")[v]', '("true", "false")[v]',
      ["tests/test_cli.py", "-k", "render_csv or ca_compare"]),
+    # the temp file opened without O_EXCL, through a link planted at its name
+    ("io.py", "os.O_CREAT | os.O_EXCL", "os.O_CREAT", ["tests/test_cli.py", "-k", "planted"]),
     # one measured site scored through the determinant, losing a small fidelity's digits
     ("noise.py", "if len(measured) == 1 else", "if False else", _NOISE),
 ]

@@ -4,6 +4,8 @@ Each one computes by the textbook route, with no code shared with
 ``spinamp``'s kernels:
 
 * ``kron_dense``      -- a Hamiltonian as a sum of Kronecker products;
+* ``entries_by_term`` -- a spec's nonzero entries, one term at a time,
+  the loop that ``algebra._entries`` replaces with one array pass;
 * ``kron_unitary``    -- e^{-iHt} from a full eigendecomposition of it;
 * ``exchange_sector`` -- the exchange chain on one excitation-number
   sector, entry by entry from its definition, for chains too long for
@@ -65,6 +67,28 @@ def kron_dense(spec: HamiltonianSpec) -> np.ndarray:
             mat = np.kron(mat, PAULI_MATRICES[letters.get(site, "I")])
         out += mat
     return out
+
+
+def entries_by_term(spec: HamiltonianSpec) -> tuple:
+    """(src, dst, values) of every nonzero <dst|H|src>, ordered by flip
+    mask, then by src.  Each term c * i^|x&z| X^x Z^z, its masks read off
+    its letters, adds the weights c * i^|x&z| * (-1)^|b&z| of every basis
+    state b to its flip mask's running sum, which starts at 0.0."""
+    states = np.arange(spec.dim)
+    weights: dict = {}
+    for term in spec.terms:
+        x = sum(1 << (site - 1) for site, p in term.letters if p != "Z")
+        z = sum(1 << (site - 1) for site, p in term.letters if p != "X")
+        signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
+        w = term.coefficient * (1, 1j, -1, -1j)[(x & z).bit_count() % 4] * signs
+        weights[x] = weights.get(x, 0.0) + w
+    src, dst, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for flip, w in sorted(weights.items()):
+        nonzero = w.nonzero()[0]
+        src.append(nonzero)
+        dst.append(nonzero ^ flip)
+        values.append(w[nonzero])
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(values)
 
 
 def kron_unitary(spec: HamiltonianSpec, t: float) -> np.ndarray:

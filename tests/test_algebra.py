@@ -18,7 +18,7 @@ from spinamp.algebra import (
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 from spinamp.maps import conjugate_hamiltonian, gamma_inverse_indices
 
-from oracles import kron_dense
+from oracles import entries_by_term, kron_dense
 
 
 def _block_entries(spec):
@@ -204,6 +204,54 @@ def test_entries_merge_terms_with_one_flip_mask():
     dense = kron_dense(spec)
     assert np.max(np.abs(dense[dst, src] - values)) < 1e-12
     assert np.count_nonzero(np.abs(dense) > 1e-12) == src.size
+
+
+def _assert_entries_match_by_term(spec):
+    got, expected = _entries(spec), entries_by_term(spec)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# a few flip masks, so terms share them, and any z: |x&z| odd is a string
+# with an odd number of Y letters; coefficients that round differently
+# when added in another order
+_coefficients = st.one_of(st.floats(-5, 5).filter(lambda c: abs(c) > 1e-6),
+                          st.sampled_from([1.0, 3.0, 1e16, -1e16]))
+
+
+def _masked_terms(n):
+    return st.lists(st.builds(
+        lambda c, x, z: PauliTerm.from_masks(c, x & ((1 << n) - 1), z),
+        _coefficients, st.integers(0, 3), st.integers(0, (1 << n) - 1),
+    ), max_size=12).map(lambda terms: HamiltonianSpec(n, tuple(terms)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(_masked_terms))
+def test_entries_equal_the_term_loop_bitwise(spec):
+    _assert_entries_match_by_term(spec)
+
+
+def test_entries_of_the_empty_spec():
+    _assert_entries_match_by_term(HamiltonianSpec(3))
+    src, dst, values = _entries(HamiltonianSpec(3))
+    assert src.size == dst.size == values.size == 0 and values.dtype == np.float64
+
+
+def test_entries_add_one_flip_mask_in_term_order():
+    # Z1, Z1 Z2, Z2 in canonical order: at b = 0, (1 + 1e16) - 1e16 is 0,
+    # where 1 + (1e16 - 1e16) would be 1; likewise at b = 2
+    spec = HamiltonianSpec(2, (PauliTerm(1.0, {1: "Z"}), PauliTerm(1e16, {1: "Z", 2: "Z"}),
+                               PauliTerm(-1e16, {2: "Z"})))
+    assert [t.coefficient for t in spec.terms] == [1.0, 1e16, -1e16]
+    _assert_entries_match_by_term(spec)
+    src, dst, values = _entries(spec)
+    assert src.tolist() == dst.tolist() == [1, 3]
+
+
+def test_merged_coefficients_must_stay_finite():
+    with pytest.raises(ValueError):
+        HamiltonianSpec(1, [(1e308, {1: "Z"}), (1e308, {1: "Z"})])
 
 
 def test_expectation_examples():

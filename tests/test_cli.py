@@ -565,6 +565,21 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert os.listdir(tmp_path / "taken") == []
 
 
+def test_out_neither_follows_nor_overwrites_a_planted_temp_name(monkeypatch, tmp_path, capsys):
+    # with the random name known, a symlink planted there makes the write
+    # fail rather than write through it
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    target = tmp_path / "target.txt"
+    target.write_text("keep\n")
+    planted = tmp_path / f".spinamp-{bytes(6).hex()}"
+    planted.symlink_to(target)
+    out = tmp_path / "amp.json"
+    assert main(["amplify", "--n", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert target.read_text() == "keep\n" and os.readlink(planted) == str(target)
+    assert sorted(os.listdir(tmp_path)) == [planted.name, "target.txt"]
+
+
 def test_star_demo_builds_spikes_once(monkeypatch, capsys):
     calls = [_count_calls(monkeypatch, module, "spike_hamiltonians")
              for module in (cli, chains)]
