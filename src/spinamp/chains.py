@@ -7,17 +7,18 @@ Two chains share one tridiagonal skeleton:
 * the cluster-like amplification chain, a sum of three-body flip terms
   that grows/shrinks domains of 1s with the same amplitudes.
 
-Coupling profiles carry the J_n (and optional local fields B_n); a zero
-J_n or B_n adds no term, so a zero coupling cuts the chain in two.  The
-"engineered" profile J_n = sqrt(n*(N-n)) makes both chains transfer
-perfectly at t = pi/2; the "uniform" profile sets every J_n = 1.
+Coupling profiles carry the J_n and the local fields B_n (zeros when
+omitted); a zero J_n or B_n adds no term, so a zero coupling cuts the
+chain in two.  The "engineered" profile J_n = sqrt(n*(N-n)) makes both
+chains transfer perfectly at t = pi/2; the "uniform" profile sets every
+J_n = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import HamiltonianSpec, PauliTerm, SizeError
 
@@ -33,39 +34,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """J_1..J_{N-1} couplings plus optional local fields B_1..B_N, all finite."""
+    """J_1..J_{N-1} couplings and local fields B_1..B_N, all finite; omitted
+    (None or empty) fields are N zeros."""
 
     n_sites: int
     couplings: tuple
-    fields: Optional[tuple] = None
+    fields: tuple = ()
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise SizeError(f"chain needs at least 2 sites, got {self.n_sites}")
         object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
-        if self.fields is not None:
-            object.__setattr__(self, "fields", tuple(float(b) for b in self.fields))
+        object.__setattr__(self, "fields",
+                           tuple(float(b) for b in self.fields or (0.0,) * self.n_sites))
         if len(self.couplings) != self.n_sites - 1:
             raise ValueError(
                 f"need {self.n_sites - 1} couplings for {self.n_sites} sites, "
                 f"got {len(self.couplings)}"
             )
-        if self.fields is not None and len(self.fields) != self.n_sites:
+        if len(self.fields) != self.n_sites:
             raise ValueError(
                 f"need {self.n_sites} fields, got {len(self.fields)}"
             )
-        if not all(map(math.isfinite, self.couplings + (self.fields or ()))):
+        if not all(map(math.isfinite, self.couplings + self.fields)):
             raise ValueError("couplings and fields must be finite")
 
     @classmethod
-    def uniform(cls, n_sites: int, fields: Optional[Sequence[float]] = None) -> "CouplingProfile":
-        return cls(n_sites, (1.0,) * (n_sites - 1), None if fields is None else tuple(fields))
+    def uniform(cls, n_sites: int, fields: Sequence[float] = ()) -> "CouplingProfile":
+        return cls(n_sites, (1.0,) * (n_sites - 1), fields)
 
     @classmethod
-    def engineered(cls, n_sites: int, fields: Optional[Sequence[float]] = None) -> "CouplingProfile":
+    def engineered(cls, n_sites: int, fields: Sequence[float] = ()) -> "CouplingProfile":
         """Perfect-transfer couplings J_n = sqrt(n*(N-n))."""
         js = tuple(math.sqrt(n * (n_sites - n)) for n in range(1, n_sites))
-        return cls(n_sites, js, None if fields is None else tuple(fields))
+        return cls(n_sites, js, fields)
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,9 @@ def exchange_chain(profile: CouplingProfile) -> HamiltonianSpec:
         if 0.5 * j != 0.0:      # a zero coupling cuts the chain
             terms.append(PauliTerm(0.5 * j, {i: "X", i + 1: "X"}))
             terms.append(PauliTerm(0.5 * j, {i: "Y", i + 1: "Y"}))
-    if profile.fields is not None:
-        for i, b in enumerate(profile.fields, start=1):
-            if b != 0.0:
-                terms.append(PauliTerm(b, {i: "Z"}))
+    for i, b in enumerate(profile.fields, start=1):
+        if b != 0.0:
+            terms.append(PauliTerm(b, {i: "Z"}))
     return HamiltonianSpec(n, tuple(terms))
 
 
@@ -129,12 +130,12 @@ def cluster_chain(profile: CouplingProfile) -> HamiltonianSpec:
 
     Interior site n contributes J_{n-1}/2 * (X_n - Z_{n-1} X_n Z_{n+1});
     the last site contributes J_{N-1}/2 * (X_N - Z_{N-1} X_N), so it flips
-    whenever its left neighbour is up.  If the profile carries fields, the
-    equivalent Z Z / boundary-Z fragment is included too.
+    whenever its left neighbour is up.  If the profile carries nonzero
+    fields, the equivalent Z Z / boundary-Z fragment is included too.
     """
     n = profile.n_sites
     spec = HamiltonianSpec(n, tuple(_cluster_terms(profile)))
-    if profile.fields is not None:
+    if any(profile.fields):
         spec = spec + cluster_field_terms(n, profile.fields)
     return spec
 
@@ -156,7 +157,7 @@ def cluster_field_terms(n_sites: int, fields: Sequence[float]) -> HamiltonianSpe
 
 def spike_hamiltonians(layout: StarLayout) -> list:
     """One cluster-chain spec per spike, each on the full star site set."""
-    if layout.profile.fields is not None:
+    if any(layout.profile.fields):
         raise ValueError("fields on star spikes are not supported")
     return [HamiltonianSpec(layout.total_sites, tuple(_cluster_terms(
                 layout.profile, lambda s, k=k: layout.global_site(k, s))))

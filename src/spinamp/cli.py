@@ -46,7 +46,7 @@ from .evolution import (
 )
 from .io import format_number, header_lines, parse_time, render_csv, write_text_atomic
 from .maps import conjugate_hamiltonian, gamma_inverse_indices
-from .noise import ERROR_PLACEMENT, NoiseConfig, TransferTask, noise_sweep, require_probability
+from .noise import ERROR_PLACEMENT, NoiseConfig, noise_sweep, require_probability
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -256,9 +256,7 @@ def cmd_noise_sweep(args) -> int:
             raise ValueError(f"--time must be positive, got {t}")
         p_grid = [require_probability(float(p)) for p in args.p.split(",")]
         cfg = NoiseConfig(args.steps, args.trials, args.seed)
-        tasks = [TransferTask(Propagator(profile, family), BitConfig.single(args.n, site), args.n, t)
-                 for family, site in (("cluster", 2), ("exchange", 1))]
-    records = noise_sweep(tasks, p_grid, cfg)
+    records = noise_sweep(profile, t, p_grid, cfg)
     config = {"n": args.n, "profile": args.profile, "t": t, "steps": args.steps,
               "trials": args.trials, "seed": args.seed, "p_grid": args.p,
               "error_placement": ERROR_PLACEMENT}

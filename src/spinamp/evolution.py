@@ -90,7 +90,7 @@ class Propagator:
             raise ValueError(f"unknown Hamiltonian family {family!r}")
         self.profile, self.family, self.n_sites = profile, family, profile.n_sites
         self.ladder = family == "cluster"
-        js, bs = profile.couplings, profile.fields or (0.0,) * profile.n_sites
+        js, bs = profile.couplings, profile.fields
         self.field_sum = sum(bs)
         self.vals, self.vecs = np.linalg.eigh(np.diag(js, 1) + np.diag(js, -1) - 2.0 * np.diag(bs))
 

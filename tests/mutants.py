@@ -14,7 +14,8 @@ passes survives.  The runner lists the survivors and exits 1 if there are
 any.
 
 It uses only the standard library and pytest, and is not part of tier-1,
-since each mutant costs one pytest run.  A survivor is a gap in the tests:
+since each mutant costs one pytest run; tier-1 checks only the first
+condition (tests/test_package.py).  A survivor is a gap in the tests:
 it is recorded and mended, never deleted to make the runner pass.
 """
 
@@ -95,8 +96,15 @@ MUTANTS = [
      ["tests/test_cli.py", "-k", "render_csv or ca_compare"]),
     # the temp file opened without O_EXCL, through a link planted at its name
     ("io.py", "os.O_CREAT | os.O_EXCL", "os.O_CREAT", ["tests/test_cli.py", "-k", "planted"]),
-    # one measured site scored through the determinant, losing a small fidelity's digits
-    ("noise.py", "if len(measured) == 1 else", "if False else", _NOISE),
+    # site N - 1 read in place of site N
+    ("noise.py", "(vecs[-1:] * np.exp(rate * cfg.steps))", "(vecs[-2:-1] * np.exp(rate * cfg.steps))",
+     _NOISE),
+    # the spread of equal trials taken from their rounded mean
+    ("noise.py", "0.0 if fids.min() == fids.max() else", "0.0 if cfg.trials == 1 else",
+     ["tests/test_noise.py", "tests/test_cli.py", "-k", "spread"]),
+    # a star refused fields only when every one is nonzero
+    ("chains.py", "if any(layout.profile.fields):", "if all(layout.profile.fields):",
+     ["tests/test_chains.py", "-k", "star"]),
 ]
 
 

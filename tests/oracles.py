@@ -103,13 +103,12 @@ def exchange_sector(profile: CouplingProfile, excitations: int) -> tuple:
     links two states that differ by one excitation hopping between sites
     n and n+1; the diagonal is sum_n B_n (1 - 2 b_n)."""
     n = profile.n_sites
-    fields = profile.fields or (0.0,) * n
     indices = [b for b in range(1 << n) if bin(b).count("1") == excitations]
     position = {b: k for k, b in enumerate(indices)}
     h = np.zeros((len(indices), len(indices)))
     for k, b in enumerate(indices):
         bits = [(b >> i) & 1 for i in range(n)]
-        h[k, k] = sum(field * (1 - 2 * bit) for field, bit in zip(fields, bits))
+        h[k, k] = sum(field * (1 - 2 * bit) for field, bit in zip(profile.fields, bits))
         for site, j in enumerate(profile.couplings):
             if bits[site] != bits[site + 1]:
                 h[position[b ^ (0b11 << site)], k] = j

@@ -28,7 +28,7 @@ from spinamp.evolution import (
     transfer_fidelity,
 )
 from spinamp.maps import conjugate_hamiltonian, gamma_inverse_indices, mirror_map
-from spinamp.noise import NoiseConfig, TransferTask, noise_sweep
+from spinamp.noise import NoiseConfig, noise_sweep
 
 from oracles import gamma_matrix, kron_dense, kron_unitary, pair_phase_deviations
 
@@ -198,13 +198,9 @@ def test_acceptance_09_noise_comparison():
     ok = True
     gaps = {}
     for n in (6, 16):
-        prof = CouplingProfile.engineered(n)
-        tasks = [
-            TransferTask(Propagator(prof, "cluster"), BitConfig.single(n, 2), n, math.pi / 2),
-            TransferTask(Propagator(prof, "exchange"), BitConfig.single(n, 1), n, math.pi / 2),
-        ]
         p_grid = [0.0, 0.02, 0.05, 0.1, 0.15, 0.2]
-        records = noise_sweep(tasks, p_grid, NoiseConfig(trials=10_000, seed=2026))
+        records = noise_sweep(CouplingProfile.engineered(n), math.pi / 2, p_grid,
+                              NoiseConfig(trials=10_000, seed=2026))
         curves = {label: [r for r in records if r.hamiltonian == label]
                   for label in ("cluster", "exchange")}
         for label, curve in curves.items():

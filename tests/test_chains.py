@@ -29,6 +29,9 @@ def test_profile_generators():
     uni = CouplingProfile.uniform(5)
     assert uni.couplings == (1.0,) * 4
     assert uni == CouplingProfile(5, (1, 1, 1, 1))     # a profile is its couplings and fields
+    # omitted fields are N zeros, so one profile has one value
+    assert uni.fields == (0.0,) * 5
+    assert uni == CouplingProfile.uniform(5, (0, 0, 0, 0, 0)) == CouplingProfile(5, (1,) * 4, None)
     eng = CouplingProfile.engineered(4)
     assert eng.couplings == (math.sqrt(3.0), 2.0, math.sqrt(3.0))
 
@@ -236,6 +239,11 @@ def test_star_layout_validation():
         StarLayout(2, 1, CouplingProfile(1, ()))
     with pytest.raises(ValueError):
         StarLayout(0, 3, CouplingProfile.engineered(3))
+    # fields on a spike are refused, all-zero fields are no fields
+    zeros = StarLayout(2, 3, CouplingProfile.engineered(3, (0.0, 0.0, 0.0)))
+    assert spike_hamiltonians(zeros) == spike_hamiltonians(_demo_layout(2, 3))
+    with pytest.raises(ValueError, match="fields"):
+        spike_hamiltonians(StarLayout(2, 3, CouplingProfile.engineered(3, (0.0, 0.5, 0.0))))
     layout = _demo_layout(3, 4)
     assert layout.total_sites == 10
     assert layout.global_site(2, 1) == 1

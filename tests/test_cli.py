@@ -225,6 +225,18 @@ def test_noise_sweep_reruns_byte_identical(tmp_path):
     assert '# block_dims: {"cluster": 15, "exchange": 6}' in a.read_text().splitlines()
 
 
+def test_noise_sweep_prints_zero_spread_for_identical_trials(capsys):
+    # the cluster chain's 10^4 trials at p = 0 are bitwise equal; their
+    # std_error once read 5.17013734178651e-28, from the rounding of the mean
+    assert main(["noise-sweep", "--n", "12", "--profile", "uniform", "--p", "0,1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")][1:]
+    assert [row[:2] for row in rows] == [["cluster", "0"], ["exchange", "0"],
+                                         ["cluster", "1"], ["exchange", "1"]]
+    assert rows[0] == ["cluster", "0", "4.28501431294889e-10", "0", "10000", "0"]
+    assert [float(row[3]) > 0.0 for row in rows] == [False, False, True, True]
+
+
 def test_amplify_rejects_nan_time(capsys):
     # the Krylov loop once skipped a NaN time and scored the initial state
     assert main(["amplify", "--n", "14", "--time", "nan"]) == 2

@@ -10,7 +10,6 @@ from spinamp.evolution import PST_TIME, Propagator, TimeRangeError, transfer_fid
 from spinamp.noise import (
     NoiseConfig,
     RunRecord,
-    TransferTask,
     dephasing_ensemble,
     noise_sweep,
     trial_draws,
@@ -30,11 +29,9 @@ def props():
 
 
 def _tasks(props):
+    """(prop, source) of the sweep's two chains, in its record order."""
     cluster, exchange = props
-    return [
-        TransferTask(cluster, BitConfig.single(N, 2), N, T),
-        TransferTask(exchange, BitConfig.single(N, 1), N, T),
-    ]
+    return [(cluster, BitConfig.single(N, 2)), (exchange, BitConfig.single(N, 1))]
 
 
 def test_config_validation():
@@ -52,12 +49,10 @@ def test_config_validation():
 def test_noiseless_trials_reach_unit_fidelity(props):
     cfg = NoiseConfig(trials=1)
     uniforms, sites = trial_draws(cfg, N)
-    for task in _tasks(props):
-        fid = dephasing_trial(task.prop, task.source, task.measure_site,
-                              task.total_time, 0.0, cfg, uniforms[0], sites[0])
+    for prop, source in _tasks(props):
+        fid = dephasing_trial(prop, source, N, T, 0.0, cfg, uniforms[0], sites[0])
         assert abs(fid - 1.0) < 1e-8
-        clean = transfer_fidelity(task.prop, task.source,
-                                  BitConfig.single(N, task.measure_site), T)
+        clean = transfer_fidelity(prop, source, BitConfig.single(N, N), T)
         assert abs(fid - clean) < 1e-10
 
 
@@ -75,7 +70,7 @@ def test_trials_stay_normalized(props):
     cluster, _ = props
     cfg = NoiseConfig(trials=1, seed=9)
     many = NoiseConfig(trials=50, seed=9)
-    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 1.0, many,
+    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, 1.0, many,
                               trial_draws(many, N))
     assert np.all(fids <= 1.0)
     # per-trial norm: evolve manually and check
@@ -90,17 +85,17 @@ _FIELD_PROFILE = CouplingProfile(N, tuple(_RNG.uniform(0.2, 2.0, N - 1)),
 
 
 # single-particle occupations k on the exchange / cluster chain: 0 / 0,
-# 1 / 1, 1 / 2, 2 / 1, 3 / 3 and 6 / 1
+# 1 / 1, 1 / 2, 2 / 1, 3 / 3 and 6 / 1; three seeds, three sets of flips
 @pytest.mark.parametrize("chain", [cluster_chain, exchange_chain])
 @pytest.mark.parametrize("source", ["000000", "100000", "010000", "110000", "101100", "111111"])
-@pytest.mark.parametrize("measure_site", [1, (N + 1) // 2, N])
-def test_batch_matches_single_trials(chain, source, measure_site):
+@pytest.mark.parametrize("seed", [1, 3, 6])
+def test_batch_matches_single_trials(chain, source, seed):
     prop = Propagator(_FIELD_PROFILE, FAMILY[chain])
-    cfg = NoiseConfig(trials=16, seed=21)
+    cfg = NoiseConfig(trials=16, seed=seed)
     config = BitConfig.from_string(source)
-    batch = dephasing_ensemble(prop, config, measure_site, 1.3, 0.3, cfg, trial_draws(cfg, N))
+    batch = dephasing_ensemble(prop, config, 1.3, 0.3, cfg, trial_draws(cfg, N))
     singles = np.array([
-        dephasing_trial(prop, config, measure_site, 1.3, 0.3, cfg, uniforms, sites)
+        dephasing_trial(prop, config, N, 1.3, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
@@ -117,12 +112,12 @@ def test_ensemble_edges_match_single_trials(chain, source, steps, trials, p):
     cfg = NoiseConfig(steps=steps, trials=trials, seed=3)
     config = BitConfig.from_string(source)
     draws = trial_draws(cfg, N)
-    batch = dephasing_ensemble(prop, config, N - 1, 0.9, p, cfg, draws)
-    singles = np.array([dephasing_trial(prop, config, N - 1, 0.9, p, cfg, uniforms, sites)
+    batch = dephasing_ensemble(prop, config, 0.9, p, cfg, draws)
+    singles = np.array([dephasing_trial(prop, config, N, 0.9, p, cfg, uniforms, sites)
                         for uniforms, sites in zip(*draws)])
     assert batch.shape == (trials,)
     assert np.max(np.abs(batch - singles)) < 1e-12
-    forward = forward_ensemble(prop, config, N - 1, 0.9, p, cfg, draws)
+    forward = forward_ensemble(prop, config, N, 0.9, p, cfg, draws)
     assert np.max(np.abs(batch - forward)) < 1e-12
 
 
@@ -138,7 +133,7 @@ _LONG_PROFILE = CouplingProfile(_LONG, tuple(_RNG_LONG.uniform(0.2, 2.0, _LONG -
 def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
     # far above 2^N: the site-basis loop of oracles.forward_ensemble, with k
     # occupied orbitals picked at random; the cluster chain's source is the
-    # suffix XOR of them, and its measured sets A hold 64, 32 and 1 sites
+    # suffix XOR of them
     prop = Propagator(_LONG_PROFILE, FAMILY[chain])
     rng = np.random.default_rng(k)
     occupied = sorted(rng.choice(_LONG, k, replace=False).tolist())
@@ -147,42 +142,44 @@ def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
     assert prop.occupied(source) == occupied
     cfg = NoiseConfig(steps=25, trials=12, seed=11)
     draws = trial_draws(cfg, _LONG)
-    for site in (1, _LONG // 2, _LONG):
-        batch = dephasing_ensemble(prop, source, site, 1.3, p, cfg, draws)
-        reference = forward_ensemble(prop, source, site, 1.3, p, cfg, draws)
-        assert np.max(np.abs(batch - reference)) < 1e-12
+    batch = dephasing_ensemble(prop, source, 1.3, p, cfg, draws)
+    reference = forward_ensemble(prop, source, _LONG, 1.3, p, cfg, draws)
+    assert np.max(np.abs(batch - reference)) < 1e-12
 
 
 def test_noiseless_ensemble_is_binomial_at_1024_sites():
     # p = 0 leaves every trial on the free evolution: the exchange chain's
-    # one-excitation law, C(N-1, m-1) s^(m-1) (1-s)^(N-m) with s = sin^2 t,
-    # at the transfer's end site N and within 1 of the law's peak
+    # one-excitation law, P(1 -> m) = C(N-1, m-1) s^(m-1) (1-s)^(N-m) with
+    # s = sin^2 t, and by reflection P(m -> N) = P(1 -> N + 1 - m): from the
+    # CLI's source site 1 and from sources whose image lies within 1 of the
+    # law's peak
     n, t = 1024, 1.1
     prop = Propagator(CouplingProfile.engineered(n), "exchange")
     cfg = NoiseConfig(trials=3)
     draws = trial_draws(cfg, n)
     peak = 1 + round(math.sin(t) ** 2 * (n - 1))
-    for site in (n, peak - 1, peak, peak + 1):
-        fids = dephasing_ensemble(prop, BitConfig.single(n, 1), site, t, 0.0, cfg, draws)
-        clean = transfer_fidelity(prop, BitConfig.single(n, 1), BitConfig.single(n, site), t)
-        expected = binomial_transfer(n, site, t)
-        assert site == n or expected > 0.02
+    for source in (1, n - peak, n + 1 - peak, n + 2 - peak):
+        fids = dephasing_ensemble(prop, BitConfig.single(n, source), t, 0.0, cfg, draws)
+        clean = transfer_fidelity(prop, BitConfig.single(n, source), BitConfig.single(n, n), t)
+        expected = binomial_transfer(n, n + 1 - source, t)
+        assert source == 1 or expected > 0.02
         assert np.max(np.abs(fids - clean)) < 1e-12
         assert np.max(np.abs(fids - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("n, t", [(12, PST_TIME), (64, 24.0)])
 def test_small_noiseless_fidelity_keeps_its_digits(n, t):
-    # one measured site scores sum_c |W_ac|^2, so a small fidelity keeps
-    # its relative digits, which 1 - det(I - 2 W_A W_A^H) cancels away:
-    # 9.1e-12 on the CLI's uniform N = 12 task, 1.3e-9 at N = 64 and t = 24.
+    # site N scores sum_c |W_Nc|^2, so a small fidelity keeps its relative
+    # digits, which 1 - det(I - 2 W_N W_N^H) would cancel away: 9.1e-12 on
+    # the CLI's uniform N = 12 exchange task, 1.3e-9 at N = 64 and t = 24.
     # (At N = 64 and t = pi/2 the exact fidelity, about 1e-150, lies below
     # the rounding of u itself, so no route resolves it.)
-    prop = Propagator(CouplingProfile.uniform(n), "exchange")
-    source = BitConfig.single(n, 1)
-    clean = transfer_fidelity(prop, source, BitConfig.single(n, n), t)
+    profile = CouplingProfile.uniform(n)
+    prop = Propagator(profile, "exchange")
+    clean = transfer_fidelity(prop, BitConfig.single(n, 1), BitConfig.single(n, n), t)
     assert 1e-13 < clean < 1e-8
-    (record,) = noise_sweep([TransferTask(prop, source, n, t)], [0.0], NoiseConfig(trials=4))
+    _, record = noise_sweep(profile, t, [0.0], NoiseConfig(trials=4))
+    assert record.hamiltonian == "exchange"
     assert abs(record.mean_fidelity / clean - 1.0) < 1e-9
 
 
@@ -192,7 +189,7 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
     k = len(cluster.occupied(BitConfig.single(N, 2)))
     monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * N * k - 1)
     cfg = NoiseConfig(trials=23, seed=4)
-    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg,
+    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, 0.3, cfg,
                                trial_draws(cfg, N))
     singles = np.array([
         dephasing_trial(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg, uniforms, sites)
@@ -221,50 +218,38 @@ def test_draws_follow_the_seeded_generator(seed, n_sites):
 
 def test_sweep_is_deterministic(props):
     cfg = NoiseConfig(trials=300, seed=123)
-    first = noise_sweep(_tasks(props), [0.0, 0.08], cfg)
-    second = noise_sweep(_tasks(props), [0.0, 0.08], cfg)
+    first = noise_sweep(CouplingProfile.engineered(N), T, [0.0, 0.08], cfg)
+    second = noise_sweep(CouplingProfile.engineered(N), T, [0.0, 0.08], cfg)
     assert first == second
 
 
 def test_sweep_reuses_draws_without_changing_records(props):
-    # one set of draws feeds every (p, task); each record must equal the
+    # one set of draws feeds every (p, chain); each record must equal the
     # ensemble drawn afresh for that p alone
     cfg = NoiseConfig(trials=200, seed=31)
-    records = noise_sweep(_tasks(props), [0.05, 0.3], cfg)
-    for record in records:
-        task = next(t for t in _tasks(props) if t.prop.family == record.hamiltonian)
-        fids = dephasing_ensemble(task.prop, task.source, task.measure_site, T, record.p, cfg,
-                                  trial_draws(cfg, N))
+    records = noise_sweep(CouplingProfile.engineered(N), T, [0.05, 0.3], cfg)
+    assert [(r.p, r.hamiltonian, r.block_dim) for r in records] == [
+        (p, family, dim) for p in (0.05, 0.3) for family, dim in (("cluster", 15), ("exchange", 6))]
+    for record, (prop, source) in zip(records, _tasks(props) * 2):
+        fids = dephasing_ensemble(prop, source, T, record.p, cfg, trial_draws(cfg, N))
         assert record.mean_fidelity == float(np.mean(fids))
 
 
 def test_sweep_rejects_bad_inputs(props, monkeypatch):
+    profile = CouplingProfile.engineered(N)
     with pytest.raises(ValueError):
-        noise_sweep(_tasks(props), [], NoiseConfig(trials=10))
-    short = Propagator(CouplingProfile.engineered(4), "cluster")
-    mixed = _tasks(props) + [TransferTask(short, BitConfig.single(4, 2), 4, T)]
-    with pytest.raises(ValueError):
-        noise_sweep(mixed, [0.0], NoiseConfig(trials=10))
+        noise_sweep(profile, T, [], NoiseConfig(trials=10))
     cfg = NoiseConfig(trials=10)
-    for site in (0, N + 1):
-        with pytest.raises(ValueError):
-            dephasing_ensemble(props[0], BitConfig.single(N, 2), site, T, 0.0, cfg,
-                               trial_draws(cfg, N))
     for p in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match="flip probability"):
-            dephasing_ensemble(props[0], BitConfig.single(N, 2), N, T, p, cfg,
+            dephasing_ensemble(props[0], BitConfig.single(N, 2), T, p, cfg,
                                trial_draws(cfg, N))
-    # a source with no up site has no source site, and a flip probability
-    # must lie in [0, 1]: both are refused before any draw
+    # a flip probability must lie in [0, 1], and is refused before any draw
     draws = []
     monkeypatch.setattr(noise, "trial_draws", lambda *args: draws.append(args))
-    exchange = Propagator(CouplingProfile.engineered(4), "exchange")
-    with pytest.raises(ValueError):
-        noise_sweep([TransferTask(exchange, BitConfig.zeros(4), 4, T)],
-                    [0.0], NoiseConfig(trials=10))
     for p_grid in ([0.1, math.nan], [-0.1], [0.0, 1.5]):
         with pytest.raises(ValueError, match="flip probability"):
-            noise_sweep(_tasks(props), p_grid, NoiseConfig(trials=10))
+            noise_sweep(profile, T, p_grid, NoiseConfig(trials=10))
     assert draws == []
 
 
@@ -272,9 +257,9 @@ def test_ensemble_refuses_a_time_whose_phases_overflow(props):
     # at t = 1e308 the free phases t * lambda overflow; the ensemble once
     # scored such trials NaN
     cfg = NoiseConfig(trials=10)
-    for prop, source in zip(props, (BitConfig.single(N, 2), BitConfig.single(N, 1))):
+    for prop, source in _tasks(props):
         with pytest.raises(TimeRangeError, match=r"phases t \* lambda"):
-            dephasing_ensemble(prop, source, N, 1e308, 0.1, cfg, trial_draws(cfg, N))
+            dephasing_ensemble(prop, source, 1e308, 0.1, cfg, trial_draws(cfg, N))
 
 
 def test_standard_error_scales_with_trials(props):
@@ -283,7 +268,7 @@ def test_standard_error_scales_with_trials(props):
     cfg_large = NoiseConfig(trials=1600, seed=5)
     se = []
     for cfg in (cfg_small, cfg_large):
-        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), N, T, 0.1, cfg,
+        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, 0.1, cfg,
                                   trial_draws(cfg, N))
         se.append(np.std(fids, ddof=1) / math.sqrt(cfg.trials))
     ratio = se[0] / se[1]
@@ -292,10 +277,25 @@ def test_standard_error_scales_with_trials(props):
 
 def test_cluster_beats_exchange_under_noise(props):
     cfg = NoiseConfig(trials=2000, seed=77)
-    records = noise_sweep(_tasks(props), [0.1], cfg)
+    records = noise_sweep(CouplingProfile.engineered(N), T, [0.1], cfg)
     by_label = {r.hamiltonian: r for r in records}
     gap = by_label["cluster"].mean_fidelity - by_label["exchange"].mean_fidelity
     se = math.hypot(by_label["cluster"].standard_error,
                     by_label["exchange"].standard_error)
     assert gap > -3.0 * se
     assert gap > 0.0  # comfortably separated at p = 0.1 in practice
+
+
+def test_identical_trials_have_zero_spread():
+    # at p = 0 every trial is bitwise the same, and the rounding of their
+    # mean alone once gave the spread of 10^4 of them as 5.2e-28 (cluster
+    # chain, uniform N = 12); at p = 1 the trials differ
+    profile = CouplingProfile.uniform(12)
+    cfg = NoiseConfig()
+    records = noise_sweep(profile, T, [0.0, 1.0], cfg)
+    draws = trial_draws(cfg, 12)
+    for record, family, site in zip(records, ("cluster", "exchange") * 2, (2, 1) * 2):
+        fids = dephasing_ensemble(Propagator(profile, family), BitConfig.single(12, site),
+                                  T, record.p, cfg, draws)
+        assert (np.unique(fids).size == 1) == (record.p == 0.0)
+        assert (record.standard_error == 0.0) == (record.p == 0.0)

@@ -9,6 +9,8 @@ import pytest
 import spinamp
 from spinamp import cli
 
+import mutants
+
 _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 _MODULES = ["spinamp"] + [f"spinamp.{m.name}" for m in pkgutil.iter_modules(spinamp.__path__)]
 
@@ -46,3 +48,11 @@ def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+def test_every_mutant_has_one_target():
+    # the mutant runner's own precondition: a refactor that deletes or
+    # copies a mutant's old text fails here, not only when the runner is run
+    for file, old, new, _ in mutants.MUTANTS:
+        assert mutants._source(file).read_text().count(old) == 1, (file, old)
+        assert new != old, (file, old)
