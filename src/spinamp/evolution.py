@@ -56,7 +56,7 @@ PST_TIME = math.pi / 2.0
 
 #: Most complex entries one batch of free-fermion matrices holds (16 MiB):
 #: u[D, S] over times in :meth:`Propagator.amplitudes`, orbitals over
-#: trials in :func:`~spinamp.noise.dephasing_ensemble`.
+#: (p, trial) rows in :func:`~spinamp.noise.dephasing_ensemble`.
 BATCH_ELEMENTS = 1 << 20
 
 

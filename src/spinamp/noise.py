@@ -11,7 +11,9 @@ array of uniforms, then a (trials, steps) array of sites in 1..N; row i
 is trial i, which draws whether or not its flips fire.  The draws depend
 only on (seed, trials, steps, N), so a sweep draws them once and reuses
 them for every p and both chains (common random numbers).
-:class:`NoiseConfig` holds exactly (seed, trials, steps); p is passed apart.
+:class:`NoiseConfig` holds exactly (seed, trials, steps); the p grid is
+passed apart.  A chain runs one step loop for the whole grid over its
+(p, trial) rows, p-major (row i T + t is trial t at p_i), batched by rows.
 
 Records are labelled by the :class:`Propagator`'s family.  Both chains
 are free fermions: a trial is the N x k matrix W of its k occupied
@@ -98,15 +100,16 @@ def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
 
 
 def dephasing_ensemble(prop: Propagator, source: BitConfig, total_time: float,
-                       p: float, cfg: NoiseConfig, draws: tuple) -> np.ndarray:
-    """All trials' probabilities that site N is up at flip probability
-    ``p``, batched over trials, evolved as free fermions.
+                       p_grid: Sequence[float], cfg: NoiseConfig, draws: tuple) -> np.ndarray:
+    """Every trial's probability that site N is up at every flip
+    probability of ``p_grid``, shape (len(p_grid), trials), evolved as free
+    fermions in one step loop over all (p, trial) rows, batched over rows.
 
     ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
     chain length.  TimeRangeError when the free phases of ``total_time``
     are not finite.
     """
-    require_probability(p)
+    ps = np.array([require_probability(p) for p in p_grid], dtype=float)
     if total_time <= 0.0:
         raise ValueError("total_time must be positive")
     vals, vecs = prop.vals, prop.vecs.astype(complex)
@@ -116,25 +119,25 @@ def dephasing_ensemble(prop: Propagator, source: BitConfig, total_time: float,
     # row s - 1: the sign a flip on site s gives each single-particle site
     signs = 1.0 - 2.0 * (np.tri(n).T if prop.ladder else np.eye(n))
     uniforms, sites = draws
-    flips = uniforms < p
+    flips = (uniforms < ps[:, None, None]).reshape(-1, cfg.steps)   # row i T + t: trial t at p_i
     rate = -1j * total_time / cfg.steps * vals      # free phases of j segments: exp(rate j)
 
-    fids = np.empty(cfg.trials)
+    fids = np.empty(len(flips))
     batch = max(1, BATCH_ELEMENTS // max(1, n * k))
-    for lo in range(0, cfg.trials, batch):
-        # row c of trial t: orbital c as w^T V, free phases divided out
-        y = np.tile(vecs[occupied], (min(batch, cfg.trials - lo), 1, 1))
+    for lo in range(0, len(flips), batch):
+        # row c of (p, trial) row r: orbital c as w^T V, free phases divided out
+        y = np.tile(vecs[occupied], (min(batch, len(flips) - lo), 1, 1))
         for step in np.flatnonzero(flips[lo:lo + len(y)].any(axis=0)):
             hit = np.flatnonzero(flips[lo:lo + len(y), step])
             v_phi = vecs * np.exp(rate * (step + 1))         # V diag(phi_j): w^T = y v_phi^T
             w = (y[hit].reshape(-1, n) @ v_phi.T).reshape(hit.size, k, n)
-            w *= signs[sites[lo + hit, step] - 1][:, None]
+            w *= signs[sites[(lo + hit) % cfg.trials, step] - 1][:, None]
             y[hit] = (w.reshape(-1, n) @ v_phi.conj()).reshape(hit.size, k, n)
         # C_NN = W_N W_N^H from row N of W (a sum of |W_Nc|^2 moves last digits)
         w_n = (y.reshape(-1, n) @ (vecs[-1:] * np.exp(rate * cfg.steps)).T).reshape(
             len(y), k, 1).swapaxes(1, 2)
         fids[lo:lo + len(y)] = (w_n @ w_n.conj().swapaxes(1, 2))[:, 0, 0].real
-    return np.clip(fids, 0.0, 1.0)
+    return np.clip(fids, 0.0, 1.0).reshape(len(ps), cfg.trials)
 
 
 def noise_sweep(profile: CouplingProfile, total_time: float, p_grid: Sequence[float],
@@ -150,10 +153,11 @@ def noise_sweep(profile: CouplingProfile, total_time: float, p_grid: Sequence[fl
     tasks = [(Propagator(profile, family), BitConfig.single(n, site))
              for family, site in (("cluster", 2), ("exchange", 1))]
     draws = trial_draws(cfg, n)
+    chains = [dephasing_ensemble(prop, source, total_time, p_grid, cfg, draws)
+              for prop, source in tasks]
     records = []
-    for p in p_grid:
-        for prop, source in tasks:
-            fids = dephasing_ensemble(prop, source, total_time, p, cfg, draws)
+    for p, rows in zip(p_grid, zip(*chains)):
+        for (prop, source), fids in zip(tasks, rows):
             # equal trials have no spread, though their rounded mean gives one
             stderr = 0.0 if fids.min() == fids.max() else float(
                 np.std(fids, ddof=1) / np.sqrt(cfg.trials))

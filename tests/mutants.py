@@ -102,6 +102,11 @@ MUTANTS = [
     # the spread of equal trials taken from their rounded mean
     ("noise.py", "0.0 if fids.min() == fids.max() else", "0.0 if cfg.trials == 1 else",
      ["tests/test_noise.py", "tests/test_cli.py", "-k", "spread"]),
+    # a hit row's flip site read at its offset in the batch, not in the trials
+    ("noise.py", "sites[(lo + hit) % cfg.trials, step]", "sites[hit % cfg.trials, step]",
+     _NOISE),
+    # the p-major rows read back trial-major
+    ("noise.py", ".reshape(len(ps), cfg.trials)", ".reshape(cfg.trials, len(ps)).T", _NOISE),
     # a star refused fields only when every one is nonzero
     ("chains.py", "if any(layout.profile.fields):", "if all(layout.profile.fields):",
      ["tests/test_chains.py", "-k", "star"]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,8 +71,8 @@ def test_trials_stay_normalized(props):
     cluster, _ = props
     cfg = NoiseConfig(trials=1, seed=9)
     many = NoiseConfig(trials=50, seed=9)
-    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, 1.0, many,
-                              trial_draws(many, N))
+    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, [1.0], many,
+                              trial_draws(many, N))[0]
     assert np.all(fids <= 1.0)
     # per-trial norm: evolve manually and check
     uniforms, sites = trial_draws(cfg, N)
@@ -93,7 +94,7 @@ def test_batch_matches_single_trials(chain, source, seed):
     prop = Propagator(_FIELD_PROFILE, FAMILY[chain])
     cfg = NoiseConfig(trials=16, seed=seed)
     config = BitConfig.from_string(source)
-    batch = dephasing_ensemble(prop, config, 1.3, 0.3, cfg, trial_draws(cfg, N))
+    batch = dephasing_ensemble(prop, config, 1.3, [0.3], cfg, trial_draws(cfg, N))[0]
     singles = np.array([
         dephasing_trial(prop, config, N, 1.3, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -112,10 +113,11 @@ def test_ensemble_edges_match_single_trials(chain, source, steps, trials, p):
     cfg = NoiseConfig(steps=steps, trials=trials, seed=3)
     config = BitConfig.from_string(source)
     draws = trial_draws(cfg, N)
-    batch = dephasing_ensemble(prop, config, 0.9, p, cfg, draws)
+    ensemble = dephasing_ensemble(prop, config, 0.9, [p], cfg, draws)
+    assert ensemble.shape == (1, trials)
+    batch = ensemble[0]
     singles = np.array([dephasing_trial(prop, config, N, 0.9, p, cfg, uniforms, sites)
                         for uniforms, sites in zip(*draws)])
-    assert batch.shape == (trials,)
     assert np.max(np.abs(batch - singles)) < 1e-12
     forward = forward_ensemble(prop, config, N, 0.9, p, cfg, draws)
     assert np.max(np.abs(batch - forward)) < 1e-12
@@ -142,7 +144,7 @@ def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
     assert prop.occupied(source) == occupied
     cfg = NoiseConfig(steps=25, trials=12, seed=11)
     draws = trial_draws(cfg, _LONG)
-    batch = dephasing_ensemble(prop, source, 1.3, p, cfg, draws)
+    batch = dephasing_ensemble(prop, source, 1.3, [p], cfg, draws)[0]
     reference = forward_ensemble(prop, source, _LONG, 1.3, p, cfg, draws)
     assert np.max(np.abs(batch - reference)) < 1e-12
 
@@ -159,7 +161,7 @@ def test_noiseless_ensemble_is_binomial_at_1024_sites():
     draws = trial_draws(cfg, n)
     peak = 1 + round(math.sin(t) ** 2 * (n - 1))
     for source in (1, n - peak, n + 1 - peak, n + 2 - peak):
-        fids = dephasing_ensemble(prop, BitConfig.single(n, source), t, 0.0, cfg, draws)
+        fids = dephasing_ensemble(prop, BitConfig.single(n, source), t, [0.0], cfg, draws)[0]
         clean = transfer_fidelity(prop, BitConfig.single(n, source), BitConfig.single(n, n), t)
         expected = binomial_transfer(n, n + 1 - source, t)
         assert source == 1 or expected > 0.02
@@ -189,13 +191,65 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
     k = len(cluster.occupied(BitConfig.single(N, 2)))
     monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * N * k - 1)
     cfg = NoiseConfig(trials=23, seed=4)
-    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, 0.3, cfg,
-                               trial_draws(cfg, N))
+    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, [0.3], cfg,
+                               trial_draws(cfg, N))[0]
     singles = np.array([
         dephasing_trial(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
     ])
     assert np.max(np.abs(batch - singles)) < 1e-12
+
+
+def test_row_batches_end_inside_a_p_row(props, monkeypatch):
+    # 3 p rows of 23 trials in batches of 7: batches start inside every p
+    # row, so a hit row reads its flip site at (lo + hit) % trials
+    cfg = NoiseConfig(trials=23, seed=4)
+    draws = trial_draws(cfg, N)
+    p_grid = [0.3, 1.0, 0.05]
+    for prop, source in _tasks(props):
+        k = len(prop.occupied(source))
+        monkeypatch.setattr(noise, "BATCH_ELEMENTS", 8 * N * k - 1)
+        rows = dephasing_ensemble(prop, source, T, p_grid, cfg, draws)
+        assert rows.shape == (3, 23)
+        for p, row in zip(p_grid, rows):
+            assert np.max(np.abs(row - forward_ensemble(prop, source, N, T, p, cfg, draws))) < 1e-12
+
+
+@pytest.mark.parametrize("p_grid", [[0.0, 0.01, 0.5, 1.0], [0.3, 0.0, 1.0, 0.3]])
+def test_grid_rows_equal_single_p_calls_bitwise(p_grid):
+    # the configuration whose digits once moved with how trials were
+    # grouped into BLAS calls: one step loop over every p must give each
+    # row the bits of that p alone, whatever the grid's order or repeats
+    profile = CouplingProfile.uniform(12)
+    cfg = NoiseConfig(steps=7, seed=2 ** 64 - 1)
+    draws = trial_draws(cfg, 12)
+    for family, site in (("cluster", 2), ("exchange", 1)):
+        prop, source = Propagator(profile, family), BitConfig.single(12, site)
+        rows = dephasing_ensemble(prop, source, T, p_grid, cfg, draws)
+        for p, row in zip(p_grid, rows):
+            assert np.array_equal(row, dephasing_ensemble(prop, source, T, [p], cfg, draws)[0])
+        assert np.unique(rows[p_grid.index(0.0)]).size == 1
+        if p_grid.count(0.3) == 2:
+            assert np.array_equal(rows[0], rows[3])
+
+
+def test_grid_memory_stays_within_one_batch():
+    # 50 p rows of 100 trials with k = 32 of N = 64 orbitals: every row at
+    # once would take 50 * 100 * 32 * 64 * 16 B = 156 MiB; mostly p = 0,
+    # so only the last row flips
+    n = 64
+    prop = Propagator(CouplingProfile.engineered(n), "exchange")
+    source = BitConfig(n, (1, 0) * (n // 2))
+    cfg = NoiseConfig(trials=100, seed=7)
+    draws = trial_draws(cfg, n)
+    tracemalloc.start()
+    try:
+        rows = dephasing_ensemble(prop, source, T, [0.0] * 49 + [0.05], cfg, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (50, 100)
+    assert peak < 48 * 2 ** 20
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
@@ -224,14 +278,15 @@ def test_sweep_is_deterministic(props):
 
 
 def test_sweep_reuses_draws_without_changing_records(props):
-    # one set of draws feeds every (p, chain); each record must equal the
-    # ensemble drawn afresh for that p alone
+    # one set of draws feeds every (p, chain), and one step loop every p of
+    # a chain; each record must equal the ensemble drawn afresh for that p
+    # alone
     cfg = NoiseConfig(trials=200, seed=31)
     records = noise_sweep(CouplingProfile.engineered(N), T, [0.05, 0.3], cfg)
     assert [(r.p, r.hamiltonian, r.block_dim) for r in records] == [
         (p, family, dim) for p in (0.05, 0.3) for family, dim in (("cluster", 15), ("exchange", 6))]
     for record, (prop, source) in zip(records, _tasks(props) * 2):
-        fids = dephasing_ensemble(prop, source, T, record.p, cfg, trial_draws(cfg, N))
+        fids = dephasing_ensemble(prop, source, T, [record.p], cfg, trial_draws(cfg, N))[0]
         assert record.mean_fidelity == float(np.mean(fids))
 
 
@@ -242,7 +297,7 @@ def test_sweep_rejects_bad_inputs(props, monkeypatch):
     cfg = NoiseConfig(trials=10)
     for p in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match="flip probability"):
-            dephasing_ensemble(props[0], BitConfig.single(N, 2), T, p, cfg,
+            dephasing_ensemble(props[0], BitConfig.single(N, 2), T, [0.2, p], cfg,
                                trial_draws(cfg, N))
     # a flip probability must lie in [0, 1], and is refused before any draw
     draws = []
@@ -259,7 +314,7 @@ def test_ensemble_refuses_a_time_whose_phases_overflow(props):
     cfg = NoiseConfig(trials=10)
     for prop, source in _tasks(props):
         with pytest.raises(TimeRangeError, match=r"phases t \* lambda"):
-            dephasing_ensemble(prop, source, 1e308, 0.1, cfg, trial_draws(cfg, N))
+            dephasing_ensemble(prop, source, 1e308, [0.0, 0.1], cfg, trial_draws(cfg, N))
 
 
 def test_standard_error_scales_with_trials(props):
@@ -268,8 +323,8 @@ def test_standard_error_scales_with_trials(props):
     cfg_large = NoiseConfig(trials=1600, seed=5)
     se = []
     for cfg in (cfg_small, cfg_large):
-        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, 0.1, cfg,
-                                  trial_draws(cfg, N))
+        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, [0.1], cfg,
+                                  trial_draws(cfg, N))[0]
         se.append(np.std(fids, ddof=1) / math.sqrt(cfg.trials))
     ratio = se[0] / se[1]
     assert 2.0 / 1.5 < ratio < 2.0 * 1.5
@@ -296,6 +351,6 @@ def test_identical_trials_have_zero_spread():
     draws = trial_draws(cfg, 12)
     for record, family, site in zip(records, ("cluster", "exchange") * 2, (2, 1) * 2):
         fids = dephasing_ensemble(Propagator(profile, family), BitConfig.single(12, site),
-                                  T, record.p, cfg, draws)
+                                  T, [record.p], cfg, draws)[0]
         assert (np.unique(fids).size == 1) == (record.p == 0.0)
         assert (record.standard_error == 0.0) == (record.p == 0.0)
