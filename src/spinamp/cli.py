@@ -46,7 +46,7 @@ from .evolution import (
 )
 from .io import format_number, header_lines, parse_time, render_csv, write_text_atomic
 from .maps import conjugate_hamiltonian, gamma_inverse_indices
-from .noise import ERROR_PLACEMENT, NoiseConfig, noise_sweep, require_probability
+from .noise import ERROR_PLACEMENT, NoiseConfig, noise_sweep
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -251,17 +251,13 @@ def cmd_ca_compare(args) -> int:
 def cmd_noise_sweep(args) -> int:
     with _inputs():
         profile = _profile(args.profile, args.n)
-        t = _time(args.time)
-        if not t > 0.0:
-            raise ValueError(f"--time must be positive, got {t}")
-        p_grid = [require_probability(float(p)) for p in args.p.split(",")]
-        cfg = NoiseConfig(args.steps, args.trials, args.seed)
-    records = noise_sweep(profile, t, p_grid, cfg)
-    config = {"n": args.n, "profile": args.profile, "t": t, "steps": args.steps,
-              "trials": args.trials, "seed": args.seed, "p_grid": args.p,
+        cfg = NoiseConfig(args.p.split(","), _time(args.time), args.steps, args.trials, args.seed)
+    records = noise_sweep(profile, cfg)
+    config = {"n": args.n, "profile": args.profile, "t": cfg.total_time, "steps": cfg.steps,
+              "trials": cfg.trials, "seed": cfg.seed, "p_grid": args.p,
               "error_placement": ERROR_PLACEMENT}
     rows = [
-        (r.hamiltonian, r.p, r.mean_fidelity, r.standard_error, r.trials, r.seed)
+        (r.hamiltonian, r.p, r.mean_fidelity, r.standard_error, cfg.trials, cfg.seed)
         for r in records
     ]
     comments = header_lines(config, __version__)

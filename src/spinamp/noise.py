@@ -11,8 +11,8 @@ array of uniforms, then a (trials, steps) array of sites in 1..N; row i
 is trial i, which draws whether or not its flips fire.  The draws depend
 only on (seed, trials, steps, N), so a sweep draws them once and reuses
 them for every p and both chains (common random numbers).
-:class:`NoiseConfig` holds exactly (seed, trials, steps); the p grid is
-passed apart.  A chain runs one step loop for the whole grid over its
+:class:`NoiseConfig` holds a sweep's inputs and is the one place that
+checks them.  A chain runs one step loop for the whole grid over its
 (p, trial) rows, p-major (row i T + t is trial t at p_i), batched by rows.
 
 Records are labelled by the :class:`Propagator`'s family.  Both chains
@@ -40,7 +40,6 @@ from .evolution import BATCH_ELEMENTS, Propagator, require_times
 
 __all__ = [
     "NoiseConfig",
-    "require_probability",
     "RunRecord",
     "trial_draws",
     "dephasing_ensemble",
@@ -53,13 +52,26 @@ ERROR_PLACEMENT = "evolve-then-flip"
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """What the draws depend on, besides the chain length."""
+    """A sweep's inputs, checked here and nowhere else, in this order: time
+    > 0, each p a float in [0, 1] in a nonempty grid, steps, trials, seed."""
 
+    p_grid: Sequence[float]
+    total_time: float
     steps: int = 25
     trials: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
+        if not self.total_time > 0.0:
+            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        grid = []
+        for p in map(float, self.p_grid):       # read and checked in turn
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"flip probability must be in [0, 1], got {p}")
+            grid.append(p)
+        if not grid:
+            raise ValueError("p grid must be nonempty")
+        object.__setattr__(self, "p_grid", tuple(grid))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 1 <= self.trials <= 2 ** 32:
@@ -73,21 +85,12 @@ class RunRecord:
     p: float
     mean_fidelity: float
     standard_error: float
-    trials: int
-    seed: int
     hamiltonian: str
     block_dim: int          # C(N, k): the particle-number sector the trials evolved in
 
     def __post_init__(self):
         if not 0.0 <= self.mean_fidelity <= 1.0:
             raise ValueError(f"mean fidelity {self.mean_fidelity} out of [0, 1]")
-
-
-def require_probability(p: float) -> float:
-    """``p``, or ValueError unless it is a flip probability in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {p}")
-    return p
 
 
 def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
@@ -99,19 +102,17 @@ def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
     return rng.random(shape), rng.integers(1, n_sites + 1, shape)
 
 
-def dephasing_ensemble(prop: Propagator, source: BitConfig, total_time: float,
-                       p_grid: Sequence[float], cfg: NoiseConfig, draws: tuple) -> np.ndarray:
-    """Every trial's probability that site N is up at every flip
-    probability of ``p_grid``, shape (len(p_grid), trials), evolved as free
-    fermions in one step loop over all (p, trial) rows, batched over rows.
+def dephasing_ensemble(prop: Propagator, source: BitConfig, cfg: NoiseConfig,
+                       draws: tuple) -> np.ndarray:
+    """Every trial's probability that site N is up after ``cfg.total_time``
+    at every p of ``cfg.p_grid``, shape (len(p_grid), trials), evolved as
+    free fermions in one step loop over all (p, trial) rows, batched by rows.
 
     ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
-    chain length.  TimeRangeError when the free phases of ``total_time``
-    are not finite.
+    chain length.  TimeRangeError when the free phases of the time are not
+    finite.
     """
-    ps = np.array([require_probability(p) for p in p_grid], dtype=float)
-    if total_time <= 0.0:
-        raise ValueError("total_time must be positive")
+    ps, total_time = np.array(cfg.p_grid), cfg.total_time
     vals, vecs = prop.vals, prop.vecs.astype(complex)
     require_times(total_time, vals)
     occupied = prop.occupied(source)
@@ -140,29 +141,22 @@ def dephasing_ensemble(prop: Propagator, source: BitConfig, total_time: float,
     return np.clip(fids, 0.0, 1.0).reshape(len(ps), cfg.trials)
 
 
-def noise_sweep(profile: CouplingProfile, total_time: float, p_grid: Sequence[float],
-                cfg: NoiseConfig) -> List[RunRecord]:
+def noise_sweep(profile: CouplingProfile, cfg: NoiseConfig) -> List[RunRecord]:
     """One record per (p, chain): the cluster chain from site 2, then the
     exchange chain from site 1, both read at site N.  The same draws feed
     every chain and every p (common random numbers sharpen the comparison)."""
-    if not p_grid:
-        raise ValueError("p grid must be nonempty")
-    for p in p_grid:
-        require_probability(p)
     n = profile.n_sites
     tasks = [(Propagator(profile, family), BitConfig.single(n, site))
              for family, site in (("cluster", 2), ("exchange", 1))]
     draws = trial_draws(cfg, n)
-    chains = [dephasing_ensemble(prop, source, total_time, p_grid, cfg, draws)
-              for prop, source in tasks]
+    chains = [dephasing_ensemble(prop, source, cfg, draws) for prop, source in tasks]
     records = []
-    for p, rows in zip(p_grid, zip(*chains)):
+    for p, rows in zip(cfg.p_grid, zip(*chains)):
         for (prop, source), fids in zip(tasks, rows):
             # equal trials have no spread, though their rounded mean gives one
             stderr = 0.0 if fids.min() == fids.max() else float(
                 np.std(fids, ddof=1) / np.sqrt(cfg.trials))
             records.append(RunRecord(
-                p=float(p), mean_fidelity=float(np.mean(fids)), standard_error=stderr,
-                trials=cfg.trials, seed=cfg.seed, hamiltonian=prop.family,
-                block_dim=math.comb(n, len(prop.occupied(source)))))
+                p=p, mean_fidelity=float(np.mean(fids)), standard_error=stderr,
+                hamiltonian=prop.family, block_dim=math.comb(n, len(prop.occupied(source)))))
     return records

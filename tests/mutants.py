@@ -32,6 +32,7 @@ _ALGEBRA = ["tests/test_algebra.py"]
 _AUTOMATON = ["tests/test_automaton.py"]
 _COMMUTATOR = ["tests/test_algebra.py", "tests/test_chains.py", "-k", "commutator or wall or star"]
 _NOISE = ["tests/test_noise.py"]
+_CONFIG = ["tests/test_noise.py", "tests/test_cli.py", "-k", "config or rejects or bad_input"]
 _TIMES = ["tests/test_evolution.py", "tests/test_noise.py", "tests/test_cli.py"]
 
 MUTANTS = [
@@ -107,6 +108,13 @@ MUTANTS = [
      _NOISE),
     # the p-major rows read back trial-major
     ("noise.py", ".reshape(len(ps), cfg.trials)", ".reshape(cfg.trials, len(ps)).T", _NOISE),
+    # a NaN flip probability accepted
+    ("noise.py", "if not 0.0 <= p <= 1.0:", "if p < 0.0 or p > 1.0:", _CONFIG),
+    # a zero sweep time accepted
+    ("noise.py", "if not self.total_time > 0.0:", "if not self.total_time >= 0.0:", _CONFIG),
+    # an empty p grid accepted
+    ("noise.py", '        if not grid:\n            raise ValueError("p grid must be nonempty")\n',
+     "", _CONFIG),
     # a star refused fields only when every one is nonzero
     ("chains.py", "if any(layout.profile.fields):", "if all(layout.profile.fields):",
      ["tests/test_chains.py", "-k", "star"]),

@@ -199,8 +199,8 @@ def test_acceptance_09_noise_comparison():
     gaps = {}
     for n in (6, 16):
         p_grid = [0.0, 0.02, 0.05, 0.1, 0.15, 0.2]
-        records = noise_sweep(CouplingProfile.engineered(n), math.pi / 2, p_grid,
-                              NoiseConfig(trials=10_000, seed=2026))
+        records = noise_sweep(CouplingProfile.engineered(n),
+                              NoiseConfig(p_grid, math.pi / 2, trials=10_000, seed=2026))
         curves = {label: [r for r in records if r.hamiltonian == label]
                   for label in ("cluster", "exchange")}
         for label, curve in curves.items():

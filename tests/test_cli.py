@@ -361,6 +361,8 @@ _BAD_INPUT = [
     (_SWEEP + ["--p", "0.1,nan"], "flip probability"),
     (_SWEEP + ["--p", "2"], "flip probability"),
     (_SWEEP + ["--p", ","], "float"),
+    (_SWEEP + ["--p", "0.1,2,x"], "got 2.0"),
+    (_SWEEP + ["--trials", "0"], "trials"),
     (_SWEEP + ["--steps", "0"], "steps"),
     (_SWEEP + ["--time", "0"], "positive"),
     (_SWEEP + ["--time", "-1"], "positive"),
@@ -393,12 +395,14 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
     (tmp_path / "empty_time.json").write_text('{"time": ""}')
     (tmp_path / "empty_out.json").write_text('{"out": ""}')
     (tmp_path / "negative_n.json").write_text('{"n": -1}')
+    # a refused sweep builds no chain and draws nothing
+    props = _count_calls(monkeypatch, noise, "Propagator")
     draws = _count_calls(monkeypatch, noise, "trial_draws")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert reason in captured.err
-    assert draws == []
+    assert props == [] and draws == []
 
 
 def test_chain_length_stops_at_max_chain(capsys):
@@ -858,12 +862,13 @@ _BAD_CONFIG = [
 def test_config_null_and_boolean_values_are_checked(argv, doc, tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
+    props = _count_calls(monkeypatch, noise, "Propagator")
     draws = _count_calls(monkeypatch, noise, "trial_draws")
     assert main(argv + ["--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: config key") and captured.err.count("\n") == 1
-    assert draws == []
+    assert props == [] and draws == []
 
 
 def test_config_null_means_omitted_and_booleans_switch(tmp_path, capsys):

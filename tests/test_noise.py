@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,19 +37,39 @@ def _tasks(props):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        NoiseConfig(steps=0)
-    with pytest.raises(ValueError):
-        NoiseConfig(trials=0)
-    NoiseConfig(trials=2 ** 32)     # the largest trial count accepted
-    with pytest.raises(ValueError):
-        NoiseConfig(trials=2 ** 32 + 1)
-    with pytest.raises(ValueError):
-        RunRecord(0.1, 1.5, 0.0, 10, 0, "cluster", 5)
+    # the extremes are accepted, and a p given as text is read as a float
+    cfg = NoiseConfig(["0", "1", 0.5], 1e-300, steps=1, trials=2 ** 32, seed=2 ** 64 - 1)
+    assert cfg.p_grid == (0.0, 1.0, 0.5)
+    for mean in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            RunRecord(0.1, mean, 0.0, "cluster", 5)
+
+
+_BAD_CONFIG = [
+    (dict(p_grid=[-0.1]), "flip probability"),
+    (dict(p_grid=[0.2, 1.5]), "flip probability"),
+    (dict(p_grid=[0.2, math.nan]), "flip probability"),
+    (dict(p_grid=[]), "nonempty"),
+    (dict(total_time=0.0), "total_time must be positive"),
+    (dict(total_time=-1.0), "total_time must be positive"),
+    (dict(total_time=math.nan), "total_time must be positive"),
+    (dict(steps=0), "steps"),
+    (dict(trials=0), "trials"),
+    (dict(trials=2 ** 32 + 1), "trials"),
+    (dict(seed=-1), "seed"),
+    (dict(seed=2 ** 64), "seed"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_CONFIG,
+                         ids=[",".join(f"{k}={v}" for k, v in bad.items()) for bad, _ in _BAD_CONFIG])
+def test_config_refuses_each_bad_input(bad, message):
+    with pytest.raises(ValueError, match=message):
+        NoiseConfig(**{"p_grid": [0.1], "total_time": T, **bad})
 
 
 def test_noiseless_trials_reach_unit_fidelity(props):
-    cfg = NoiseConfig(trials=1)
+    cfg = NoiseConfig([0.0], T, trials=1)
     uniforms, sites = trial_draws(cfg, N)
     for prop, source in _tasks(props):
         fid = dephasing_trial(prop, source, N, T, 0.0, cfg, uniforms[0], sites[0])
@@ -69,10 +90,9 @@ def test_double_z_is_identity(props):
 
 def test_trials_stay_normalized(props):
     cluster, _ = props
-    cfg = NoiseConfig(trials=1, seed=9)
-    many = NoiseConfig(trials=50, seed=9)
-    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, [1.0], many,
-                              trial_draws(many, N))[0]
+    cfg = NoiseConfig([1.0], T, trials=1, seed=9)
+    many = NoiseConfig([1.0], T, trials=50, seed=9)
+    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), many, trial_draws(many, N))[0]
     assert np.all(fids <= 1.0)
     # per-trial norm: evolve manually and check
     uniforms, sites = trial_draws(cfg, N)
@@ -92,9 +112,9 @@ _FIELD_PROFILE = CouplingProfile(N, tuple(_RNG.uniform(0.2, 2.0, N - 1)),
 @pytest.mark.parametrize("seed", [1, 3, 6])
 def test_batch_matches_single_trials(chain, source, seed):
     prop = Propagator(_FIELD_PROFILE, FAMILY[chain])
-    cfg = NoiseConfig(trials=16, seed=seed)
+    cfg = NoiseConfig([0.3], 1.3, trials=16, seed=seed)
     config = BitConfig.from_string(source)
-    batch = dephasing_ensemble(prop, config, 1.3, [0.3], cfg, trial_draws(cfg, N))[0]
+    batch = dephasing_ensemble(prop, config, cfg, trial_draws(cfg, N))[0]
     singles = np.array([
         dephasing_trial(prop, config, N, 1.3, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -110,10 +130,10 @@ def test_batch_matches_single_trials(chain, source, seed):
                                               (1, 1, 1.0)])
 def test_ensemble_edges_match_single_trials(chain, source, steps, trials, p):
     prop = Propagator(_FIELD_PROFILE, FAMILY[chain])
-    cfg = NoiseConfig(steps=steps, trials=trials, seed=3)
+    cfg = NoiseConfig([p], 0.9, steps=steps, trials=trials, seed=3)
     config = BitConfig.from_string(source)
     draws = trial_draws(cfg, N)
-    ensemble = dephasing_ensemble(prop, config, 0.9, [p], cfg, draws)
+    ensemble = dephasing_ensemble(prop, config, cfg, draws)
     assert ensemble.shape == (1, trials)
     batch = ensemble[0]
     singles = np.array([dephasing_trial(prop, config, N, 0.9, p, cfg, uniforms, sites)
@@ -142,9 +162,9 @@ def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
     pattern = BitConfig(_LONG, tuple(int(s in occupied) for s in range(_LONG)))
     source = gamma_forward_bits(pattern) if chain is cluster_chain else pattern
     assert prop.occupied(source) == occupied
-    cfg = NoiseConfig(steps=25, trials=12, seed=11)
+    cfg = NoiseConfig([p], 1.3, steps=25, trials=12, seed=11)
     draws = trial_draws(cfg, _LONG)
-    batch = dephasing_ensemble(prop, source, 1.3, [p], cfg, draws)[0]
+    batch = dephasing_ensemble(prop, source, cfg, draws)[0]
     reference = forward_ensemble(prop, source, _LONG, 1.3, p, cfg, draws)
     assert np.max(np.abs(batch - reference)) < 1e-12
 
@@ -157,11 +177,11 @@ def test_noiseless_ensemble_is_binomial_at_1024_sites():
     # law's peak
     n, t = 1024, 1.1
     prop = Propagator(CouplingProfile.engineered(n), "exchange")
-    cfg = NoiseConfig(trials=3)
+    cfg = NoiseConfig([0.0], t, trials=3)
     draws = trial_draws(cfg, n)
     peak = 1 + round(math.sin(t) ** 2 * (n - 1))
     for source in (1, n - peak, n + 1 - peak, n + 2 - peak):
-        fids = dephasing_ensemble(prop, BitConfig.single(n, source), t, [0.0], cfg, draws)[0]
+        fids = dephasing_ensemble(prop, BitConfig.single(n, source), cfg, draws)[0]
         clean = transfer_fidelity(prop, BitConfig.single(n, source), BitConfig.single(n, n), t)
         expected = binomial_transfer(n, n + 1 - source, t)
         assert source == 1 or expected > 0.02
@@ -180,7 +200,7 @@ def test_small_noiseless_fidelity_keeps_its_digits(n, t):
     prop = Propagator(profile, "exchange")
     clean = transfer_fidelity(prop, BitConfig.single(n, 1), BitConfig.single(n, n), t)
     assert 1e-13 < clean < 1e-8
-    _, record = noise_sweep(profile, t, [0.0], NoiseConfig(trials=4))
+    _, record = noise_sweep(profile, NoiseConfig([0.0], t, trials=4))
     assert record.hamiltonian == "exchange"
     assert abs(record.mean_fidelity / clean - 1.0) < 1e-9
 
@@ -190,9 +210,8 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
     cluster, _ = props
     k = len(cluster.occupied(BitConfig.single(N, 2)))
     monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * N * k - 1)
-    cfg = NoiseConfig(trials=23, seed=4)
-    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, [0.3], cfg,
-                               trial_draws(cfg, N))[0]
+    cfg = NoiseConfig([0.3], T, trials=23, seed=4)
+    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), cfg, trial_draws(cfg, N))[0]
     singles = np.array([
         dephasing_trial(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -203,13 +222,13 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
 def test_row_batches_end_inside_a_p_row(props, monkeypatch):
     # 3 p rows of 23 trials in batches of 7: batches start inside every p
     # row, so a hit row reads its flip site at (lo + hit) % trials
-    cfg = NoiseConfig(trials=23, seed=4)
-    draws = trial_draws(cfg, N)
     p_grid = [0.3, 1.0, 0.05]
+    cfg = NoiseConfig(p_grid, T, trials=23, seed=4)
+    draws = trial_draws(cfg, N)
     for prop, source in _tasks(props):
         k = len(prop.occupied(source))
         monkeypatch.setattr(noise, "BATCH_ELEMENTS", 8 * N * k - 1)
-        rows = dephasing_ensemble(prop, source, T, p_grid, cfg, draws)
+        rows = dephasing_ensemble(prop, source, cfg, draws)
         assert rows.shape == (3, 23)
         for p, row in zip(p_grid, rows):
             assert np.max(np.abs(row - forward_ensemble(prop, source, N, T, p, cfg, draws))) < 1e-12
@@ -221,13 +240,14 @@ def test_grid_rows_equal_single_p_calls_bitwise(p_grid):
     # grouped into BLAS calls: one step loop over every p must give each
     # row the bits of that p alone, whatever the grid's order or repeats
     profile = CouplingProfile.uniform(12)
-    cfg = NoiseConfig(steps=7, seed=2 ** 64 - 1)
+    cfg = NoiseConfig(p_grid, T, steps=7, seed=2 ** 64 - 1)
     draws = trial_draws(cfg, 12)
     for family, site in (("cluster", 2), ("exchange", 1)):
         prop, source = Propagator(profile, family), BitConfig.single(12, site)
-        rows = dephasing_ensemble(prop, source, T, p_grid, cfg, draws)
+        rows = dephasing_ensemble(prop, source, cfg, draws)
         for p, row in zip(p_grid, rows):
-            assert np.array_equal(row, dephasing_ensemble(prop, source, T, [p], cfg, draws)[0])
+            alone = replace(cfg, p_grid=[p])
+            assert np.array_equal(row, dephasing_ensemble(prop, source, alone, draws)[0])
         assert np.unique(rows[p_grid.index(0.0)]).size == 1
         if p_grid.count(0.3) == 2:
             assert np.array_equal(rows[0], rows[3])
@@ -240,11 +260,11 @@ def test_grid_memory_stays_within_one_batch():
     n = 64
     prop = Propagator(CouplingProfile.engineered(n), "exchange")
     source = BitConfig(n, (1, 0) * (n // 2))
-    cfg = NoiseConfig(trials=100, seed=7)
+    cfg = NoiseConfig([0.0] * 49 + [0.05], T, trials=100, seed=7)
     draws = trial_draws(cfg, n)
     tracemalloc.start()
     try:
-        rows = dephasing_ensemble(prop, source, T, [0.0] * 49 + [0.05], cfg, draws)
+        rows = dephasing_ensemble(prop, source, cfg, draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,7 +277,7 @@ def test_grid_memory_stays_within_one_batch():
 def test_draws_follow_the_seeded_generator(seed, n_sites):
     # the draw contract, written out: one generator, uniforms then sites,
     # row i for trial i
-    cfg = NoiseConfig(steps=25, trials=300, seed=seed)
+    cfg = NoiseConfig([0.1], T, steps=25, trials=300, seed=seed)
     uniforms, sites = trial_draws(cfg, n_sites)
     rng = np.random.default_rng(seed)
     assert uniforms.dtype == np.float64 and sites.dtype == np.int64
@@ -265,15 +285,17 @@ def test_draws_follow_the_seeded_generator(seed, n_sites):
     assert sites.tobytes() == rng.integers(1, n_sites + 1, (300, 25)).tobytes()
     assert sites.min() == 1 and sites.max() == n_sites
     # a byte-identical rerun would pass even if the seed were ignored
-    zero, one = (trial_draws(NoiseConfig(steps=25, trials=300, seed=s), n_sites)
-                 for s in (0, 1))
+    zero, one = (trial_draws(replace(cfg, seed=s), n_sites) for s in (0, 1))
     assert not np.array_equal(zero[0], one[0]) and not np.array_equal(zero[1], one[1])
+    # the p grid and the time are not read: every p and time share the draws
+    other = trial_draws(replace(cfg, p_grid=[0.9, 0.0], total_time=7.0), n_sites)
+    assert other[0].tobytes() == uniforms.tobytes() and other[1].tobytes() == sites.tobytes()
 
 
 def test_sweep_is_deterministic(props):
-    cfg = NoiseConfig(trials=300, seed=123)
-    first = noise_sweep(CouplingProfile.engineered(N), T, [0.0, 0.08], cfg)
-    second = noise_sweep(CouplingProfile.engineered(N), T, [0.0, 0.08], cfg)
+    cfg = NoiseConfig([0.0, 0.08], T, trials=300, seed=123)
+    first = noise_sweep(CouplingProfile.engineered(N), cfg)
+    second = noise_sweep(CouplingProfile.engineered(N), cfg)
     assert first == second
 
 
@@ -281,58 +303,57 @@ def test_sweep_reuses_draws_without_changing_records(props):
     # one set of draws feeds every (p, chain), and one step loop every p of
     # a chain; each record must equal the ensemble drawn afresh for that p
     # alone
-    cfg = NoiseConfig(trials=200, seed=31)
-    records = noise_sweep(CouplingProfile.engineered(N), T, [0.05, 0.3], cfg)
+    cfg = NoiseConfig([0.05, 0.3], T, trials=200, seed=31)
+    records = noise_sweep(CouplingProfile.engineered(N), cfg)
     assert [(r.p, r.hamiltonian, r.block_dim) for r in records] == [
         (p, family, dim) for p in (0.05, 0.3) for family, dim in (("cluster", 15), ("exchange", 6))]
     for record, (prop, source) in zip(records, _tasks(props) * 2):
-        fids = dephasing_ensemble(prop, source, T, [record.p], cfg, trial_draws(cfg, N))[0]
+        alone = replace(cfg, p_grid=[record.p])
+        fids = dephasing_ensemble(prop, source, alone, trial_draws(alone, N))[0]
         assert record.mean_fidelity == float(np.mean(fids))
 
 
-def test_sweep_rejects_bad_inputs(props, monkeypatch):
-    profile = CouplingProfile.engineered(N)
-    with pytest.raises(ValueError):
-        noise_sweep(profile, T, [], NoiseConfig(trials=10))
-    cfg = NoiseConfig(trials=10)
-    for p in (-0.1, 1.5, math.nan):
-        with pytest.raises(ValueError, match="flip probability"):
-            dephasing_ensemble(props[0], BitConfig.single(N, 2), T, [0.2, p], cfg,
-                               trial_draws(cfg, N))
-    # a flip probability must lie in [0, 1], and is refused before any draw
-    draws = []
-    monkeypatch.setattr(noise, "trial_draws", lambda *args: draws.append(args))
-    for p_grid in ([0.1, math.nan], [-0.1], [0.0, 1.5]):
-        with pytest.raises(ValueError, match="flip probability"):
-            noise_sweep(profile, T, p_grid, NoiseConfig(trials=10))
-    assert draws == []
+def test_sweep_rejects_bad_inputs():
+    # a sweep's inputs are refused when its config is built, so no sweep
+    # sees them; the first bad one is named: the time, then each p in grid
+    # order, read as a float and held to [0, 1], then steps, trials, seed
+    for bad, message in (
+        (dict(p_grid=["0.1", "nan", "x"], total_time=-1.0, steps=0), "total_time"),
+        (dict(p_grid=["0.1", "nan", "x"], steps=0), "got nan"),
+        (dict(p_grid=["2", "x"]), "got 2.0"),
+        (dict(p_grid=["0.1", "x", "2"], steps=0), "could not convert string to float: 'x'"),
+        (dict(p_grid=[], steps=0), "nonempty"),
+        (dict(steps=0, trials=0), "steps"),
+        (dict(trials=0, seed=-1), "trials"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            NoiseConfig(**{"p_grid": [0.1], "total_time": T, **bad})
 
 
 def test_ensemble_refuses_a_time_whose_phases_overflow(props):
     # at t = 1e308 the free phases t * lambda overflow; the ensemble once
     # scored such trials NaN
-    cfg = NoiseConfig(trials=10)
+    cfg = NoiseConfig([0.0, 0.1], 1e308, trials=10)
     for prop, source in _tasks(props):
         with pytest.raises(TimeRangeError, match=r"phases t \* lambda"):
-            dephasing_ensemble(prop, source, 1e308, [0.0, 0.1], cfg, trial_draws(cfg, N))
+            dephasing_ensemble(prop, source, cfg, trial_draws(cfg, N))
 
 
 def test_standard_error_scales_with_trials(props):
     cluster, _ = props
-    cfg_small = NoiseConfig(trials=400, seed=5)
-    cfg_large = NoiseConfig(trials=1600, seed=5)
+    cfg_small = NoiseConfig([0.1], T, trials=400, seed=5)
+    cfg_large = NoiseConfig([0.1], T, trials=1600, seed=5)
     se = []
     for cfg in (cfg_small, cfg_large):
-        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), T, [0.1], cfg,
-                                  trial_draws(cfg, N))[0]
+        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), cfg, trial_draws(cfg, N))[0]
         se.append(np.std(fids, ddof=1) / math.sqrt(cfg.trials))
     ratio = se[0] / se[1]
     assert 2.0 / 1.5 < ratio < 2.0 * 1.5
 
 
 def test_cluster_beats_exchange_under_noise(props):
-    cfg = NoiseConfig(trials=2000, seed=77)
-    records = noise_sweep(CouplingProfile.engineered(N), T, [0.1], cfg)
+    cfg = NoiseConfig([0.1], T, trials=2000, seed=77)
+    records = noise_sweep(CouplingProfile.engineered(N), cfg)
     by_label = {r.hamiltonian: r for r in records}
     gap = by_label["cluster"].mean_fidelity - by_label["exchange"].mean_fidelity
     se = math.hypot(by_label["cluster"].standard_error,
@@ -346,11 +367,11 @@ def test_identical_trials_have_zero_spread():
     # mean alone once gave the spread of 10^4 of them as 5.2e-28 (cluster
     # chain, uniform N = 12); at p = 1 the trials differ
     profile = CouplingProfile.uniform(12)
-    cfg = NoiseConfig()
-    records = noise_sweep(profile, T, [0.0, 1.0], cfg)
+    cfg = NoiseConfig([0.0, 1.0], T)
+    records = noise_sweep(profile, cfg)
     draws = trial_draws(cfg, 12)
     for record, family, site in zip(records, ("cluster", "exchange") * 2, (2, 1) * 2):
         fids = dephasing_ensemble(Propagator(profile, family), BitConfig.single(12, site),
-                                  T, [record.p], cfg, draws)[0]
+                                  replace(cfg, p_grid=[record.p]), draws)[0]
         assert (np.unique(fids).size == 1) == (record.p == 0.0)
         assert (record.standard_error == 0.0) == (record.p == 0.0)
