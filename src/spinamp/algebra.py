@@ -159,46 +159,45 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class BitConfig:
-    """Classical configuration of the chain: one bit per site, site 1 first."""
+    """Classical configuration of N = len(bits) sites: one bit per site, site 1 first."""
 
-    n_sites: int
-    bits: tuple = ()
+    bits: tuple
 
     def __post_init__(self):
         bits = tuple(int(b) for b in self.bits)
-        if len(bits) != self.n_sites:
-            raise ValueError(
-                f"expected {self.n_sites} bits, got {len(bits)}"
-            )
         if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
+    @property
+    def n_sites(self) -> int:
+        return len(self.bits)
+
     @classmethod
     def from_string(cls, text: str) -> "BitConfig":
-        return cls(len(text), tuple(int(c) for c in text))
+        return cls(tuple(int(c) for c in text))
 
     @classmethod
     def from_index(cls, n_sites: int, index: int) -> "BitConfig":
-        return cls(n_sites, tuple((index >> i) & 1 for i in range(n_sites)))
+        return cls(tuple((index >> i) & 1 for i in range(n_sites)))
 
     @classmethod
     def zeros(cls, n_sites: int) -> "BitConfig":
-        return cls(n_sites, (0,) * n_sites)
+        return cls((0,) * n_sites)
 
     @classmethod
     def single(cls, n_sites: int, site: int) -> "BitConfig":
         """Configuration with a lone 1 at ``site``."""
         bits = [0] * n_sites
         bits[site - 1] = 1
-        return cls(n_sites, tuple(bits))
+        return cls(tuple(bits))
 
     @property
     def index(self) -> int:
         return sum(b << i for i, b in enumerate(self.bits))
 
     def reversed_sites(self) -> "BitConfig":
-        return BitConfig(self.n_sites, self.bits[::-1])
+        return BitConfig(self.bits[::-1])
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)

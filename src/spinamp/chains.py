@@ -7,8 +7,9 @@ Two chains share one tridiagonal skeleton:
 * the cluster-like amplification chain, a sum of three-body flip terms
   that grows/shrinks domains of 1s with the same amplitudes.
 
-Coupling profiles carry the J_n and the local fields B_n (zeros when
-omitted); a zero J_n or B_n adds no term, so a zero coupling cuts the
+Coupling profiles carry, and check, the J_n, which fix N, and the local
+fields B_n (zeros when omitted); no length is passed beside the values
+that fix it.  A zero J_n or B_n adds no term, so a zero coupling cuts the
 chain in two.  The "engineered" profile J_n = sqrt(n*(N-n)) makes both
 chains transfer perfectly at t = pi/2; the "uniform" profile sets every
 J_n = 1.
@@ -32,26 +33,25 @@ __all__ = [
 ]
 
 
+def _chain_sites(n_sites: int) -> int:
+    if n_sites < 2:
+        raise SizeError(f"chain needs at least 2 sites, got {n_sites}")
+    return n_sites
+
+
 @dataclass(frozen=True)
 class CouplingProfile:
-    """J_1..J_{N-1} couplings and local fields B_1..B_N, all finite; omitted
-    (None or empty) fields are N zeros."""
+    """J_1..J_{N-1} couplings and local fields B_1..B_N, all finite, so N is
+    len(couplings) + 1; omitted (None or empty) fields are N zeros."""
 
-    n_sites: int
     couplings: tuple
     fields: tuple = ()
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise SizeError(f"chain needs at least 2 sites, got {self.n_sites}")
         object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
+        _chain_sites(self.n_sites)
         object.__setattr__(self, "fields",
                            tuple(float(b) for b in self.fields or (0.0,) * self.n_sites))
-        if len(self.couplings) != self.n_sites - 1:
-            raise ValueError(
-                f"need {self.n_sites - 1} couplings for {self.n_sites} sites, "
-                f"got {len(self.couplings)}"
-            )
         if len(self.fields) != self.n_sites:
             raise ValueError(
                 f"need {self.n_sites} fields, got {len(self.fields)}"
@@ -59,40 +59,41 @@ class CouplingProfile:
         if not all(map(math.isfinite, self.couplings + self.fields)):
             raise ValueError("couplings and fields must be finite")
 
+    @property
+    def n_sites(self) -> int:
+        return len(self.couplings) + 1
+
     @classmethod
     def uniform(cls, n_sites: int, fields: Sequence[float] = ()) -> "CouplingProfile":
-        return cls(n_sites, (1.0,) * (n_sites - 1), fields)
+        return cls((1.0,) * (_chain_sites(n_sites) - 1), fields)
 
     @classmethod
     def engineered(cls, n_sites: int, fields: Sequence[float] = ()) -> "CouplingProfile":
         """Perfect-transfer couplings J_n = sqrt(n*(N-n))."""
-        js = tuple(math.sqrt(n * (n_sites - n)) for n in range(1, n_sites))
-        return cls(n_sites, js, fields)
+        js = tuple(math.sqrt(n * (n_sites - n)) for n in range(1, _chain_sites(n_sites)))
+        return cls(js, fields)
 
 
 @dataclass(frozen=True)
 class StarLayout:
-    """R radial chains ("spikes") of length L sharing site 1 as the center."""
+    """R radial chains ("spikes") of length L = ``profile.n_sites`` sharing site 1 as the center."""
 
     spikes: int
-    spike_length: int
     profile: CouplingProfile
 
     def __post_init__(self):
         if self.spikes < 1:
             raise ValueError("need at least one spike")
-        if self.profile.n_sites != self.spike_length:
-            raise ValueError("profile length must match spike length")
 
     @property
     def total_sites(self) -> int:
-        return self.spikes * (self.spike_length - 1) + 1
+        return self.spikes * (self.profile.n_sites - 1) + 1
 
     def global_site(self, spike: int, local_site: int) -> int:
         """Map (spike 1..R, local site 1..L) to a site on the star."""
         if local_site == 1:
             return 1
-        return 1 + (spike - 1) * (self.spike_length - 1) + (local_site - 1)
+        return 1 + (spike - 1) * (self.profile.n_sites - 1) + (local_site - 1)
 
 
 def exchange_chain(profile: CouplingProfile) -> HamiltonianSpec:
@@ -133,23 +134,21 @@ def cluster_chain(profile: CouplingProfile) -> HamiltonianSpec:
     whenever its left neighbour is up.  If the profile carries nonzero
     fields, the equivalent Z Z / boundary-Z fragment is included too.
     """
-    n = profile.n_sites
-    spec = HamiltonianSpec(n, tuple(_cluster_terms(profile)))
+    spec = HamiltonianSpec(profile.n_sites, tuple(_cluster_terms(profile)))
     if any(profile.fields):
-        spec = spec + cluster_field_terms(n, profile.fields)
+        spec = spec + cluster_field_terms(profile.fields)
     return spec
 
 
-def cluster_field_terms(n_sites: int, fields: Sequence[float]) -> HamiltonianSpec:
-    """Image of the exchange-model fields sum_n B_n Z_n on the cluster side.
+def cluster_field_terms(fields: Sequence[float]) -> HamiltonianSpec:
+    """Image of the exchange-model fields sum_n B_n Z_n, N = len(fields), on the cluster side.
 
     Interior fields become B_n Z_n Z_{n+1}; the last one stays B_N Z_N
     (site N has no right neighbour to pick up under the basis change).
     With every B_n = 1 this is the domain-wall count, which the cluster
     chain conserves.
     """
-    if len(fields) != n_sites:
-        raise ValueError(f"need {n_sites} field values, got {len(fields)}")
+    n_sites = len(fields)
     terms = [PauliTerm(b, {i: "Z", i + 1: "Z"} if i < n_sites else {i: "Z"})
              for i, b in enumerate(fields, start=1) if b != 0.0]
     return HamiltonianSpec(n_sites, tuple(terms))

@@ -18,6 +18,8 @@ eigendecomposition.
 
 With the engineered couplings J_n = sqrt(n*(N-n)) and the chain
 normalizations used here, perfect transfer happens at t = pi/2.
+:func:`amplification_check` and :func:`max_fidelity_scan` are the one
+check of alpha^2 + beta^2 = 1 and of a scan grid; the CLI adds none.
 """
 
 from __future__ import annotations
@@ -180,8 +182,10 @@ def max_fidelity_scan(prop: Propagator, source: BitConfig, target: BitConfig,
     the refinement does strictly better.  Returns (t_star, f_star, ts,
     fidelities), the last two being the grid scan itself.
     """
-    if not (0.0 < t_max < math.inf and 0.0 < grid_step < math.inf):
-        raise ValueError("t_max and grid_step must be positive and finite")
+    if not (0.0 < grid_step and 0.0 < t_max < grid_step * 2.0 ** 63
+            and math.isfinite(t_max + grid_step / 2)):      # the grid's stop
+        raise ValueError("t_max and grid_step must be positive, t_max / grid_step below 2^63, "
+                         "t_max + grid_step / 2 finite")
     ts = np.arange(0.0, t_max + 0.5 * grid_step, grid_step)
     fidelities = np.abs(prop.amplitudes(source, target, ts)) ** 2
     best = int(np.argmax(fidelities))
@@ -213,12 +217,12 @@ def amplification_check(prop: Propagator, alpha: complex, beta: complex,
     maximize the overlap; the evolution fixes a relative phase the ideal
     conversion leaves open, so it is scored out and reported.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ValueError("alpha, beta must satisfy |a|^2 + |b|^2 = 1")
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:
+        raise ValueError(f"need alpha^2 + beta^2 = 1, got alpha={alpha}, beta={beta}")
     n = prop.n_sites
     zeros = BitConfig.zeros(n)
     start = BitConfig.single(n, 1)
-    ones = BitConfig(n, (1,) * n)
+    ones = BitConfig((1,) * n)
 
     def amp(source: BitConfig, target: BitConfig) -> complex:
         return complex(prop.amplitudes(source, target, t)[0])

@@ -34,6 +34,8 @@ _COMMUTATOR = ["tests/test_algebra.py", "tests/test_chains.py", "-k", "commutato
 _NOISE = ["tests/test_noise.py"]
 _CONFIG = ["tests/test_noise.py", "tests/test_cli.py", "-k", "config or rejects or bad_input"]
 _TIMES = ["tests/test_evolution.py", "tests/test_noise.py", "tests/test_cli.py"]
+_LIBRARY_CHECKS = ["tests/test_evolution.py", "tests/test_cli.py",
+                   "-k", "scan_argument or amplification or librarys"]
 
 MUTANTS = [
     # the sign of i^(e+1) for an anticommuting pair
@@ -118,6 +120,17 @@ MUTANTS = [
     # a star refused fields only when every one is nonzero
     ("chains.py", "if any(layout.profile.fields):", "if all(layout.profile.fields):",
      ["tests/test_chains.py", "-k", "star"]),
+    # a NaN alpha or beta let through to the amplitudes
+    ("evolution.py", "if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:",
+     "if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:", _LIBRARY_CHECKS),
+    # a grid whose stop overflows let through to np.arange
+    ("evolution.py", "and math.isfinite(t_max + grid_step / 2)", "and True", _LIBRARY_CHECKS),
+    # N read as the number of couplings
+    ("chains.py", "return len(self.couplings) + 1", "return len(self.couplings)",
+     ["tests/test_chains.py", "-k", "profile"]),
+    # a named profile of N < 2 sites reported as one of 1 site
+    ("chains.py", "(1.0,) * (_chain_sites(n_sites) - 1)", "(1.0,) * (n_sites - 1)",
+     ["tests/test_chains.py", "-k", "profile"]),
 ]
 
 

@@ -184,13 +184,13 @@ def gamma_forward_bits(b: BitConfig) -> BitConfig:
     for bit in reversed(b.bits):
         acc ^= bit
         out.append(acc)
-    return BitConfig(b.n_sites, tuple(reversed(out)))
+    return BitConfig(tuple(reversed(out)))
 
 
 def gamma_inverse_bits(b: BitConfig) -> BitConfig:
     """Adjacent differences: output bit i = b_i xor b_{i+1} (b_{N+1} = 0)."""
     padded = b.bits + (0,)
-    return BitConfig(b.n_sites, tuple(x ^ y for x, y in zip(padded, padded[1:])))
+    return BitConfig(tuple(x ^ y for x, y in zip(padded, padded[1:])))
 
 
 def mirror_bits(b: BitConfig) -> BitConfig:
@@ -212,7 +212,7 @@ def ca_half_step_bits(b: BitConfig, parity: str) -> BitConfig:
         else:
             if b.bits[site - 2] == 1:
                 bits[site - 1] ^= 1
-    return BitConfig(n, tuple(bits))
+    return BitConfig(tuple(bits))
 
 
 def ca_report_rows(n_sites: int) -> list:
@@ -229,7 +229,7 @@ def ca_report_rows(n_sites: int) -> list:
     probs = abs(kron_unitary(spec, PST_TIME)) ** 2
     rows = []
     for bits in itertools.product((0, 1), repeat=n_sites):
-        b = BitConfig(n_sites, bits)
+        b = BitConfig(bits)
         col = probs[:, b.index]
         best = int(col.argmax())
         continuous = BitConfig.from_index(n_sites, best)
@@ -270,7 +270,7 @@ def pair_phase_deviations(prop, t: float, first: int, mirror) -> dict:
     n = prop.n_sites
 
     def phase(*sites) -> float:
-        config = BitConfig(n, tuple(int(s in sites) for s in range(1, n + 1)))
+        config = BitConfig(tuple(int(s in sites) for s in range(1, n + 1)))
         amp = prop.amplitudes(config, mirror(config), t)[0]
         assert abs(amp) >= 0.5
         return float(np.angle(amp))

@@ -50,7 +50,6 @@ def test_acceptance_01_conjugation_identity():
         ok = ok and np.array_equal(gamma_matrix(n), np.eye(1 << n)[g])
         for _ in range(20):
             prof = CouplingProfile(
-                n,
                 tuple(rng.uniform(0.2, 2.0, n - 1)),
                 tuple(rng.normal(size=n)),
             )
@@ -67,7 +66,7 @@ def test_acceptance_02_wall_symmetry():
     worst = 0.0
     for n in range(2, 11):
         h = kron_dense(cluster_chain(CouplingProfile.engineered(n)))
-        w = kron_dense(cluster_field_terms(n, (1.0,) * n))     # domain-wall count
+        w = kron_dense(cluster_field_terms((1.0,) * n))     # domain-wall count
         worst = max(worst, float(np.max(np.abs(h @ w - w @ h))))
     _report(2, "conserved wall symmetry", worst < 1e-12,
             f"max commutator entry {worst:.2e}")
@@ -174,7 +173,7 @@ def test_acceptance_07_phase_separability():
 
 
 def test_acceptance_08_star_geometry():
-    layout = StarLayout(3, 3, CouplingProfile.engineered(3))
+    layout = StarLayout(3, CouplingProfile.engineered(3))
     spikes = [kron_dense(s) for s in spike_hamiltonians(layout)]
     comm = max(
         float(np.max(np.abs(a @ b - b @ a)))

@@ -187,7 +187,7 @@ def test_kernel_matches_kronecker_oracle(spec):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_chain_matrices_are_real(n):
     rng = np.random.default_rng(300 + n)
-    prof = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)), tuple(rng.normal(size=n)))
+    prof = CouplingProfile(tuple(rng.uniform(0.2, 2.0, n - 1)), tuple(rng.normal(size=n)))
     for spec in (exchange_chain(prof), cluster_chain(prof)):
         assert all(h.dtype == np.float64 for _, h in sector_blocks(spec))
         assert np.max(np.abs(_from_blocks(spec) - kron_dense(spec))) < 1e-12
@@ -352,8 +352,8 @@ def test_permuted_deviation_equals_dense_oracle_bitwise(n, factor):
     rng = np.random.default_rng(900 + n)
     couplings = rng.uniform(0.2, 2.0, n - 1)
     fields = tuple(rng.uniform(-1.0, 1.0, n))
-    h_ex = exchange_chain(CouplingProfile(n, tuple(couplings), fields))
-    h_cluster = cluster_chain(CouplingProfile(n, tuple(factor * couplings), fields))
+    h_ex = exchange_chain(CouplingProfile(tuple(couplings), fields))
+    h_cluster = cluster_chain(CouplingProfile(tuple(factor * couplings), fields))
     g = gamma_inverse_indices(n)
     dense = float(np.max(np.abs(kron_dense(h_ex)[np.ix_(g, g)] - kron_dense(h_cluster))))
     assert max_permuted_deviation(h_ex, h_cluster, g) == dense

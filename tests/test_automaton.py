@@ -82,7 +82,7 @@ def test_same_parity_involution(n):
 @given(st.integers(2, 12), st.data(), st.sampled_from(("even", "odd")))
 def test_wall_count_is_conserved(n, data, parity):
     bits = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-    b = BitConfig(n, bits)
+    b = BitConfig(bits)
     assert _walls(BitConfig.from_index(n, ca_half_step(b.index, n, parity))) == _walls(b)
 
 
@@ -96,7 +96,7 @@ def test_ca_reaches_the_mirror_on_a_long_chain():
     # the CA runs on Python ints, so it follows the mirror theorem far past
     # the exhaustive report's range
     n = 256
-    b = BitConfig(n, tuple(np.random.default_rng(256).integers(0, 2, n)))
+    b = BitConfig(tuple(np.random.default_rng(256).integers(0, 2, n)))
     assert mirror_map(b).index in _trajectory(b, 4 * n)
 
 

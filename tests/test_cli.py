@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinamp import automaton, chains, cli, noise
+from spinamp import automaton, chains, cli, evolution, noise
 from spinamp.algebra import BitConfig, HamiltonianSpec, PauliTerm, SpinChainError
 from spinamp.chains import CouplingProfile, StarLayout, spike_hamiltonians
 from spinamp.cli import _json_doc, main
@@ -405,6 +405,27 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
     assert props == [] and draws == []
 
 
+@pytest.mark.parametrize("argv, call", [
+    (["amplify", "--n", "4", "--alpha", "2"],
+     lambda prop: evolution.amplification_check(prop, 2.0, 0.0, math.pi / 2)),
+    (["amplify", "--n", "4", "--alpha", "0.6", "--beta", "0.81"],
+     lambda prop: evolution.amplification_check(prop, 0.6, 0.81, math.pi / 2)),
+    (["scan", "--n", "4", "--source", "1000", "--target", "0001", "--grid-step", "1e-300"],
+     lambda prop: evolution.max_fidelity_scan(prop, None, None, 200.0, 1e-300)),
+    (["scan", "--n", "2", "--source", "10", "--target", "01", "--t-max", "1.79e308",
+      "--grid-step", "1e307"],
+     lambda prop: evolution.max_fidelity_scan(prop, None, None, 1.79e308, 1e307)),
+], ids=["alpha", "alpha-beta", "grid-points", "grid-stop"])
+def test_amplify_and_scan_refusals_are_the_librarys(argv, call, capsys):
+    # amplify and scan keep no check of their own: the CLI's one error line
+    # is the library's refusal of the same values, and exits 2
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    with pytest.raises(ValueError) as refused:
+        call(evolution.Propagator(CouplingProfile.engineered(4), "cluster"))
+    assert (captured.out, captured.err) == ("", f"error: {refused.value}\n")
+
+
 def test_chain_length_stops_at_max_chain(capsys):
     # the fermion route reads sites off a Python int, so chains past an
     # int64 index run, with the top site (bit 63 at N = 64) set; MAX_CHAIN
@@ -493,7 +514,7 @@ def test_star_demo(tmp_path):
 def test_star_demo_matches_kronecker_oracle(spikes, length, capsys):
     assert main(["star-demo", "--spikes", str(spikes), "--length", str(length)]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
-    layout = StarLayout(spikes, length, CouplingProfile.engineered(length))
+    layout = StarLayout(spikes, CouplingProfile.engineered(length))
     specs = spike_hamiltonians(layout)
     dense = [kron_dense(s) for s in specs]
     comm = max(float(np.max(np.abs(a @ b - b @ a)))

@@ -140,7 +140,7 @@ def test_composition():
 def test_energy_and_wall_conservation():
     rng = np.random.default_rng(3)
     spec = _cluster(6)
-    h, walls = kron_dense(spec), kron_dense(cluster_field_terms(6, (1.0,) * 6))
+    h, walls = kron_dense(spec), kron_dense(cluster_field_terms((1.0,) * 6))
 
     def expectation(op, psi):
         value = np.vdot(psi, op @ psi)
@@ -237,11 +237,22 @@ def test_scan_grid_matches_transfer_fidelity():
         assert f_star >= fids.max() - 1e-12
 
 
-def test_scan_argument_validation():
+_GRID_RULE = ("t_max and grid_step must be positive, t_max / grid_step below 2^63, "
+              "t_max + grid_step / 2 finite")
+
+
+def test_scan_argument_validation(monkeypatch):
+    # the one grid rule, refused before any amplitude; the last grid once
+    # reached np.arange, whose stop overflows, as "Maximum allowed size exceeded"
     prop = _exchange_prop(2)
-    with pytest.raises(ValueError):
-        max_fidelity_scan(prop, BitConfig.single(2, 1), BitConfig.single(2, 2),
-                          t_max=-1.0, grid_step=0.1)
+    monkeypatch.setattr(prop, "amplitudes", lambda *args: pytest.fail("evolved"))
+    for t_max, grid_step in ((-1.0, 0.1), (0.0, 0.1), (1.0, 0.0), (1.0, -0.1),
+                             (math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1), (1.0, math.inf),
+                             (1.0, 1e-300), (2.0 ** 63, 1.0), (1.79e308, 1e307)):
+        with pytest.raises(ValueError) as refused:
+            max_fidelity_scan(prop, BitConfig.single(2, 1), BitConfig.single(2, 2),
+                              t_max=t_max, grid_step=grid_step)
+        assert str(refused.value) == _GRID_RULE, (t_max, grid_step)
 
 
 def test_amplification_trivial_branches():
@@ -249,6 +260,18 @@ def test_amplification_trivial_branches():
     assert amplification_check(prop, 1.0, 0.0, 3.7).fidelity > 1.0 - 1e-12
     with pytest.raises(ValueError):
         amplification_check(prop, 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+                                         (math.inf, 0.0), (1.0, 1.0), (0.6, 0.8 + 1e-8)])
+def test_amplification_refuses_amplitudes_off_the_unit_circle(alpha, beta, monkeypatch):
+    # the one check of alpha^2 + beta^2 = 1: a NaN once passed it and came
+    # out as NaN fidelities
+    prop = _cluster_prop(4)
+    monkeypatch.setattr(prop, "amplitudes", lambda *args: pytest.fail("evolved"))
+    with pytest.raises(ValueError) as refused:
+        amplification_check(prop, alpha, beta, 0.5)
+    assert str(refused.value) == f"need alpha^2 + beta^2 = 1, got alpha={alpha}, beta={beta}"
 
 
 @pytest.mark.parametrize("alpha, beta, t", [
@@ -320,8 +343,8 @@ def test_free_fermions_match_every_block_amplitude():
             assert expected[0, j, i] != 0.0 or not amps.any()
 
 
-_CUT_PROFILES = [CouplingProfile(5, (1.0, 0.0, 0.7, 1.3)),
-                 CouplingProfile(5, (0.0, 1.1, 0.0, 0.6), (0.3, 0.0, -0.5, 0.2, 0.1))]
+_CUT_PROFILES = [CouplingProfile((1.0, 0.0, 0.7, 1.3)),
+                 CouplingProfile((0.0, 1.1, 0.0, 0.6), (0.3, 0.0, -0.5, 0.2, 0.1))]
 
 
 @pytest.mark.parametrize("family", ["cluster", "exchange"])
@@ -351,7 +374,7 @@ def _chains(draw):
         target = mirror_map(source) if family == "cluster" else source.reversed_sites()
     else:
         target = BitConfig.from_index(n, draw(st.integers(0, 2 ** n - 1)))
-    return CouplingProfile(n, couplings, fields), family, source, target
+    return CouplingProfile(couplings, fields), family, source, target
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,7 +394,7 @@ def test_engineered_mirror_is_perfect_on_long_chains(family, n):
     mirror = mirror_map if family == "cluster" else BitConfig.reversed_sites
     prop = Propagator(CouplingProfile.engineered(n), family)
     rng = np.random.default_rng(63)
-    for source in (BitConfig.single(n, 2), BitConfig(n, tuple(rng.integers(0, 2, n)))):
+    for source in (BitConfig.single(n, 2), BitConfig(tuple(rng.integers(0, 2, n)))):
         amp = prop.amplitudes(source, mirror(source), PST_TIME)[0]
         assert abs(abs(amp) ** 2 - 1.0) < 1e-9
 
@@ -420,7 +443,7 @@ def _block_specs(draw):
                                         for c, sites in strings))
     couplings = draw(st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1))
     fields = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
-    profile = CouplingProfile(n, tuple(couplings), tuple(fields))
+    profile = CouplingProfile(tuple(couplings), tuple(fields))
     if kind == "cluster":
         return cluster_chain(profile)
     spec = exchange_chain(profile)
@@ -464,7 +487,7 @@ def test_block_backend_matches_full_space(spec, data):
 def _sector_labels(family, n):
     """Wall count (cluster) or excitation number (exchange) of every basis index."""
     if family == "cluster":
-        return np.diag(kron_dense(cluster_field_terms(n, (1.0,) * n))).real
+        return np.diag(kron_dense(cluster_field_terms((1.0,) * n))).real
     return np.array([bin(i).count("1") for i in range(1 << n)])
 
 
@@ -484,7 +507,7 @@ def test_amplitudes_between_blocks_are_exactly_zero(family):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_blocks_are_the_conserved_sectors(n):
     rng = np.random.default_rng(n)
-    profile = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)),
+    profile = CouplingProfile(tuple(rng.uniform(0.2, 2.0, n - 1)),
                               tuple(rng.uniform(-1.0, 1.0, n)))
     blocks = {family: [row for rows, _ in sector_blocks(chain(profile)) for row in rows]
               for family, chain in (("cluster", cluster_chain), ("exchange", exchange_chain))}
@@ -501,7 +524,7 @@ def test_blocks_are_the_conserved_sectors(n):
 
 
 def _star(spikes, length, profile=CouplingProfile.engineered):
-    layout = StarLayout(spikes, length, profile(length))
+    layout = StarLayout(spikes, profile(length))
     return sum(spike_hamiltonians(layout), HamiltonianSpec(layout.total_sites))
 
 
@@ -546,7 +569,7 @@ def test_huge_finite_times_are_refused(family):
         list(block_unitaries(CHAIN[family](profile), 1e308))
     # exp(-it sum B) is checked too: here |sum B| = 4e10 is twice h's
     # largest |eigenvalue|, and only t * sum B overflows
-    fields = Propagator(CouplingProfile(4, (0.0,) * 3, (1e10,) * 4), family)
+    fields = Propagator(CouplingProfile((0.0,) * 3, (1e10,) * 4), family)
     with pytest.raises(TimeRangeError):
         fields.amplitudes(BitConfig.zeros(4), BitConfig.zeros(4), 6e297)
     assert np.all(np.isfinite(prop.amplitudes(source, source, 1e300)))
@@ -600,7 +623,7 @@ def test_scan_memory_stays_within_one_batch():
     # a default-grid scan (2001 times) with k = 48 occupied sites: u[D, S]
     # at every time at once would take 2001 * 48^2 * 16 B = 70 MiB
     prop = _exchange_prop(96)       # eigh not measured
-    source = BitConfig(96, (1, 0) * 48)
+    source = BitConfig((1, 0) * 48)
     tracemalloc.start()
     try:
         max_fidelity_scan(prop, source, source.reversed_sites())
@@ -654,8 +677,8 @@ def test_uniform_chain_determinant_closed_form(n, first, k):
     sites = [first + 2 * j for j in range(k)]
     expected = uniform_chain_amplitude(n, sites, [s + 1 for s in sites], 1.0)
     assert abs(expected) >= 1e-3
-    source = BitConfig(n, tuple(int(s in sites) for s in range(1, n + 1)))
-    target = BitConfig(n, (0,) + source.bits[:-1])
+    source = BitConfig(tuple(int(s in sites) for s in range(1, n + 1)))
+    target = BitConfig((0,) + source.bits[:-1])
     for family, config in (("exchange", lambda b: b), ("cluster", gamma_forward_bits)):
         prop = Propagator(CouplingProfile.uniform(n), family)
         amp = prop.amplitudes(config(source), config(target), 1.0)[0]

@@ -116,7 +116,7 @@ def test_mirror_examples():
 @given(st.integers(1, 12), st.data())
 def test_domain_walls_count_excitations(n, data):
     bits = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-    b = BitConfig(n, bits)
+    b = BitConfig(bits)
     walls = sum(x != y for x, y in zip(bits, bits[1:])) + bits[-1]
     assert bin(gamma_inverse_indices(n)[b.index]).count("1") == walls
 
@@ -146,8 +146,7 @@ def test_conjugation_of_local_fields():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_exchange_conjugates_to_amplification_chain(n):
     rng = np.random.default_rng(600 + n)
-    prof = CouplingProfile(n, tuple(rng.uniform(0.2, 2.0, n - 1)),
-                           tuple(rng.normal(size=n)))
+    prof = CouplingProfile(tuple(rng.uniform(0.2, 2.0, n - 1)), tuple(rng.normal(size=n)))
     assert conjugate_hamiltonian(exchange_chain(prof)).term_map() == \
         cluster_chain(prof).term_map()
 

@@ -101,7 +101,7 @@ def test_trials_stay_normalized(props):
 
 
 _RNG = np.random.default_rng(8)
-_FIELD_PROFILE = CouplingProfile(N, tuple(_RNG.uniform(0.2, 2.0, N - 1)),
+_FIELD_PROFILE = CouplingProfile(tuple(_RNG.uniform(0.2, 2.0, N - 1)),
                                  tuple(_RNG.uniform(-1.0, 1.0, N)))
 
 
@@ -145,7 +145,7 @@ def test_ensemble_edges_match_single_trials(chain, source, steps, trials, p):
 
 _LONG = 64
 _RNG_LONG = np.random.default_rng(64)
-_LONG_PROFILE = CouplingProfile(_LONG, tuple(_RNG_LONG.uniform(0.2, 2.0, _LONG - 1)),
+_LONG_PROFILE = CouplingProfile(tuple(_RNG_LONG.uniform(0.2, 2.0, _LONG - 1)),
                                 tuple(_RNG_LONG.uniform(-1.0, 1.0, _LONG)))
 
 
@@ -159,7 +159,7 @@ def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
     prop = Propagator(_LONG_PROFILE, FAMILY[chain])
     rng = np.random.default_rng(k)
     occupied = sorted(rng.choice(_LONG, k, replace=False).tolist())
-    pattern = BitConfig(_LONG, tuple(int(s in occupied) for s in range(_LONG)))
+    pattern = BitConfig(tuple(int(s in occupied) for s in range(_LONG)))
     source = gamma_forward_bits(pattern) if chain is cluster_chain else pattern
     assert prop.occupied(source) == occupied
     cfg = NoiseConfig([p], 1.3, steps=25, trials=12, seed=11)
@@ -259,7 +259,7 @@ def test_grid_memory_stays_within_one_batch():
     # so only the last row flips
     n = 64
     prop = Propagator(CouplingProfile.engineered(n), "exchange")
-    source = BitConfig(n, (1, 0) * (n // 2))
+    source = BitConfig((1, 0) * (n // 2))
     cfg = NoiseConfig([0.0] * 49 + [0.05], T, trials=100, seed=7)
     draws = trial_draws(cfg, n)
     tracemalloc.start()

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -8,6 +10,8 @@ import pytest
 
 import spinamp
 from spinamp import cli
+from spinamp.algebra import BitConfig
+from spinamp.chains import CouplingProfile, StarLayout, cluster_field_terms
 
 import mutants
 
@@ -56,3 +60,23 @@ def test_every_mutant_has_one_target():
     for file, old, new, _ in mutants.MUTANTS:
         assert mutants._source(file).read_text().count(old) == 1, (file, old)
         assert new != old, (file, old)
+
+
+@pytest.mark.parametrize("target, parameters", [
+    (CouplingProfile, ["couplings", "fields=()"]),
+    (BitConfig, ["bits"]),
+    (StarLayout, ["spikes", "profile"]),
+    (cluster_field_terms, ["fields"]),
+], ids=["CouplingProfile", "BitConfig", "StarLayout", "cluster_field_terms"])
+def test_lengths_are_derived_not_passed(target, parameters):
+    # a length that another input already fixes is derived from it, so no
+    # second value, and no check that the two agree, can come back
+    got = [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+           for p in inspect.signature(target).parameters.values()]
+    assert got == parameters
+
+
+@pytest.mark.parametrize("cls", [CouplingProfile, BitConfig])
+def test_n_sites_is_not_a_field(cls):
+    assert "n_sites" not in {field.name for field in dataclasses.fields(cls)}
+    assert isinstance(inspect.getattr_static(cls, "n_sites"), property)
