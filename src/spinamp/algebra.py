@@ -187,7 +187,9 @@ class BitConfig:
 
     @classmethod
     def single(cls, n_sites: int, site: int) -> "BitConfig":
-        """Configuration with a lone 1 at ``site``."""
+        """Configuration with a lone 1 at ``site``, in 1..n_sites, else ValueError."""
+        if not 1 <= site <= n_sites:
+            raise ValueError(f"site must be in 1..{n_sites}, got {site}")
         bits = [0] * n_sites
         bits[site - 1] = 1
         return cls(tuple(bits))

@@ -24,6 +24,7 @@ check of alpha^2 + beta^2 = 1 and of a scan grid; the CLI adds none.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,8 +58,9 @@ REFINE_TOL = 1e-8       # width at which a scan's golden-section refinement stop
 PST_TIME = math.pi / 2.0
 
 #: Most complex entries one batch of free-fermion matrices holds (16 MiB):
-#: u[D, S] over times in :meth:`Propagator.amplitudes`, orbitals over
-#: (p, trial) rows in :func:`~spinamp.noise.dephasing_ensemble`.
+#: u[D, S] over times in :meth:`Propagator.amplitudes`, the orbitals of
+#: every task over the (p, trial) rows that flip in
+#: :func:`~spinamp.noise.dephasing_ensemble`.
 BATCH_ELEMENTS = 1 << 20
 
 
@@ -76,13 +78,24 @@ def require_times(ts, vals) -> np.ndarray:
     return ts
 
 
+@functools.lru_cache(maxsize=1)
+def _eigenpairs(profile: CouplingProfile) -> tuple:
+    """The eigenpairs of h = tridiag(J) - 2 diag(B), read-only, so the two
+    chains of one profile share one ``eigh``."""
+    js, bs = profile.couplings, profile.fields
+    vals, vecs = np.linalg.eigh(np.diag(js, 1) + np.diag(js, -1) - 2.0 * np.diag(bs))
+    vals.flags.writeable = vecs.flags.writeable = False
+    return vals, vecs
+
+
 class Propagator:
     """e^{-iHt} of ``exchange_chain(profile)`` or ``cluster_chain(profile)``,
     as free fermions.
 
     ``family`` is "exchange" or "cluster", else ValueError.  h holds the
     couplings J on its off-diagonals (a zero J_n cuts it into blocks) and
-    -2B on its diagonal; ``vals`` and ``vecs`` are its eigenpairs,
+    -2B on its diagonal; ``vals`` and ``vecs`` are its eigenpairs, read-only
+    and shared with the last propagator built on an equal profile,
     ``field_sum`` is sum B, and ``ladder`` is True for the amplification
     chain, whose configurations reach h through the CNOT ladder.
     """
@@ -92,9 +105,8 @@ class Propagator:
             raise ValueError(f"unknown Hamiltonian family {family!r}")
         self.profile, self.family, self.n_sites = profile, family, profile.n_sites
         self.ladder = family == "cluster"
-        js, bs = profile.couplings, profile.fields
-        self.field_sum = sum(bs)
-        self.vals, self.vecs = np.linalg.eigh(np.diag(js, 1) + np.diag(js, -1) - 2.0 * np.diag(bs))
+        self.field_sum = sum(profile.fields)
+        self.vals, self.vecs = _eigenpairs(profile)
 
     def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
         """<target|U(t)|source> for each t in ``ts``: exactly 0 when S and D,

@@ -105,11 +105,31 @@ MUTANTS = [
     # the spread of equal trials taken from their rounded mean
     ("noise.py", "0.0 if fids.min() == fids.max() else", "0.0 if cfg.trials == 1 else",
      ["tests/test_noise.py", "tests/test_cli.py", "-k", "spread"]),
-    # a hit row's flip site read at its offset in the batch, not in the trials
-    ("noise.py", "sites[(lo + hit) % cfg.trials, step]", "sites[hit % cfg.trials, step]",
-     _NOISE),
+    # a hit row's flip site read at its place among the rows that flip, not at its row
+    ("noise.py", "sites[busy[lo + hit] % cfg.trials, step]",
+     "sites[(lo + hit) % cfg.trials, step]", _NOISE),
     # the p-major rows read back trial-major
-    ("noise.py", ".reshape(len(ps), cfg.trials)", ".reshape(cfg.trials, len(ps)).T", _NOISE),
+    ("noise.py", ".reshape(len(tasks), len(ps), cfg.trials)",
+     ".reshape(len(tasks), cfg.trials, len(ps)).swapaxes(1, 2)", _NOISE),
+    # quiet rows scored from the first k single-particle sites, not the occupied ones
+    ("noise.py", "scores(np.tile(start, (2, 1, 1)))", "scores(np.tile(vecs[:k], (2, 1, 1)))",
+     _NOISE),
+    # quiet rows read off one copy of the start, through numpy's dot kernel
+    ("noise.py", "(2, 1, 1))))[:, :1]", "(1, 1, 1))))[:, :1]",
+     ["tests/test_noise.py", "-k", "bitwise"]),
+    # the exchange orbitals given the cluster chain's suffix signs
+    ("noise.py", "[n * prop.ladder - 1 for prop, sites", "[n - 1 for prop, sites", _NOISE),
+    # every task's readout slice taken from the first orbital
+    ("noise.py", "list(zip([0] + ends, ends))", "list(zip([0] * len(ends), ends))", _NOISE),
+    # tasks on different profiles evolved with the first one's eigenpairs
+    ("noise.py", "if any(prop.profile != props[0].profile for prop in props):", "if False:",
+     ["tests/test_noise.py", "-k", "profiles"]),
+    # one eigh per propagator, not per profile
+    ("evolution.py", "@functools.lru_cache(maxsize=1)\n", "",
+     ["tests/test_noise.py::test_sweep_diagonalizes_h_once"]),
+    # a site outside 1..N wrapped or raised IndexError
+    ("algebra.py", "        if not 1 <= site <= n_sites:\n", "        if False:\n",
+     ["tests/test_algebra.py::test_single_refuses_a_site_outside_the_chain"]),
     # a NaN flip probability accepted
     ("noise.py", "if not 0.0 <= p <= 1.0:", "if p < 0.0 or p > 1.0:", _CONFIG),
     # a zero sweep time accepted

@@ -279,6 +279,15 @@ def test_bit_config_round_trips():
     assert str(cfg.reversed_sites()) == "01101"
 
 
+def test_single_refuses_a_site_outside_the_chain():
+    # site 0 once wrapped to site N, site -1 to N - 1, and site N + 1 raised
+    # a bare IndexError
+    assert [str(BitConfig.single(4, s)) for s in (1, 4)] == ["1000", "0001"]
+    for site in (0, -1, 5):
+        with pytest.raises(ValueError, match=rf"site must be in 1\.\.4, got {site}"):
+            BitConfig.single(4, site)
+
+
 def _spec_pairs():
     """Two random specs on one chain of 1..6 sites, Y letters included; an
     X-only string makes a group with no signed site."""

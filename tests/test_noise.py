@@ -92,7 +92,7 @@ def test_trials_stay_normalized(props):
     cluster, _ = props
     cfg = NoiseConfig([1.0], T, trials=1, seed=9)
     many = NoiseConfig([1.0], T, trials=50, seed=9)
-    fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), many, trial_draws(many, N))[0]
+    fids = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], many, trial_draws(many, N))[0][0]
     assert np.all(fids <= 1.0)
     # per-trial norm: evolve manually and check
     uniforms, sites = trial_draws(cfg, N)
@@ -114,7 +114,7 @@ def test_batch_matches_single_trials(chain, source, seed):
     prop = Propagator(_FIELD_PROFILE, FAMILY[chain])
     cfg = NoiseConfig([0.3], 1.3, trials=16, seed=seed)
     config = BitConfig.from_string(source)
-    batch = dephasing_ensemble(prop, config, cfg, trial_draws(cfg, N))[0]
+    batch = dephasing_ensemble([(prop, config)], cfg, trial_draws(cfg, N))[0][0]
     singles = np.array([
         dephasing_trial(prop, config, N, 1.3, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -133,7 +133,7 @@ def test_ensemble_edges_match_single_trials(chain, source, steps, trials, p):
     cfg = NoiseConfig([p], 0.9, steps=steps, trials=trials, seed=3)
     config = BitConfig.from_string(source)
     draws = trial_draws(cfg, N)
-    ensemble = dephasing_ensemble(prop, config, cfg, draws)
+    ensemble = dephasing_ensemble([(prop, config)], cfg, draws)[0]
     assert ensemble.shape == (1, trials)
     batch = ensemble[0]
     singles = np.array([dephasing_trial(prop, config, N, 0.9, p, cfg, uniforms, sites)
@@ -164,7 +164,7 @@ def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
     assert prop.occupied(source) == occupied
     cfg = NoiseConfig([p], 1.3, steps=25, trials=12, seed=11)
     draws = trial_draws(cfg, _LONG)
-    batch = dephasing_ensemble(prop, source, cfg, draws)[0]
+    batch = dephasing_ensemble([(prop, source)], cfg, draws)[0][0]
     reference = forward_ensemble(prop, source, _LONG, 1.3, p, cfg, draws)
     assert np.max(np.abs(batch - reference)) < 1e-12
 
@@ -181,7 +181,7 @@ def test_noiseless_ensemble_is_binomial_at_1024_sites():
     draws = trial_draws(cfg, n)
     peak = 1 + round(math.sin(t) ** 2 * (n - 1))
     for source in (1, n - peak, n + 1 - peak, n + 2 - peak):
-        fids = dephasing_ensemble(prop, BitConfig.single(n, source), cfg, draws)[0]
+        fids = dephasing_ensemble([(prop, BitConfig.single(n, source))], cfg, draws)[0][0]
         clean = transfer_fidelity(prop, BitConfig.single(n, source), BitConfig.single(n, n), t)
         expected = binomial_transfer(n, n + 1 - source, t)
         assert source == 1 or expected > 0.02
@@ -211,7 +211,7 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
     k = len(cluster.occupied(BitConfig.single(N, 2)))
     monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * N * k - 1)
     cfg = NoiseConfig([0.3], T, trials=23, seed=4)
-    batch = dephasing_ensemble(cluster, BitConfig.single(N, 2), cfg, trial_draws(cfg, N))[0]
+    batch = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], cfg, trial_draws(cfg, N))[0][0]
     singles = np.array([
         dephasing_trial(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -220,18 +220,93 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
 
 
 def test_row_batches_end_inside_a_p_row(props, monkeypatch):
-    # 3 p rows of 23 trials in batches of 7: batches start inside every p
-    # row, so a hit row reads its flip site at (lo + hit) % trials
+    # 3 p rows of 23 trials, the rows that flip in batches of 7: batches
+    # start inside every p row, and past the p = 0.05 rows that never flip,
+    # so a hit row reads its flip site at busy[lo + hit] % trials; each
+    # chain alone, then both in one call
     p_grid = [0.3, 1.0, 0.05]
     cfg = NoiseConfig(p_grid, T, trials=23, seed=4)
     draws = trial_draws(cfg, N)
-    for prop, source in _tasks(props):
-        k = len(prop.occupied(source))
+    assert not (draws[0] < 0.05).any(axis=1).all()
+    for tasks in [[task] for task in _tasks(props)] + [_tasks(props)]:
+        k = sum(len(prop.occupied(source)) for prop, source in tasks)
         monkeypatch.setattr(noise, "BATCH_ELEMENTS", 8 * N * k - 1)
-        rows = dephasing_ensemble(prop, source, cfg, draws)
-        assert rows.shape == (3, 23)
-        for p, row in zip(p_grid, rows):
-            assert np.max(np.abs(row - forward_ensemble(prop, source, N, T, p, cfg, draws))) < 1e-12
+        ensemble = dephasing_ensemble(tasks, cfg, draws)
+        assert ensemble.shape == (len(tasks), 3, 23)
+        for (prop, source), rows in zip(tasks, ensemble):
+            for p, row in zip(p_grid, rows):
+                reference = forward_ensemble(prop, source, N, T, p, cfg, draws)
+                assert np.max(np.abs(row - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("n, profile, cfg", [
+    (12, CouplingProfile.uniform(12), NoiseConfig([0.0, 0.01, 0.5, 1.0], T, steps=7,
+                                                  seed=2 ** 64 - 1)),
+    (8, CouplingProfile.engineered(8), NoiseConfig([0.0, 0.03, 0.15], T, trials=2000, seed=5)),
+], ids=["uniform-12", "engineered-8"])
+def test_two_tasks_equal_one_task_calls_bitwise(n, profile, cfg):
+    # both chains in one step loop: each gets the bits of a call of its own,
+    # on the configuration whose digits once moved with how trials were
+    # grouped into BLAS calls, and on a noise-mc sized sweep
+    tasks = [(Propagator(profile, "cluster"), BitConfig.single(n, 2)),
+             (Propagator(profile, "exchange"), BitConfig.single(n, 1))]
+    draws = trial_draws(cfg, n)
+    both = dephasing_ensemble(tasks, cfg, draws)
+    assert both.shape == (2, len(cfg.p_grid), cfg.trials)
+    for task, rows in zip(tasks, both):
+        assert np.array_equal(rows, dephasing_ensemble([task], cfg, draws)[0])
+
+
+def test_rows_that_never_flip_keep_the_noiseless_score(props):
+    # a row with no flip is scored once, from the unflipped orbitals: every
+    # p = 0 row and each p = 0.05 row whose draws never fire carry one
+    # value, the noiseless score; no p = 1 row is quiet
+    cfg = NoiseConfig([0.0, 0.05, 1.0], T, trials=300, seed=12)
+    draws = trial_draws(cfg, N)
+    quiet = ~(draws[0] < 0.05).any(axis=1)
+    assert 0 < quiet.sum() < cfg.trials
+    for (prop, source), rows in zip(_tasks(props), dephasing_ensemble(_tasks(props), cfg, draws)):
+        clean = forward_ensemble(prop, source, N, T, 0.0, cfg, draws)
+        assert np.max(np.abs(rows[0] - clean)) < 1e-12
+        assert np.unique(rows[0]).size == 1
+        assert np.array_equal(rows[1][quiet], rows[0][quiet])
+        assert not np.array_equal(rows[1], rows[0])
+        noisy = forward_ensemble(prop, source, N, T, 1.0, cfg, draws)
+        assert np.max(np.abs(rows[2] - noisy)) < 1e-12
+
+
+def test_ensemble_refuses_tasks_on_different_profiles():
+    # the eigenpairs come from the first task's propagator; equal profiles
+    # built apart are accepted
+    cfg = NoiseConfig([0.1], T, trials=4)
+    draws = trial_draws(cfg, N)
+    cluster = (Propagator(CouplingProfile.engineered(N), "cluster"), BitConfig.single(N, 2))
+    for profile, accepted in ((CouplingProfile.engineered(N), True),
+                              (CouplingProfile.uniform(N), False),
+                              (CouplingProfile.engineered(N, (0.1,) * N), False)):
+        tasks = [cluster, (Propagator(profile, "exchange"), BitConfig.single(N, 1))]
+        if accepted:
+            assert dephasing_ensemble(tasks, cfg, draws).shape == (2, 1, 4)
+        else:
+            with pytest.raises(ValueError, match="equal profiles"):
+                dephasing_ensemble(tasks, cfg, draws)
+
+
+def test_sweep_diagonalizes_h_once(monkeypatch):
+    # both chains read the one h = tridiag(J) - 2 diag(B), so a sweep's two
+    # propagators share one eigh, whose arrays neither can write
+    Propagator(CouplingProfile.uniform(3), "exchange")       # another profile's eigh last
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    profile = CouplingProfile.engineered(N)
+    noise_sweep(profile, NoiseConfig([0.1], T, trials=10))
+    assert calls == [(N, N)]
+    cluster, exchange = Propagator(profile, "cluster"), Propagator(profile, "exchange")
+    assert calls == [(N, N)]
+    assert cluster.vecs is exchange.vecs and cluster.vals is exchange.vals
+    for array in (cluster.vals, cluster.vecs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 @pytest.mark.parametrize("p_grid", [[0.0, 0.01, 0.5, 1.0], [0.3, 0.0, 1.0, 0.3]])
@@ -244,10 +319,10 @@ def test_grid_rows_equal_single_p_calls_bitwise(p_grid):
     draws = trial_draws(cfg, 12)
     for family, site in (("cluster", 2), ("exchange", 1)):
         prop, source = Propagator(profile, family), BitConfig.single(12, site)
-        rows = dephasing_ensemble(prop, source, cfg, draws)
+        rows = dephasing_ensemble([(prop, source)], cfg, draws)[0]
         for p, row in zip(p_grid, rows):
             alone = replace(cfg, p_grid=[p])
-            assert np.array_equal(row, dephasing_ensemble(prop, source, alone, draws)[0])
+            assert np.array_equal(row, dephasing_ensemble([(prop, source)], alone, draws)[0][0])
         assert np.unique(rows[p_grid.index(0.0)]).size == 1
         if p_grid.count(0.3) == 2:
             assert np.array_equal(rows[0], rows[3])
@@ -264,7 +339,7 @@ def test_grid_memory_stays_within_one_batch():
     draws = trial_draws(cfg, n)
     tracemalloc.start()
     try:
-        rows = dephasing_ensemble(prop, source, cfg, draws)
+        rows = dephasing_ensemble([(prop, source)], cfg, draws)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,7 +384,7 @@ def test_sweep_reuses_draws_without_changing_records(props):
         (p, family, dim) for p in (0.05, 0.3) for family, dim in (("cluster", 15), ("exchange", 6))]
     for record, (prop, source) in zip(records, _tasks(props) * 2):
         alone = replace(cfg, p_grid=[record.p])
-        fids = dephasing_ensemble(prop, source, alone, trial_draws(alone, N))[0]
+        fids = dephasing_ensemble([(prop, source)], alone, trial_draws(alone, N))[0][0]
         assert record.mean_fidelity == float(np.mean(fids))
 
 
@@ -336,7 +411,7 @@ def test_ensemble_refuses_a_time_whose_phases_overflow(props):
     cfg = NoiseConfig([0.0, 0.1], 1e308, trials=10)
     for prop, source in _tasks(props):
         with pytest.raises(TimeRangeError, match=r"phases t \* lambda"):
-            dephasing_ensemble(prop, source, cfg, trial_draws(cfg, N))
+            dephasing_ensemble([(prop, source)], cfg, trial_draws(cfg, N))
 
 
 def test_standard_error_scales_with_trials(props):
@@ -345,7 +420,8 @@ def test_standard_error_scales_with_trials(props):
     cfg_large = NoiseConfig([0.1], T, trials=1600, seed=5)
     se = []
     for cfg in (cfg_small, cfg_large):
-        fids = dephasing_ensemble(cluster, BitConfig.single(N, 2), cfg, trial_draws(cfg, N))[0]
+        fids = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], cfg,
+                                  trial_draws(cfg, N))[0][0]
         se.append(np.std(fids, ddof=1) / math.sqrt(cfg.trials))
     ratio = se[0] / se[1]
     assert 2.0 / 1.5 < ratio < 2.0 * 1.5
@@ -371,7 +447,7 @@ def test_identical_trials_have_zero_spread():
     records = noise_sweep(profile, cfg)
     draws = trial_draws(cfg, 12)
     for record, family, site in zip(records, ("cluster", "exchange") * 2, (2, 1) * 2):
-        fids = dephasing_ensemble(Propagator(profile, family), BitConfig.single(12, site),
-                                  replace(cfg, p_grid=[record.p]), draws)[0]
+        fids = dephasing_ensemble([(Propagator(profile, family), BitConfig.single(12, site))],
+                                  replace(cfg, p_grid=[record.p]), draws)[0][0]
         assert (np.unique(fids).size == 1) == (record.p == 0.0)
         assert (record.standard_error == 0.0) == (record.p == 0.0)

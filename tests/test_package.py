@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -56,10 +57,22 @@ def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
 
 def test_every_mutant_has_one_target():
     # the mutant runner's own precondition: a refactor that deletes or
-    # copies a mutant's old text fails here, not only when the runner is run
-    for file, old, new, _ in mutants.MUTANTS:
+    # copies a mutant's old text fails here, not only when the runner is run;
+    # a renamed test or file in a selection would make the runner report
+    # an error, not a kill
+    root = _README.parent
+    for file, old, new, selection in mutants.MUTANTS:
         assert mutants._source(file).read_text().count(old) == 1, (file, old)
         assert new != old, (file, old)
+        for arg in selection:
+            if not arg.startswith("tests/"):
+                continue
+            path, _, name = arg.partition("::")
+            assert (root / path).is_file(), arg
+            if name:
+                tree = ast.parse((root / path).read_text())
+                assert name in {node.name for node in tree.body
+                                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}, arg
 
 
 @pytest.mark.parametrize("target, parameters", [
