@@ -11,6 +11,10 @@ expression, ``x ^ (((x << 1) ^ (x >> 1)) & parity_mask)``.
 :func:`ca_half_step` takes a Python int, at any chain length, or an
 array of indices: the comparison report runs the automaton on all 2^N
 indices at once and reads each continuous row off one determinant.
+Half-steps and the mirror map are linear over GF(2) (an additive CA: Martin,
+Odlyzko & Wolfram, Commun. Math. Phys. 93, 219 (1984)), and agree on the N
+unit vectors after N half-steps, so on every config ``ca_hit_step``, the
+first half-step at which the CA shows the mirror, is in 0..N.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SizeError
+from .algebra import SizeError, SpinChainError
 from .chains import CouplingProfile
 from .evolution import PST_TIME, Propagator
 from .maps import _suffix_xor, gamma_inverse_indices
@@ -51,8 +55,7 @@ class CAReport(NamedTuple):
     continuous_output: np.ndarray    # -1 where no output has probability above 1/2
     continuous_prob: np.ndarray      # of the mirror output
     mirror_output: np.ndarray
-    ca_hit_step: np.ndarray      # half-step at which the CA first shows the
-                                 # mirror output; -1 if never (within the cap)
+    ca_hit_step: np.ndarray          # first half-step, 0 to N, showing the mirror
 
     @property
     def agree(self) -> np.ndarray:
@@ -65,9 +68,9 @@ def ca_vs_hamiltonian_report(n_sites: int) -> CAReport:
     b fills the fermion sites S of b ^ (b >> 1), mirror_map(b) their reversal
     R(S), so at the transfer time the mirror has p = |det u[R(S), S]|^2, with
     u = (-i)^(N-1) R; it is the continuous output if p > 1/2 (|U|^2's columns
-    sum to 1), else there is none (-1).  The CA trajectory (even start, ending
-    on a revisit or after 4N half-steps) is searched for the mirror.  Rows run
-    over the configs with site 1 varying slowest.  SizeError above CA_LIMIT.
+    sum to 1), else there is none (-1).  The CA runs N half-steps from an even
+    start; SpinChainError unless the last shows the mirror on every row.  Rows
+    run over the configs with site 1 varying slowest.  SizeError above CA_LIMIT.
     """
     if n_sites > CA_LIMIT:
         raise SizeError(f"N={n_sites} exceeds ca-compare's exhaustive limit {CA_LIMIT}")
@@ -87,14 +90,10 @@ def ca_vs_hamiltonian_report(n_sites: int) -> CAReport:
     mirror = _suffix_xor(reverse[walls], n_sites)
     output = np.where(prob > 0.5, mirror, -1)
     trajectory = [configs]
-    for step in range(4 * n_sites):
+    for step in range(n_sites):
         trajectory.append(ca_half_step(trajectory[-1], n_sites, _PARITIES[step % 2]))
-    trajectory = np.array(trajectory)
-    hits = trajectory == mirror
-    # half-steps are involutions, so the first revisit returns to the start, or
-    # repeats a fixed point and then retraces the path back to the start
-    revisits = trajectory == configs
-    revisits[0] = False
-    first = (hits | revisits).argmax(axis=0)    # the search stops at either
-    hit_step = np.where(hits[first, configs], first, -1)
+    hits = np.array(trajectory) == mirror
+    if not hits[-1].all():
+        raise SpinChainError(f"N={n_sites}: {n_sites} half-steps of the CA are not the mirror map")
+    hit_step = hits.argmax(axis=0)
     return CAReport(reverse, output[reverse], prob[reverse], mirror[reverse], hit_step[reverse])

@@ -114,11 +114,9 @@ class Propagator:
         exp(-it sum B) det u[D, S], over batches of times of at most
         ``BATCH_ELEMENTS`` entries of u.  TimeRangeError unless every
         phase t * lambda, and t * sum B, is finite."""
-        if {source.n_sites, target.n_sites} != {self.n_sites}:
-            raise SpinChainError("configs and propagator differ in site count")
+        s, d = self.occupied(source), self.occupied(target)
         vals, vecs = self.vals, self.vecs
         ts = require_times(ts, np.append(vals, self.field_sum))
-        s, d = self.occupied(source), self.occupied(target)
         if len(s) != len(d):
             return np.zeros(ts.shape, dtype=complex)
         dets = np.empty(ts.shape, dtype=complex)
@@ -130,8 +128,10 @@ class Propagator:
         return np.exp(-1j * self.field_sum * ts) * dets
 
     def occupied(self, config: BitConfig) -> list:
-        """The single-particle sites ``config`` fills, ascending from 0: its
-        up sites, through ``b ^ (b >> 1)`` on the amplification chain."""
+        """The single-particle sites ``config`` fills, ascending from 0: its up sites,
+        through ``b ^ (b >> 1)`` on the amplification chain; SpinChainError on another N."""
+        if config.n_sites != self.n_sites:
+            raise SpinChainError("config and propagator differ in site count")
         b = config.index
         if self.ladder:
             b ^= b >> 1

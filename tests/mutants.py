@@ -89,11 +89,22 @@ MUTANTS = [
      "prop.vecs", _AUTOMATON),
     # the occupied sites read off b, not b ^ (b >> 1)
     ("automaton.py", "occupied = walls[:, None]", "occupied = configs[:, None]", _AUTOMATON),
-    # the CA search run on past a return to the start
-    ("automaton.py", "revisits = trajectory == configs", "revisits = trajectory < 0",
+    # the CA search run on past its Nth half-step
+    ("automaton.py", "for step in range(n_sites):", "for step in range(n_sites + 1):",
      _AUTOMATON),
-    # the start counted as a revisit of itself
-    ("automaton.py", "    revisits[0] = False\n", "", _AUTOMATON),
+    # the start not counted as a hit
+    ("automaton.py", "hit_step = hits.argmax(axis=0)", "hit_step = hits[1:].argmax(axis=0) + 1",
+     _AUTOMATON),
+    # the CA search stopped after N - 1 half-steps
+    ("automaton.py", "for step in range(n_sites):", "for step in range(n_sites - 1):",
+     _AUTOMATON),
+    # the odd half-step first
+    ("automaton.py", "_PARITIES[step % 2]", "_PARITIES[(step + 1) % 2]", _AUTOMATON),
+    # the identity check, N half-steps equal the mirror map, dropped
+    ("automaton.py", "    if not hits[-1].all():\n", "    if False:\n", _AUTOMATON),
+    # a config of another site count let through to the occupied sites
+    ("evolution.py", "        if config.n_sites != self.n_sites:\n", "        if False:\n",
+     ["tests/test_evolution.py", "tests/test_noise.py", "-k", "site_count"]),
     # true and false swapped in a column of bools
     ("io.py", '("false", "true")[v]', '("true", "false")[v]',
      ["tests/test_cli.py", "-k", "render_csv or ca_compare"]),

@@ -220,11 +220,10 @@ def ca_report_rows(n_sites: int) -> list:
     mirror_output, agree, ca_hit_step) tuples, site 1 varying slowest.
 
     Continuous outputs are column argmaxes of |U|^2 for the full unitary
-    of :func:`kron_unitary`; the CA runs config by config from an even
-    start, stopping on the mirror output, on a revisit or after 4N
-    half-steps.
+    of :func:`kron_unitary`; the CA runs config by config for N half-steps
+    from an even start, with no other stop, and the hit step is the first
+    that shows the mirror output (-1 if none does).
     """
-    step_cap = 4 * n_sites
     spec = cluster_chain(CouplingProfile.engineered(n_sites))
     probs = abs(kron_unitary(spec, PST_TIME)) ** 2
     rows = []
@@ -234,18 +233,10 @@ def ca_report_rows(n_sites: int) -> list:
         best = int(col.argmax())
         continuous = BitConfig.from_index(n_sites, best)
         mirror = mirror_bits(b)
-        hit = -1
-        seen = set()
-        config = b
-        parity_cycle = itertools.cycle(("even", "odd"))
-        for step in range(step_cap + 1):
-            if config == mirror:
-                hit = step
-                break
-            if config in seen or step == step_cap:
-                break
-            seen.add(config)
-            config = ca_half_step_bits(config, next(parity_cycle))
+        trajectory = [b]
+        for step in range(n_sites):
+            trajectory.append(ca_half_step_bits(trajectory[-1], ("even", "odd")[step % 2]))
+        hit = trajectory.index(mirror) if mirror in trajectory else -1
         rows.append((b, continuous, float(col[best]), mirror, continuous == mirror, hit))
     return rows
 

@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinamp import automaton
-from spinamp.algebra import BitConfig
+from spinamp.algebra import BitConfig, SpinChainError
 from spinamp.automaton import ca_half_step, ca_vs_hamiltonian_report
 from spinamp.chains import CouplingProfile, cluster_chain
+from spinamp.cli import main
 from spinamp.evolution import PST_TIME, block_unitaries
 from spinamp.maps import mirror_map
 
@@ -94,10 +96,64 @@ def test_ones_grow_monotonically_from_seed():
 
 def test_ca_reaches_the_mirror_on_a_long_chain():
     # the CA runs on Python ints, so it follows the mirror theorem far past
-    # the exhaustive report's range
+    # the exhaustive report's range: N half-steps, and here no fewer
     n = 256
     b = BitConfig(tuple(np.random.default_rng(256).integers(0, 2, n)))
-    assert mirror_map(b).index in _trajectory(b, 4 * n)
+    assert _trajectory(b, n).index(mirror_map(b).index) == n
+
+
+def _mirror_index(x: int, n: int) -> int:
+    return mirror_map(BitConfig.from_index(n, x)).index
+
+
+def _unit_vector_hits(n: int, steps: int, half_step=ca_half_step) -> list:
+    """The counts m <= ``steps`` at which m half-steps from an even start
+    equal the mirror map on all N unit vectors."""
+    columns = [1 << j for j in range(n)]
+    mirrors = [_mirror_index(x, n) for x in columns]
+    hits = []
+    for m in range(steps + 1):
+        if columns == mirrors:
+            hits.append(m)
+        columns = [half_step(x, n, ("even", "odd")[m % 2]) for x in columns]
+    return hits
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 64, 200])
+def test_half_step_and_mirror_are_linear_over_gf2(n):
+    # so two such maps that agree on the N unit vectors agree on all 2^N configs
+    rng = random.Random(n)
+    for _ in range(50):
+        x, y = rng.getrandbits(n), rng.getrandbits(n)
+        for parity in ("even", "odd"):
+            assert ca_half_step(x ^ y, n, parity) == (
+                ca_half_step(x, n, parity) ^ ca_half_step(y, n, parity))
+        assert _mirror_index(x ^ y, n) == _mirror_index(x, n) ^ _mirror_index(y, n)
+
+
+@pytest.mark.parametrize("n", [*range(2, 21), 63, 64, 200])
+def test_n_half_steps_are_the_mirror_map(n):
+    # an additive CA (Martin, Odlyzko & Wolfram, Commun. Math. Phys. 93, 219
+    # (1984)): N half-steps equal the mirror map on the unit vectors, so on
+    # every config; for N >= 3 no smaller count does
+    assert _unit_vector_hits(n, n) == ([1, 2] if n == 2 else [n])
+
+
+def test_a_wrong_mask_bit_breaks_the_identity_and_the_report(monkeypatch, capsys):
+    # site 1 put in the even mask: the half-step stays linear, but N of them
+    # are no longer the mirror map, and the report refuses to print a table
+    def half_step(x, n_sites, parity):
+        wrong = 1 if parity == "even" else 0
+        return ca_half_step(x, n_sites, parity) ^ (((x << 1) ^ (x >> 1)) & wrong)
+    monkeypatch.setattr(automaton, "ca_half_step", half_step)
+    for n in (2, 3, 5, 16):
+        assert half_step(0b10, n, "even") == ca_half_step(0b10, n, "even") ^ 1
+        assert n not in _unit_vector_hits(n, n, half_step)
+        with pytest.raises(SpinChainError, match="not the mirror map"):
+            ca_vs_hamiltonian_report(n)
+    assert main(["ca-compare", "--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not the mirror map" in captured.err
 
 
 def test_comparison_report_n5():
@@ -112,12 +168,19 @@ def test_comparison_report_n5():
     assert report.ca_hit_step[row[empty]] == 0
 
 
-def test_comparison_report_records_misses_without_failing():
-    report = ca_vs_hamiltonian_report(6)
-    assert report.agree.all()
-    # not every mirror image appears in the CA trajectory; that is
-    # recorded per row rather than asserted
-    assert (report.ca_hit_step == -1).any()
+def test_comparison_report_has_no_misses():
+    # every row shows its mirror within N half-steps, among them the rows
+    # that the even half-step leaves fixed, 010 and 111 at N = 3
+    for n in range(3, 9):
+        report = ca_vs_hamiltonian_report(n)
+        assert report.agree.all()
+        assert report.ca_hit_step.min() == 0 and report.ca_hit_step.max() == n
+    report = ca_vs_hamiltonian_report(3)
+    row = {int(x): k for k, x in enumerate(report.inputs)}
+    for text in ("010", "111"):
+        b = BitConfig.from_string(text)
+        assert ca_half_step(b.index, 3, "even") == b.index
+        assert report.ca_hit_step[row[b.index]] == 3
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -184,18 +247,24 @@ def test_report_does_not_guess_below_one_half(n, monkeypatch):
     assert np.array_equal(report.agree, likely)
 
 
-@pytest.mark.parametrize("n", range(9, 15))
+@pytest.mark.parametrize("n", range(9, 17))
 def test_ca_search_stops_as_a_search_over_every_earlier_state(n):
-    # the report ends a search only on a return to the start; the literal
-    # search, beyond the per-config oracle's range, ends on any revisit
+    # a literal first-hit search, beyond the per-config oracle's range, with
+    # no cap: a row runs until it shows its mirror or returns to an earlier
+    # state, a config at the same parity of step (from there it only
+    # repeats).  Every row hits, and the last at half-step N
     report = ca_vs_hamiltonian_report(n)
     trajectory = [report.inputs]
-    for step in range(4 * n):
-        trajectory.append(ca_half_step(trajectory[-1], n, ("even", "odd")[step % 2]))
-    trajectory = np.array(trajectory)
-    hits = trajectory == report.mirror_output
-    revisits = np.array([(trajectory[:k] == row).any(axis=0) for k, row in enumerate(trajectory)])
-    first = (hits | revisits).argmax(axis=0)
-    expected = np.where(hits[first, np.arange(1 << n)], first, -1)
-    assert np.array_equal(report.ca_hit_step, expected)
-
+    hit = np.where(report.inputs == report.mirror_output, 0, -1)
+    running = hit < 0
+    while running.any():
+        step = len(trajectory)
+        now = ca_half_step(trajectory[-1], n, ("even", "odd")[(step - 1) % 2])
+        hit[running & (now == report.mirror_output)] = step
+        seen = np.zeros_like(running)
+        for past in trajectory[step % 2::2]:
+            seen |= past == now
+        trajectory.append(now)
+        running &= (hit < 0) & ~seen
+    assert np.array_equal(report.ca_hit_step, hit)
+    assert report.ca_hit_step.max() == n == len(trajectory) - 1

@@ -189,6 +189,24 @@ def test_ca_compare_rows_match_per_config_oracle(n, capsys):
         assert abs(float(fields[2]) - prob) <= 1e-12
 
 
+def test_ca_compare_n3_golden(capsys):
+    # the whole table, byte for byte; 010 and 111, which the even half-step
+    # leaves fixed, show their mirrors at half-step 3
+    assert main(["ca-compare", "--n", "3"]) == 0
+    assert capsys.readouterr().out == (
+        f"# spinamp v{cli.__version__}\n"
+        '# config: {"n": 3, "profile": "engineered"}\n'
+        "input,continuous_output,continuous_prob,mirror_output,agree,ca_hit_step\n"
+        "000,000,1,000,true,0\n"
+        "001,010,1,010,true,2\n"
+        "010,001,1,001,true,3\n"
+        "011,011,1,011,true,0\n"
+        "100,111,1,111,true,2\n"
+        "101,101,1,101,true,0\n"
+        "110,110,1,110,true,0\n"
+        "111,100,1,100,true,3\n")
+
+
 def test_ca_compare_runs_to_its_exhaustive_limit(capsys):
     # 2^16 rows on free-fermion determinants, every one on the mirror
     assert main(["ca-compare", "--n", "16"]) == 0

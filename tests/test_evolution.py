@@ -11,6 +11,7 @@ from spinamp.algebra import (
     HamiltonianSpec,
     PauliTerm,
     SizeError,
+    SpinChainError,
     max_commutator,
     max_permuted_deviation,
     sector_blocks,
@@ -550,6 +551,16 @@ def test_route_is_read_off_the_spec(name):
     source = BitConfig.from_string("0110010000000")
     amps = Propagator(profile, family).amplitudes(source, source, [0.0, 0.5])
     assert amps[0] == pytest.approx(1.0, abs=1e-12) and abs(amps[1]) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("family", ["cluster", "exchange"])
+@pytest.mark.parametrize("other", [BitConfig.single(3, 1), BitConfig.single(6, 6)])
+def test_propagator_refuses_configs_of_another_site_count(family, other):
+    prop, start = Propagator(CouplingProfile.engineered(4), family), BitConfig.single(4, 1)
+    for call in (lambda: prop.occupied(other), lambda: prop.amplitudes(other, start, 0.0),
+                 lambda: prop.amplitudes(start, other, 0.0)):
+        with pytest.raises(SpinChainError, match="differ in site count"):
+            call()
 
 
 def test_propagator_refuses_an_unknown_family():

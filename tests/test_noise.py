@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinamp import noise
-from spinamp.algebra import BitConfig
+from spinamp.algebra import BitConfig, SpinChainError
 from spinamp.chains import CouplingProfile, cluster_chain, exchange_chain
 from spinamp.evolution import PST_TIME, Propagator, TimeRangeError, transfer_fidelity
 from spinamp.noise import (
@@ -290,6 +290,16 @@ def test_ensemble_refuses_tasks_on_different_profiles():
         else:
             with pytest.raises(ValueError, match="equal profiles"):
                 dephasing_ensemble(tasks, cfg, draws)
+
+
+@pytest.mark.parametrize("family", ["cluster", "exchange"])
+@pytest.mark.parametrize("source", [BitConfig.single(6, 6), BitConfig.single(3, 1)])
+def test_ensemble_refuses_a_source_of_another_site_count(family, source):
+    # 000001 once scored as the vacuum, and 100 as 1000
+    cfg = NoiseConfig([0.0, 0.5], T, trials=4)
+    prop = Propagator(CouplingProfile.engineered(4), family)
+    with pytest.raises(SpinChainError, match="differ in site count"):
+        dephasing_ensemble([(prop, source)], cfg, trial_draws(cfg, 4))
 
 
 def test_sweep_diagonalizes_h_once(monkeypatch):
