@@ -109,23 +109,31 @@ class Propagator:
         self.vals, self.vecs = _eigenpairs(profile)
 
     def amplitudes(self, source: BitConfig, target: BitConfig, ts) -> np.ndarray:
-        """<target|U(t)|source> for each t in ``ts``: exactly 0 when S and D,
-        the occupied sites of source and target, differ in number, else
-        exp(-it sum B) det u[D, S], over batches of times of at most
-        ``BATCH_ELEMENTS`` entries of u.  TimeRangeError unless every
-        phase t * lambda, and t * sum B, is finite."""
+        """<target|U(t)|source> for each t in ``ts``: :meth:`amplitude_fn` on :meth:`times`."""
+        return self.amplitude_fn(source, target)(self.times(ts))
+
+    def times(self, ts) -> np.ndarray:
+        """``ts`` as a 1-d float array; TimeRangeError unless t * lambda, t * sum B are finite."""
+        return require_times(ts, np.append(self.vals, self.field_sum))
+
+    def amplitude_fn(self, source: BitConfig, target: BitConfig) -> Callable:
+        """<target|U(t)|source> as a function of times that :meth:`times` passed: 0
+        when S and D, the occupied sites of source and target, differ in number, else
+        exp(-it sum B) det u[D, S], in batches of at most ``BATCH_ELEMENTS`` entries of u."""
         s, d = self.occupied(source), self.occupied(target)
-        vals, vecs = self.vals, self.vecs
-        ts = require_times(ts, np.append(vals, self.field_sum))
         if len(s) != len(d):
-            return np.zeros(ts.shape, dtype=complex)
-        dets = np.empty(ts.shape, dtype=complex)
+            return lambda ts: np.zeros(ts.shape, dtype=complex)
+        vd, vs = self.vecs[d], self.vecs[s]
         batch = max(1, BATCH_ELEMENTS // max(1, len(s) ** 2))
-        for lo in range(0, ts.size, batch):
-            phases = np.exp(-1j * np.multiply.outer(ts[lo:lo + batch], vals))
-            u = np.einsum("dn,tn,sn->tds", vecs[d], phases, vecs[s])    # u[D, S]
-            dets[lo:lo + batch] = np.linalg.det(u)
-        return np.exp(-1j * self.field_sum * ts) * dets
+
+        def amps(ts: np.ndarray) -> np.ndarray:
+            dets = np.empty(ts.shape, dtype=complex)
+            for lo in range(0, ts.size, batch):
+                phases = np.exp(-1j * np.multiply.outer(ts[lo:lo + batch], self.vals))
+                u = np.einsum("dn,tn,sn->tds", vd, phases, vs)      # u[D, S]
+                dets[lo:lo + batch] = np.linalg.det(u)
+            return np.exp(-1j * self.field_sum * ts) * dets
+        return amps
 
     def occupied(self, config: BitConfig) -> list:
         """The single-particle sites ``config`` fills, ascending from 0: its up sites,
@@ -167,7 +175,7 @@ def transfer_fidelity(prop: Propagator, source: BitConfig, target: BitConfig,
 
 def _golden_max(f: Callable[[float], float], a: float, b: float,
                 tol: float) -> tuple:
-    """Golden-section search for the maximum of f on [a, b], to width tol or 4 ulps."""
+    """Golden-section maximum of f on [a, b], to width tol or 4 ulps; f is called only in [a, b]."""
     tol = max(tol, 4.0 * math.ulp(max(abs(a), abs(b))))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -181,7 +189,7 @@ def _golden_max(f: Callable[[float], float], a: float, b: float,
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = f(d)
-    t_star = 0.5 * a + 0.5 * b         # a + b may overflow
+    t_star = min(max(0.5 * a + 0.5 * b, a), b)     # a + b may overflow; a subnormal's half rounds
     return float(t_star), float(f(t_star))
 
 
@@ -192,20 +200,21 @@ def max_fidelity_scan(prop: Propagator, source: BitConfig, target: BitConfig,
     Scans the grid 0, grid_step, ... up to t_max, then refines around the
     best grid point by golden-section search, keeping that grid point unless
     the refinement does strictly better.  Returns (t_star, f_star, ts,
-    fidelities), the last two being the grid scan itself.
+    fidelities), the last two being the grid scan itself.  The grid's time check
+    covers the refinement, as :func:`_golden_max` calls f only within [lo, hi].
     """
     if not (0.0 < grid_step and 0.0 < t_max < grid_step * 2.0 ** 63
             and math.isfinite(t_max + grid_step / 2)):      # the grid's stop
         raise ValueError("t_max and grid_step must be positive, t_max / grid_step below 2^63, "
                          "t_max + grid_step / 2 finite")
-    ts = np.arange(0.0, t_max + 0.5 * grid_step, grid_step)
-    fidelities = np.abs(prop.amplitudes(source, target, ts)) ** 2
+    amps = prop.amplitude_fn(source, target)
+    ts = prop.times(np.arange(0.0, t_max + 0.5 * grid_step, grid_step))
+    fidelities = np.abs(amps(ts)) ** 2
     best = int(np.argmax(fidelities))
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, len(ts) - 1)]
-    t_star, f_star = _golden_max(
-        lambda t: float(abs(prop.amplitudes(source, target, t)[0]) ** 2),
-        lo, hi, REFINE_TOL)
+    t_star, f_star = _golden_max(lambda t: float(abs(amps(np.array([t]))[0]) ** 2),
+                                 lo, hi, REFINE_TOL)
     if f_star <= fidelities[best]:
         t_star, f_star = float(ts[best]), float(fidelities[best])
     return t_star, f_star, ts, fidelities

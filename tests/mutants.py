@@ -72,13 +72,25 @@ MUTANTS = [
     ("automaton.py", "& ((1 << n_sites) - 1)", "& ((1 << n_sites + 1) - 1)",
      ["tests/test_automaton.py"]),
     # each require_times call dropped
-    ("evolution.py", "ts = require_times(ts, np.append(vals, self.field_sum))",
-     "ts = np.atleast_1d(np.asarray(ts, dtype=float))", _TIMES),
+    ("evolution.py", "return require_times(ts, np.append(self.vals, self.field_sum))",
+     "return np.atleast_1d(np.asarray(ts, dtype=float))", _TIMES),
     ("evolution.py", "        require_times(t, vals)\n", "", _TIMES),
     ("noise.py", "    require_times(total_time, vals)\n", "", _TIMES),
     # sum B dropped from the amplitude range check
-    ("evolution.py", "require_times(ts, np.append(vals, self.field_sum))",
-     "require_times(ts, vals)", _TIMES),
+    ("evolution.py", "require_times(ts, np.append(self.vals, self.field_sum))",
+     "require_times(ts, self.vals)", _TIMES),
+    # a scan's grid evolved without the time check
+    ("evolution.py", "ts = prop.times(np.arange(0.0, t_max + 0.5 * grid_step, grid_step))",
+     "ts = np.arange(0.0, t_max + 0.5 * grid_step, grid_step)", _TIMES),
+    # the refinement evaluating its bracket's lower end, not the point it asks for
+    ("evolution.py", "amps(np.array([t]))", "amps(np.array([lo]))",
+     ["tests/test_cli.py", "-k", "scan_csv"]),
+    # the refinement reading a pair's sites again at every step
+    ("evolution.py", "amps(np.array([t]))", "prop.amplitudes(source, target, t)",
+     ["tests/test_evolution.py", "-k", "once"]),
+    # the midpoint of a one-subnormal bracket left at 0
+    ("evolution.py", "min(max(0.5 * a + 0.5 * b, a), b)", "0.5 * a + 0.5 * b",
+     ["tests/test_evolution.py", "-k", "bracket"]),
     # the mirror's probability read off the target set S, not its reversal R(S)
     ("automaton.py", "u[(n_sites - 1 - s)[:, :, None], s[:, None, :]]",
      "u[s[:, :, None], s[:, None, :]]", _AUTOMATON),

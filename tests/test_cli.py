@@ -207,6 +207,30 @@ def test_ca_compare_n3_golden(capsys):
         "111,100,1,100,true,3\n")
 
 
+def test_scan_n4_golden(capsys):
+    # the whole scan, byte for byte: the grid, the refined t_star near pi/2,
+    # and at t = 0 a fidelity of rounding size where U(0) = I gives exactly 0
+    assert main(["scan", "--n", "4", "--family", "exchange", "--profile", "engineered",
+                 "--source", "1000", "--target", "0001", "--t-max", "2",
+                 "--grid-step", "0.25"]) == 0
+    assert capsys.readouterr().out == (
+        f"# spinamp v{cli.__version__}\n"
+        '# config: {"family": "exchange", "grid_step": 0.25, "n": 4, "profile": "engineered", '
+        '"source": "1000", "t_max": 2.0, "target": "0001"}\n'
+        "# t_star: 1.57079633696298\n"
+        "# fidelity_star: 1\n"
+        "t,fidelity\n"
+        "0,3.08148791101957e-33\n"
+        "0.25,0.000229318912048272\n"
+        "0.5,0.0121430277904843\n"
+        "0.75,0.100305712337893\n"
+        "1,0.355005329261722\n"
+        "1.25,0.730390375879636\n"
+        "1.5,0.985063732212299\n"
+        "1.75,0.907681273856805\n"
+        "2,0.565243754730313\n")
+
+
 def test_ca_compare_runs_to_its_exhaustive_limit(capsys):
     # 2^16 rows on free-fermion determinants, every one on the mirror
     assert main(["ca-compare", "--n", "16"]) == 0

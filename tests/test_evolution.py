@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinamp.algebra import (
@@ -246,7 +246,7 @@ def test_scan_argument_validation(monkeypatch):
     # the one grid rule, refused before any amplitude; the last grid once
     # reached np.arange, whose stop overflows, as "Maximum allowed size exceeded"
     prop = _exchange_prop(2)
-    monkeypatch.setattr(prop, "amplitudes", lambda *args: pytest.fail("evolved"))
+    monkeypatch.setattr(prop, "amplitude_fn", lambda *args: pytest.fail("evolved"))
     for t_max, grid_step in ((-1.0, 0.1), (0.0, 0.1), (1.0, 0.0), (1.0, -0.1),
                              (math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1), (1.0, math.inf),
                              (1.0, 1e-300), (2.0 ** 63, 1.0), (1.79e308, 1e307)):
@@ -645,7 +645,10 @@ def test_scan_memory_stays_within_one_batch():
 
 
 def test_time_batches_match_one_batch(monkeypatch):
-    # 23 times in batches of 5 leave a short last batch
+    # 23 times in batches of 5 leave a short last batch; the pair kernel is
+    # the amplitudes' own, over the batches and one time at a time, as the
+    # scan's refinement calls it (a lone time and a batch may differ in the
+    # last bits, as einsum sums them in another order)
     prop = Propagator(CouplingProfile.engineered(9, _FIELDS[:9]), "cluster")
     source = BitConfig.from_string("011010000")
     target = mirror_map(source)
@@ -654,6 +657,66 @@ def test_time_batches_match_one_batch(monkeypatch):
     whole = prop.amplitudes(source, target, ts)
     monkeypatch.setattr(evolution, "BATCH_ELEMENTS", 6 * k * k - 1)
     assert np.array_equal(prop.amplitudes(source, target, ts), whole)
+    kernel = prop.amplitude_fn(source, target)
+    assert np.array_equal(kernel(prop.times(ts)), whole)
+    assert all(kernel(np.array([t]))[0] == prop.amplitudes(source, target, t)[0] for t in ts)
+    # a pair of unequal counts: exactly 0 at every time
+    assert np.array_equal(prop.amplitude_fn(source, BitConfig.zeros(9))(ts), np.zeros(23))
+
+
+@pytest.mark.parametrize("target, grid_step", [
+    (BitConfig.single(6, 6), 0.25),       # a refinement of about 40 steps
+    (BitConfig.single(6, 6), 0.02),
+    (BitConfig.zeros(6), 0.1),            # unreachable: every amplitude 0
+])
+def test_scan_reads_its_pair_and_checks_its_times_once(target, grid_step, monkeypatch):
+    # however many golden-section steps it takes, one scan reads each
+    # config's occupied sites once and checks its times once
+    calls = {"occupied": 0, "require_times": 0, "refine": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    golden = evolution._golden_max
+    monkeypatch.setattr(Propagator, "occupied", counted("occupied", Propagator.occupied))
+    monkeypatch.setattr(evolution, "require_times", counted("require_times", evolution.require_times))
+    monkeypatch.setattr(evolution, "_golden_max",
+                        lambda f, *args: golden(counted("refine", f), *args))
+    max_fidelity_scan(_exchange_prop(6), BitConfig.single(6, 1), target,
+                      t_max=2.0, grid_step=grid_step)
+    assert calls["refine"] > 30
+    assert (calls["occupied"], calls["require_times"]) == (2, 1)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FINITE, st.one_of(_FINITE, st.integers(0, 8)))
+@example(1.6e308, 1.75e308)     # a + b overflows
+@example(5e-324, 0)             # halving the least subnormal rounds to 0
+def test_golden_max_stays_in_its_bracket(a, other):
+    # f is called only inside [a, b], so a scan's one check of its grid
+    # covers every refinement step; b is another float, or a few ulps above
+    # a, below the 4 ulps at which the search stops at once
+    if isinstance(other, int):
+        b = a
+        for _ in range(other):
+            b = math.nextafter(b, math.inf)
+    else:
+        a, b = min(a, other), max(a, other)
+    assume(math.isfinite(b - a))
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return -abs(t - (a + 0.3 * (b - a)))
+
+    t, _ = evolution._golden_max(f, a, b, evolution.REFINE_TOL)
+    assert a <= t <= b and all(a <= s <= b for s in seen)
 
 
 @pytest.mark.parametrize("n", [7, 64, 256, 1024])
