@@ -158,8 +158,6 @@ def cmd_verify_equivalence(args) -> int:
 
 
 def cmd_amplify(args) -> int:
-    if args.n is None:
-        raise UsageError("--n is required (flag or config)")
     with _inputs():
         profile = _profile(args.profile, args.n)
         t = _time(args.time)
@@ -184,10 +182,6 @@ def cmd_amplify(args) -> int:
 
 def _endpoints(args) -> tuple:
     """The profile and the --source and --target configs of transfer and scan."""
-    if args.n is None:
-        raise UsageError("--n is required (flag or config)")
-    if not args.source or not args.target:
-        raise UsageError("--source and --target are required")
     with _inputs():
         profile = _profile(args.profile, args.n)
         source = BitConfig.from_string(args.source)
@@ -227,8 +221,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_ca_compare(args) -> int:
-    if args.n is None:
-        raise UsageError("--n is required (flag or config)")
     report = ca_vs_hamiltonian_report(args.n)
     # site 1 first; index -1, no continuous output, names the empty string
     names = np.array([format(i, f"0{args.n}b")[::-1] for i in range(1 << args.n)] + [""])
@@ -321,7 +313,7 @@ def cmd_star_demo(args) -> int:
 
 
 #: (name, help, handler, arguments) of every subcommand, in help order; an
-#: argument is (flag, keywords of type, default, choices, help, store_true).
+#: argument is (flag, keywords of type, default, help, store_true, required).
 COMMANDS = (
     ("verify-equivalence", "check the CNOT-ladder identity symbolically and entry by entry",
      cmd_verify_equivalence, (
@@ -334,31 +326,31 @@ COMMANDS = (
          ("--seed", dict(type=u64, default=0, help="RNG seed (u64)")),
      )),
     ("amplify", "score the amplification conversion", cmd_amplify, (
-        ("--n", dict(type=int)),
+        ("--n", dict(type=int, required=True)),
         ("--profile", dict(default="engineered")),
         ("--time", dict(help="evolution time; accepts pi tokens like pi/2")),
         ("--alpha", dict(type=finite)),
         ("--beta", dict(type=finite)),
     )),
     ("transfer", "basis-state transfer probability", cmd_transfer, (
-        ("--n", dict(type=int)),
+        ("--n", dict(type=int, required=True)),
         ("--profile", dict(default="engineered")),
-        ("--family", dict(default="cluster", choices=("cluster", "exchange"))),
-        ("--source", dict(help="bit string, site 1 first")),
-        ("--target", {}),
+        ("--family", dict(default="cluster")),
+        ("--source", dict(required=True, help="bit string, site 1 first")),
+        ("--target", dict(required=True)),
         ("--time", {}),
     )),
     ("scan", "fidelity scan over a time window", cmd_scan, (
-        ("--n", dict(type=int)),
+        ("--n", dict(type=int, required=True)),
         ("--profile", dict(default="uniform")),
-        ("--family", dict(default="cluster", choices=("cluster", "exchange"))),
-        ("--source", {}),
-        ("--target", {}),
+        ("--family", dict(default="cluster")),
+        ("--source", dict(required=True)),
+        ("--target", dict(required=True)),
         ("--t-max", dict(type=finite, default=200.0)),
         ("--grid-step", dict(type=finite, default=0.1)),
     )),
     ("ca-compare", "exhaustive CA vs continuous evolution table", cmd_ca_compare, (
-        ("--n", dict(type=int)),
+        ("--n", dict(type=int, required=True)),
     )),
     ("noise-sweep", "Monte Carlo dephasing comparison", cmd_noise_sweep, (
         ("--n", dict(type=int, default=6)),
@@ -411,7 +403,8 @@ def _help(command=None) -> str:
 def parse_argv(argv: list) -> Optional[SimpleNamespace]:
     """The namespace ``argv`` asks for, or None once --help (anywhere after the
     command) or --version is printed.  A flag takes its ``COMMANDS`` default,
-    then its --config value, then its last argv value (held to ``choices``)."""
+    then its --config value, then its last argv value; a ``required`` flag
+    left None or empty is refused."""
     command = next((c for c in COMMANDS if argv[:1] == [c[0]]), None)
     if argv[:1] == ["--version"] or {"-h", "--help"} & set(argv if command else argv[:1]):
         sys.stdout.write(f"{__version__}\n" if argv[0] == "--version" else _help(command))
@@ -431,8 +424,6 @@ def parse_argv(argv: list) -> Optional[SimpleNamespace]:
             if text is None or text.partition("=")[0] in flags:
                 raise ArgvError(f"argument {flag}: expected one argument")
         given[flag] = switch or _value(flag, keywords, text)
-        if "choices" in keywords and given[flag] not in keywords["choices"]:
-            raise ArgvError(f"argument {flag}: invalid choice: {text!r}, not in {keywords['choices']}")
     doc = {}
     if given.get("--config"):
         try:
@@ -455,6 +446,9 @@ def parse_argv(argv: list) -> Optional[SimpleNamespace]:
         keep = value is None or isinstance(value, bool) or flag in given
         values[flag] = value if keep else _value(flag, flags[flag], str(value))
     values.update(given)
+    for flag, keywords in flags.items():
+        if keywords.get("required") and values[flag] in (None, ""):
+            raise UsageError(f"{flag} is required (flag or config)")
     return SimpleNamespace(func=command[2], **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 

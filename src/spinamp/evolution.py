@@ -92,7 +92,8 @@ class Propagator:
     """e^{-iHt} of ``exchange_chain(profile)`` or ``cluster_chain(profile)``,
     as free fermions.
 
-    ``family`` is "exchange" or "cluster", else ValueError.  h holds the
+    ``family`` is "exchange" or "cluster", else ValueError before the
+    ``eigh``: the one check of a family, the CLI's included.  h holds the
     couplings J on its off-diagonals (a zero J_n cuts it into blocks) and
     -2B on its diagonal; ``vals`` and ``vecs`` are its eigenpairs, read-only
     and shared with the last propagator built on an equal profile,
@@ -169,8 +170,9 @@ def _wrap(angle: float) -> float:
 
 def transfer_fidelity(prop: Propagator, source: BitConfig, target: BitConfig,
                       t: float) -> float:
-    """|<target| U(t) |source>|^2 between basis configurations."""
-    return float(abs(prop.amplitudes(source, target, t)[0]) ** 2)
+    """|<target| U(t) |source>|^2 between basis configurations, squared over
+    an array as a scan squares its grid, so the two agree bitwise at equal t."""
+    return float((np.abs(prop.amplitudes(source, target, t)) ** 2)[0])
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float,
@@ -213,7 +215,8 @@ def max_fidelity_scan(prop: Propagator, source: BitConfig, target: BitConfig,
     best = int(np.argmax(fidelities))
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, len(ts) - 1)]
-    t_star, f_star = _golden_max(lambda t: float(abs(amps(np.array([t]))[0]) ** 2),
+    # squared over an array, as the grid is, so f equals the grid at a grid time
+    t_star, f_star = _golden_max(lambda t: float((np.abs(amps(np.array([t]))) ** 2)[0]),
                                  lo, hi, REFINE_TOL)
     if f_star <= fidelities[best]:
         t_star, f_star = float(ts[best]), float(fidelities[best])
@@ -248,8 +251,9 @@ def amplification_check(prop: Propagator, alpha: complex, beta: complex,
     def amp(source: BitConfig, target: BitConfig) -> complex:
         return complex(prop.amplitudes(source, target, t)[0])
 
-    a0 = alpha * amp(zeros, zeros) + beta * amp(start, zeros)
-    a1 = alpha * amp(zeros, ones) + beta * amp(start, ones)
+    # 10...0 -> 0...0 and 0...0 -> 1...1 change the fermion number: exactly 0
+    a0 = alpha * amp(zeros, zeros)
+    a1 = beta * amp(start, ones)
     fidelity = (abs(alpha) * abs(a0) + abs(beta) * abs(a1)) ** 2
     fid0 = abs(a0 / alpha) ** 2 if alpha != 0 else 1.0
     fid1 = abs(a1 / beta) ** 2 if beta != 0 else 1.0

@@ -88,6 +88,22 @@ MUTANTS = [
     # the refinement reading a pair's sites again at every step
     ("evolution.py", "amps(np.array([t]))", "prop.amplitudes(source, target, t)",
      ["tests/test_evolution.py", "-k", "once"]),
+    # the refinement and transfer_fidelity squaring a lone amplitude with Python's abs
+    ("evolution.py", "float((np.abs(amps(np.array([t]))) ** 2)[0])",
+     "float(abs(amps(np.array([t]))[0]) ** 2)",
+     ["tests/test_evolution.py::test_scan_grid_matches_transfer_fidelity"]),
+    ("evolution.py", "float((np.abs(prop.amplitudes(source, target, t)) ** 2)[0])",
+     "float(abs(prop.amplitudes(source, target, t)[0]) ** 2)",
+     ["tests/test_evolution.py::test_scan_grid_matches_transfer_fidelity"]),
+    # amplify's a1 read from 0...0 -> 1...1, an amplitude that is always 0
+    ("evolution.py", "a1 = beta * amp(start, ones)", "a1 = beta * amp(zeros, ones)",
+     ["tests/test_evolution.py", "tests/test_cli.py", "-k", "amplif"]),
+    # an unknown family built as the exchange chain
+    ("evolution.py", '        if family not in ("cluster", "exchange"):\n', "        if False:\n",
+     ["tests/test_evolution.py", "tests/test_cli.py", "-k", "family"]),
+    # a required flag left None or empty let through to the command
+    ("cli.py", 'if keywords.get("required") and values[flag] in (None, ""):', "if False:",
+     ["tests/test_cli.py", "-k", "required"]),
     # the midpoint of a one-subnormal bracket left at 0
     ("evolution.py", "min(max(0.5 * a + 0.5 * b, a), b)", "0.5 * a + 0.5 * b",
      ["tests/test_evolution.py", "-k", "bracket"]),

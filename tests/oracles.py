@@ -29,7 +29,8 @@ Each one computes by the textbook route, with no code shared with
   chain from its sine modes, a determinant with no ``eigh`` in it.
 
 ``argparse_namespace`` reads a ``spinamp`` command line, --config file and
-all, with argparse, built from ``cli.COMMANDS`` as the CLI once built it.
+all, with argparse, built from ``cli.COMMANDS`` as the CLI once built it;
+a flag the table marks ``required`` is checked after the --config merge.
 
 ``pair_phase_deviations`` is no reference but a measurement: the
 conditional phases of two excitations, read off ``Propagator.amplitudes``.
@@ -282,14 +283,15 @@ class _Parser(argparse.ArgumentParser):
 
 def argparse_parser(**defaults) -> argparse.ArgumentParser:
     """Every subcommand of ``cli.COMMANDS`` with its flags, no prefix
-    abbreviations; ``defaults`` (a --config file's) beat the table's."""
+    abbreviations and no ``required`` flags, since a --config file may
+    supply one; ``defaults`` (a --config file's) beat the table's."""
     parser = _Parser(prog="spinamp", allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func, arguments in cli.COMMANDS:
         sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         for flag, keywords in arguments + cli._COMMON:
-            sub.add_argument(flag, **keywords)
+            sub.add_argument(flag, **{k: v for k, v in keywords.items() if k != "required"})
         sub.set_defaults(func=func, **defaults)
     return parser
 
@@ -298,11 +300,21 @@ def argparse_namespace(argv) -> argparse.Namespace:
     """Parse argv; --config JSON supplies defaults, explicit flags win.  A
     null is kept only where the default is None, a boolean only for an
     on/off flag; other values are set as text, so argparse puts them
-    through the flag's type unless argv gives the flag."""
+    through the flag's type unless argv gives the flag.  Then a flag that
+    ``cli.COMMANDS`` marks required is refused if it is None or empty."""
     parser = argparse_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
+    if getattr(args, "config", None):
+        args = _merged(parser, args, argv)
+    arguments = next(c[3] for c in cli.COMMANDS if c[0] == args.command)
+    for flag, keywords in arguments:
+        if keywords.get("required") and getattr(args, flag[2:].replace("-", "_")) in (None, ""):
+            raise ArgvRefused(f"{flag} is required")
+    return args
+
+
+def _merged(parser, args, argv) -> argparse.Namespace:
+    """argv parsed again with the --config file of ``args`` as defaults."""
     try:
         with open(args.config) as handle:
             doc = json.load(handle)

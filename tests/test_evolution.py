@@ -223,19 +223,42 @@ def test_evolve_rejects_non_finite_time(route, t):
             prop.amplitudes(source, source, [0.5, t])
 
 
-def test_scan_grid_matches_transfer_fidelity():
+# (family, profile, source, target, t_max, grid_step); the first pair once
+# split at t = 18.85 only, when transfer_fidelity and the refinement squared
+# a lone amplitude with Python's abs and the grid with numpy's
+_AGREE = [("exchange", "engineered", "100", "001", 20.0, 0.05)] + [
+    (family, profile, source, source[::-1], 20.0, 0.05)
+    for source in ("10000", "11010000", "1101101101101")
+    for family in ("exchange", "cluster") for profile in ("engineered", "uniform")]
+
+
+def test_scan_grid_matches_transfer_fidelity(monkeypatch):
+    # the grid, the refinement's f and transfer_fidelity square |amplitude|
+    # one way, over an array, so all three agree bitwise at every grid time
+    golden, refinements = evolution._golden_max, []
+    monkeypatch.setattr(evolution, "_golden_max",
+                        lambda f, *args: refinements.append(f) or golden(f, *args))
+
+    def scan(prop, source, target, t_max, grid_step):
+        t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
+                                                     t_max=t_max, grid_step=grid_step)
+        f = refinements.pop()
+        for t, fid in zip(ts, fids):
+            assert fid == transfer_fidelity(prop, source, target, t) == f(t), t
+        assert f_star >= fids.max()
+        return ts
+
     prop = _exchange_prop(5, "uniform")
     source, target = BitConfig.single(5, 1), BitConfig.single(5, 5)
     # at t_max=3.0 the best grid point is the last one, where the
     # golden-section midpoint once fell 2.2e-9 below the grid maximum
     for t_max, points in ((5.0, 21), (3.0, 13)):
-        t_star, f_star, ts, fids = max_fidelity_scan(prop, source, target,
-                                                     t_max=t_max, grid_step=0.25)
-        assert len(ts) == len(fids) == points
+        ts = scan(prop, source, target, t_max, 0.25)
+        assert len(ts) == points
         assert np.allclose(ts, 0.25 * np.arange(points), rtol=0.0, atol=1e-12)
-        for t, fid in zip(ts, fids):
-            assert abs(fid - transfer_fidelity(prop, source, target, t)) < 1e-12
-        assert f_star >= fids.max() - 1e-12
+    for family, profile, source, target, t_max, grid_step in _AGREE:
+        prop = Propagator(getattr(CouplingProfile, profile)(len(source)), family)
+        scan(prop, BitConfig.from_string(source), BitConfig.from_string(target), t_max, grid_step)
 
 
 _GRID_RULE = ("t_max and grid_step must be positive, t_max / grid_step below 2^63, "
@@ -273,6 +296,21 @@ def test_amplification_refuses_amplitudes_off_the_unit_circle(alpha, beta, monke
     with pytest.raises(ValueError) as refused:
         amplification_check(prop, alpha, beta, 0.5)
     assert str(refused.value) == f"need alpha^2 + beta^2 = 1, got alpha={alpha}, beta={beta}"
+
+
+@pytest.mark.parametrize("family", ["cluster", "exchange"])
+def test_amplification_reads_the_two_amplitudes_that_can_be_nonzero(family, monkeypatch):
+    # 0...0 -> 0...0 and 10...0 -> 1...1; the cross pairs differ in fermion number
+    n = 5
+    prop = Propagator(CouplingProfile.engineered(n), family)
+    amplitudes, pairs = prop.amplitudes, []
+    zeros, start, ones = BitConfig.zeros(n), BitConfig.single(n, 1), BitConfig((1,) * n)
+    for source, target in ((start, zeros), (zeros, ones)):
+        assert prop.amplitudes(source, target, [0.0, 0.7, math.pi / 2]).tolist() == [0j] * 3
+    monkeypatch.setattr(prop, "amplitudes",
+                        lambda *args: pairs.append(args[:2]) or amplitudes(*args))
+    amplification_check(prop, 0.6, 0.8, 0.7)
+    assert pairs == [(zeros, zeros), (start, ones)]
 
 
 @pytest.mark.parametrize("alpha, beta, t", [
@@ -564,8 +602,11 @@ def test_propagator_refuses_configs_of_another_site_count(family, other):
 
 
 def test_propagator_refuses_an_unknown_family():
+    # the one check of a family, before the eigh
+    evolution._eigenpairs.cache_clear()
     with pytest.raises(ValueError, match="unknown Hamiltonian family 'foo'"):
         Propagator(CouplingProfile.engineered(4), "foo")
+    assert evolution._eigenpairs.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("family", ["cluster", "exchange"])
@@ -647,8 +688,8 @@ def test_scan_memory_stays_within_one_batch():
 def test_time_batches_match_one_batch(monkeypatch):
     # 23 times in batches of 5 leave a short last batch; the pair kernel is
     # the amplitudes' own, over the batches and one time at a time, as the
-    # scan's refinement calls it (a lone time and a batch may differ in the
-    # last bits, as einsum sums them in another order)
+    # scan's refinement calls it: a lone time and a batch give bitwise-equal
+    # amplitudes
     prop = Propagator(CouplingProfile.engineered(9, _FIELDS[:9]), "cluster")
     source = BitConfig.from_string("011010000")
     target = mirror_map(source)
