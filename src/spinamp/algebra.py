@@ -54,7 +54,7 @@ class SizeError(SpinChainError):
     """Chain too large (or too small) for the requested operation."""
 
 
-class DimensionMismatchError(SpinChainError):
+class DimensionMismatchError(SpinChainError, ValueError):
     """Operands defined on different numbers of sites."""
 
 

@@ -102,14 +102,6 @@ def _inputs():
         raise UsageError(str(exc)) from None
 
 
-def finite(text: str) -> float:
-    """Flag type of a float flag: finite values only."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
 def u64(text: str) -> int:
     """Flag type of --seed: an integer in 0..2^64 - 1."""
     value = int(text)
@@ -127,8 +119,8 @@ def cmd_verify_equivalence(args) -> int:
         raise UsageError("need 2 <= n-min <= n-max")
     if args.profiles < 1:
         raise UsageError("need at least one profile per chain length")
-    if not args.tol > 0.0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     failures = []
     lines = []
@@ -181,22 +173,18 @@ def cmd_amplify(args) -> int:
 
 
 def _endpoints(args) -> tuple:
-    """The profile and the --source and --target configs of transfer and scan."""
-    with _inputs():
-        profile = _profile(args.profile, args.n)
-        source = BitConfig.from_string(args.source)
-        target = BitConfig.from_string(args.target)
-    if source.n_sites != args.n or target.n_sites != args.n:
-        raise UsageError("source/target configs must have N bits")
-    return profile, source, target
+    """The profile and the --source and --target configs of transfer and scan;
+    a config of another length is refused by the propagator."""
+    return (_profile(args.profile, args.n), BitConfig.from_string(args.source),
+            BitConfig.from_string(args.target))
 
 
 def cmd_transfer(args) -> int:
-    profile, source, target = _endpoints(args)
     with _inputs():
+        profile, source, target = _endpoints(args)
         t = _time(args.time)
         prop = Propagator(profile, args.family)
-    fid = transfer_fidelity(prop, source, target, t)
+        fid = transfer_fidelity(prop, source, target, t)
     config = {"n": args.n, "profile": args.profile, "family": args.family,
               "source": str(source), "target": str(target), "t": t}
     _emit(_json_doc(config, {"fidelity": fid}), args.out)
@@ -204,8 +192,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    profile, source, target = _endpoints(args)
     with _inputs():
+        profile, source, target = _endpoints(args)
         prop = Propagator(profile, args.family)
         t_star, f_star, ts, fidelities = max_fidelity_scan(
             prop, source, target, t_max=args.t_max, grid_step=args.grid_step)
@@ -320,7 +308,7 @@ COMMANDS = (
          ("--n-min", dict(type=int, default=2)),
          ("--n-max", dict(type=int, default=8)),
          ("--profiles", dict(type=int, default=5, help="random profiles per chain length")),
-         ("--tol", dict(type=finite, default=1e-12)),
+         ("--tol", dict(type=float, default=1e-12)),
          ("--corrupt", dict(action="store_true", default=False,
                             help="negative control: perturb one side and expect failure")),
          ("--seed", dict(type=u64, default=0, help="RNG seed (u64)")),
@@ -329,8 +317,8 @@ COMMANDS = (
         ("--n", dict(type=int, required=True)),
         ("--profile", dict(default="engineered")),
         ("--time", dict(help="evolution time; accepts pi tokens like pi/2")),
-        ("--alpha", dict(type=finite)),
-        ("--beta", dict(type=finite)),
+        ("--alpha", dict(type=float)),
+        ("--beta", dict(type=float)),
     )),
     ("transfer", "basis-state transfer probability", cmd_transfer, (
         ("--n", dict(type=int, required=True)),
@@ -346,8 +334,8 @@ COMMANDS = (
         ("--family", dict(default="cluster")),
         ("--source", dict(required=True)),
         ("--target", dict(required=True)),
-        ("--t-max", dict(type=finite, default=200.0)),
-        ("--grid-step", dict(type=finite, default=0.1)),
+        ("--t-max", dict(type=float, default=200.0)),
+        ("--grid-step", dict(type=float, default=0.1)),
     )),
     ("ca-compare", "exhaustive CA vs continuous evolution table", cmd_ca_compare, (
         ("--n", dict(type=int, required=True)),

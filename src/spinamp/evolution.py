@@ -19,7 +19,8 @@ eigendecomposition.
 With the engineered couplings J_n = sqrt(n*(N-n)) and the chain
 normalizations used here, perfect transfer happens at t = pi/2.
 :func:`amplification_check` and :func:`max_fidelity_scan` are the one
-check of alpha^2 + beta^2 = 1 and of a scan grid; the CLI adds none.
+check of alpha^2 + beta^2 = 1 and of a scan grid, nan and inf included;
+the CLI adds none.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from .algebra import (
     BitConfig,
+    DimensionMismatchError,
     HamiltonianSpec,
-    SpinChainError,
     sector_blocks,
 )
 from .chains import CouplingProfile
@@ -138,9 +139,10 @@ class Propagator:
 
     def occupied(self, config: BitConfig) -> list:
         """The single-particle sites ``config`` fills, ascending from 0: its up sites,
-        through ``b ^ (b >> 1)`` on the amplification chain; SpinChainError on another N."""
+        through ``b ^ (b >> 1)`` on the amplification chain; DimensionMismatchError
+        (a SpinChainError and a ValueError) on another N."""
         if config.n_sites != self.n_sites:
-            raise SpinChainError("config and propagator differ in site count")
+            raise DimensionMismatchError("config and propagator differ in site count")
         b = config.index
         if self.ladder:
             b ^= b >> 1
@@ -241,7 +243,8 @@ def amplification_check(prop: Propagator, alpha: complex, beta: complex,
     maximize the overlap; the evolution fixes a relative phase the ideal
     conversion leaves open, so it is scored out and reported.
     """
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:
+    # squared by *, which overflows to inf, where a float's ** 2 raises OverflowError
+    if not abs(abs(alpha) * abs(alpha) + abs(beta) * abs(beta) - 1.0) <= 1e-9:
         raise ValueError(f"need alpha^2 + beta^2 = 1, got alpha={alpha}, beta={beta}")
     n = prop.n_sites
     zeros = BitConfig.zeros(n)

@@ -107,17 +107,17 @@ def trial_draws(cfg: NoiseConfig, n_sites: int) -> tuple:
     return rng.random(shape), rng.integers(1, n_sites + 1, shape)
 
 
-def dephasing_ensemble(tasks: Sequence[tuple], cfg: NoiseConfig, draws: tuple) -> np.ndarray:
+def dephasing_ensemble(tasks: Sequence[tuple], cfg: NoiseConfig) -> np.ndarray:
     """Every trial's probability that site N is up after ``cfg.total_time``
     at every p of ``cfg.p_grid``, shape (len(tasks), len(p_grid), trials),
     for each (Propagator, source) pair of ``tasks``, evolved as free
     fermions in one step loop over the orbitals of every task and the
     (p, trial) rows that flip, batched by rows.
 
-    ``draws`` is the output of :func:`trial_draws` for ``cfg`` and this
-    chain length.  ValueError unless every propagator was built on equal
-    profiles; TimeRangeError when the free phases of the time are not
-    finite.
+    The trials are :func:`trial_draws` for ``cfg`` and this chain length,
+    drawn once per call.  ValueError unless every propagator was built on
+    equal profiles; TimeRangeError when the free phases of the time are
+    not finite.
     """
     props = [prop for prop, _ in tasks]
     if any(prop.profile != props[0].profile for prop in props):
@@ -136,7 +136,7 @@ def dephasing_ensemble(tasks: Sequence[tuple], cfg: NoiseConfig, draws: tuple) -
     base = np.array([n * prop.ladder - 1 for prop, sites in zip(props, occupied) for _ in sites],
                     dtype=int)
     start = vecs[[site for sites in occupied for site in sites]]   # row c: orbital c as w^T V
-    uniforms, sites = draws
+    uniforms, sites = trial_draws(cfg, n)
     flips = (uniforms < ps[:, None, None]).reshape(-1, cfg.steps)   # row i T + t: trial t at p_i
     rate = -1j * total_time / cfg.steps * vals      # free phases of j segments: exp(rate j)
     read = (vecs[-1:] * np.exp(rate * cfg.steps)).T
@@ -175,7 +175,7 @@ def noise_sweep(profile: CouplingProfile, cfg: NoiseConfig) -> List[RunRecord]:
     n = profile.n_sites
     tasks = [(Propagator(profile, family), BitConfig.single(n, site))
              for family, site in (("cluster", 2), ("exchange", 1))]
-    fidelities = dephasing_ensemble(tasks, cfg, trial_draws(cfg, n))
+    fidelities = dephasing_ensemble(tasks, cfg)
     records = []
     for p, rows in zip(cfg.p_grid, fidelities.swapaxes(0, 1)):
         for (prop, source), fids in zip(tasks, rows):

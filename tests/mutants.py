@@ -35,7 +35,8 @@ _NOISE = ["tests/test_noise.py"]
 _CONFIG = ["tests/test_noise.py", "tests/test_cli.py", "-k", "config or rejects or bad_input"]
 _TIMES = ["tests/test_evolution.py", "tests/test_noise.py", "tests/test_cli.py"]
 _LIBRARY_CHECKS = ["tests/test_evolution.py", "tests/test_cli.py",
-                   "-k", "scan_argument or amplification or librarys"]
+                   "-k", "scan_argument or amplification or librarys or bad_input"]
+_BAD_INPUT = ["tests/test_cli.py", "-k", "bad_input"]
 
 MUTANTS = [
     # the sign of i^(e+1) for an anticommuting pair
@@ -180,8 +181,18 @@ MUTANTS = [
     ("chains.py", "if any(layout.profile.fields):", "if all(layout.profile.fields):",
      ["tests/test_chains.py", "-k", "star"]),
     # a NaN alpha or beta let through to the amplitudes
-    ("evolution.py", "if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:",
-     "if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:", _LIBRARY_CHECKS),
+    ("evolution.py", "if not abs(abs(alpha) * abs(alpha) + abs(beta) * abs(beta) - 1.0) <= 1e-9:",
+     "if abs(abs(alpha) * abs(alpha) + abs(beta) * abs(beta) - 1.0) > 1e-9:", _LIBRARY_CHECKS),
+    # alpha squared with **, which raises OverflowError where * gives inf
+    ("evolution.py", "abs(alpha) * abs(alpha)", "abs(alpha) ** 2", _LIBRARY_CHECKS),
+    # an infinite --tol accepted
+    ("cli.py", "if not 0.0 < args.tol < math.inf:", "if not 0.0 < args.tol:", _BAD_INPUT),
+    # a config of another site count reported as a numeric failure, exit 1
+    ("algebra.py", "class DimensionMismatchError(SpinChainError, ValueError):",
+     "class DimensionMismatchError(SpinChainError):", _BAD_INPUT),
+    # the ensemble's trials drawn for another chain length
+    ("noise.py", "uniforms, sites = trial_draws(cfg, n)", "uniforms, sites = trial_draws(cfg, n + 1)",
+     ["tests/test_noise.py", "-k", "draws_its_own"]),
     # a grid whose stop overflows let through to np.arange
     ("evolution.py", "and math.isfinite(t_max + grid_step / 2)", "and True", _LIBRARY_CHECKS),
     # N read as the number of couplings

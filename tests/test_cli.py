@@ -445,7 +445,11 @@ _BAD_INPUT = [
     (_SCAN + ["--t-max", "nan"], "finite"),
     (_SCAN + ["--grid-step", "inf"], "finite"),
     (_SCAN + ["--grid-step", "0"], "positive"),
-    (["amplify", "--n", "4", "--alpha", "inf"], "finite"),
+    (["amplify", "--n", "4", "--alpha", "inf"], "alpha^2 + beta^2"),
+    (["amplify", "--n", "4", "--alpha", "1e200"], "alpha^2 + beta^2"),
+    (["amplify", "--n", "4", "--beta", "-1e300"], "alpha^2 + beta^2"),
+    (["amplify", "--n", "4", "--alpha", "0.6", "--beta", "1e155"], "alpha^2 + beta^2"),
+    (["amplify", "--n", "4", "--config", "huge_alpha.json"], "alpha^2 + beta^2"),
     (["amplify", "--n", "4", "--alpha", "2"], "alpha^2 + beta^2"),
     (["amplify", "--n", "1"], "at least 2 sites"),
     (["amplify", "--n", "0"], "at least 2 sites"),
@@ -468,10 +472,17 @@ _BAD_INPUT = [
     (_SWEEP + ["--time", "-1"], "positive"),
     (["star-demo", "--spikes", "0"], "spike"),
     (["transfer", "--n", "3", "--source", "102", "--target", "001"], "0 or 1"),
+    (["transfer", "--n", "4", "--source", "100", "--target", "0001"], "differ in site count"),
+    (["transfer", "--n", "4", "--source", "1000", "--target", "00001"], "differ in site count"),
+    (["scan", "--n", "4", "--source", "100", "--target", "0001"], "differ in site count"),
+    (["scan", "--n", "4", "--source", "1000", "--target", "00001"], "differ in site count"),
     (["verify-equivalence", "--profiles", "0"], "profile"),
     (["verify-equivalence", "--seed", "-1"], "invalid u64 value"),
     (["verify-equivalence", "--tol", "0"], "--tol must be positive"),
     (["verify-equivalence", "--tol", "-1"], "--tol must be positive"),
+    (["verify-equivalence", "--tol", "inf"], "--tol must be positive and finite"),
+    (["verify-equivalence", "--tol", "nan"], "--tol must be positive and finite"),
+    (["verify-equivalence", "--config", "infinite_tol.json"], "--tol must be positive and finite"),
     (_SWEEP + ["--seed", "18446744073709551616"], "invalid u64 value"),
     (["amplify", "--n", "4", "--seed", "0"], "unrecognized arguments: --seed"),
     (["scan", "--n", "4", "--source", "0100", "--target", "0001", "--grid-step", "1e-300"],
@@ -495,13 +506,15 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
     (tmp_path / "empty_time.json").write_text('{"time": ""}')
     (tmp_path / "empty_out.json").write_text('{"out": ""}')
     (tmp_path / "negative_n.json").write_text('{"n": -1}')
+    (tmp_path / "huge_alpha.json").write_text('{"alpha": 1e200}')
+    (tmp_path / "infinite_tol.json").write_text('{"tol": Infinity}')
     # a refused sweep builds no chain and draws nothing
     props = _count_calls(monkeypatch, noise, "Propagator")
     draws = _count_calls(monkeypatch, noise, "trial_draws")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert reason in captured.err
+    assert reason in captured.err and captured.err.count("\n") == 1
     assert props == [] and draws == []
 
 
@@ -510,12 +523,14 @@ def test_bad_input_is_a_usage_error(argv, reason, capsys, tmp_path, monkeypatch)
      lambda prop: evolution.amplification_check(prop, 2.0, 0.0, math.pi / 2)),
     (["amplify", "--n", "4", "--alpha", "0.6", "--beta", "0.81"],
      lambda prop: evolution.amplification_check(prop, 0.6, 0.81, math.pi / 2)),
+    (["amplify", "--n", "4", "--alpha", "1e200"],
+     lambda prop: evolution.amplification_check(prop, 1e200, 0.0, math.pi / 2)),
     (["scan", "--n", "4", "--source", "1000", "--target", "0001", "--grid-step", "1e-300"],
      lambda prop: evolution.max_fidelity_scan(prop, None, None, 200.0, 1e-300)),
     (["scan", "--n", "2", "--source", "10", "--target", "01", "--t-max", "1.79e308",
       "--grid-step", "1e307"],
      lambda prop: evolution.max_fidelity_scan(prop, None, None, 1.79e308, 1e307)),
-], ids=["alpha", "alpha-beta", "grid-points", "grid-stop"])
+], ids=["alpha", "alpha-beta", "alpha-overflow", "grid-points", "grid-stop"])
 def test_amplify_and_scan_refusals_are_the_librarys(argv, call, capsys):
     # amplify and scan keep no check of their own: the CLI's one error line
     # is the library's refusal of the same values, and exits 2
@@ -775,7 +790,7 @@ def test_missing_or_unknown_subcommand_is_a_usage_error(argv, capsys):
     (["amplify", "--n", "4", "--time", "--n"], "argument --time: expected one argument"),
     (["amplify", "--n", "4", "--time", "--alpha=1"], "argument --time: expected one argument"),
     (["amplify", "--n", "four"], "argument --n: invalid int value: 'four'"),
-    (["amplify", "--n", "4", "--alpha", "inf"], "argument --alpha: invalid finite value: 'inf'"),
+    (["amplify", "--n", "4", "--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
     (["amplify", "--n", "4", "--pro", "uniform"], "unrecognized arguments: --pro"),
     (["amplify", "--n", "4", "stray"], "unrecognized arguments: stray"),
     (["verify-equivalence", "--corrupt=yes"], "unrecognized arguments: --corrupt=yes"),
@@ -842,7 +857,7 @@ def _good(keywords: dict):
         return st.booleans()
     if kind in (int, cli.u64):
         return st.integers(0, 2 ** 64 - 1 if kind is cli.u64 else 40)
-    if kind is cli.finite:
+    if kind is float:
         return st.floats(allow_nan=False, allow_infinity=False)
     return st.sampled_from(["pi/2", "-pi/2", "0.5", "0110", "uniform", "cluster", "0,0.1",
                             "out.csv"])
@@ -894,13 +909,14 @@ def _command_lines(draw):
 
 def _parsed(parse, argv):
     """The namespace ``parse`` gives argv, as a dict without argparse's
-    ``command``, or "refused"."""
+    ``command``, with a NaN as its text (it is unequal to itself), or
+    "refused"."""
     try:
         args = vars(parse(argv))
     except (ArgvRefused, cli.UsageError):
         return "refused"
     args.pop("command", None)
-    return args
+    return {key: "nan" if isinstance(v, float) and math.isnan(v) else v for key, v in args.items()}
 
 
 @pytest.fixture(scope="module")

@@ -287,10 +287,12 @@ def test_amplification_trivial_branches():
 
 
 @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
-                                         (math.inf, 0.0), (1.0, 1.0), (0.6, 0.8 + 1e-8)])
+                                         (math.inf, 0.0), (1.0, 1.0), (0.6, 0.8 + 1e-8),
+                                         (1e200, 0.0), (0.0, -1e300), (0.6, 1e155)])
 def test_amplification_refuses_amplitudes_off_the_unit_circle(alpha, beta, monkeypatch):
     # the one check of alpha^2 + beta^2 = 1: a NaN once passed it and came
-    # out as NaN fidelities
+    # out as NaN fidelities, and a square past the float range (1e200 ** 2)
+    # once raised OverflowError
     prop = _cluster_prop(4)
     monkeypatch.setattr(prop, "amplitudes", lambda *args: pytest.fail("evolved"))
     with pytest.raises(ValueError) as refused:

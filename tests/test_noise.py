@@ -92,7 +92,7 @@ def test_trials_stay_normalized(props):
     cluster, _ = props
     cfg = NoiseConfig([1.0], T, trials=1, seed=9)
     many = NoiseConfig([1.0], T, trials=50, seed=9)
-    fids = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], many, trial_draws(many, N))[0][0]
+    fids = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], many)[0][0]
     assert np.all(fids <= 1.0)
     # per-trial norm: evolve manually and check
     uniforms, sites = trial_draws(cfg, N)
@@ -114,7 +114,7 @@ def test_batch_matches_single_trials(chain, source, seed):
     prop = Propagator(_FIELD_PROFILE, FAMILY[chain])
     cfg = NoiseConfig([0.3], 1.3, trials=16, seed=seed)
     config = BitConfig.from_string(source)
-    batch = dephasing_ensemble([(prop, config)], cfg, trial_draws(cfg, N))[0][0]
+    batch = dephasing_ensemble([(prop, config)], cfg)[0][0]
     singles = np.array([
         dephasing_trial(prop, config, N, 1.3, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -133,7 +133,7 @@ def test_ensemble_edges_match_single_trials(chain, source, steps, trials, p):
     cfg = NoiseConfig([p], 0.9, steps=steps, trials=trials, seed=3)
     config = BitConfig.from_string(source)
     draws = trial_draws(cfg, N)
-    ensemble = dephasing_ensemble([(prop, config)], cfg, draws)[0]
+    ensemble = dephasing_ensemble([(prop, config)], cfg)[0]
     assert ensemble.shape == (1, trials)
     batch = ensemble[0]
     singles = np.array([dephasing_trial(prop, config, N, 0.9, p, cfg, uniforms, sites)
@@ -164,7 +164,7 @@ def test_ensemble_matches_forward_loop_on_long_chains(chain, k, p):
     assert prop.occupied(source) == occupied
     cfg = NoiseConfig([p], 1.3, steps=25, trials=12, seed=11)
     draws = trial_draws(cfg, _LONG)
-    batch = dephasing_ensemble([(prop, source)], cfg, draws)[0][0]
+    batch = dephasing_ensemble([(prop, source)], cfg)[0][0]
     reference = forward_ensemble(prop, source, _LONG, 1.3, p, cfg, draws)
     assert np.max(np.abs(batch - reference)) < 1e-12
 
@@ -178,10 +178,9 @@ def test_noiseless_ensemble_is_binomial_at_1024_sites():
     n, t = 1024, 1.1
     prop = Propagator(CouplingProfile.engineered(n), "exchange")
     cfg = NoiseConfig([0.0], t, trials=3)
-    draws = trial_draws(cfg, n)
     peak = 1 + round(math.sin(t) ** 2 * (n - 1))
     for source in (1, n - peak, n + 1 - peak, n + 2 - peak):
-        fids = dephasing_ensemble([(prop, BitConfig.single(n, source))], cfg, draws)[0][0]
+        fids = dephasing_ensemble([(prop, BitConfig.single(n, source))], cfg)[0][0]
         clean = transfer_fidelity(prop, BitConfig.single(n, source), BitConfig.single(n, n), t)
         expected = binomial_transfer(n, n + 1 - source, t)
         assert source == 1 or expected > 0.02
@@ -211,7 +210,7 @@ def test_trial_blocks_match_single_trials(props, monkeypatch):
     k = len(cluster.occupied(BitConfig.single(N, 2)))
     monkeypatch.setattr(noise, "BATCH_ELEMENTS", 6 * N * k - 1)
     cfg = NoiseConfig([0.3], T, trials=23, seed=4)
-    batch = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], cfg, trial_draws(cfg, N))[0][0]
+    batch = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], cfg)[0][0]
     singles = np.array([
         dephasing_trial(cluster, BitConfig.single(N, 2), N, T, 0.3, cfg, uniforms, sites)
         for uniforms, sites in zip(*trial_draws(cfg, N))
@@ -231,7 +230,7 @@ def test_row_batches_end_inside_a_p_row(props, monkeypatch):
     for tasks in [[task] for task in _tasks(props)] + [_tasks(props)]:
         k = sum(len(prop.occupied(source)) for prop, source in tasks)
         monkeypatch.setattr(noise, "BATCH_ELEMENTS", 8 * N * k - 1)
-        ensemble = dephasing_ensemble(tasks, cfg, draws)
+        ensemble = dephasing_ensemble(tasks, cfg)
         assert ensemble.shape == (len(tasks), 3, 23)
         for (prop, source), rows in zip(tasks, ensemble):
             for p, row in zip(p_grid, rows):
@@ -250,11 +249,10 @@ def test_two_tasks_equal_one_task_calls_bitwise(n, profile, cfg):
     # grouped into BLAS calls, and on a noise-mc sized sweep
     tasks = [(Propagator(profile, "cluster"), BitConfig.single(n, 2)),
              (Propagator(profile, "exchange"), BitConfig.single(n, 1))]
-    draws = trial_draws(cfg, n)
-    both = dephasing_ensemble(tasks, cfg, draws)
+    both = dephasing_ensemble(tasks, cfg)
     assert both.shape == (2, len(cfg.p_grid), cfg.trials)
     for task, rows in zip(tasks, both):
-        assert np.array_equal(rows, dephasing_ensemble([task], cfg, draws)[0])
+        assert np.array_equal(rows, dephasing_ensemble([task], cfg)[0])
 
 
 def test_rows_that_never_flip_keep_the_noiseless_score(props):
@@ -265,7 +263,7 @@ def test_rows_that_never_flip_keep_the_noiseless_score(props):
     draws = trial_draws(cfg, N)
     quiet = ~(draws[0] < 0.05).any(axis=1)
     assert 0 < quiet.sum() < cfg.trials
-    for (prop, source), rows in zip(_tasks(props), dephasing_ensemble(_tasks(props), cfg, draws)):
+    for (prop, source), rows in zip(_tasks(props), dephasing_ensemble(_tasks(props), cfg)):
         clean = forward_ensemble(prop, source, N, T, 0.0, cfg, draws)
         assert np.max(np.abs(rows[0] - clean)) < 1e-12
         assert np.unique(rows[0]).size == 1
@@ -275,21 +273,31 @@ def test_rows_that_never_flip_keep_the_noiseless_score(props):
         assert np.max(np.abs(rows[2] - noisy)) < 1e-12
 
 
+def test_ensemble_draws_its_own_trials(props):
+    # the trials are drawn for the tasks' own chain length: draws for
+    # another N, once the caller's to pass, were scored without an error
+    cfg = NoiseConfig([0.0, 0.3, 1.0], T, trials=40, seed=21)
+    draws = trial_draws(cfg, N)
+    for (prop, source), rows in zip(_tasks(props), dephasing_ensemble(_tasks(props), cfg)):
+        for p, row in zip(cfg.p_grid, rows):
+            reference = forward_ensemble(prop, source, N, T, p, cfg, draws)
+            assert np.max(np.abs(row - reference)) < 1e-12
+
+
 def test_ensemble_refuses_tasks_on_different_profiles():
     # the eigenpairs come from the first task's propagator; equal profiles
     # built apart are accepted
     cfg = NoiseConfig([0.1], T, trials=4)
-    draws = trial_draws(cfg, N)
     cluster = (Propagator(CouplingProfile.engineered(N), "cluster"), BitConfig.single(N, 2))
     for profile, accepted in ((CouplingProfile.engineered(N), True),
                               (CouplingProfile.uniform(N), False),
                               (CouplingProfile.engineered(N, (0.1,) * N), False)):
         tasks = [cluster, (Propagator(profile, "exchange"), BitConfig.single(N, 1))]
         if accepted:
-            assert dephasing_ensemble(tasks, cfg, draws).shape == (2, 1, 4)
+            assert dephasing_ensemble(tasks, cfg).shape == (2, 1, 4)
         else:
             with pytest.raises(ValueError, match="equal profiles"):
-                dephasing_ensemble(tasks, cfg, draws)
+                dephasing_ensemble(tasks, cfg)
 
 
 @pytest.mark.parametrize("family", ["cluster", "exchange"])
@@ -299,7 +307,7 @@ def test_ensemble_refuses_a_source_of_another_site_count(family, source):
     cfg = NoiseConfig([0.0, 0.5], T, trials=4)
     prop = Propagator(CouplingProfile.engineered(4), family)
     with pytest.raises(SpinChainError, match="differ in site count"):
-        dephasing_ensemble([(prop, source)], cfg, trial_draws(cfg, 4))
+        dephasing_ensemble([(prop, source)], cfg)
 
 
 def test_sweep_diagonalizes_h_once(monkeypatch):
@@ -326,13 +334,12 @@ def test_grid_rows_equal_single_p_calls_bitwise(p_grid):
     # row the bits of that p alone, whatever the grid's order or repeats
     profile = CouplingProfile.uniform(12)
     cfg = NoiseConfig(p_grid, T, steps=7, seed=2 ** 64 - 1)
-    draws = trial_draws(cfg, 12)
     for family, site in (("cluster", 2), ("exchange", 1)):
         prop, source = Propagator(profile, family), BitConfig.single(12, site)
-        rows = dephasing_ensemble([(prop, source)], cfg, draws)[0]
+        rows = dephasing_ensemble([(prop, source)], cfg)[0]
         for p, row in zip(p_grid, rows):
             alone = replace(cfg, p_grid=[p])
-            assert np.array_equal(row, dephasing_ensemble([(prop, source)], alone, draws)[0][0])
+            assert np.array_equal(row, dephasing_ensemble([(prop, source)], alone)[0][0])
         assert np.unique(rows[p_grid.index(0.0)]).size == 1
         if p_grid.count(0.3) == 2:
             assert np.array_equal(rows[0], rows[3])
@@ -346,10 +353,9 @@ def test_grid_memory_stays_within_one_batch():
     prop = Propagator(CouplingProfile.engineered(n), "exchange")
     source = BitConfig((1, 0) * (n // 2))
     cfg = NoiseConfig([0.0] * 49 + [0.05], T, trials=100, seed=7)
-    draws = trial_draws(cfg, n)
     tracemalloc.start()
     try:
-        rows = dephasing_ensemble([(prop, source)], cfg, draws)[0]
+        rows = dephasing_ensemble([(prop, source)], cfg)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -394,7 +400,7 @@ def test_sweep_reuses_draws_without_changing_records(props):
         (p, family, dim) for p in (0.05, 0.3) for family, dim in (("cluster", 15), ("exchange", 6))]
     for record, (prop, source) in zip(records, _tasks(props) * 2):
         alone = replace(cfg, p_grid=[record.p])
-        fids = dephasing_ensemble([(prop, source)], alone, trial_draws(alone, N))[0][0]
+        fids = dephasing_ensemble([(prop, source)], alone)[0][0]
         assert record.mean_fidelity == float(np.mean(fids))
 
 
@@ -421,7 +427,7 @@ def test_ensemble_refuses_a_time_whose_phases_overflow(props):
     cfg = NoiseConfig([0.0, 0.1], 1e308, trials=10)
     for prop, source in _tasks(props):
         with pytest.raises(TimeRangeError, match=r"phases t \* lambda"):
-            dephasing_ensemble([(prop, source)], cfg, trial_draws(cfg, N))
+            dephasing_ensemble([(prop, source)], cfg)
 
 
 def test_standard_error_scales_with_trials(props):
@@ -430,8 +436,7 @@ def test_standard_error_scales_with_trials(props):
     cfg_large = NoiseConfig([0.1], T, trials=1600, seed=5)
     se = []
     for cfg in (cfg_small, cfg_large):
-        fids = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], cfg,
-                                  trial_draws(cfg, N))[0][0]
+        fids = dephasing_ensemble([(cluster, BitConfig.single(N, 2))], cfg)[0][0]
         se.append(np.std(fids, ddof=1) / math.sqrt(cfg.trials))
     ratio = se[0] / se[1]
     assert 2.0 / 1.5 < ratio < 2.0 * 1.5
@@ -455,9 +460,8 @@ def test_identical_trials_have_zero_spread():
     profile = CouplingProfile.uniform(12)
     cfg = NoiseConfig([0.0, 1.0], T)
     records = noise_sweep(profile, cfg)
-    draws = trial_draws(cfg, 12)
     for record, family, site in zip(records, ("cluster", "exchange") * 2, (2, 1) * 2):
         fids = dephasing_ensemble([(Propagator(profile, family), BitConfig.single(12, site))],
-                                  replace(cfg, p_grid=[record.p]), draws)[0][0]
+                                  replace(cfg, p_grid=[record.p]))[0][0]
         assert (np.unique(fids).size == 1) == (record.p == 0.0)
         assert (record.standard_error == 0.0) == (record.p == 0.0)

@@ -13,6 +13,7 @@ import spinamp
 from spinamp import cli
 from spinamp.algebra import BitConfig
 from spinamp.chains import CouplingProfile, StarLayout, cluster_field_terms
+from spinamp.noise import dephasing_ensemble
 
 import mutants
 
@@ -80,10 +81,12 @@ def test_every_mutant_has_one_target():
     (BitConfig, ["bits"]),
     (StarLayout, ["spikes", "profile"]),
     (cluster_field_terms, ["fields"]),
-], ids=["CouplingProfile", "BitConfig", "StarLayout", "cluster_field_terms"])
+    (dephasing_ensemble, ["tasks", "cfg"]),
+], ids=["CouplingProfile", "BitConfig", "StarLayout", "cluster_field_terms", "dephasing_ensemble"])
 def test_lengths_are_derived_not_passed(target, parameters):
-    # a length that another input already fixes is derived from it, so no
-    # second value, and no check that the two agree, can come back
+    # a length that another input already fixes is derived from it, as are
+    # the noise draws made for it, so no second value, and no check that
+    # the two agree, can come back
     got = [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
            for p in inspect.signature(target).parameters.values()]
     assert got == parameters
